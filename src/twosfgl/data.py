@@ -117,6 +117,22 @@ class ClientGraph:
             nbrs[v].sort()
         return nbrs
 
+    @cached_property
+    def neighbor_csr(self) -> tuple:
+        """``(indptr, indices)`` of the symmetric neighbor structure.
+
+        Rows and column indices are positions in sorted vertex order (the
+        order ``gnn.node_order`` uses); each row's positions ascend.
+        """
+        nodes = np.array(sorted(self.vertices), dtype=np.int64)
+        ends = np.searchsorted(
+            nodes, np.array(list(self.edges), dtype=np.int64).reshape(-1, 2))
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
+        return indptr, cols[np.lexsort((cols, rows))]
+
 
 @dataclass
 class MultiRelationDataset:

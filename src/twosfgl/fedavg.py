@@ -48,6 +48,7 @@ class ClientState:
     train_mask: np.ndarray = None
     test_mask: np.ndarray = None
     adjacency: object = None             # cached for gcn
+    propagated_features: np.ndarray = None   # gcn: adjacency @ features
     fanout: int = DEFAULT_FANOUT
 
 
@@ -76,23 +77,31 @@ def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
     nodes = node_order(graph)
     feats = np.asarray(features, dtype=np.float64)[nodes]
     labels = graph.node_ref.labels[nodes]
-    positions = {v: i for i, v in enumerate(nodes)}
-    train_mask = np.zeros(len(nodes), dtype=bool)
-    test_mask = np.zeros(len(nodes), dtype=bool)
-    for v in split.train_ids:
-        train_mask[positions[v]] = True
-    for v in split.test_ids:
-        test_mask[positions[v]] = True
+
+    def node_mask(ids):
+        member = np.zeros(len(graph.node_ref.labels), dtype=bool)
+        member[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
+        mask = member[nodes]
+        if mask.sum() != len(ids):
+            raise ValueError(f"client {client_id!r}: split ids outside the graph")
+        return mask
+
+    train_mask = node_mask(split.train_ids)
+    test_mask = node_mask(split.test_ids)
     if not train_mask.any():
         raise ValueError(f"client {client_id!r} has an empty train mask")
     if params is None:
         params = init_params(arch, feats.shape[1], seed=derive_seed(seed, "init"))
-    adjacency = normalized_adjacency(graph) if arch == "gcn" else None
+    adjacency = ax = None
+    if arch == "gcn":
+        adjacency = normalized_adjacency(graph)
+        ax = adjacency @ feats
     return ClientState(
         client_id=client_id, graph=graph, split=split, params=params,
         adam=init_adam(params, lr=lr), sample_count=int(train_mask.sum()),
         features=feats, labels=labels, train_mask=train_mask,
-        test_mask=test_mask, adjacency=adjacency, fanout=fanout)
+        test_mask=test_mask, adjacency=adjacency, propagated_features=ax,
+        fanout=fanout)
 
 
 def aggregate(updates) -> ModelParams:
@@ -123,7 +132,7 @@ def aggregate(updates) -> ModelParams:
 
 def _client_forward(client: ClientState, params: ModelParams, seed: int):
     if params.arch == "gcn":
-        return gcn_forward(params, client.adjacency, client.features)
+        return gcn_forward(params, client.adjacency, client.propagated_features)
     return sage_forward(params, client.graph, client.features,
                         fanout=client.fanout, seed=seed)
 
@@ -159,26 +168,18 @@ def federated_round(clients, global_params: ModelParams, round_seed: int,
     return new_global, losses
 
 
-def evaluate_global(clients, params: ModelParams, eval_graphs=None,
-                    eval_adjacencies=None, seed: int = 0) -> dict:
-    """Mean of each metric over the clients' test masks.
-
-    By default each client is evaluated on its own training graph; explicit
-    eval graphs (with matching adjacencies for gcn) override that.
-    """
+def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
+    """Mean of each metric over the clients' test masks, each client
+    evaluated on its own training graph."""
     per_metric = {name: [] for name in METRIC_NAMES}
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc, "gmean": gmean}
-    for idx, client in enumerate(clients):
-        if eval_graphs is None:
-            graph, adjacency = client.graph, client.adjacency
-        else:
-            graph = eval_graphs[idx]
-            adjacency = eval_adjacencies[idx] if eval_adjacencies else None
+    for client in clients:
         if params.arch == "gcn":
-            logits, _ = gcn_forward(params, adjacency, client.features)
+            logits, _ = gcn_forward(params, client.adjacency,
+                                    client.propagated_features)
         else:
             logits, _ = sage_forward(
-                params, graph, client.features, fanout=client.fanout,
+                params, client.graph, client.features, fanout=client.fanout,
                 seed=derive_seed(seed, "eval", client.client_id))
         scores = softmax(logits)[:, 1]
         result = EvalResult.from_scores(
@@ -188,7 +189,7 @@ def evaluate_global(clients, params: ModelParams, eval_graphs=None,
     return {name: float(np.mean(values)) for name, values in per_metric.items()}
 
 
-def train_federation(clients, cfg: FederationConfig, eval_graphs=None,
+def train_federation(clients, cfg: FederationConfig,
                      seed: int = 0) -> RoundHistory:
     """Run the configured number of rounds and record global test metrics.
 
@@ -200,17 +201,12 @@ def train_federation(clients, cfg: FederationConfig, eval_graphs=None,
     if not clients:
         raise ValueError("train_federation requires at least one client")
     global_params = clients[0].params.copy()
-    eval_adjacencies = None
-    if eval_graphs is not None and global_params.arch == "gcn":
-        eval_adjacencies = [normalized_adjacency(g) for g in eval_graphs]
-
     history = RoundHistory()
     for round_index in range(1, cfg.rounds + 1):
         round_seed = derive_seed(seed, "round", round_index)
         global_params, _ = federated_round(clients, global_params, round_seed,
                                            steps=cfg.local_steps)
-        scores = evaluate_global(clients, global_params, eval_graphs,
-                                 eval_adjacencies,
+        scores = evaluate_global(clients, global_params,
                                  seed=derive_seed(seed, "round-eval", round_index))
         for name in METRIC_NAMES:
             history.append(round_index, cfg.arm, name, scores[name])

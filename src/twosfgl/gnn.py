@@ -4,9 +4,14 @@ Two one-hidden-layer binary node classifiers over 64-bit floats:
 
 * GCN:  logits = A_hat . relu(A_hat X W1) . W2, where A_hat is the
   symmetrically normalized adjacency (self-loops added, D^-1/2 A D^-1/2).
+  A_hat X does not depend on the weights, so callers compute it once per
+  graph and pass it in place of X.
 * SAGE: each node concatenates its own features with the mean of at most
   ``fanout`` sampled neighbor features, passes through a relu hidden layer,
-  then a linear head.
+  then a linear head.  Sampling works on the graph's cached CSR: one uniform
+  key per (node, neighbor) entry, the ``fanout`` smallest keys of each row
+  are kept (a uniform draw without replacement), and one sparse product
+  takes the row means.
 
 The loss is mean softmax cross-entropy over a node mask; gradients are
 analytic and verified against finite differences in the test suite.  The
@@ -78,7 +83,7 @@ class ForwardCache:
 
     arch: str
     adjacency: sp.csr_matrix | None   # gcn only
-    inputs: np.ndarray                # gcn: X;  sage: [X || H_N]
+    inputs: np.ndarray                # gcn: A_hat . X;  sage: [X || H_N]
     pre_hidden: np.ndarray            # hidden pre-activation
     hidden: np.ndarray                # relu output
     propagated_hidden: np.ndarray     # gcn: A_hat . hidden; sage: hidden
@@ -136,20 +141,21 @@ def normalized_adjacency(graph: ClientGraph) -> sp.csr_matrix:
 
 
 def gcn_forward(params: ModelParams, adjacency: sp.csr_matrix,
-                features: np.ndarray):
-    """Two-propagation forward pass; returns (logits, cache)."""
+                propagated_features: np.ndarray):
+    """Forward pass from the first propagation ``adjacency @ X``, which the
+    caller computes once; propagates the hidden layer itself.  Returns
+    (logits, cache)."""
     if params.arch != "gcn":
         raise ValueError("gcn_forward requires gcn params")
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[1] != params.W1.shape[0]:
-        raise ValueError(f"feature width {features.shape[1]} does not match "
+    ax = np.asarray(propagated_features, dtype=np.float64)
+    if ax.shape[1] != params.W1.shape[0]:
+        raise ValueError(f"feature width {ax.shape[1]} does not match "
                          f"W1 rows {params.W1.shape[0]}")
-    ax = adjacency @ features
     pre = ax @ params.W1
     hidden = np.maximum(pre, 0.0)
     propagated = adjacency @ hidden
     logits = propagated @ params.W2
-    cache = ForwardCache(arch="gcn", adjacency=adjacency, inputs=features,
+    cache = ForwardCache(arch="gcn", adjacency=adjacency, inputs=ax,
                          pre_hidden=pre, hidden=hidden,
                          propagated_hidden=propagated, logits=logits)
     return logits, cache
@@ -159,24 +165,28 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
                           fanout: int, seed: int) -> np.ndarray:
     """Mean of <= fanout sampled neighbor feature rows per node.
 
-    Nodes with degree <= fanout use all neighbors (no replacement, no
-    padding); isolated nodes get the zero vector.  Deterministic per seed.
+    ``features`` rows follow node_order(graph).  Nodes with degree <= fanout
+    use all neighbors (no replacement, no padding); isolated nodes get the
+    zero vector.  Edge weights play no part, so zero-weight edges can be
+    sampled.  Deterministic per seed.
     """
     if fanout < 1:
         raise ValueError("fanout must be >= 1")
-    nodes = node_order(graph)
-    index = {v: i for i, v in enumerate(nodes)}
-    rng = np.random.default_rng(seed)
-    out = np.zeros((len(nodes), features.shape[1]), dtype=np.float64)
-    for row, v in enumerate(nodes):
-        nbrs = [index[u] for u, _ in graph.neighbor_map[v]]
-        if not nbrs:
-            continue
-        if len(nbrs) > fanout:
-            picked = rng.choice(len(nbrs), size=fanout, replace=False)
-            nbrs = [nbrs[i] for i in picked]
-        out[row] = features[nbrs].mean(axis=0)
-    return out
+    indptr, indices = graph.neighbor_csr
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    rows = np.repeat(np.arange(n), degree)
+    keys = np.random.default_rng(seed).random(len(indices))
+    # sorted by row, then key: rows keep their slots, so the first fanout
+    # slots of a row hold its smallest keys
+    by_key = np.lexsort((keys, rows))
+    picked = np.zeros(len(indices), dtype=bool)
+    picked[by_key[np.arange(len(indices)) - indptr[rows] < fanout]] = True
+    counts = np.minimum(degree, fanout)
+    sums = sp.csr_matrix(
+        (np.ones(int(counts.sum())), indices[picked],
+         np.concatenate(([0], np.cumsum(counts)))), shape=(n, n)) @ features
+    return sums / np.maximum(counts, 1)[:, None]
 
 
 def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
@@ -227,14 +237,11 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     grad_logits /= n_masked
 
     grad_w2 = cache.propagated_hidden.T @ grad_logits
+    grad_hidden = grad_logits @ params.W2.T
     if cache.arch == "gcn":
-        grad_hidden = cache.adjacency @ (grad_logits @ params.W2.T)
-        grad_pre = grad_hidden * (cache.pre_hidden > 0)
-        grad_w1 = (cache.adjacency @ cache.inputs).T @ grad_pre
-    else:
-        grad_hidden = grad_logits @ params.W2.T
-        grad_pre = grad_hidden * (cache.pre_hidden > 0)
-        grad_w1 = cache.inputs.T @ grad_pre
+        grad_hidden = cache.adjacency @ grad_hidden
+    grad_pre = grad_hidden * (cache.pre_hidden > 0)
+    grad_w1 = cache.inputs.T @ grad_pre
     return loss, ModelParams(arch=cache.arch, W1=grad_w1, W2=grad_w2)
 
 

@@ -9,7 +9,6 @@ equals pair counting exactly.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "METRIC_NAMES",
@@ -85,13 +84,21 @@ def gmean(result: EvalResult) -> float:
     return float(np.sqrt(tpr * tnr))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions, which
+    is an exact half-integer."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def auc(result: EvalResult) -> float:
     """Rank-based AUC; tied scores contribute 1/2 per pair."""
     n_pos = int(np.sum(result.labels == 1))
     n_neg = result.labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes in the evaluation mask")
-    ranks = rankdata(result.scores)  # average ranks on ties
+    ranks = _average_ranks(result.scores)
     rank_sum = float(ranks[result.labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -98,7 +98,7 @@ def test_A2_psi_equivalence_and_privacy():
 
 def _forward(arch, params, graph, adjacency, x, seed):
     if arch == "gcn":
-        return gcn_forward(params, adjacency, x)
+        return gcn_forward(params, adjacency, adjacency @ x)
     return sage_forward(params, graph, x, fanout=3, seed=seed)
 
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import twosfgl
 from twosfgl.cli import main
 
 TINY = """
@@ -129,3 +135,12 @@ def test_cli_requires_subcommand_and_config(capsys):
     with pytest.raises(SystemExit):
         main(["run"])
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second and tens of MB at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(twosfgl.__file__).parents[1]))
+    probe = "import sys, twosfgl.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -66,10 +66,26 @@ def test_make_client_aligns_arrays_with_node_order():
     assert not (client.train_mask & client.test_mask).any()
 
 
+def test_make_client_caches_propagated_features_for_gcn():
+    table, graphs, split = make_world(1)
+    client = make_client("a", graphs[0], split, "gcn", table.features, seed=0)
+    assert np.array_equal(client.propagated_features,
+                          client.adjacency @ client.features)
+
+
+def test_make_client_rejects_split_ids_outside_the_graph():
+    table, graphs, split = make_world(1)
+    part = ClientGraph(relation_name="part", vertices=frozenset(range(10)),
+                       edges={}, node_ref=table)
+    with pytest.raises(ValueError, match="outside the graph"):
+        make_client("a", part, split, "gcn", table.features, seed=0)
+
+
 def test_make_client_sage_has_no_adjacency():
     table, graphs, split = make_world(1)
     client = make_client("a", graphs[0], split, "sage", table.features, seed=0)
     assert client.adjacency is None
+    assert client.propagated_features is None
     assert client.params.arch == "sage"
     assert client.params.W1.shape[0] == 2 * table.feature_width
 
@@ -188,7 +204,7 @@ def test_local_steps_match_manual_adam_loop():
         for step in range(3):
             if arch == "gcn":
                 _, cache = gcn_forward(manual_params, client.adjacency,
-                                       client.features)
+                                       client.adjacency @ client.features)
             else:
                 _, cache = sage_forward(
                     manual_params, client.graph, client.features,
@@ -239,7 +255,8 @@ def test_federated_round_identical_clients_match_centralized():
 
 def test_federated_round_wraps_client_failures():
     clients, table, _, _ = build_clients("gcn", seed=11)
-    clients[1].features = clients[1].features[:, :2]  # corrupt one client
+    # corrupt one client
+    clients[1].propagated_features = clients[1].propagated_features[:, :2]
     with pytest.raises(RuntimeError, match="client 'c1'"):
         federated_round(clients, clients[0].params.copy(), round_seed=0)
     with pytest.raises(ValueError, match="at least one client"):
@@ -267,35 +284,13 @@ def test_evaluate_global_matches_per_client_metric_mean():
     for name in METRIC_NAMES:
         expected = []
         for client in clients:
-            logits, _ = gcn_forward(params, client.adjacency, client.features)
+            logits, _ = gcn_forward(params, client.adjacency,
+                                    client.adjacency @ client.features)
             scores = softmax(logits)[:, 1]
             result = EvalResult.from_scores(scores[client.test_mask],
                                             client.labels[client.test_mask])
             expected.append(fns[name](result))
         assert got[name] == pytest.approx(float(np.mean(expected)), abs=1e-15)
-
-
-def test_evaluate_global_eval_graph_override():
-    from twosfgl.gnn import normalized_adjacency
-    clients, table, graphs, split = build_clients("gcn", seed=13)
-    params = clients[0].params.copy()
-    base = evaluate_global(clients, params)
-    assert set(base) == set(METRIC_NAMES)
-    # overriding with each client's own graph reproduces the default exactly
-    own = [c.graph for c in clients]
-    same = evaluate_global(clients, params,
-                           eval_graphs=own,
-                           eval_adjacencies=[c.adjacency for c in clients])
-    assert same == base
-    # an empty eval graph collapses propagation to the self-loop identity:
-    # scores become graph-free and generally differ from the connected case
-    n = table.num_nodes
-    bare = ClientGraph(relation_name="bare", vertices=frozenset(range(n)),
-                       edges={}, node_ref=table)
-    other = evaluate_global(
-        clients, params, eval_graphs=[bare, bare],
-        eval_adjacencies=[normalized_adjacency(bare)] * 2)
-    assert any(base[m] != other[m] for m in METRIC_NAMES)
 
 
 # --------------------------------------------------------- train_federation

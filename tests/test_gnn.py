@@ -30,6 +30,12 @@ def random_setup(seed, n=7, features=3, p=0.45):
     return graph, x, labels
 
 
+def gcn_inputs(graph, x):
+    """The adjacency and the propagated features that gcn_forward takes."""
+    adj = normalized_adjacency(graph)
+    return adj, adj @ x
+
+
 def dense_normalized_adjacency(graph):
     nodes = node_order(graph)
     index = {v: i for i, v in enumerate(nodes)}
@@ -109,7 +115,7 @@ def test_gcn_forward_matches_dense_oracle():
     for seed in range(5):
         graph, x, _ = random_setup(seed)
         params = init_params("gcn", x.shape[1], seed=seed, hidden=4)
-        logits, cache = gcn_forward(params, normalized_adjacency(graph), x)
+        logits, cache = gcn_forward(params, *gcn_inputs(graph, x))
         a = dense_normalized_adjacency(graph)
         hidden = np.maximum(a @ x @ params.W1, 0.0)
         expected = a @ hidden @ params.W2
@@ -123,9 +129,9 @@ def test_gcn_forward_rejects_mismatched_width():
     graph, x, _ = random_setup(0)
     params = init_params("gcn", x.shape[1] + 1, seed=0)
     with pytest.raises(ValueError, match="feature width"):
-        gcn_forward(params, normalized_adjacency(graph), x)
+        gcn_forward(params, *gcn_inputs(graph, x))
     with pytest.raises(ValueError, match="requires gcn"):
-        gcn_forward(init_params("sage", 3), normalized_adjacency(graph), x)
+        gcn_forward(init_params("sage", 3), *gcn_inputs(graph, x))
 
 
 def test_sample_neighbor_means_full_neighborhood():
@@ -159,6 +165,72 @@ def test_sample_neighbor_means_validates_fanout():
     g = make_graph({}, 2)
     with pytest.raises(ValueError):
         sample_neighbor_means(g, np.zeros((2, 1)), fanout=0, seed=0)
+
+
+def loop_neighbor_means(graph, x, fanout, seed):
+    """Per-node reference of the sampler: the same uniform key per (node,
+    neighbor) entry, the fanout smallest keys of each row, a plain mean."""
+    nodes = node_order(graph)
+    index = {v: i for i, v in enumerate(nodes)}
+    keys = np.random.default_rng(seed).random(2 * len(graph.edges))
+    out = np.zeros((len(nodes), x.shape[1]))
+    offset = 0
+    for row, v in enumerate(nodes):
+        nbrs = [index[u] for u, _ in graph.neighbor_map[v]]
+        row_keys = keys[offset:offset + len(nbrs)]
+        offset += len(nbrs)
+        if nbrs:
+            keep = sorted(np.argsort(row_keys, kind="stable")[:fanout])
+            out[row] = x[[nbrs[i] for i in keep]].mean(axis=0)
+    return out
+
+
+def test_sample_neighbor_means_matches_loop_reference():
+    for seed in range(6):
+        graph, x, _ = random_setup(seed, n=15, p=0.5)
+        for fanout in (1, 3, 6, 20):
+            assert np.array_equal(
+                sample_neighbor_means(graph, x, fanout, seed),
+                loop_neighbor_means(graph, x, fanout, seed)), (seed, fanout)
+
+
+def test_sample_neighbor_means_picks_hub_neighbors_uniformly():
+    # one-hot features reveal which neighbors each draw picked
+    deg, fanout, draws = 10, 3, 2000
+    g = make_graph({(0, i): 1.0 for i in range(1, deg + 1)}, deg + 1)
+    x = np.eye(deg + 1)
+    hits = np.zeros(deg + 1)
+    for seed in range(draws):
+        picked = sample_neighbor_means(g, x, fanout, seed)[0] > 0
+        assert picked.sum() == fanout
+        hits += picked
+    rate = fanout / deg
+    # five binomial standard deviations of the observed rate
+    tolerance = 5 * np.sqrt(rate * (1 - rate) / draws)
+    assert hits[0] == 0
+    assert np.all(np.abs(hits[1:] / draws - rate) <= tolerance), hits
+
+
+def test_sample_neighbor_means_non_contiguous_vertices():
+    g = ClientGraph(relation_name="g", vertices=frozenset({2, 5, 9, 11}),
+                    edges={(2, 9): 1.0, (5, 9): 2.0})
+    x = np.array([[1.0, 10.0], [2.0, 20.0], [4.0, 40.0], [8.0, 80.0]])
+    means = sample_neighbor_means(g, x, fanout=5, seed=0)
+    assert np.array_equal(means, [x[2], x[2], (x[0] + x[1]) / 2.0, [0, 0]])
+    singles = {tuple(sample_neighbor_means(g, x, fanout=1, seed=s)[2])
+               for s in range(20)}
+    assert singles == {tuple(x[0]), tuple(x[1])}
+
+
+def test_sample_neighbor_means_zero_weight_edges_are_eligible():
+    g = make_graph({(0, 1): 0.0, (0, 2): 1.0, (2, 3): 0.0}, 4)
+    x = np.arange(8.0).reshape(4, 2)
+    means = sample_neighbor_means(g, x, fanout=5, seed=0)
+    assert np.array_equal(means[1], x[0])
+    assert np.array_equal(means[3], x[2])
+    picks = {tuple(sample_neighbor_means(g, x, fanout=1, seed=s)[0])
+             for s in range(20)}
+    assert picks == {tuple(x[1]), tuple(x[2])}
 
 
 def test_sage_forward_matches_numpy_oracle():
@@ -210,7 +282,7 @@ def test_loss_matches_direct_computation():
     mask = np.zeros(len(labels), dtype=bool)
     mask[[0, 2, 5]] = True
     params = init_params("gcn", x.shape[1], seed=11, hidden=4)
-    logits, cache = gcn_forward(params, normalized_adjacency(graph), x)
+    logits, cache = gcn_forward(params, *gcn_inputs(graph, x))
     loss, _ = loss_and_grads(params, cache, labels, mask)
     assert loss == pytest.approx(masked_xent(logits, labels, mask), rel=1e-12)
 
@@ -218,7 +290,7 @@ def test_loss_matches_direct_computation():
 def test_loss_rejects_empty_mask():
     graph, x, labels = random_setup(0)
     params = init_params("gcn", x.shape[1], seed=0, hidden=4)
-    _, cache = gcn_forward(params, normalized_adjacency(graph), x)
+    _, cache = gcn_forward(params, *gcn_inputs(graph, x))
     with pytest.raises(ValueError, match="mask"):
         loss_and_grads(params, cache, labels, np.zeros(len(labels), bool))
 
@@ -232,7 +304,7 @@ def relu_safe_setup(arch, seed, hidden=4):
                              hidden=hidden)
         if arch == "gcn":
             adj = normalized_adjacency(graph)
-            _, cache = gcn_forward(params, adj, x)
+            _, cache = gcn_forward(params, adj, adj @ x)
         else:
             adj = None
             _, cache = sage_forward(params, graph, x, fanout=3, seed=seed)
@@ -244,7 +316,7 @@ def relu_safe_setup(arch, seed, hidden=4):
 def fd_gradient(arch, graph, adj, x, labels, mask, params, seed, h=1e-6):
     def loss_at(p):
         if arch == "gcn":
-            _, cache = gcn_forward(p, adj, x)
+            _, cache = gcn_forward(p, adj, adj @ x)
         else:
             _, cache = sage_forward(p, graph, x, fanout=3, seed=seed)
         loss, _ = loss_and_grads(p, cache, labels, mask)
@@ -280,7 +352,7 @@ def test_analytic_gradients_match_finite_differences(arch):
 def test_gradient_nonzero_only_when_informative():
     graph, x, labels = random_setup(5)
     params = init_params("gcn", x.shape[1], seed=5, hidden=4)
-    _, cache = gcn_forward(params, normalized_adjacency(graph), x)
+    _, cache = gcn_forward(params, *gcn_inputs(graph, x))
     _, grads = loss_and_grads(params, cache, labels,
                               np.ones(len(labels), bool))
     assert np.abs(grads.W1).max() > 0
@@ -359,7 +431,7 @@ def test_training_descends_on_both_architectures():
 
         def run_loss(p, step):
             if arch == "gcn":
-                _, cache = gcn_forward(p, adj, x)
+                _, cache = gcn_forward(p, adj, adj @ x)
             else:
                 _, cache = sage_forward(p, graph, x, fanout=3, seed=step)
             return loss_and_grads(p, cache, labels, mask)

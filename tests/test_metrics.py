@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from twosfgl.metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy,
-                             auc, gmean, macro_f1, window_average)
+from twosfgl.metrics import (METRIC_NAMES, EvalResult, RoundHistory,
+                             _average_ranks, accuracy, auc, gmean, macro_f1,
+                             window_average)
 
 
 def result(scores, labels):
@@ -89,6 +90,15 @@ def test_auc_equals_pair_counting_with_ties():
         scores = rng.integers(0, 5, size=n) / 4.0
         r = result(scores, labels)
         assert auc(r) == pair_count_auc(scores, labels)
+
+
+def test_average_ranks_equal_scipy_rankdata_on_ties():
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(6)
+    for size in (1, 2, 17, 400):
+        # few distinct values, so most scores are tied
+        scores = rng.integers(0, 8, size=size) / 7.0
+        assert np.array_equal(_average_ranks(scores), rankdata(scores))
 
 
 def test_auc_single_class_rejected():
