@@ -46,7 +46,7 @@ class EvalResult:
             raise ValueError("scores and labels must have matching shapes")
         if scores.size == 0:
             raise ValueError("evaluation mask is empty")
-        if scores.min() < 0 or scores.max() > 1:
+        if not np.all((scores >= 0) & (scores <= 1)):   # NaN fails both
             raise ValueError("scores must lie in [0, 1]")
         return cls(scores=scores, preds=(scores >= 0.5).astype(np.int64),
                    labels=labels, node_ids=tuple(node_ids))

@@ -31,6 +31,8 @@ def test_from_scores_validation():
         EvalResult.from_scores([1.5], [1])
     with pytest.raises(ValueError, match="lie in"):
         EvalResult.from_scores([-0.1], [0])
+    with pytest.raises(ValueError, match="lie in"):
+        EvalResult.from_scores([0.5, np.nan], [0, 1])
 
 
 def test_threshold_is_half_inclusive():
