@@ -56,6 +56,12 @@ def _effective_config(args):
         updates["arch"] = args.arch
     if args.out is not None:
         updates["out_dir"] = args.out
+    if args.command == "train":
+        updates["arms"] = tuple(a for a in cfg.arms if a != "2sfgl")
+        if not updates["arms"]:
+            raise ConfigError("train covers only non-fused arms; every "
+                              "configured arm is '2sfgl' (use 'run' for the "
+                              "full pipeline)")
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -86,18 +92,8 @@ def _cmd_fuse(cfg) -> int:
     return 0
 
 
-def _cmd_train(cfg) -> int:
-    arms = tuple(a for a in cfg.arms if a != "2sfgl")
-    if not arms:
-        raise ConfigError("train covers only non-fused arms; every configured "
-                          "arm is '2sfgl' (use 'run' for the full pipeline)")
-    cfg = dataclasses.replace(cfg, arms=arms)
-    run_experiment(cfg)
-    print((Path(cfg.out_dir) / "table.txt").read_text(encoding="utf-8"), end="")
-    return 0
-
-
 def _cmd_run(cfg) -> int:
+    """``run`` and ``train``; for ``train`` the config has lost the 2sfgl arm."""
     run_experiment(cfg)
     print((Path(cfg.out_dir) / "table.txt").read_text(encoding="utf-8"), end="")
     return 0
@@ -111,7 +107,7 @@ def _cmd_report(cfg) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"gen": _cmd_gen, "fuse": _cmd_fuse, "train": _cmd_train,
+    handlers = {"gen": _cmd_gen, "fuse": _cmd_fuse, "train": _cmd_run,
                 "run": _cmd_run, "report": _cmd_report}
     try:
         cfg = _effective_config(args)

@@ -14,18 +14,23 @@ duplicate rows are summed.  Self-loop rows are ignored (self-loops enter the
 model only as part of adjacency normalization downstream).  Public dataset
 releases must be exported to these CSVs before use; the loader reads only
 this contract.
+
+``ClientGraph.edges`` is the one stored form of a graph.  Every stage reads
+the graph through one derived index, the cached ``ClientGraph.neighbor_csr``
+(a ``GraphCSR``): a weighted symmetric CSR over positions in sorted vertex
+order.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import derive_seed
-
 __all__ = [
     "NodeTable",
+    "GraphCSR",
     "ClientGraph",
     "MultiRelationDataset",
     "SplitAssignment",
@@ -37,7 +42,6 @@ __all__ = [
     "write_relation",
     "balance_sample",
     "stratified_split",
-    "incident_sum",
     "incident_sums",
     "zscore_features",
 ]
@@ -76,13 +80,34 @@ class NodeTable:
         return self.features.shape[1]
 
 
+class GraphCSR(NamedTuple):
+    """Weighted symmetric adjacency over positions in sorted vertex order.
+
+    ``nodes[p]`` is the vertex id at position p.  Row p lists the positions
+    of p's neighbors, ``indices[indptr[p]:indptr[p + 1]]``, in ascending
+    order, with the matching edge ``weights``; each undirected edge appears
+    once in each endpoint's row.  Zero-weight edges are kept.
+    """
+
+    nodes: np.ndarray      # (V,) int64 vertex ids, ascending
+    indptr: np.ndarray     # (V + 1,) int64
+    indices: np.ndarray    # (2E,) int64 neighbor positions
+    weights: np.ndarray    # (2E,) float64
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row position of every entry."""
+        return np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
+
+
 @dataclass(frozen=True)
 class ClientGraph:
     """One party's view: a vertex set and a weighted undirected edge map.
 
     Edge keys are canonical ``(u, v)`` with ``u < v``; weights are
     nonnegative.  Instances are immutable after construction and safe to
-    share across workers.
+    share across workers.  ``edges`` is the only stored form; array code
+    reads ``neighbor_csr``.
     """
 
     relation_name: str
@@ -100,38 +125,23 @@ class ClientGraph:
             if w < 0:
                 raise ValueError(f"edge ({u}, {v}) has negative weight {w}")
 
-    def edge_weight(self, u, v) -> float:
-        """Weight of the undirected edge {u, v}, 0.0 if absent."""
-        if u > v:
-            u, v = v, u
-        return self.edges.get((u, v), 0.0)
-
     @cached_property
-    def neighbor_map(self) -> dict:
-        """vertex -> sorted list of (neighbor, weight) pairs."""
-        nbrs = {v: [] for v in self.vertices}
-        for (u, v), w in self.edges.items():
-            nbrs[u].append((v, w))
-            nbrs[v].append((u, w))
-        for v in nbrs:
-            nbrs[v].sort()
-        return nbrs
+    def neighbor_csr(self) -> GraphCSR:
+        """The graph's one derived index, built on first use and cached.
 
-    @cached_property
-    def neighbor_csr(self) -> tuple:
-        """``(indptr, indices)`` of the symmetric neighbor structure.
-
-        Rows and column indices are positions in sorted vertex order (the
-        order ``gnn.node_order`` uses); each row's positions ascend.
+        Matrices built from the graph (adjacency, feature rows, masks)
+        follow the same sorted vertex order, ``neighbor_csr.nodes``.
         """
         nodes = np.array(sorted(self.vertices), dtype=np.int64)
         ends = np.searchsorted(
             nodes, np.array(list(self.edges), dtype=np.int64).reshape(-1, 2))
-        rows = np.concatenate([ends[:, 0], ends[:, 1]])
-        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        weights = np.fromiter(self.edges.values(), dtype=np.float64,
+                              count=len(self.edges))
+        rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
+        order = np.lexsort((cols, rows))
         indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
-        return indptr, cols[np.lexsort((cols, rows))]
+        return GraphCSR(nodes, indptr, cols[order], np.tile(weights, 2)[order])
 
 
 @dataclass
@@ -321,20 +331,14 @@ def stratified_split(sampled_ids, labels, train_frac: float = 0.6,
     )
 
 
-def incident_sum(graph: ClientGraph, v) -> float:
-    """Sum of the weights of all edges incident to v (0.0 if isolated)."""
-    if v not in graph.vertices:
-        raise ValueError(f"vertex {v} not in graph {graph.relation_name!r}")
-    return sum(w for _, w in graph.neighbor_map[v])
+def incident_sums(graph: ClientGraph) -> np.ndarray:
+    """Each vertex's incident weight sum: the row sums of the graph's CSR.
 
-
-def incident_sums(graph: ClientGraph) -> dict:
-    """All vertices' incident weight sums in one pass over the edges."""
-    sums = dict.fromkeys(graph.vertices, 0.0)
-    for (u, v), w in graph.edges.items():
-        sums[u] += w
-        sums[v] += w
-    return sums
+    Entry p belongs to vertex ``graph.neighbor_csr.nodes[p]``; isolated
+    vertices get 0.0.  Each row is summed in ascending neighbor order.
+    """
+    csr = graph.neighbor_csr
+    return np.bincount(csr.rows, weights=csr.weights, minlength=len(csr.nodes))
 
 
 def zscore_features(features: np.ndarray, train_ids) -> np.ndarray:
@@ -351,12 +355,3 @@ def zscore_features(features: np.ndarray, train_ids) -> np.ndarray:
     out[:, nonconst] = (features[:, nonconst] - mean[nonconst]) / std[nonconst]
     return out
 
-
-def split_seed(master_seed: int) -> int:
-    """Seed for the train/test split, derived from the experiment seed."""
-    return derive_seed(master_seed, "split")
-
-
-def sample_seed(master_seed: int) -> int:
-    """Seed for class-balance sampling, derived from the experiment seed."""
-    return derive_seed(master_seed, "sample")

@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import ClientGraph, SplitAssignment
 from .gnn import (AdamState, ModelParams, adam_step, gcn_forward, init_adam,
-                  init_params, loss_and_grads, node_order,
-                  normalized_adjacency, sage_forward, softmax)
+                  init_params, loss_and_grads, normalized_adjacency,
+                  sage_forward, softmax)
 from .metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy, auc,
                       gmean, macro_f1)
 from .seeding import derive_seed
@@ -69,19 +69,18 @@ def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
                 arch: str, features: np.ndarray, seed: int,
                 params: ModelParams | None = None,
                 fanout: int = DEFAULT_FANOUT, lr: float = 0.005) -> ClientState:
-    """Assemble a ClientState with arrays aligned to the graph's node order.
+    """Assemble a ClientState with arrays aligned to the graph's node order
+    (``graph.neighbor_csr.nodes``).
 
     ``features`` is indexed by node id over the full node table (already
     standardized by the caller); labels come from the graph's node table.
     """
-    nodes = node_order(graph)
+    nodes = graph.neighbor_csr.nodes
     feats = np.asarray(features, dtype=np.float64)[nodes]
     labels = graph.node_ref.labels[nodes]
 
     def node_mask(ids):
-        member = np.zeros(len(graph.node_ref.labels), dtype=bool)
-        member[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
-        mask = member[nodes]
+        mask = np.isin(nodes, list(ids))
         if mask.sum() != len(ids):
             raise ValueError(f"client {client_id!r}: split ids outside the graph")
         return mask

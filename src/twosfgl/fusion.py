@@ -6,6 +6,9 @@ optionally adds implied multi-hop shares, perturbs everything with Laplace
 noise, and transmits.  The receiver converts each normalized value back to an
 edge weight on its own scale through a thresholded update and augments its
 local graph, never losing local evidence (max rule).
+
+Every step is array code over a graph's cached CSR (``neighbor_csr``);
+``NormalizedShare`` lists stay the wire and audit format between the steps.
 """
 
 import math
@@ -86,8 +89,37 @@ class VirtualFusedGraph(ClientGraph):
     provenance: dict = field(default_factory=dict)
 
 
-def _clamp(value: float) -> float:
-    return min(max(value, 0.0), 1.0 - SHARE_CLAMP_DELTA)
+def _clamp(values: np.ndarray) -> np.ndarray:
+    return np.clip(values, 0.0, 1.0 - SHARE_CLAMP_DELTA)
+
+
+def _sender_view(graph: ClientGraph, common):
+    """The graph's CSR, which of its positions are common, and each entry's
+    weight over its row's incident sum (0 for a zero weight, whose row sum
+    may be 0 too)."""
+    common = set(common)
+    if not common <= graph.vertices:
+        raise ValueError("common vertices must be a subset of the graph's vertices")
+    csr = graph.neighbor_csr
+    steps = np.divide(csr.weights, incident_sums(graph)[csr.rows],
+                      out=np.zeros_like(csr.weights), where=csr.weights > 0)
+    return csr, np.isin(csr.nodes, list(common)), steps
+
+
+def _find(sorted_keys: np.ndarray, query: np.ndarray):
+    """(position, found) of each query value in an ascending key array."""
+    pos = np.searchsorted(sorted_keys, query)
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == query[found]
+    return pos, found
+
+
+def _shares(graph: ClientGraph, src, dst, values, hops, sender: str) -> list:
+    """One NormalizedShare per CSR position pair, values clamped."""
+    nodes = graph.neighbor_csr.nodes
+    return [NormalizedShare(i, j, value, h, sender) for i, j, value, h in zip(
+        nodes[src].tolist(), nodes[dst].tolist(), _clamp(values).tolist(),
+        np.broadcast_to(hops, len(src)).tolist())]
 
 
 def normalize_edges(graph: ClientGraph, common, sender: str = "") -> list:
@@ -97,17 +129,23 @@ def normalize_edges(graph: ClientGraph, common, sender: str = "") -> list:
     (common or not); zero-weight edges emit nothing.  Values are clamped to
     [0, 1 - delta].  Output is sorted by (src, dst) for determinism.
     """
-    common = set(common)
-    if not common <= graph.vertices:
-        raise ValueError("common vertices must be a subset of the graph's vertices")
-    sums = incident_sums(graph)
-    shares = []
-    for i in sorted(common):
-        for j, w in graph.neighbor_map[i]:
-            if j in common and w > 0:
-                shares.append(NormalizedShare(
-                    src=i, dst=j, value=_clamp(w / sums[i]), hops=1, sender=sender))
-    return shares
+    csr, is_common, steps = _sender_view(graph, common)
+    rows = csr.rows
+    keep = is_common[rows] & is_common[csr.indices] & (csr.weights > 0)
+    return _shares(graph, rows[keep], csr.indices[keep], steps[keep], 1, sender)
+
+
+def _extend(csr, steps, at, value):
+    """Every one-hop extension of walks that end at positions ``at`` with
+    product ``value``.  Returns (walk, next position, product) per extension
+    with a positive product, in CSR order within each walk."""
+    degree = np.diff(csr.indptr)[at]
+    walk = np.repeat(np.arange(len(at)), degree)
+    entry = np.arange(len(walk)) + np.repeat(
+        csr.indptr[at] - np.cumsum(degree) + degree, degree)
+    product = value[walk] * steps[entry]
+    keep = product > 0
+    return walk[keep], csr.indices[entry[keep]], product[keep]
 
 
 def khop_shares(graph: ClientGraph, common, k: int, sender: str = "") -> list:
@@ -116,58 +154,37 @@ def khop_shares(graph: ClientGraph, common, k: int, sender: str = "") -> list:
     For common i, j with no direct edge but some path of length h <= k
     (h = shortest such length, intermediate vertices unrestricted), the share
     value is the maximum over length-h paths of the product of per-hop
-    normalized values.  Emitted in addition to the 1-hop shares.
+    normalized values.  Emitted in addition to the 1-hop shares, sorted by
+    (src, hops, dst).  A zero-weight edge carries no path, yet its endpoints
+    count as directly connected.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    common = set(common)
-    if not common <= graph.vertices:
-        raise ValueError("common vertices must be a subset of the graph's vertices")
-    sums = incident_sums(graph)
-    nbrs = graph.neighbor_map
-
-    def step(a, b, w):
-        # per-hop normalized value for traversing a -> b
-        return w / sums[a]
-
-    shares = []
-    for i in sorted(common):
-        direct = {j for j, _ in nbrs[i]}
-        best2 = {}
-        for m, w1 in nbrs[i]:
-            if w1 <= 0:
-                continue
-            n1 = step(i, m, w1)
-            for j, w2 in nbrs[m]:
-                if j == i or j in direct or j not in common or w2 <= 0:
-                    continue
-                prod = n1 * step(m, j, w2)
-                if prod > best2.get(j, 0.0):
-                    best2[j] = prod
-        for j in sorted(best2):
-            shares.append(NormalizedShare(
-                src=i, dst=j, value=_clamp(best2[j]), hops=2, sender=sender))
-        if k == 3:
-            best3 = {}
-            for m, w1 in nbrs[i]:
-                if w1 <= 0:
-                    continue
-                n1 = step(i, m, w1)
-                for m2, w2 in nbrs[m]:
-                    if m2 == i or w2 <= 0:
-                        continue
-                    n2 = n1 * step(m, m2, w2)
-                    for j, w3 in nbrs[m2]:
-                        if (j == i or j == m or j in direct or j in best2
-                                or j not in common or w3 <= 0):
-                            continue
-                        prod = n2 * step(m2, j, w3)
-                        if prod > best3.get(j, 0.0):
-                            best3[j] = prod
-            for j in sorted(best3):
-                shares.append(NormalizedShare(
-                    src=i, dst=j, value=_clamp(best3[j]), hops=3, sender=sender))
-    return shares
+    csr, is_common, steps = _sender_view(graph, common)
+    n = len(csr.nodes)
+    taken = csr.rows * n + csr.indices       # pair keys with a shorter path
+    src = np.flatnonzero(is_common)
+    walk, end, product = _extend(csr, steps, src, np.ones(len(src)))
+    src = src[walk]
+    found = []
+    for hops in range(2, k + 1):
+        walk, end, product = _extend(csr, steps, end, product)
+        src = src[walk]
+        pair = src * n + end
+        # walks that are no simple path (i-m-i, i-m-i-x, i-m-x-m, i-m-x-i)
+        # end at i or at a direct neighbor of i, so these filters drop them
+        new = (end != src) & is_common[end] & ~_find(taken, pair)[1]
+        # best product per pair: sort by pair, then product descending, and
+        # keep the first of each group
+        order = np.flatnonzero(new)[np.lexsort((-product[new], pair[new]))]
+        keys, first = np.unique(pair[order], return_index=True)
+        best = product[order][first]
+        found.append((keys, best, np.full(len(keys), hops)))
+        taken = np.union1d(taken, keys)
+    keys, best, hops = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((keys, hops, keys // n))
+    keys = keys[order]
+    return _shares(graph, keys // n, keys % n, best[order], hops[order], sender)
 
 
 def apply_dp(shares, epsilon: float, seed: int = 0) -> list:
@@ -181,28 +198,26 @@ def apply_dp(shares, epsilon: float, seed: int = 0) -> list:
         return list(shares)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / epsilon
-    noisy = []
-    for share in shares:
-        value = _clamp(share.value + rng.laplace(0.0, scale))
-        noisy.append(NormalizedShare(src=share.src, dst=share.dst, value=value,
-                                     hops=share.hops, sender=share.sender))
-    return noisy
+    shares = list(shares)
+    noise = np.random.default_rng(seed).laplace(0.0, 1.0 / epsilon,
+                                                size=len(shares))
+    values = _clamp(np.array([s.value for s in shares], dtype=np.float64)
+                    + noise)
+    return [NormalizedShare(s.src, s.dst, value, s.hops, s.sender)
+            for s, value in zip(shares, values.tolist())]
 
 
-def update_edge(n_value: float, local_incident_sum: float, lam: float) -> float:
-    """Convert a received normalized value to an edge weight on local scale.
+def update_edge(n_value, local_incident_sum, lam: float):
+    """Convert received normalized values to edge weights on local scale.
 
     Below the threshold: N / (1 - N) times the local incident sum; at or
     above it the ratio is capped at lam / (1 - lam).  A receiver vertex with
     no local edges uses 1.0 in place of its (zero) incident sum so remote
-    structure can still materialize at unit scale.
+    structure can still materialize at unit scale.  Takes scalars or arrays.
     """
-    base = local_incident_sum if local_incident_sum > 0 else 1.0
-    if n_value < lam:
-        return (n_value / (1.0 - n_value)) * base
-    return (lam / (1.0 - lam)) * base
+    base = np.where(local_incident_sum > 0, local_incident_sum, 1.0)
+    ratio = np.fmin(n_value, lam)
+    return ratio / (1.0 - ratio) * base
 
 
 def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
@@ -215,38 +230,42 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     weight is the max of the local weight and both candidates, so local
     evidence is never destroyed.
     """
-    for share in incoming:
-        if share.src not in local.vertices or share.dst not in local.vertices:
+    csr = local.neighbor_csr
+    n = len(csr.nodes)
+    ends = np.array([(s.src, s.dst) for s in incoming], dtype=np.int64)
+    (src, dst), known = _find(csr.nodes, ends.reshape(-1, 2).T)
+    unknown = ~known.all(axis=0)
+    bad = np.flatnonzero(unknown | (src == dst))
+    if len(bad):
+        share = incoming[bad[0]]
+        if unknown[bad[0]]:
             raise ValueError(
                 f"protocol violation: share ({share.src}, {share.dst}) references "
                 f"a vertex unknown to client {local.relation_name!r}")
-        if share.src == share.dst:
-            raise ValueError(f"protocol violation: self-referential share ({share.src})")
+        raise ValueError(f"protocol violation: self-referential share ({share.src})")
 
+    # mean per orientation, each summed in list order
+    oriented, group = np.unique(src * n + dst, return_inverse=True)
+    values = np.array([s.value for s in incoming], dtype=np.float64)
+    means = np.bincount(group, weights=values) / np.bincount(group)
+    heads, tails = oriented // n, oriented % n
+    pairs = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    u, v = pairs // n, pairs % n
+    forward, has_forward = _find(oriented, pairs)
+    backward, has_backward = _find(oriented, v * n + u)
     sums = incident_sums(local)
-    by_orientation = {}
-    for share in incoming:
-        by_orientation.setdefault((share.src, share.dst), []).append(share.value)
+    candidate = np.maximum(
+        update_edge(means[np.where(has_forward, forward, backward)], sums[u], cfg.lam),
+        update_edge(means[np.where(has_backward, backward, forward)], sums[v], cfg.lam))
+    at, in_local = _find(csr.rows * n + csr.indices, pairs)
+    local_weight = np.zeros(len(pairs))
+    local_weight[in_local] = csr.weights[at[in_local]]
 
-    pair_values = {}
-    for (i, j), values in by_orientation.items():
-        key = (i, j) if i < j else (j, i)
-        pair_values.setdefault(key, {})[i] = sum(values) / len(values)
-
+    keys = list(zip(csr.nodes[u].tolist(), csr.nodes[v].tolist()))
     edges = dict(local.edges)
-    provenance = {key: "local" for key in local.edges}
-    for (u, v), oriented in sorted(pair_values.items()):
-        candidates = []
-        for src_vertex in (u, v):
-            n_avg = oriented.get(src_vertex)
-            if n_avg is None:
-                # missing orientation: reuse the pair's transmitted average
-                n_avg = oriented[v if src_vertex == u else u]
-            candidates.append(update_edge(n_avg, sums[src_vertex], cfg.lam))
-        local_w = local.edges.get((u, v), 0.0)
-        edges[(u, v)] = max(local_w, max(candidates))
-        provenance[(u, v)] = "both" if (u, v) in local.edges else "fused"
-
+    edges.update(zip(keys, np.maximum(local_weight, candidate).tolist()))
+    provenance = dict.fromkeys(local.edges, "local")
+    provenance.update(zip(keys, np.where(in_local, "both", "fused").tolist()))
     return VirtualFusedGraph(
         relation_name=local.relation_name,
         vertices=local.vertices,
@@ -256,24 +275,26 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     )
 
 
-def _pair_intersection(sender: ClientGraph, receiver: ClientGraph,
-                       cfg: FusionConfig, backend: PsiBackend | None) -> set:
+def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig,
+                       backend: PsiBackend | None) -> tuple:
+    """Each side's view of the common vertices, from one PSI run."""
     if backend is None or backend.kind == "plain":
-        return psi_plain(sender.vertices, receiver.vertices)
+        common = psi_plain(a.vertices, b.vertices)
+        return common, common
     result = psi_ddh(
-        sender.vertices, receiver.vertices, backend,
-        seed=derive_seed(cfg.seed, "psi", sender.relation_name, receiver.relation_name),
-        name_a=sender.relation_name, name_b=receiver.relation_name)
-    return set(result.intersection_a)
+        a.vertices, b.vertices, backend,
+        seed=derive_seed(cfg.seed, "psi", a.relation_name, b.relation_name),
+        name_a=a.relation_name, name_b=b.relation_name)
+    return set(result.intersection_a), set(result.intersection_b)
 
 
 def virtual_fusion_round(clients, cfg: FusionConfig,
                          psi_backend: PsiBackend | None = None):
     """One full fusion round across every ordered client pair.
 
-    Each sender runs PSI with each receiver, emits normalized (and, when
-    configured, multi-hop) shares over the intersection, perturbs them, and
-    transmits.  Each receiver fuses everything it got.  Output order matches
+    Each unordered pair of clients runs PSI once; each sender then emits
+    normalized (and, when configured, multi-hop) shares over its view of the
+    intersection with each receiver, perturbs them, and transmits.  Each receiver fuses everything it got.  Output order matches
     the input client order.  Also returns the raw per-pair share lists for
     audit.
     """
@@ -286,13 +307,17 @@ def virtual_fusion_round(clients, cfg: FusionConfig,
 
     inbox = {name: [] for name in names}
     shares_by_pair = {}
+    commons = {}
     for sender in clients:
         for receiver in clients:
             if sender.relation_name == receiver.relation_name:
                 continue
             pair = (sender.relation_name, receiver.relation_name)
             try:
-                common = _pair_intersection(sender, receiver, cfg, psi_backend)
+                if pair not in commons:
+                    commons[pair], commons[pair[::-1]] = _pair_intersection(
+                        sender, receiver, cfg, psi_backend)
+                common = commons[pair]
                 shares = normalize_edges(sender, common, sender=sender.relation_name)
                 if cfg.hops >= 2:
                     shares += khop_shares(sender, common, cfg.hops,

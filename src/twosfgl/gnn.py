@@ -3,9 +3,10 @@
 Two one-hidden-layer binary node classifiers over 64-bit floats:
 
 * GCN:  logits = A_hat . relu(A_hat X W1) . W2, where A_hat is the
-  symmetrically normalized adjacency (self-loops added, D^-1/2 A D^-1/2).
-  A_hat X does not depend on the weights, so callers compute it once per
-  graph and pass it in place of X.
+  symmetrically normalized adjacency (self-loops added, D^-1/2 A D^-1/2),
+  built from the graph's cached CSR plus the identity.  A_hat X does not
+  depend on the weights, so callers compute it once per graph and pass it
+  in place of X.
 * SAGE: each node concatenates its own features with the mean of at most
   ``fanout`` sampled neighbor features, passes through a relu hidden layer,
   then a linear head.  Sampling works on the graph's cached CSR: one uniform
@@ -31,7 +32,6 @@ __all__ = [
     "AdamState",
     "ForwardCache",
     "init_params",
-    "node_order",
     "normalized_adjacency",
     "gcn_forward",
     "sage_forward",
@@ -109,34 +109,23 @@ def init_params(arch: str, feature_width: int, seed: int = 0,
     )
 
 
-def node_order(graph: ClientGraph) -> list:
-    """Canonical node ordering used for every matrix built from a graph."""
-    return sorted(graph.vertices)
-
-
 def normalized_adjacency(graph: ClientGraph) -> sp.csr_matrix:
     """Symmetrically normalized weighted adjacency with unit self-loops.
 
-    Rows/columns follow node_order(graph).  Every diagonal degree entry is
-    at least 1 (the self-loop), so the result is finite even for isolated
-    vertices or zero-weight edges.
+    Rows/columns follow ``graph.neighbor_csr.nodes``.  Every diagonal degree
+    entry is at least 1 (the self-loop), so the result is finite even for
+    isolated vertices or zero-weight edges.
     """
-    nodes = node_order(graph)
-    index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    rows, cols, vals = [], [], []
-    for (u, v), w in graph.edges.items():
-        rows.extend((index[u], index[v]))
-        cols.extend((index[v], index[u]))
-        vals.extend((w, w))
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend([1.0] * n)
-    a_tilde = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
-    a_tilde = a_tilde.tocsr()
-    degree = np.asarray(a_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(degree)
-    d_half = sp.diags(inv_sqrt)
+    csr = graph.neighbor_csr
+    n = len(csr.nodes)
+    loops = np.arange(n)
+    # built through COO so the zero-weight entries stay until the products:
+    # the degree row sums add them in, and their order fixes the rounding
+    a_tilde = sp.csr_matrix(
+        (np.concatenate([csr.weights, np.ones(n)]),
+         (np.concatenate([csr.rows, loops]), np.concatenate([csr.indices, loops]))),
+        shape=(n, n))
+    d_half = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
     return (d_half @ a_tilde @ d_half).tocsr()
 
 
@@ -165,17 +154,17 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
                           fanout: int, seed: int) -> np.ndarray:
     """Mean of <= fanout sampled neighbor feature rows per node.
 
-    ``features`` rows follow node_order(graph).  Nodes with degree <= fanout
-    use all neighbors (no replacement, no padding); isolated nodes get the
-    zero vector.  Edge weights play no part, so zero-weight edges can be
-    sampled.  Deterministic per seed.
+    ``features`` rows follow ``graph.neighbor_csr.nodes``.  Nodes with
+    degree <= fanout use all neighbors (no replacement, no padding); isolated
+    nodes get the zero vector.  Edge weights play no part, so zero-weight
+    edges can be sampled.  Deterministic per seed.
     """
     if fanout < 1:
         raise ValueError("fanout must be >= 1")
-    indptr, indices = graph.neighbor_csr
+    csr = graph.neighbor_csr
+    indptr, indices, rows = csr.indptr, csr.indices, csr.rows
     n = len(indptr) - 1
     degree = np.diff(indptr)
-    rows = np.repeat(np.arange(n), degree)
     keys = np.random.default_rng(seed).random(len(indices))
     # sorted by row, then key: rows keep their slots, so the first fanout
     # slots of a row hold its smallest keys

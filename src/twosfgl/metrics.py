@@ -29,17 +29,15 @@ METRIC_NAMES = ("macro_f1", "auc", "gmean", "accuracy")
 class EvalResult:
     """Scores and labels of the evaluated (masked) nodes.
 
-    ``scores`` are class-1 probabilities; ``preds`` are scores >= 0.5;
-    ``node_ids`` records which nodes were evaluated.
+    ``scores`` are class-1 probabilities; ``preds`` are scores >= 0.5.
     """
 
     scores: np.ndarray
     preds: np.ndarray
     labels: np.ndarray
-    node_ids: tuple = ()
 
     @classmethod
-    def from_scores(cls, scores, labels, node_ids=()) -> "EvalResult":
+    def from_scores(cls, scores, labels) -> "EvalResult":
         scores = np.asarray(scores, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if scores.shape != labels.shape:
@@ -49,7 +47,7 @@ class EvalResult:
         if not np.all((scores >= 0) & (scores <= 1)):   # NaN fails both
             raise ValueError("scores must lie in [0, 1]")
         return cls(scores=scores, preds=(scores >= 0.5).astype(np.int64),
-                   labels=labels, node_ids=tuple(node_ids))
+                   labels=labels)
 
 
 def _counts(result: EvalResult):
@@ -114,18 +112,6 @@ class RoundHistory:
 
     def append(self, round_index: int, arm: str, metric: str, value: float) -> None:
         self.records.append((round_index, arm, metric, value))
-
-    def extend(self, other: "RoundHistory") -> None:
-        self.records.extend(other.records)
-
-    def arms(self) -> list:
-        seen = {}
-        for _, arm, _, _ in self.records:
-            seen.setdefault(arm, None)
-        return list(seen)
-
-    def rounds(self, arm: str) -> list:
-        return sorted({r for r, a, _, _ in self.records if a == arm})
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from twosfgl.data import (ClientGraph, DatasetFormatError, NodeTable,
-                          SplitAssignment, balance_sample, incident_sum,
-                          incident_sums, load_dataset, load_node_table,
-                          load_relation, sample_seed, split_seed,
+                          SplitAssignment, balance_sample, incident_sums,
+                          load_dataset, load_node_table, load_relation,
                           stratified_split, write_node_table, write_relation,
                           zscore_features)
-from twosfgl.seeding import derive_seed
 
 
 def make_graph(edges, n, name="g", nodes=None):
@@ -85,8 +83,6 @@ def test_relation_defaults_sums_and_self_loops(tmp_path):
     graph = load_relation(path, "rel", nodes4())
     assert graph.edges == {(0, 1): 3.5, (0, 2): 2.5}
     assert graph.vertices == frozenset(range(4))
-    assert graph.edge_weight(1, 0) == 3.5
-    assert graph.edge_weight(2, 3) == 0.0
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -133,32 +129,50 @@ def test_client_graph_validation():
         make_graph({(0, 1): -0.5}, 3)
 
 
-def test_neighbor_map_sorted_and_complete():
-    graph = make_graph({(0, 2): 1.0, (0, 1): 2.0}, 4)
-    assert graph.neighbor_map[0] == [(1, 2.0), (2, 1.0)]
-    assert graph.neighbor_map[1] == [(0, 2.0)]
-    assert graph.neighbor_map[3] == []          # isolated vertex still present
+def random_sparse_graph(rng, n=9, p=0.4):
+    """Non-contiguous ids, some zero weights, edge keys in random order."""
+    ids = sorted(int(i) for i in rng.choice(40, size=n, replace=False))
+    pairs = [(a, b) for a in ids for b in ids if a < b and rng.random() < p]
+    rng.shuffle(pairs)
+    return ClientGraph(relation_name="g", vertices=frozenset(ids), edges={
+        pair: 0.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 3.0))
+        for pair in pairs})
 
 
-def test_incident_sums_match_incident_sum():
+def test_neighbor_csr_rows_sorted_and_complete():
+    g = ClientGraph(relation_name="g", vertices=frozenset({9, 2, 5, 7}),
+                    edges={(2, 9): 1.0, (2, 5): 0.0})
+    csr = g.neighbor_csr
+    assert csr.nodes.tolist() == [2, 5, 7, 9]
+    assert csr.indptr.tolist() == [0, 2, 3, 3, 4]       # 7 is isolated
+    assert csr.indices.tolist() == [1, 3, 0, 0]
+    assert csr.weights.tolist() == [0.0, 1.0, 0.0, 1.0]  # zero weight kept
+    assert csr.rows.tolist() == [0, 0, 1, 3]
+    assert g.neighbor_csr is csr
     rng = np.random.default_rng(11)
     for _ in range(10):
-        n = 8
-        edges = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.4:
-                    edges[(u, v)] = float(rng.uniform(0.1, 3.0))
-        graph = make_graph(edges, n)
-        sums = incident_sums(graph)
-        assert set(sums) == set(range(n))
-        for v in range(n):
-            assert sums[v] == pytest.approx(incident_sum(graph, v), abs=1e-12)
+        g = random_sparse_graph(rng)
+        csr = g.neighbor_csr
+        assert csr.nodes.tolist() == sorted(g.vertices)
+        for p, v in enumerate(csr.nodes.tolist()):
+            row = slice(csr.indptr[p], csr.indptr[p + 1])
+            expected = sorted((b if a == v else a, w)
+                              for (a, b), w in g.edges.items() if v in (a, b))
+            assert list(zip(csr.nodes[csr.indices[row]].tolist(),
+                            csr.weights[row].tolist())) == expected
 
 
-def test_incident_sum_unknown_vertex():
-    with pytest.raises(ValueError, match="vertex 9"):
-        incident_sum(make_graph({}, 3), 9)
+def test_incident_sums_are_csr_row_sums():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        g = random_sparse_graph(rng)
+        sums = incident_sums(g)
+        assert sums.shape == (len(g.vertices),)
+        for v, total in zip(g.neighbor_csr.nodes.tolist(), sums.tolist()):
+            weights = sorted((b if a == v else a, w)
+                             for (a, b), w in g.edges.items() if v in (a, b))
+            # summed in ascending neighbor order, so exactly equal
+            assert total == sum(w for _, w in weights)
 
 
 # ------------------------------------------------------------------ sampling
@@ -251,11 +265,6 @@ def test_stratified_split_empty_sample():
 def test_split_assignment_overlap_rejected():
     with pytest.raises(ValueError, match="overlap"):
         SplitAssignment(train_ids=frozenset({1, 2}), test_ids=frozenset({2}), seed=0)
-
-
-def test_seed_helpers_match_derive_seed():
-    assert split_seed(99) == derive_seed(99, "split")
-    assert sample_seed(99) == derive_seed(99, "sample")
 
 
 # ------------------------------------------------------------------- zscore

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from twosfgl import fusion as fusion_module
 from twosfgl.data import ClientGraph, incident_sums
 from twosfgl.fusion import (SHARE_CLAMP_DELTA, FusionConfig, NormalizedShare,
                             apply_dp, fuse, khop_shares, normalize_edges,
@@ -25,6 +26,119 @@ def random_graph(rng, n, p=0.4, name="g"):
             if rng.random() < p:
                 edges[(u, v)] = float(rng.uniform(0.1, 2.0))
     return make_graph(edges, n, name=name)
+
+
+def random_sparse_graph(rng, n, p=0.4, name="g"):
+    """Non-contiguous vertex ids, about a fifth of the edges at weight 0."""
+    ids = sorted(int(i) for i in rng.choice(5 * n, size=n, replace=False))
+    edges = {}
+    for a, u in enumerate(ids):
+        for v in ids[a + 1:]:
+            if rng.random() < p:
+                edges[(u, v)] = (0.0 if rng.random() < 0.2
+                                 else float(rng.uniform(0.1, 2.0)))
+    return ClientGraph(relation_name=name, vertices=frozenset(ids), edges=edges)
+
+
+def random_common(rng, graph):
+    ids = sorted(graph.vertices)
+    return {ids[i] for i in rng.choice(len(ids), size=rng.integers(2, len(ids) + 1),
+                                       replace=False)}
+
+
+# Per-share loop references.  Neighbors are taken in ascending order and
+# incident sums are added in that order, as the CSR does, so results must
+# match bit for bit.
+
+def loop_neighbors(graph):
+    nbrs = {v: [] for v in graph.vertices}
+    for (u, v), w in graph.edges.items():
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    return {v: sorted(pairs) for v, pairs in nbrs.items()}
+
+
+def loop_sums(graph):
+    return {v: sum(w for _, w in pairs)
+            for v, pairs in loop_neighbors(graph).items()}
+
+
+def clamp(value):
+    return min(max(value, 0.0), TOP)
+
+
+def loop_normalize_edges(graph, common):
+    nbrs, sums = loop_neighbors(graph), loop_sums(graph)
+    return [(i, j, clamp(w / sums[i]), 1)
+            for i in sorted(common) for j, w in nbrs[i] if j in common and w > 0]
+
+
+def loop_khop_shares(graph, common, k):
+    nbrs, sums = loop_neighbors(graph), loop_sums(graph)
+    shares = []
+    for i in sorted(common):
+        direct = {j for j, _ in nbrs[i]}
+        best2 = {}
+        for m, w1 in nbrs[i]:
+            if w1 <= 0:
+                continue
+            n1 = w1 / sums[i]
+            for j, w2 in nbrs[m]:
+                if j == i or j in direct or j not in common or w2 <= 0:
+                    continue
+                prod = n1 * (w2 / sums[m])
+                if prod > best2.get(j, 0.0):
+                    best2[j] = prod
+        shares += [(i, j, clamp(best2[j]), 2) for j in sorted(best2)]
+        if k == 3:
+            best3 = {}
+            for m, w1 in nbrs[i]:
+                if w1 <= 0:
+                    continue
+                n1 = w1 / sums[i]
+                for m2, w2 in nbrs[m]:
+                    if m2 == i or w2 <= 0:
+                        continue
+                    n2 = n1 * (w2 / sums[m])
+                    for j, w3 in nbrs[m2]:
+                        if (j == i or j == m or j in direct or j in best2
+                                or j not in common or w3 <= 0):
+                            continue
+                        prod = n2 * (w3 / sums[m2])
+                        if prod > best3.get(j, 0.0):
+                            best3[j] = prod
+            shares += [(i, j, clamp(best3[j]), 3) for j in sorted(best3)]
+    return shares
+
+
+def loop_apply_dp(shares, epsilon, seed):
+    rng = np.random.default_rng(seed)
+    return [(s.src, s.dst, clamp(s.value + rng.laplace(0.0, 1.0 / epsilon)),
+             s.hops, s.sender) for s in shares]
+
+
+def loop_fuse(local, incoming, lam):
+    """(edges, provenance) of the max-rule fusion, one pair at a time."""
+    sums = loop_sums(local)
+    by_orientation = {}
+    for share in incoming:
+        by_orientation.setdefault((share.src, share.dst), []).append(share.value)
+    pair_values = {}
+    for (i, j), values in by_orientation.items():
+        key = (i, j) if i < j else (j, i)
+        pair_values.setdefault(key, {})[i] = sum(values) / len(values)
+    edges = dict(local.edges)
+    provenance = {key: "local" for key in local.edges}
+    for (u, v), oriented in sorted(pair_values.items()):
+        candidates = [oracle_update(oriented.get(a, oriented.get(b)), sums[a], lam)
+                      for a, b in ((u, v), (v, u))]
+        edges[(u, v)] = max(local.edges.get((u, v), 0.0), max(candidates))
+        provenance[(u, v)] = "both" if (u, v) in local.edges else "fused"
+    return edges, provenance
+
+
+def as_tuples(shares):
+    return [(s.src, s.dst, s.value, s.hops) for s in shares]
 
 
 # ------------------------------------------------------------ normalization
@@ -55,6 +169,15 @@ def test_normalize_edges_skips_zero_weight():
 def test_normalize_edges_rejects_foreign_common():
     with pytest.raises(ValueError, match="subset"):
         normalize_edges(make_graph({}, 3), {0, 7})
+
+
+def test_normalize_edges_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        g = random_sparse_graph(rng, 12)
+        common = random_common(rng, g)
+        assert as_tuples(normalize_edges(g, common)) == \
+            loop_normalize_edges(g, common)
 
 
 def test_share_rows_sum_to_one_per_source():
@@ -123,9 +246,13 @@ def oracle_khop(graph, common, k):
     for (u, v), w in graph.edges.items():
         if w > 0:
             g.add_edge(u, v, weight=w)
-    sums = incident_sums(graph)
-    neighbor_sets = {v: {u for u, _ in graph.neighbor_map[v]}
-                     for v in graph.vertices}
+    sums = {v: 0.0 for v in graph.vertices}
+    neighbor_sets = {v: set() for v in graph.vertices}
+    for (u, v), w in graph.edges.items():
+        sums[u] += w
+        sums[v] += w
+        neighbor_sets[u].add(v)
+        neighbor_sets[v].add(u)
     expected = []
     for i in sorted(common):
         best = {2: {}, 3: {}}
@@ -193,9 +320,8 @@ def test_khop_two_hops_preempt_three_hops():
 def test_khop_matches_path_enumeration_oracle():
     rng = np.random.default_rng(12)
     for trial in range(20):
-        g = random_graph(rng, 8, p=0.35)
-        common = {int(v) for v in rng.choice(8, size=rng.integers(2, 9),
-                                             replace=False)}
+        g = random_sparse_graph(rng, 8, p=0.35)
+        common = random_common(rng, g)
         for k in (2, 3):
             got = [(s.src, s.dst, s.hops, s.value)
                    for s in khop_shares(g, common, k)]
@@ -204,6 +330,25 @@ def test_khop_matches_path_enumeration_oracle():
                 [(a, b, h) for a, b, h, _ in expected], f"trial {trial} k={k}"
             for (_, _, _, va), (_, _, _, vb) in zip(got, expected):
                 assert va == pytest.approx(vb, abs=1e-13)
+
+
+def test_khop_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(42)
+    for _ in range(15):
+        g = random_sparse_graph(rng, 14, p=0.3)
+        common = random_common(rng, g)
+        for k in (2, 3):
+            assert as_tuples(khop_shares(g, common, k)) == \
+                loop_khop_shares(g, common, k), k
+
+
+def test_khop_zero_weight_edge_blocks_share_but_carries_no_path():
+    # 0-1 has weight 0: the pair counts as direct, and 0-1-3 is no path, so
+    # 0 and 3 meet only through 0-2-1-3
+    g = make_graph({(0, 1): 0.0, (0, 2): 1.0, (1, 2): 1.0, (1, 3): 1.0}, 4)
+    shares = khop_shares(g, {0, 1, 3}, 3)
+    assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 3, 3), (3, 0, 3)]
+    assert [s.value for s in shares] == [0.25, 0.25]
 
 
 def test_khop_k_validated():
@@ -242,6 +387,20 @@ def test_apply_dp_noise_scale_tracks_epsilon():
     noisy = apply_dp(shares, eps, seed=5)
     deltas = np.array([abs(s.value - 0.5) for s in noisy])
     assert 0.5 / eps < deltas.mean() < 2.0 / eps
+
+
+def test_apply_dp_matches_per_share_draws():
+    rng = np.random.default_rng(43)
+    shares = [NormalizedShare(src=int(a), dst=int(b), value=float(v),
+                              hops=int(h), sender="s")
+              for a, b, v, h in zip(rng.integers(0, 50, 300),
+                                    rng.integers(50, 99, 300),
+                                    rng.uniform(0, TOP, 300),
+                                    rng.integers(1, 4, 300))]
+    for epsilon in (0.5, 1.0, 20.0):
+        got = [(s.src, s.dst, s.value, s.hops, s.sender)
+               for s in apply_dp(shares, epsilon, seed=17)]
+        assert got == loop_apply_dp(shares, epsilon, 17)
 
 
 def test_apply_dp_preserves_everything_but_value():
@@ -299,6 +458,35 @@ def test_fuse_averages_per_orientation_and_takes_max():
     # max(local 4.0, 12/7, 4.0) = 4.0
     assert fused.edges[(0, 1)] == 4.0
     assert fused.provenance[(0, 1)] == "both"
+
+
+def test_fuse_averages_three_senders_in_list_order():
+    local = make_graph({(0, 1): 0.5, (1, 2): 1.5}, 3)
+    incoming = [NormalizedShare(src=0, dst=1, value=v, sender=name)
+                for v, name in ((0.1, "p"), (0.2, "q"), (0.6, "r"))]
+    fused = fuse(local, incoming, cfg())
+    mean = (0.1 + 0.2 + 0.6) / 3
+    # src 0: (mean/(1-mean))*0.5; borrowed src 1: (mean/(1-mean))*2.0 wins
+    assert fused.edges[(0, 1)] == (mean / (1.0 - mean)) * 2.0
+    assert fused.provenance[(0, 1)] == "both"
+    assert fused.edges[(1, 2)] == 1.5
+
+
+def test_fuse_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        local = random_sparse_graph(rng, 10)
+        ids = sorted(local.vertices)
+        incoming = [
+            NormalizedShare(src=ids[a], dst=ids[b], value=float(v), sender="s")
+            for a, b, v in zip(rng.integers(0, 10, 40), rng.integers(0, 10, 40),
+                               rng.uniform(0, TOP, 40)) if a != b]
+        for lam in (0.3, 0.5, 0.8):
+            fused = fuse(local, incoming, cfg(lam=lam))
+            edges, provenance = loop_fuse(local, incoming, lam)
+            assert fused.edges == edges
+            assert list(fused.edges) == list(edges)
+            assert fused.provenance == provenance
 
 
 def test_fuse_remote_evidence_can_raise_local_weight():
@@ -413,6 +601,21 @@ def test_fusion_round_ddh_equals_plain():
     for fp, fd in zip(fused_plain, fused_ddh):
         assert fp.edges == fd.edges
         assert fp.provenance == fd.provenance
+
+
+def test_fusion_round_runs_psi_once_per_unordered_pair(monkeypatch):
+    calls = []
+    real_psi = fusion_module.psi_ddh
+
+    def counting_psi(*args, **kwargs):
+        calls.append((kwargs["name_a"], kwargs["name_b"]))
+        return real_psi(*args, **kwargs)
+
+    monkeypatch.setattr(fusion_module, "psi_ddh", counting_psi)
+    _, shares = virtual_fusion_round(three_clients(), cfg(seed=2, psi="ddh"),
+                                     psi_backend=PsiBackend.ddh_small())
+    assert calls == [("a", "b"), ("a", "c"), ("b", "c")]
+    assert len(shares) == 6
 
 
 def test_fusion_round_deterministic_with_noise():

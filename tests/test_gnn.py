@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.special
 
 from twosfgl.data import ClientGraph
 from twosfgl.gnn import (HIDDEN_UNITS, NUM_CLASSES, ModelParams,
                          adam_step, gcn_forward, init_adam, init_params,
-                         loss_and_grads, node_order, normalized_adjacency,
+                         loss_and_grads, normalized_adjacency,
                          params_from_bytes, params_to_bytes,
                          sage_forward, sample_neighbor_means, softmax)
 
@@ -37,7 +38,7 @@ def gcn_inputs(graph, x):
 
 
 def dense_normalized_adjacency(graph):
-    nodes = node_order(graph)
+    nodes = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     a = np.eye(n)
@@ -82,10 +83,42 @@ def test_normalized_adjacency_spectral_radius_at_most_one():
         assert eigs.max() <= 1.0 + 1e-12
 
 
-def test_node_order_is_sorted():
-    g = ClientGraph(relation_name="g", vertices=frozenset({9, 2, 5}),
-                    edges={(2, 9): 1.0})
-    assert node_order(g) == [2, 5, 9]
+def loop_normalized_adjacency(graph):
+    """Reference: COO triplets from the edge dict, self-loops appended."""
+    nodes = sorted(graph.vertices)
+    index = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    rows, cols, vals = [], [], []
+    for (u, v), w in graph.edges.items():
+        rows.extend((index[u], index[v]))
+        cols.extend((index[v], index[u]))
+        vals.extend((w, w))
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend([1.0] * n)
+    a_tilde = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    d_half = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
+    return (d_half @ a_tilde @ d_half).tocsr()
+
+
+def test_normalized_adjacency_matches_loop_reference_bitwise():
+    # rows longer than 8 entries, zero weights and non-contiguous ids: the
+    # degree sums must add the same entries in the same order
+    rng = np.random.default_rng(9)
+    for _ in range(6):
+        ids = rng.choice(200, size=30, replace=False)
+        pairs = [(int(min(a, b)), int(max(a, b)))
+                 for a, b in itertools.combinations(ids, 2) if rng.random() < 0.5]
+        rng.shuffle(pairs)
+        edges = {pair: 0.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 3.0))
+                 for pair in pairs}
+        g = ClientGraph(relation_name="g", vertices=frozenset(ids.tolist()),
+                        edges=edges)
+        got, ref = normalized_adjacency(g), loop_normalized_adjacency(g)
+        assert got.nnz == ref.nnz < len(g.vertices) + 2 * len(edges)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
 
 
 # ------------------------------------------------------------------ forward
@@ -170,13 +203,14 @@ def test_sample_neighbor_means_validates_fanout():
 def loop_neighbor_means(graph, x, fanout, seed):
     """Per-node reference of the sampler: the same uniform key per (node,
     neighbor) entry, the fanout smallest keys of each row, a plain mean."""
-    nodes = node_order(graph)
+    nodes = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(nodes)}
     keys = np.random.default_rng(seed).random(2 * len(graph.edges))
     out = np.zeros((len(nodes), x.shape[1]))
     offset = 0
     for row, v in enumerate(nodes):
-        nbrs = [index[u] for u, _ in graph.neighbor_map[v]]
+        nbrs = sorted(index[b if a == v else a]
+                      for a, b in graph.edges if v in (a, b))
         row_keys = keys[offset:offset + len(nbrs)]
         offset += len(nbrs)
         if nbrs:

@@ -133,23 +133,6 @@ def test_history_header_checked(tmp_path):
         RoundHistory.from_csv(path)
 
 
-def test_history_arms_and_rounds():
-    h = RoundHistory()
-    for r in (2, 1, 3):
-        h.append(r, "a", "auc", 0.5)
-    h.append(1, "b", "auc", 0.5)
-    assert h.arms() == ["a", "b"]
-    assert h.rounds("a") == [1, 2, 3]
-
-
-def test_history_extend():
-    a, b = RoundHistory(), RoundHistory()
-    a.append(1, "x", "auc", 0.5)
-    b.append(2, "x", "auc", 0.6)
-    a.extend(b)
-    assert len(a.records) == 2
-
-
 def test_window_average_constant_returns_constant():
     h = RoundHistory()
     for r in range(1, 11):
