@@ -24,7 +24,7 @@ def graph(name, edges, n=6):
 
 payments = graph("payments", {(0, 1): 2.0, (0, 2): 6.0, (1, 2): 2.0})
 print("payments holds:", payments.edges)
-shares = normalize_edges(payments, common=range(6), sender="payments")
+shares = normalize_edges(payments, common=range(6))
 print("it transmits only shares:")
 for s in shares:
     print(f"  {s.src} -> {s.dst}: {s.value:.4f}")

@@ -22,7 +22,7 @@ from .data import (ClientGraph, DatasetFormatError, GraphCSR,
 from .fedavg import (ClientState, FederationConfig, aggregate, evaluate_global,
                      federated_round, local_steps, make_client,
                      train_federation)
-from .fusion import (FusionConfig, NormalizedShare, VirtualFusedGraph,
+from .fusion import (SHARE_DTYPE, FusionConfig, VirtualFusedGraph,
                      apply_dp, fuse, khop_shares, normalize_edges, update_edge,
                      virtual_fusion_round, write_shares)
 from .gnn import (AdamState, ModelParams, adam_step, gcn_forward, init_adam,
@@ -42,8 +42,8 @@ __all__ = [
     "AdamState", "ClientGraph", "ClientState", "ConfigError",
     "DatasetFormatError", "EvalResult", "ExperimentConfig", "FederationConfig",
     "FusionConfig", "GraphCSR", "METRIC_NAMES", "ModelParams", "MultiRelationDataset",
-    "NodeTable", "NormalizedShare", "PsiBackend", "PsiProtocolError",
-    "PsiResult", "PsiTranscript", "RoundHistory", "SplitAssignment",
+    "NodeTable", "PsiBackend", "PsiProtocolError",
+    "PsiResult", "PsiTranscript", "RoundHistory", "SHARE_DTYPE", "SplitAssignment",
     "SyntheticSpec", "VirtualFusedGraph", "accuracy", "adam_step", "aggregate",
     "apply_dp", "auc", "balance_sample", "derive_seed", "encode_id",
     "evaluate_global", "federated_round",

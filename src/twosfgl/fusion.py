@@ -7,8 +7,9 @@ noise, and transmits.  The receiver converts each normalized value back to an
 edge weight on its own scale through a thresholded update and augments its
 local graph, never losing local evidence (max rule).
 
-Every step is array code over a graph's cached CSR (``neighbor_csr``);
-``NormalizedShare`` lists stay the wire and audit format between the steps.
+Every step is array code over a graph's cached CSR (``neighbor_csr``).  One
+sender's shares to one receiver are one ``np.recarray`` of ``SHARE_DTYPE``, the
+wire and audit format from emission through noise, fusion and dump.
 """
 
 import math
@@ -22,7 +23,7 @@ from .seeding import derive_seed
 
 __all__ = [
     "SHARE_CLAMP_DELTA",
-    "NormalizedShare",
+    "SHARE_DTYPE",
     "FusionConfig",
     "VirtualFusedGraph",
     "normalize_edges",
@@ -37,21 +38,10 @@ __all__ = [
 # keeps normalized values strictly below 1 so the 1/(1-N) update stays finite
 SHARE_CLAMP_DELTA = 1e-6
 
-
-@dataclass(frozen=True)
-class NormalizedShare:
-    """One cross-party fusion message.
-
-    ``value`` is the edge weight between src and dst normalized over src's
-    incident edges (orientation matters), clamped to [0, 1 - delta].
-    ``hops`` is 1 for a direct edge, 2 or 3 for an implied path.
-    """
-
-    src: int
-    dst: int
-    value: float
-    hops: int = 1
-    sender: str = ""
+# One share per row: the src-dst edge weight over src's incident sum (orientation
+# matters), clamped to [0, 1 - delta]; hops is 1 direct, 2 or 3 for implied paths.
+SHARE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64),
+                        ("hops", np.int64), ("value", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -59,8 +49,11 @@ class FusionConfig:
     """Knobs of the fusion stage.
 
     ``lam`` caps how much remote evidence can inflate a fused edge;
-    ``dp_epsilon = inf`` turns noise off; ``psi`` selects the backend kind
-    used when intersecting vertex sets ('plain' or 'ddh').
+    ``dp_epsilon`` adds Laplace(1/epsilon) noise to share values only (``inf``
+    turns it off): the (src, dst) pairs travel in the clear, so the fused edge
+    set is the same at every epsilon, and one edge changes every share at both
+    its endpoints, so this is not edge-level epsilon-DP; ``psi`` selects the
+    backend kind used when intersecting vertex sets ('plain' or 'ddh').
     """
 
     lam: float = 0.5
@@ -114,15 +107,15 @@ def _find(sorted_keys: np.ndarray, query: np.ndarray):
     return pos, found
 
 
-def _shares(graph: ClientGraph, src, dst, values, hops, sender: str) -> list:
-    """One NormalizedShare per CSR position pair, values clamped."""
+def _shares(graph: ClientGraph, src, dst, values, hops) -> np.recarray:
+    """A share batch with one row per CSR position pair, values clamped."""
     nodes = graph.neighbor_csr.nodes
-    return [NormalizedShare(i, j, value, h, sender) for i, j, value, h in zip(
-        nodes[src].tolist(), nodes[dst].tolist(), _clamp(values).tolist(),
-        np.broadcast_to(hops, len(src)).tolist())]
+    return np.rec.fromarrays(
+        [nodes[src], nodes[dst], np.broadcast_to(hops, len(src)), _clamp(values)],
+        dtype=SHARE_DTYPE)
 
 
-def normalize_edges(graph: ClientGraph, common, sender: str = "") -> list:
+def normalize_edges(graph: ClientGraph, common) -> np.recarray:
     """Emit one share per ordered common pair (i, j) with a positive edge.
 
     The share value is E_ij divided by the sum of ALL edges incident to i
@@ -132,7 +125,7 @@ def normalize_edges(graph: ClientGraph, common, sender: str = "") -> list:
     csr, is_common, steps = _sender_view(graph, common)
     rows = csr.rows
     keep = is_common[rows] & is_common[csr.indices] & (csr.weights > 0)
-    return _shares(graph, rows[keep], csr.indices[keep], steps[keep], 1, sender)
+    return _shares(graph, rows[keep], csr.indices[keep], steps[keep], 1)
 
 
 def _extend(csr, steps, at, value):
@@ -148,7 +141,7 @@ def _extend(csr, steps, at, value):
     return walk[keep], csr.indices[entry[keep]], product[keep]
 
 
-def khop_shares(graph: ClientGraph, common, k: int, sender: str = "") -> list:
+def khop_shares(graph: ClientGraph, common, k: int) -> np.recarray:
     """Implied shares for common pairs connected only through short paths.
 
     For common i, j with no direct edge but some path of length h <= k
@@ -184,27 +177,26 @@ def khop_shares(graph: ClientGraph, common, k: int, sender: str = "") -> list:
     keys, best, hops = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((keys, hops, keys // n))
     keys = keys[order]
-    return _shares(graph, keys // n, keys % n, best[order], hops[order], sender)
+    return _shares(graph, keys // n, keys % n, best[order], hops[order])
 
 
-def apply_dp(shares, epsilon: float, seed: int = 0) -> list:
-    """Perturb share values with Laplace noise calibrated to sensitivity 1.
+def apply_dp(shares: np.recarray, epsilon: float, seed: int = 0) -> np.recarray:
+    """A copy of the share batch with Laplace(1/epsilon) noise on each value.
 
-    ``epsilon = inf`` returns the shares untouched.  Noisy values are clamped
-    back to [0, 1 - delta].  Deterministic for a fixed seed (noise is drawn
-    in list order).
+    Only values are perturbed: the (src, dst) pairs travel in the clear, so
+    the fused edge set is the same at every epsilon.  One edge changes every
+    share at both its endpoints, so this is not edge-level epsilon-DP.
+    ``epsilon = inf`` returns an unperturbed copy.  Noisy values are clamped
+    back to [0, 1 - delta]; the noise is drawn in row order from ``seed``.
     """
-    if math.isinf(epsilon):
-        return list(shares)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    shares = list(shares)
-    noise = np.random.default_rng(seed).laplace(0.0, 1.0 / epsilon,
-                                                size=len(shares))
-    values = _clamp(np.array([s.value for s in shares], dtype=np.float64)
-                    + noise)
-    return [NormalizedShare(s.src, s.dst, value, s.hops, s.sender)
-            for s, value in zip(shares, values.tolist())]
+    noisy = shares.copy()
+    if not math.isinf(epsilon):
+        noise = np.random.default_rng(seed).laplace(0.0, 1.0 / epsilon,
+                                                    size=len(noisy))
+        noisy.value = _clamp(noisy.value + noise)
+    return noisy
 
 
 def update_edge(n_value, local_incident_sum, lam: float):
@@ -221,7 +213,7 @@ def update_edge(n_value, local_incident_sum, lam: float):
 
 
 def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
-    """Augment the local graph with the weights implied by incoming shares.
+    """Augment the local graph with the weights implied by a share batch.
 
     Shares for the same unordered pair are averaged per orientation (src
     side) first.  Each endpoint then yields a candidate weight via
@@ -232,8 +224,7 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     """
     csr = local.neighbor_csr
     n = len(csr.nodes)
-    ends = np.array([(s.src, s.dst) for s in incoming], dtype=np.int64)
-    (src, dst), known = _find(csr.nodes, ends.reshape(-1, 2).T)
+    (src, dst), known = _find(csr.nodes, np.stack([incoming.src, incoming.dst]))
     unknown = ~known.all(axis=0)
     bad = np.flatnonzero(unknown | (src == dst))
     if len(bad):
@@ -246,8 +237,7 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
 
     # mean per orientation, each summed in list order
     oriented, group = np.unique(src * n + dst, return_inverse=True)
-    values = np.array([s.value for s in incoming], dtype=np.float64)
-    means = np.bincount(group, weights=values) / np.bincount(group)
+    means = np.bincount(group, weights=incoming.value) / np.bincount(group)
     heads, tails = oriented // n, oriented % n
     pairs = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails))
     u, v = pairs // n, pairs % n
@@ -294,9 +284,9 @@ def virtual_fusion_round(clients, cfg: FusionConfig,
 
     Each unordered pair of clients runs PSI once; each sender then emits
     normalized (and, when configured, multi-hop) shares over its view of the
-    intersection with each receiver, perturbs them, and transmits.  Each receiver fuses everything it got.  Output order matches
-    the input client order.  Also returns the raw per-pair share lists for
-    audit.
+    intersection with each receiver, perturbs them, and transmits.  Each
+    receiver fuses everything it got.  Output order matches the input client
+    order.  Also returns each ordered pair's share batch for audit.
     """
     clients = list(clients)
     if len(clients) < 2:
@@ -318,30 +308,31 @@ def virtual_fusion_round(clients, cfg: FusionConfig,
                     commons[pair], commons[pair[::-1]] = _pair_intersection(
                         sender, receiver, cfg, psi_backend)
                 common = commons[pair]
-                shares = normalize_edges(sender, common, sender=sender.relation_name)
+                shares = normalize_edges(sender, common)
                 if cfg.hops >= 2:
-                    shares += khop_shares(sender, common, cfg.hops,
-                                          sender=sender.relation_name)
+                    shares = np.concatenate([shares, khop_shares(
+                        sender, common, cfg.hops)]).view(np.recarray)
                 shares = apply_dp(shares, cfg.dp_epsilon,
                                   seed=derive_seed(cfg.seed, "dp", *pair))
             except Exception as exc:
                 raise RuntimeError(f"fusion pair {pair[0]} -> {pair[1]}: {exc}") from exc
             shares_by_pair[pair] = shares
-            inbox[receiver.relation_name].extend(shares)
+            inbox[receiver.relation_name].append(shares)
 
     fused = []
     for client in clients:
         try:
-            fused.append(fuse(client, inbox[client.relation_name], cfg))
+            incoming = np.concatenate(inbox[client.relation_name])
+            fused.append(fuse(client, incoming.view(np.recarray), cfg))
         except Exception as exc:
             raise RuntimeError(
                 f"fusing client {client.relation_name!r}: {exc}") from exc
     return fused, shares_by_pair
 
 
-def write_shares(shares, path) -> None:
-    """Audit CSV: ``sender,src,dst,hops,value`` per share."""
+def write_shares(shares: np.recarray, path, sender: str) -> None:
+    """Audit CSV of one sender's batch: ``sender,src,dst,hops,value`` per share."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# sender,src,dst,hops,value\n")
-        for s in shares:
-            fh.write(f"{s.sender},{s.src},{s.dst},{s.hops},{repr(float(s.value))}\n")
+        for src, dst, hops, value in shares.tolist():
+            fh.write(f"{sender},{src},{dst},{hops},{value!r}\n")

@@ -73,7 +73,7 @@ def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir=None):
                 for (u, v) in sorted(graph.edges):
                     fh.write(f"{u},{v},{graph.provenance[(u, v)]}\n")
         for (a, b), shares in sorted(shares_by_pair.items()):
-            write_shares(shares, dump_dir / f"shares_{a}_{b}.csv")
+            write_shares(shares, dump_dir / f"shares_{a}_{b}.csv", a)
     return fused
 
 

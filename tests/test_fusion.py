@@ -6,7 +6,7 @@ import pytest
 
 from twosfgl import fusion as fusion_module
 from twosfgl.data import ClientGraph, incident_sums
-from twosfgl.fusion import (SHARE_CLAMP_DELTA, FusionConfig, NormalizedShare,
+from twosfgl.fusion import (SHARE_CLAMP_DELTA, SHARE_DTYPE, FusionConfig,
                             apply_dp, fuse, khop_shares, normalize_edges,
                             update_edge, virtual_fusion_round, write_shares)
 from twosfgl.psi import PsiBackend
@@ -38,6 +38,13 @@ def random_sparse_graph(rng, n, p=0.4, name="g"):
                 edges[(u, v)] = (0.0 if rng.random() < 0.2
                                  else float(rng.uniform(0.1, 2.0)))
     return ClientGraph(relation_name=name, vertices=frozenset(ids), edges=edges)
+
+
+def batch(rows):
+    """A share batch from (src, dst, value) or (src, dst, value, hops) tuples."""
+    return np.array([(src, dst, hops[0] if hops else 1, value)
+                     for src, dst, value, *hops in rows],
+                    dtype=SHARE_DTYPE).view(np.recarray)
 
 
 def random_common(rng, graph):
@@ -114,7 +121,7 @@ def loop_khop_shares(graph, common, k):
 def loop_apply_dp(shares, epsilon, seed):
     rng = np.random.default_rng(seed)
     return [(s.src, s.dst, clamp(s.value + rng.laplace(0.0, 1.0 / epsilon)),
-             s.hops, s.sender) for s in shares]
+             s.hops) for s in shares]
 
 
 def loop_fuse(local, incoming, lam):
@@ -146,10 +153,10 @@ def as_tuples(shares):
 
 def test_normalize_edges_hand_case():
     g = make_graph({(0, 1): 2.0, (0, 2): 6.0}, 3)
-    shares = normalize_edges(g, {0, 1, 2}, sender="s")
+    shares = normalize_edges(g, {0, 1, 2})
     assert [(s.src, s.dst, s.value) for s in shares] == [
         (0, 1, 0.25), (0, 2, 0.75), (1, 0, TOP), (2, 0, TOP)]
-    assert all(s.hops == 1 and s.sender == "s" for s in shares)
+    assert all(s.hops == 1 for s in shares)
 
 
 def test_normalize_edges_common_subset_filters_pairs():
@@ -287,7 +294,7 @@ def test_khop_hand_case_two_hops():
 
 def test_khop_hand_case_three_hops():
     g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0}, 4)
-    assert khop_shares(g, {0, 3}, 2) == []
+    assert len(khop_shares(g, {0, 3}, 2)) == 0
     shares = khop_shares(g, {0, 3}, 3)
     assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 3, 3), (3, 0, 3)]
     # path 0-1-2-3: (1/1) * (1/2) * (1/2)
@@ -304,9 +311,9 @@ def test_khop_takes_max_over_paths():
 
 def test_khop_skips_direct_edges_and_noncommon():
     g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}, 3)
-    assert khop_shares(g, {0, 1, 2}, 2) == []      # triangle: all pairs direct
+    assert len(khop_shares(g, {0, 1, 2}, 2)) == 0  # triangle: all pairs direct
     g2 = make_graph({(0, 1): 1.0, (1, 2): 1.0}, 3)
-    assert khop_shares(g2, {0, 1}, 2) == []        # 2 not common
+    assert len(khop_shares(g2, {0, 1}, 2)) == 0    # 2 not common
 
 
 def test_khop_two_hops_preempt_three_hops():
@@ -360,7 +367,7 @@ def test_khop_k_validated():
 
 
 def make_shares(values):
-    return [NormalizedShare(src=0, dst=1, value=v) for v in values]
+    return batch((0, 1, v) for v in values)
 
 
 def test_apply_dp_infinite_epsilon_is_identity():
@@ -368,6 +375,8 @@ def test_apply_dp_infinite_epsilon_is_identity():
     out = apply_dp(shares, math.inf, seed=3)
     assert out is not shares
     assert [s.value for s in out] == [0.1, 0.5, 0.9]
+    out.value[0] = 0.7
+    assert shares.value[0] == 0.1
 
 
 def test_apply_dp_deterministic_and_clamped():
@@ -391,29 +400,32 @@ def test_apply_dp_noise_scale_tracks_epsilon():
 
 def test_apply_dp_matches_per_share_draws():
     rng = np.random.default_rng(43)
-    shares = [NormalizedShare(src=int(a), dst=int(b), value=float(v),
-                              hops=int(h), sender="s")
-              for a, b, v, h in zip(rng.integers(0, 50, 300),
-                                    rng.integers(50, 99, 300),
-                                    rng.uniform(0, TOP, 300),
-                                    rng.integers(1, 4, 300))]
+    shares = batch(zip(rng.integers(0, 50, 300), rng.integers(50, 99, 300),
+                       rng.uniform(0, TOP, 300), rng.integers(1, 4, 300)))
     for epsilon in (0.5, 1.0, 20.0):
-        got = [(s.src, s.dst, s.value, s.hops, s.sender)
+        got = [(s.src, s.dst, s.value, s.hops)
                for s in apply_dp(shares, epsilon, seed=17)]
         assert got == loop_apply_dp(shares, epsilon, 17)
 
 
 def test_apply_dp_preserves_everything_but_value():
-    share = NormalizedShare(src=3, dst=9, value=0.4, hops=2, sender="x")
-    out = apply_dp([share], 1.0, seed=0)[0]
-    assert (out.src, out.dst, out.hops, out.sender) == (3, 9, 2, "x")
+    out = apply_dp(batch([(3, 9, 0.4, 2)]), 1.0, seed=0)[0]
+    assert (out.src, out.dst, out.hops) == (3, 9, 2)
 
 
 def test_apply_dp_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        apply_dp([], 0.0)
+        apply_dp(batch([]), 0.0)
     with pytest.raises(ValueError):
-        apply_dp([], -1.0)
+        apply_dp(batch([]), -1.0)
+
+
+def test_apply_dp_empty_batch():
+    for epsilon in (math.inf, 1.0):
+        out = apply_dp(batch([]), epsilon, seed=4)
+        assert isinstance(out, np.recarray)
+        assert out.dtype == SHARE_DTYPE
+        assert len(out) == 0
 
 
 def test_fusion_config_validation():
@@ -437,7 +449,7 @@ def cfg(lam=0.5, **kw):
 
 def test_fuse_materializes_remote_edge_single_orientation():
     local = make_graph({(0, 1): 4.0}, 4)
-    incoming = [NormalizedShare(src=2, dst=3, value=0.2, sender="s")]
+    incoming = batch([(2, 3, 0.2)])
     fused = fuse(local, incoming, cfg())
     # both endpoints have no local edges -> unit base; borrowed orientation
     assert fused.edges[(2, 3)] == pytest.approx(0.2 / 0.8)
@@ -448,11 +460,7 @@ def test_fuse_materializes_remote_edge_single_orientation():
 
 def test_fuse_averages_per_orientation_and_takes_max():
     local = make_graph({(0, 1): 4.0}, 2)
-    incoming = [
-        NormalizedShare(src=0, dst=1, value=0.4, sender="p"),
-        NormalizedShare(src=0, dst=1, value=0.2, sender="q"),
-        NormalizedShare(src=1, dst=0, value=0.6, sender="p"),
-    ]
+    incoming = batch([(0, 1, 0.4), (0, 1, 0.2), (1, 0, 0.6)])
     fused = fuse(local, incoming, cfg())
     # orientation 0->1 averages to 0.3 -> (0.3/0.7)*4; 1->0 is 0.6 -> capped 4.0
     # max(local 4.0, 12/7, 4.0) = 4.0
@@ -462,8 +470,7 @@ def test_fuse_averages_per_orientation_and_takes_max():
 
 def test_fuse_averages_three_senders_in_list_order():
     local = make_graph({(0, 1): 0.5, (1, 2): 1.5}, 3)
-    incoming = [NormalizedShare(src=0, dst=1, value=v, sender=name)
-                for v, name in ((0.1, "p"), (0.2, "q"), (0.6, "r"))]
+    incoming = batch((0, 1, v) for v in (0.1, 0.2, 0.6))
     fused = fuse(local, incoming, cfg())
     mean = (0.1 + 0.2 + 0.6) / 3
     # src 0: (mean/(1-mean))*0.5; borrowed src 1: (mean/(1-mean))*2.0 wins
@@ -477,10 +484,10 @@ def test_fuse_matches_loop_reference_bitwise():
     for _ in range(20):
         local = random_sparse_graph(rng, 10)
         ids = sorted(local.vertices)
-        incoming = [
-            NormalizedShare(src=ids[a], dst=ids[b], value=float(v), sender="s")
+        incoming = batch(
+            (ids[a], ids[b], v)
             for a, b, v in zip(rng.integers(0, 10, 40), rng.integers(0, 10, 40),
-                               rng.uniform(0, TOP, 40)) if a != b]
+                               rng.uniform(0, TOP, 40)) if a != b)
         for lam in (0.3, 0.5, 0.8):
             fused = fuse(local, incoming, cfg(lam=lam))
             edges, provenance = loop_fuse(local, incoming, lam)
@@ -491,7 +498,7 @@ def test_fuse_matches_loop_reference_bitwise():
 
 def test_fuse_remote_evidence_can_raise_local_weight():
     local = make_graph({(0, 1): 0.5, (1, 2): 1.5}, 3)
-    incoming = [NormalizedShare(src=0, dst=1, value=0.4, sender="p")]
+    incoming = batch([(0, 1, 0.4)])
     fused = fuse(local, incoming, cfg())
     # src 0: (0.4/0.6)*0.5 = 1/3; borrowed src 1: (0.4/0.6)*2.0 = 4/3
     assert fused.edges[(0, 1)] == pytest.approx(4.0 / 3.0)
@@ -502,11 +509,8 @@ def test_fuse_never_reduces_local_evidence():
     rng = np.random.default_rng(14)
     for _ in range(10):
         local = random_graph(rng, 6, p=0.5)
-        incoming = [
-            NormalizedShare(src=int(a), dst=int(b),
-                            value=float(rng.uniform(0, 0.95)), sender="s")
-            for a, b in rng.integers(0, 6, size=(12, 2)) if a != b
-        ]
+        incoming = batch((a, b, rng.uniform(0, 0.95))
+                         for a, b in rng.integers(0, 6, size=(12, 2)) if a != b)
         fused = fuse(local, incoming, cfg())
         for key, w in local.edges.items():
             assert fused.edges[key] >= w
@@ -520,11 +524,8 @@ def test_fuse_cap_bounds_fused_weight():
     for _ in range(10):
         local = random_graph(rng, 6, p=0.5)
         sums = incident_sums(local)
-        incoming = [
-            NormalizedShare(src=int(a), dst=int(b),
-                            value=float(rng.uniform(0, 0.999999)), sender="s")
-            for a, b in rng.integers(0, 6, size=(15, 2)) if a != b
-        ]
+        incoming = batch((a, b, rng.uniform(0, 0.999999))
+                         for a, b in rng.integers(0, 6, size=(15, 2)) if a != b)
         fused = fuse(local, incoming, cfg(lam=lam))
         cap_ratio = lam / (1 - lam)
         for (u, v), w in fused.edges.items():
@@ -536,14 +537,14 @@ def test_fuse_cap_bounds_fused_weight():
 def test_fuse_rejects_protocol_violations():
     local = make_graph({}, 3)
     with pytest.raises(ValueError, match="unknown to client"):
-        fuse(local, [NormalizedShare(src=0, dst=9, value=0.1)], cfg())
+        fuse(local, batch([(0, 9, 0.1)]), cfg())
     with pytest.raises(ValueError, match="self-referential"):
-        fuse(local, [NormalizedShare(src=1, dst=1, value=0.1)], cfg())
+        fuse(local, batch([(1, 1, 0.1)]), cfg())
 
 
 def test_fuse_without_incoming_is_identity_with_local_tags():
     local = make_graph({(0, 1): 2.0, (1, 2): 3.0}, 3)
-    fused = fuse(local, [], cfg())
+    fused = fuse(local, batch([]), cfg())
     assert fused.edges == local.edges
     assert set(fused.provenance.values()) == {"local"}
     assert fused.relation_name == local.relation_name
@@ -627,6 +628,38 @@ def test_fusion_round_deterministic_with_noise():
     assert [g.edges for g in f1] != [g.edges for g in f3]
 
 
+def test_fusion_round_share_batches_are_record_arrays():
+    rng = np.random.default_rng(45)
+    clients = [random_graph(rng, 9, p=0.25, name=name) for name in "abc"]
+    for hops in (1, 2, 3):
+        for epsilon in (math.inf, 1.0):
+            _, shares = virtual_fusion_round(
+                clients, cfg(seed=5, hops=hops, dp_epsilon=epsilon))
+            for pair, sent in shares.items():
+                assert isinstance(sent, np.recarray), pair
+                assert sent.dtype == SHARE_DTYPE
+                assert sent.dtype.names == SHARE_DTYPE.names
+                rows = [(s.src, s.dst, s.hops, s.value) for s in sent]
+                assert len(rows) == len(sent) > 0
+            assert max(int(sent.hops.max()) for sent in shares.values()) == hops
+
+
+def test_fusion_round_noise_leaves_pairs_and_edge_set_unchanged():
+    # the noise perturbs share values only; which pairs are sent, and so the
+    # fused edge set, is the same at every epsilon
+    rng = np.random.default_rng(46)
+    clients = [random_graph(rng, 12, p=0.3, name=name) for name in "abc"]
+    runs = [virtual_fusion_round(clients, cfg(seed=6, hops=2, dp_epsilon=eps))
+            for eps in (math.inf, 1.0, 0.1)]
+    (clean, clean_shares), noisy_runs = runs[0], runs[1:]
+    for fused, shares in noisy_runs:
+        assert [set(g.edges) for g in fused] == [set(g.edges) for g in clean]
+        for pair, sent in shares.items():
+            assert (sent.src == clean_shares[pair].src).all()
+            assert (sent.dst == clean_shares[pair].dst).all()
+            assert (sent.value != clean_shares[pair].value).any()
+
+
 def test_fusion_round_khop_adds_shares():
     clients = three_clients()
     _, shares1 = virtual_fusion_round(clients, cfg(seed=1, hops=1))
@@ -640,9 +673,9 @@ def test_fusion_round_khop_adds_shares():
 
 
 def test_write_shares_format(tmp_path):
-    shares = [NormalizedShare(src=0, dst=2, value=0.125, hops=2, sender="a")]
+    shares = batch([(0, 2, 0.125, 2)])
     path = tmp_path / "shares.csv"
-    write_shares(shares, path)
+    write_shares(shares, path, "a")
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "a,0,2,2,0.125"

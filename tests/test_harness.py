@@ -74,6 +74,12 @@ def test_fusion_outputs_dump_contract(tmp_path):
     origins = {line.rsplit(",", 1)[1] for line in tag_rows[1:]}
     assert origins <= {"local", "fused", "both"}
     assert len(tag_rows) - 1 == len(fused[0].edges)
+    for a, b in (("rel0", "rel1"), ("rel1", "rel0")):
+        share_path = tmp_path / "fusion" / f"shares_{a}_{b}.csv"
+        share_rows = share_path.read_text().splitlines()
+        assert share_rows[0] == "# sender,src,dst,hops,value"
+        assert len(share_rows) > 1
+        assert {row.split(",", 1)[0] for row in share_rows[1:]} == {a}
 
 
 # ------------------------------------------------------------ full pipeline
