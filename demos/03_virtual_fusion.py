@@ -16,14 +16,19 @@ from twosfgl import (ClientGraph, FusionConfig, apply_dp, normalize_edges,
 
 
 def graph(name, edges, n=6):
+    """A party's graph from (u, v, weight) rows with u < v, in (u, v) order."""
     return ClientGraph(relation_name=name, vertices=frozenset(range(n)),
                        edges=edges)
 
 
+def pairs(g):
+    return set(zip(g.edges.u.tolist(), g.edges.v.tolist()))
+
+
 # --- normalization: what actually leaves a party -------------------------
 
-payments = graph("payments", {(0, 1): 2.0, (0, 2): 6.0, (1, 2): 2.0})
-print("payments holds:", payments.edges)
+payments = graph("payments", [(0, 1, 2.0), (0, 2, 6.0), (1, 2, 2.0)])
+print("payments holds:", {(u, v): w for u, v, w in payments.edges.tolist()})
 shares = normalize_edges(payments, common=range(6))
 print("it transmits only shares:")
 for s in shares:
@@ -53,20 +58,19 @@ for before, after in zip(shares, noisy):
 
 clients = [
     payments,
-    graph("messages", {(1, 2): 3.0, (2, 3): 1.0}),
-    graph("devices", {(3, 4): 2.0}),
+    graph("messages", [(1, 2, 3.0), (2, 3, 1.0)]),
+    graph("devices", [(3, 4, 2.0)]),
 ]
 config = FusionConfig(lam=0.5, hops=2, dp_epsilon=math.inf, seed=0)
 fused, traffic = virtual_fusion_round(clients, config)
 
 print("\nafter one fusion round:")
 for before, after in zip(clients, fused):
-    gained = set(after.edges) - set(before.edges)
+    gained = pairs(after) - pairs(before)
     print(f"  {before.relation_name}: {len(before.edges)} -> "
           f"{len(after.edges)} edges, gained {sorted(gained)}")
 
 # Every fused edge remembers where it came from.
 devices = fused[2]
-for key in sorted(devices.edges):
-    print(f"  devices {key}: weight {devices.edges[key]:.3f} "
-          f"({devices.provenance[key]})")
+for (u, v, w), origin in zip(devices.edges.tolist(), devices.provenance.tolist()):
+    print(f"  devices {(u, v)}: weight {w:.3f} ({origin})")

@@ -14,7 +14,7 @@ contract, ``psi`` for the intersection protocols, ``fusion`` for stage 1,
 """
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .data import (ClientGraph, DatasetFormatError, GraphCSR,
+from .data import (EDGE_DTYPE, ClientGraph, DatasetFormatError, GraphCSR,
                    MultiRelationDataset, NodeTable, SplitAssignment,
                    balance_sample, incident_sums, load_dataset,
                    load_node_table, load_relation, stratified_split,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "ClientGraph", "ClientState", "ConfigError",
-    "DatasetFormatError", "EvalResult", "ExperimentConfig", "FederationConfig",
+    "DatasetFormatError", "EDGE_DTYPE", "EvalResult", "ExperimentConfig", "FederationConfig",
     "FusionConfig", "GraphCSR", "METRIC_NAMES", "ModelParams", "MultiRelationDataset",
     "NodeTable", "PsiBackend", "PsiProtocolError",
     "PsiResult", "PsiTranscript", "RoundHistory", "SHARE_DTYPE", "SplitAssignment",

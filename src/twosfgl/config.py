@@ -67,6 +67,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"report window ends at round {self.window_hi} but the run "
                 f"has only {self.rounds} rounds")
+        try:
+            self.fusion_config(0)
+        except ValueError as exc:
+            raise ConfigError(f"fusion.*: {exc}") from None
 
     def fusion_config(self, seed: int) -> FusionConfig:
         return FusionConfig(lam=self.lam, hops=self.hops,

@@ -9,26 +9,28 @@ CSV contracts (UTF-8, ``#``-prefixed comment lines ignored, no header row):
 * node file:      ``id,label,f0,...,f{F-1}``         (label in {0, 1})
 * relation file:  ``src,dst[,weight]``               (weight defaults to 1.0)
 
-Edges are undirected and stored once under the canonical ``(min, max)`` key;
+Edges are undirected and stored once under the canonical ``(min, max)`` pair;
 duplicate rows are summed.  Self-loop rows are ignored (self-loops enter the
 model only as part of adjacency normalization downstream).  Public dataset
 releases must be exported to these CSVs before use; the loader reads only
 this contract.
 
-``ClientGraph.edges`` is the one stored form of a graph.  Every stage reads
-the graph through one derived index, the cached ``ClientGraph.neighbor_csr``
-(a ``GraphCSR``): a weighted symmetric CSR over positions in sorted vertex
-order.
+``ClientGraph.edges`` is the one stored form of a graph: a record array of
+``EDGE_DTYPE`` (``u``, ``v``, ``weight``) with ``u < v``, rows strictly
+ascending by ``(u, v)``.  It is what is loaded, validated, fused and dumped.
+Every stage reads the graph through one derived index, the cached
+``ClientGraph.neighbor_csr`` (a ``GraphCSR``): a weighted symmetric CSR over
+positions in sorted vertex order.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "EDGE_DTYPE",
     "NodeTable",
     "GraphCSR",
     "ClientGraph",
@@ -49,6 +51,10 @@ __all__ = [
 
 class DatasetFormatError(ValueError):
     """Raised when an ingested CSV violates the dataset contract."""
+
+
+# One undirected edge per row: canonical endpoints u < v and a weight >= 0.
+EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("weight", np.float64)])
 
 
 @dataclass(eq=False)
@@ -100,30 +106,40 @@ class GraphCSR(NamedTuple):
         return np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientGraph:
-    """One party's view: a vertex set and a weighted undirected edge map.
+    """One party's view: a vertex set and its weighted undirected edges.
 
-    Edge keys are canonical ``(u, v)`` with ``u < v``; weights are
-    nonnegative.  Instances are immutable after construction and safe to
-    share across workers.  ``edges`` is the only stored form; array code
-    reads ``neighbor_csr``.
+    ``edges`` is a record array of ``EDGE_DTYPE``, one row per edge, with
+    ``u < v``, rows strictly ascending by ``(u, v)``, endpoints in
+    ``vertices`` and nonnegative weights; it is stored read-only.  Instances
+    are immutable after construction and safe to share across workers.
+    ``edges`` is the only stored form; array code reads ``neighbor_csr``.
     """
 
     relation_name: str
     vertices: frozenset
-    edges: dict            # (u, v) with u < v -> weight
+    edges: np.recarray     # EDGE_DTYPE rows
     node_ref: NodeTable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", frozenset(self.vertices))
-        for (u, v), w in self.edges.items():
-            if u >= v:
-                raise ValueError(f"edge key ({u}, {v}) is not canonical (u < v)")
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge ({u}, {v}) has endpoint outside the vertex set")
-            if w < 0:
-                raise ValueError(f"edge ({u}, {v}) has negative weight {w}")
+        edges = np.asarray(self.edges, dtype=EDGE_DTYPE).view(np.recarray)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        u, v, w = edges.u, edges.v, edges.weight
+        nodes = np.fromiter(self.vertices, dtype=np.int64, count=len(self.vertices))
+        inside = np.isin(u, nodes) & np.isin(v, nodes)
+        ascending = np.ones(len(edges), dtype=bool)
+        ascending[1:] = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+        bad = np.flatnonzero((u >= v) | ~inside | ~ascending | (w < 0))
+        if len(bad):
+            i = bad[0]
+            problem = ("is not canonical (u < v)" if u[i] >= v[i] else
+                       "has endpoint outside the vertex set" if not inside[i] else
+                       "is repeated or out of (u, v) order" if not ascending[i] else
+                       f"has negative weight {w[i]}")
+            raise ValueError(f"edge ({u[i]}, {v[i]}) {problem}")
 
     @cached_property
     def neighbor_csr(self) -> GraphCSR:
@@ -133,15 +149,13 @@ class ClientGraph:
         follow the same sorted vertex order, ``neighbor_csr.nodes``.
         """
         nodes = np.array(sorted(self.vertices), dtype=np.int64)
-        ends = np.searchsorted(
-            nodes, np.array(list(self.edges), dtype=np.int64).reshape(-1, 2))
-        weights = np.fromiter(self.edges.values(), dtype=np.float64,
-                              count=len(self.edges))
+        ends = np.searchsorted(nodes, np.stack([self.edges.u, self.edges.v], axis=1))
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
         order = np.lexsort((cols, rows))
         indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
-        return GraphCSR(nodes, indptr, cols[order], np.tile(weights, 2)[order])
+        return GraphCSR(nodes, indptr, cols[order],
+                        np.tile(self.edges.weight, 2)[order])
 
 
 @dataclass
@@ -219,10 +233,10 @@ def load_node_table(path) -> NodeTable:
 def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
     """Load a relation CSV (``src,dst[,weight]``) against a node table.
 
-    Duplicate rows (either orientation) are summed; self-loop rows are
-    ignored; endpoints must be valid node ids.
+    Duplicate rows (either orientation) are summed in file order; self-loop
+    rows are ignored; endpoints must be valid node ids.
     """
-    edges = {}
+    rows = []
     n = nodes.num_nodes
     for lineno, fields in _data_rows(path):
         if len(fields) not in (2, 3):
@@ -240,14 +254,16 @@ def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
                                          f"{endpoint} (node table has {n} nodes)")
         if w < 0:
             raise DatasetFormatError(f"{path}:{lineno}: negative weight {w}")
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        edges[key] = edges.get(key, 0.0) + w
+        if u != v:
+            rows.append((u, v, w) if u < v else (v, u, w))
+    rows = np.array(rows, dtype=EDGE_DTYPE)
+    # bincount adds each pair's weights in file order, starting from 0.0
+    keys, group = np.unique(rows["u"] * n + rows["v"], return_inverse=True)
+    weights = np.bincount(group, weights=rows["weight"], minlength=len(keys))
     return ClientGraph(
         relation_name=name,
         vertices=frozenset(range(n)),
-        edges=edges,
+        edges=np.rec.fromarrays([keys // n, keys % n, weights], dtype=EDGE_DTYPE),
         node_ref=nodes,
     )
 
@@ -263,7 +279,6 @@ def load_dataset(node_path, relation_paths: dict) -> MultiRelationDataset:
 
 
 def write_node_table(nodes: NodeTable, path) -> None:
-    path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# id,label,f0,...\n")
         for i in range(nodes.num_nodes):
@@ -272,12 +287,11 @@ def write_node_table(nodes: NodeTable, path) -> None:
 
 
 def write_relation(graph: ClientGraph, path) -> None:
-    """Write a graph's edges in the relation CSV contract (sorted keys)."""
-    path = Path(path)
+    """Write a graph's edges in the relation CSV contract, in (u, v) order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# src,dst,weight\n")
-        for (u, v) in sorted(graph.edges):
-            fh.write(f"{u},{v},{repr(float(graph.edges[(u, v)]))}\n")
+        for u, v, w in graph.edges.tolist():
+            fh.write(f"{u},{v},{w!r}\n")
 
 
 def balance_sample(labels, ratio_low: float = 0.5, ratio_high: float = 2.0,

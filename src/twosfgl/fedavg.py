@@ -35,11 +35,10 @@ DEFAULT_FANOUT = 5
 
 @dataclass
 class ClientState:
-    """One participant: its graph view, split, weights, and optimizer."""
+    """One participant: its graph view, masks, weights, and optimizer."""
 
     client_id: str
     graph: ClientGraph
-    split: SplitAssignment
     params: ModelParams
     adam: AdamState
     sample_count: int
@@ -96,7 +95,7 @@ def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
         adjacency = normalized_adjacency(graph)
         ax = adjacency @ feats
     return ClientState(
-        client_id=client_id, graph=graph, split=split, params=params,
+        client_id=client_id, graph=graph, params=params,
         adam=init_adam(params, lr=lr), sample_count=int(train_mask.sum()),
         features=feats, labels=labels, train_mask=train_mask,
         test_mask=test_mask, adjacency=adjacency, propagated_features=ax,
@@ -173,13 +172,8 @@ def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
     per_metric = {name: [] for name in METRIC_NAMES}
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc, "gmean": gmean}
     for client in clients:
-        if params.arch == "gcn":
-            logits, _ = gcn_forward(params, client.adjacency,
-                                    client.propagated_features)
-        else:
-            logits, _ = sage_forward(
-                params, client.graph, client.features, fanout=client.fanout,
-                seed=derive_seed(seed, "eval", client.client_id))
+        logits, _ = _client_forward(
+            client, params, seed=derive_seed(seed, "eval", client.client_id))
         scores = softmax(logits)[:, 1]
         result = EvalResult.from_scores(
             scores[client.test_mask], client.labels[client.test_mask])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ClientGraph, incident_sums
+from .data import EDGE_DTYPE, ClientGraph, incident_sums
 from .psi import PsiBackend, psi_ddh, psi_plain
 from .seeding import derive_seed
 
@@ -50,10 +50,11 @@ class FusionConfig:
 
     ``lam`` caps how much remote evidence can inflate a fused edge;
     ``dp_epsilon`` adds Laplace(1/epsilon) noise to share values only (``inf``
-    turns it off): the (src, dst) pairs travel in the clear, so the fused edge
-    set is the same at every epsilon, and one edge changes every share at both
-    its endpoints, so this is not edge-level epsilon-DP; ``psi`` selects the
-    backend kind used when intersecting vertex sets ('plain' or 'ddh').
+    turns it off): the (src, dst) pairs travel in the clear, so the sent pairs
+    are the same at every epsilon and the fused edge set loses only the pairs
+    whose shares were all clamped to 0, and one edge changes every share at
+    both its endpoints, so this is not edge-level epsilon-DP; ``psi`` selects
+    the backend kind used when intersecting vertex sets ('plain' or 'ddh').
     """
 
     lam: float = 0.5
@@ -69,17 +70,19 @@ class FusionConfig:
             raise ValueError("hops must be 1, 2, or 3")
         if not (self.dp_epsilon > 0):
             raise ValueError("dp_epsilon must be positive (math.inf disables noise)")
+        if self.psi not in ("plain", "ddh"):
+            raise ValueError(f"psi must be 'plain' or 'ddh', got {self.psi!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualFusedGraph(ClientGraph):
     """A client graph augmented with fused edges; tags record provenance.
 
-    ``provenance`` maps each canonical edge key to 'local' (local evidence
-    only), 'fused' (materialized from remote shares), or 'both'.
+    ``provenance`` tags each row of ``edges``: 'local' (local evidence only),
+    'fused' (materialized from remote shares) or 'both'.
     """
 
-    provenance: dict = field(default_factory=dict)
+    provenance: np.ndarray = field(kw_only=True)
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:
@@ -183,9 +186,9 @@ def khop_shares(graph: ClientGraph, common, k: int) -> np.recarray:
 def apply_dp(shares: np.recarray, epsilon: float, seed: int = 0) -> np.recarray:
     """A copy of the share batch with Laplace(1/epsilon) noise on each value.
 
-    Only values are perturbed: the (src, dst) pairs travel in the clear, so
-    the fused edge set is the same at every epsilon.  One edge changes every
-    share at both its endpoints, so this is not edge-level epsilon-DP.
+    Only values are perturbed: the (src, dst) pairs travel in the clear and
+    are the same at every epsilon.  One edge changes every share at both its
+    endpoints, so this is not edge-level epsilon-DP.
     ``epsilon = inf`` returns an unperturbed copy.  Noisy values are clamped
     back to [0, 1 - delta]; the noise is drawn in row order from ``seed``.
     """
@@ -220,7 +223,8 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     update_edge with the receiver's own incident sum of that endpoint; an
     orientation nobody sent borrows the other side's average.  The fused
     weight is the max of the local weight and both candidates, so local
-    evidence is never destroyed.
+    evidence is never destroyed; a pair with no local edge and two zero
+    candidates adds no edge.  Rows come in (u, v) order.
     """
     csr = local.neighbor_csr
     n = len(csr.nodes)
@@ -247,21 +251,28 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     candidate = np.maximum(
         update_edge(means[np.where(has_forward, forward, backward)], sums[u], cfg.lam),
         update_edge(means[np.where(has_backward, backward, forward)], sums[v], cfg.lam))
-    at, in_local = _find(csr.rows * n + csr.indices, pairs)
+    entries = csr.rows * n + csr.indices
+    at, in_local = _find(entries, pairs)
     local_weight = np.zeros(len(pairs))
     local_weight[in_local] = csr.weights[at[in_local]]
 
-    keys = list(zip(csr.nodes[u].tolist(), csr.nodes[v].tolist()))
-    edges = dict(local.edges)
-    edges.update(zip(keys, np.maximum(local_weight, candidate).tolist()))
-    provenance = dict.fromkeys(local.edges, "local")
-    provenance.update(zip(keys, np.where(in_local, "both", "fused").tolist()))
+    keep = in_local | (candidate > 0)
+    upper = csr.rows < csr.indices          # each local edge once, in row order
+    # a pair's first occurrence is its fused row, which replaces the local one
+    keys, first = np.unique(np.concatenate([pairs[keep], entries[upper]]),
+                            return_index=True)
+    weight = np.concatenate([np.maximum(local_weight, candidate)[keep],
+                             csr.weights[upper]])
+    provenance = np.concatenate([np.where(in_local, "both", "fused")[keep],
+                                 np.full(len(local.edges), "local")])
     return VirtualFusedGraph(
         relation_name=local.relation_name,
         vertices=local.vertices,
-        edges=edges,
+        edges=np.rec.fromarrays(
+            [csr.nodes[keys // n], csr.nodes[keys % n], weight[first]],
+            dtype=EDGE_DTYPE),
         node_ref=local.node_ref,
-        provenance=provenance,
+        provenance=provenance[first],
     )
 
 

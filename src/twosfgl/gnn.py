@@ -40,7 +40,6 @@ __all__ = [
     "init_adam",
     "adam_step",
     "params_to_bytes",
-    "params_from_bytes",
 ]
 
 HIDDEN_UNITS = 64
@@ -275,23 +274,3 @@ def params_to_bytes(params: ModelParams) -> bytes:
         out.append(struct.pack("<II", *mat.shape))
         out.append(np.ascontiguousarray(mat, dtype=np.float64).tobytes())
     return b"".join(out)
-
-
-def params_from_bytes(blob: bytes) -> ModelParams:
-    codes = {v: k for k, v in _ARCH_CODES.items()}
-    arch = codes.get(blob[:4])
-    if arch is None:
-        raise ValueError("unrecognized architecture tag in parameter blob")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    if count != 2:
-        raise ValueError(f"expected 2 matrices, found {count}")
-    offset = 8
-    mats = []
-    for _ in range(count):
-        rows, cols = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        size = rows * cols * 8
-        mat = np.frombuffer(blob[offset:offset + size], dtype=np.float64)
-        mats.append(mat.reshape(rows, cols).copy())
-        offset += size
-    return ModelParams(arch=arch, W1=mats[0], W2=mats[1])

@@ -70,8 +70,9 @@ def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir=None):
             tag_path = dump_dir / f"tags_{graph.relation_name}.csv"
             with open(tag_path, "w", encoding="utf-8") as fh:
                 fh.write("# src,dst,origin\n")
-                for (u, v) in sorted(graph.edges):
-                    fh.write(f"{u},{v},{graph.provenance[(u, v)]}\n")
+                for (u, v, _), origin in zip(graph.edges.tolist(),
+                                             graph.provenance.tolist()):
+                    fh.write(f"{u},{v},{origin}\n")
         for (a, b), shares in sorted(shares_by_pair.items()):
             write_shares(shares, dump_dir / f"shares_{a}_{b}.csv", a)
     return fused

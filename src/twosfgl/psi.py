@@ -123,10 +123,6 @@ class PsiTranscript:
     def payload_bytes(self) -> bytes:
         return b"".join(payload for _, payload in self.records)
 
-    def dump(self) -> str:
-        """Newline-delimited ``sender,hex(payload)`` records."""
-        return "\n".join(f"{sender},{payload.hex()}" for sender, payload in self.records)
-
 
 @dataclass(frozen=True)
 class PsiResult:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import NodeTable, write_node_table
 from .seeding import derive_seed
 
 __all__ = ["SyntheticSpec", "generate_synthetic"]
@@ -87,11 +88,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir):
     features[labels == 1] += shift
 
     node_path = out_dir / "nodes.csv"
-    with open(node_path, "w", encoding="utf-8") as fh:
-        fh.write("# id,label,f0,...\n")
-        for i in range(n):
-            feats = ",".join(repr(float(x)) for x in features[i])
-            fh.write(f"{i},{int(labels[i])},{feats}\n")
+    write_node_table(NodeTable(features=features, labels=labels), node_path)
 
     bg_rng = np.random.default_rng(derive_seed(seed, "synth-background"))
     background = _sample_pairs(bg_rng, _all_pairs(n), spec.inter_p)

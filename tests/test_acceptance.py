@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edge_arrays import edge_array
 from twosfgl.cli import main as cli_main
 from twosfgl.config import ExperimentConfig
 from twosfgl.data import ClientGraph, NodeTable, SplitAssignment
@@ -59,7 +60,7 @@ def test_A1_protocol_arithmetic():
                 key = (min(v, int(u)), max(v, int(u)))
                 edges.setdefault(key, float(rng.uniform(0.5, 2.0)))
         graph = ClientGraph(relation_name="g", vertices=frozenset(range(n)),
-                            edges=edges)
+                            edges=edge_array(edges))
         shares = normalize_edges(graph, range(n))
         sums = {}
         for s in shares:
@@ -113,7 +114,7 @@ def _random_instance(arch, rng, hidden=4):
                 if rng.random() < 0.5:
                     edges[(u, v)] = float(rng.uniform(0.3, 1.5))
         graph = ClientGraph(relation_name="g", vertices=frozenset(range(n)),
-                            edges=edges)
+                            edges=edge_array(edges))
         x = rng.standard_normal((n, 3))
         labels = rng.integers(0, 2, size=n)
         if len(set(labels.tolist())) < 2:
@@ -170,7 +171,7 @@ def test_A3_gradients_and_fedavg_identities():
     edges = {(u, v): 1.0 for u in range(12) for v in range(u + 1, 12)
              if rng.random() < 0.3}
     graph = ClientGraph(relation_name="g", vertices=frozenset(range(12)),
-                        edges=edges, node_ref=table)
+                        edges=edge_array(edges), node_ref=table)
     split = SplitAssignment(train_ids=frozenset(range(8)),
                             test_ids=frozenset(range(8, 12)), seed=0)
     shared = init_params("gcn", 3, seed=5)

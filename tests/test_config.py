@@ -87,6 +87,9 @@ def test_data_paths_resolve_against_base_dir(tmp_path):
     ("fusion.lambda = high\nsynth.nodes = 40\n", "expects float"),
     ("data.relation. = x.csv\n", "relation name missing"),
     ("synth.nodes = 9\n", "synth.*"),
+    ("fusion.psi = dhh\nsynth.nodes = 40\n", "fusion.*: psi must be"),
+    ("fusion.hops = 4\nsynth.nodes = 40\n", "fusion.*: hops must be"),
+    ("fusion.lambda = 2\nsynth.nodes = 40\n", "fusion.*: lam must"),
 ])
 def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(ConfigError, match=None) as err:

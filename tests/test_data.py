@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twosfgl.data import (ClientGraph, DatasetFormatError, NodeTable,
+from edge_arrays import edge_array, edge_dict
+from twosfgl.data import (EDGE_DTYPE, ClientGraph, DatasetFormatError, NodeTable,
                           SplitAssignment, balance_sample, incident_sums,
                           load_dataset, load_node_table, load_relation,
                           stratified_split, write_node_table, write_relation,
@@ -10,7 +11,7 @@ from twosfgl.data import (ClientGraph, DatasetFormatError, NodeTable,
 
 def make_graph(edges, n, name="g", nodes=None):
     return ClientGraph(relation_name=name, vertices=frozenset(range(n)),
-                       edges=edges, node_ref=nodes)
+                       edges=edge_array(edges), node_ref=nodes)
 
 
 # ---------------------------------------------------------------- node table
@@ -81,7 +82,7 @@ def test_relation_defaults_sums_and_self_loops(tmp_path):
     path = tmp_path / "rel.csv"
     path.write_text("# src,dst,weight\n0,1\n1,0,2.5\n0,2,1.5\n2,0\n3,3,9.0\n")
     graph = load_relation(path, "rel", nodes4())
-    assert graph.edges == {(0, 1): 3.5, (0, 2): 2.5}
+    assert edge_dict(graph.edges) == {(0, 1): 3.5, (0, 2): 2.5}
     assert graph.vertices == frozenset(range(4))
 
 
@@ -101,12 +102,31 @@ def test_relation_errors(tmp_path, text, fragment):
     assert "rel.csv:1" in str(info.value)
 
 
+def test_relation_sums_duplicates_in_file_order_bitwise(tmp_path):
+    # both orientations of a pair, weights whose sum depends on the order
+    rng = np.random.default_rng(3)
+    rows = [(int(a), int(b), float(w)) for a, b, w in zip(
+        rng.integers(0, 4, 80), rng.integers(0, 4, 80),
+        rng.choice([0.1, 0.2, 0.3, 0.7], 80))]
+    path = tmp_path / "rel.csv"
+    path.write_text("".join(f"{a},{b},{w!r}\n" for a, b, w in rows))
+    reference, values = {}, {}
+    for a, b, w in rows:
+        if a != b:
+            key = (min(a, b), max(a, b))
+            reference[key] = reference.get(key, 0.0) + w
+            values.setdefault(key, []).append(w)
+    assert any(sum(reversed(ws)) != reference[key] for key, ws in values.items())
+    graph = load_relation(path, "rel", nodes4())
+    assert list(edge_dict(graph.edges).items()) == sorted(reference.items())
+
+
 def test_relation_roundtrip_exact(tmp_path):
     graph = make_graph({(0, 1): 0.1 + 0.2, (1, 3): 7.25}, 4, nodes=nodes4())
     path = tmp_path / "rel.csv"
     write_relation(graph, path)
     again = load_relation(path, "rel", nodes4())
-    assert again.edges == graph.edges
+    assert edge_dict(again.edges) == edge_dict(graph.edges)
 
 
 def test_load_dataset(tmp_path):
@@ -116,7 +136,7 @@ def test_load_dataset(tmp_path):
     ds = load_dataset(tmp_path / "nodes.csv",
                       {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"})
     assert set(ds.relations) == {"a", "b"}
-    assert ds.relations["a"].edges == {(0, 1): 1.0}
+    assert edge_dict(ds.relations["a"].edges) == {(0, 1): 1.0}
     assert ds.relations["b"].node_ref is ds.nodes
 
 
@@ -129,19 +149,48 @@ def test_client_graph_validation():
         make_graph({(0, 1): -0.5}, 3)
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([(0, 1, 1.0), (0, 2, 1.0), (1, 1, 1.0), (2, 0, 1.0)],
+     "edge (1, 1) is not canonical (u < v)"),
+    ([(0, 1, 1.0), (0, 9, 1.0), (1, 2, -1.0)],
+     "edge (0, 9) has endpoint outside the vertex set"),
+    ([(0, 1, 1.0), (0, 2, 1.0), (0, 2, 3.0), (0, 1, 1.0)],
+     "edge (0, 2) is repeated or out of (u, v) order"),
+    ([(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (0, 2, -1.0)],
+     "edge (0, 3) is repeated or out of (u, v) order"),
+    ([(0, 1, 1.0), (0, 2, -0.5), (2, 1, 1.0)],
+     "edge (0, 2) has negative weight -0.5"),
+])
+def test_client_graph_rejects_first_invalid_row(rows, message):
+    edges = np.array(rows, dtype=EDGE_DTYPE)
+    with pytest.raises(ValueError) as info:
+        ClientGraph(relation_name="g", vertices=frozenset(range(4)), edges=edges)
+    assert str(info.value) == message
+
+
+def test_client_graph_edges_are_read_only_records():
+    g = make_graph({(1, 2): 2.0, (0, 1): 1.0}, 3)
+    assert isinstance(g.edges, np.recarray) and g.edges.dtype == EDGE_DTYPE
+    assert g.edges.u.tolist() == [0, 1] and g.edges.v.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        g.edges.weight[0] = 5.0
+
+
 def random_sparse_graph(rng, n=9, p=0.4):
     """Non-contiguous ids, some zero weights, edge keys in random order."""
     ids = sorted(int(i) for i in rng.choice(40, size=n, replace=False))
     pairs = [(a, b) for a in ids for b in ids if a < b and rng.random() < p]
     rng.shuffle(pairs)
-    return ClientGraph(relation_name="g", vertices=frozenset(ids), edges={
-        pair: 0.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 3.0))
-        for pair in pairs})
+    return ClientGraph(relation_name="g", vertices=frozenset(ids),
+                       edges=edge_array({
+                           pair: 0.0 if rng.random() < 0.2
+                           else float(rng.uniform(0.1, 3.0))
+                           for pair in pairs}))
 
 
 def test_neighbor_csr_rows_sorted_and_complete():
     g = ClientGraph(relation_name="g", vertices=frozenset({9, 2, 5, 7}),
-                    edges={(2, 9): 1.0, (2, 5): 0.0})
+                    edges=edge_array({(2, 9): 1.0, (2, 5): 0.0}))
     csr = g.neighbor_csr
     assert csr.nodes.tolist() == [2, 5, 7, 9]
     assert csr.indptr.tolist() == [0, 2, 3, 3, 4]       # 7 is isolated
@@ -157,7 +206,8 @@ def test_neighbor_csr_rows_sorted_and_complete():
         for p, v in enumerate(csr.nodes.tolist()):
             row = slice(csr.indptr[p], csr.indptr[p + 1])
             expected = sorted((b if a == v else a, w)
-                              for (a, b), w in g.edges.items() if v in (a, b))
+                              for (a, b), w in edge_dict(g.edges).items()
+                              if v in (a, b))
             assert list(zip(csr.nodes[csr.indices[row]].tolist(),
                             csr.weights[row].tolist())) == expected
 
@@ -170,7 +220,8 @@ def test_incident_sums_are_csr_row_sums():
         assert sums.shape == (len(g.vertices),)
         for v, total in zip(g.neighbor_csr.nodes.tolist(), sums.tolist()):
             weights = sorted((b if a == v else a, w)
-                             for (a, b), w in g.edges.items() if v in (a, b))
+                             for (a, b), w in edge_dict(g.edges).items()
+                             if v in (a, b))
             # summed in ascending neighbor order, so exactly equal
             assert total == sum(w for _, w in weights)
 

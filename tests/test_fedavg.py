@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from edge_arrays import edge_array
 from twosfgl.data import ClientGraph, NodeTable, SplitAssignment
 from twosfgl.fedavg import (FederationConfig, aggregate,
                             evaluate_global, federated_round, local_steps,
@@ -30,7 +31,7 @@ def make_world(seed, n=20, n_clients=2, features=4, p=0.3):
                     edges[(u, v)] = float(rng.uniform(0.5, 1.5))
         graphs.append(ClientGraph(relation_name=f"rel{k}",
                                   vertices=frozenset(range(n)),
-                                  edges=edges, node_ref=table))
+                                  edges=edge_array(edges), node_ref=table))
     ids = rng.permutation(n)
     cut = int(n * 0.6)
     split = SplitAssignment(train_ids=frozenset(int(i) for i in ids[:cut]),
@@ -76,7 +77,7 @@ def test_make_client_caches_propagated_features_for_gcn():
 def test_make_client_rejects_split_ids_outside_the_graph():
     table, graphs, split = make_world(1)
     part = ClientGraph(relation_name="part", vertices=frozenset(range(10)),
-                       edges={}, node_ref=table)
+                       edges=edge_array({}), node_ref=table)
     with pytest.raises(ValueError, match="outside the graph"):
         make_client("a", part, split, "gcn", table.features, seed=0)
 

@@ -4,8 +4,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from edge_arrays import edge_array, edge_dict
 from twosfgl import fusion as fusion_module
-from twosfgl.data import ClientGraph, incident_sums
+from twosfgl.data import EDGE_DTYPE, ClientGraph, incident_sums
 from twosfgl.fusion import (SHARE_CLAMP_DELTA, SHARE_DTYPE, FusionConfig,
                             apply_dp, fuse, khop_shares, normalize_edges,
                             update_edge, virtual_fusion_round, write_shares)
@@ -16,7 +17,7 @@ TOP = 1.0 - SHARE_CLAMP_DELTA
 
 def make_graph(edges, n, name="g"):
     return ClientGraph(relation_name=name, vertices=frozenset(range(n)),
-                       edges=edges)
+                       edges=edge_array(edges))
 
 
 def random_graph(rng, n, p=0.4, name="g"):
@@ -37,7 +38,8 @@ def random_sparse_graph(rng, n, p=0.4, name="g"):
             if rng.random() < p:
                 edges[(u, v)] = (0.0 if rng.random() < 0.2
                                  else float(rng.uniform(0.1, 2.0)))
-    return ClientGraph(relation_name=name, vertices=frozenset(ids), edges=edges)
+    return ClientGraph(relation_name=name, vertices=frozenset(ids),
+                       edges=edge_array(edges))
 
 
 def batch(rows):
@@ -59,7 +61,7 @@ def random_common(rng, graph):
 
 def loop_neighbors(graph):
     nbrs = {v: [] for v in graph.vertices}
-    for (u, v), w in graph.edges.items():
+    for (u, v), w in edge_dict(graph.edges).items():
         nbrs[u].append((v, w))
         nbrs[v].append((u, w))
     return {v: sorted(pairs) for v, pairs in nbrs.items()}
@@ -125,8 +127,10 @@ def loop_apply_dp(shares, epsilon, seed):
 
 
 def loop_fuse(local, incoming, lam):
-    """(edges, provenance) of the max-rule fusion, one pair at a time."""
+    """(edges, provenance) of the max-rule fusion, one pair at a time; a
+    pair that is no local edge and has only zero candidates adds nothing."""
     sums = loop_sums(local)
+    local_edges = edge_dict(local.edges)
     by_orientation = {}
     for share in incoming:
         by_orientation.setdefault((share.src, share.dst), []).append(share.value)
@@ -134,13 +138,15 @@ def loop_fuse(local, incoming, lam):
     for (i, j), values in by_orientation.items():
         key = (i, j) if i < j else (j, i)
         pair_values.setdefault(key, {})[i] = sum(values) / len(values)
-    edges = dict(local.edges)
-    provenance = {key: "local" for key in local.edges}
+    edges = dict(local_edges)
+    provenance = {key: "local" for key in local_edges}
     for (u, v), oriented in sorted(pair_values.items()):
         candidates = [oracle_update(oriented.get(a, oriented.get(b)), sums[a], lam)
                       for a, b in ((u, v), (v, u))]
-        edges[(u, v)] = max(local.edges.get((u, v), 0.0), max(candidates))
-        provenance[(u, v)] = "both" if (u, v) in local.edges else "fused"
+        if (u, v) not in local_edges and max(candidates) == 0:
+            continue
+        edges[(u, v)] = max(local_edges.get((u, v), 0.0), max(candidates))
+        provenance[(u, v)] = "both" if (u, v) in local_edges else "fused"
     return edges, provenance
 
 
@@ -250,12 +256,13 @@ def oracle_khop(graph, common, k):
     """Independent path enumeration via networkx simple paths."""
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
-    for (u, v), w in graph.edges.items():
+    edges = edge_dict(graph.edges)
+    for (u, v), w in edges.items():
         if w > 0:
             g.add_edge(u, v, weight=w)
     sums = {v: 0.0 for v in graph.vertices}
     neighbor_sets = {v: set() for v in graph.vertices}
-    for (u, v), w in graph.edges.items():
+    for (u, v), w in edges.items():
         sums[u] += w
         sums[v] += w
         neighbor_sets[u].add(v)
@@ -451,11 +458,12 @@ def test_fuse_materializes_remote_edge_single_orientation():
     local = make_graph({(0, 1): 4.0}, 4)
     incoming = batch([(2, 3, 0.2)])
     fused = fuse(local, incoming, cfg())
+    edges, tags = edge_dict(fused.edges), edge_dict(fused.edges, fused.provenance)
     # both endpoints have no local edges -> unit base; borrowed orientation
-    assert fused.edges[(2, 3)] == pytest.approx(0.2 / 0.8)
-    assert fused.provenance[(2, 3)] == "fused"
-    assert fused.edges[(0, 1)] == 4.0
-    assert fused.provenance[(0, 1)] == "local"
+    assert edges[(2, 3)] == pytest.approx(0.2 / 0.8)
+    assert tags[(2, 3)] == "fused"
+    assert edges[(0, 1)] == 4.0
+    assert tags[(0, 1)] == "local"
 
 
 def test_fuse_averages_per_orientation_and_takes_max():
@@ -464,8 +472,8 @@ def test_fuse_averages_per_orientation_and_takes_max():
     fused = fuse(local, incoming, cfg())
     # orientation 0->1 averages to 0.3 -> (0.3/0.7)*4; 1->0 is 0.6 -> capped 4.0
     # max(local 4.0, 12/7, 4.0) = 4.0
-    assert fused.edges[(0, 1)] == 4.0
-    assert fused.provenance[(0, 1)] == "both"
+    assert edge_dict(fused.edges) == {(0, 1): 4.0}
+    assert fused.provenance.tolist() == ["both"]
 
 
 def test_fuse_averages_three_senders_in_list_order():
@@ -474,9 +482,9 @@ def test_fuse_averages_three_senders_in_list_order():
     fused = fuse(local, incoming, cfg())
     mean = (0.1 + 0.2 + 0.6) / 3
     # src 0: (mean/(1-mean))*0.5; borrowed src 1: (mean/(1-mean))*2.0 wins
-    assert fused.edges[(0, 1)] == (mean / (1.0 - mean)) * 2.0
-    assert fused.provenance[(0, 1)] == "both"
-    assert fused.edges[(1, 2)] == 1.5
+    assert edge_dict(fused.edges) == {(0, 1): (mean / (1.0 - mean)) * 2.0,
+                                      (1, 2): 1.5}
+    assert fused.provenance.tolist() == ["both", "local"]
 
 
 def test_fuse_matches_loop_reference_bitwise():
@@ -484,16 +492,19 @@ def test_fuse_matches_loop_reference_bitwise():
     for _ in range(20):
         local = random_sparse_graph(rng, 10)
         ids = sorted(local.vertices)
+        # about 30% of the values are 0, so some pairs have only zero
+        # candidates
+        values = np.where(rng.random(40) < 0.3, 0.0, rng.uniform(0, TOP, 40))
         incoming = batch(
             (ids[a], ids[b], v)
             for a, b, v in zip(rng.integers(0, 10, 40), rng.integers(0, 10, 40),
-                               rng.uniform(0, TOP, 40)) if a != b)
+                               values) if a != b)
         for lam in (0.3, 0.5, 0.8):
             fused = fuse(local, incoming, cfg(lam=lam))
             edges, provenance = loop_fuse(local, incoming, lam)
-            assert fused.edges == edges
-            assert list(fused.edges) == list(edges)
-            assert fused.provenance == provenance
+            assert edge_dict(fused.edges) == edges
+            assert list(edge_dict(fused.edges)) == sorted(edges)
+            assert edge_dict(fused.edges, fused.provenance) == provenance
 
 
 def test_fuse_remote_evidence_can_raise_local_weight():
@@ -501,8 +512,8 @@ def test_fuse_remote_evidence_can_raise_local_weight():
     incoming = batch([(0, 1, 0.4)])
     fused = fuse(local, incoming, cfg())
     # src 0: (0.4/0.6)*0.5 = 1/3; borrowed src 1: (0.4/0.6)*2.0 = 4/3
-    assert fused.edges[(0, 1)] == pytest.approx(4.0 / 3.0)
-    assert fused.provenance[(0, 1)] == "both"
+    assert edge_dict(fused.edges)[(0, 1)] == pytest.approx(4.0 / 3.0)
+    assert edge_dict(fused.edges, fused.provenance)[(0, 1)] == "both"
 
 
 def test_fuse_never_reduces_local_evidence():
@@ -512,10 +523,11 @@ def test_fuse_never_reduces_local_evidence():
         incoming = batch((a, b, rng.uniform(0, 0.95))
                          for a, b in rng.integers(0, 6, size=(12, 2)) if a != b)
         fused = fuse(local, incoming, cfg())
-        for key, w in local.edges.items():
-            assert fused.edges[key] >= w
-        for key, w in fused.edges.items():
-            assert w >= local.edges.get(key, 0.0)
+        local_edges, fused_edges = edge_dict(local.edges), edge_dict(fused.edges)
+        for key, w in local_edges.items():
+            assert fused_edges[key] >= w
+        for key, w in fused_edges.items():
+            assert w >= local_edges.get(key, 0.0)
 
 
 def test_fuse_cap_bounds_fused_weight():
@@ -528,8 +540,9 @@ def test_fuse_cap_bounds_fused_weight():
                          for a, b in rng.integers(0, 6, size=(15, 2)) if a != b)
         fused = fuse(local, incoming, cfg(lam=lam))
         cap_ratio = lam / (1 - lam)
-        for (u, v), w in fused.edges.items():
-            bound = max(local.edges.get((u, v), 0.0),
+        local_edges = edge_dict(local.edges)
+        for (u, v), w in edge_dict(fused.edges).items():
+            bound = max(local_edges.get((u, v), 0.0),
                         cap_ratio * max(sums[u], sums[v], 1.0))
             assert w <= bound + 1e-12
 
@@ -545,10 +558,31 @@ def test_fuse_rejects_protocol_violations():
 def test_fuse_without_incoming_is_identity_with_local_tags():
     local = make_graph({(0, 1): 2.0, (1, 2): 3.0}, 3)
     fused = fuse(local, batch([]), cfg())
-    assert fused.edges == local.edges
-    assert set(fused.provenance.values()) == {"local"}
+    assert edge_dict(fused.edges) == edge_dict(local.edges)
+    assert fused.provenance.tolist() == ["local", "local"]
     assert fused.relation_name == local.relation_name
     assert fused.vertices == local.vertices
+
+
+def test_fuse_returns_sorted_edge_array_with_aligned_provenance():
+    local = make_graph({(0, 3): 1.0, (1, 2): 2.0}, 5)
+    fused = fuse(local, batch([(4, 2, 0.3), (2, 1, 0.5), (0, 4, 0.1)]), cfg())
+    assert isinstance(fused.edges, np.recarray)
+    assert fused.edges.dtype == EDGE_DTYPE
+    assert list(edge_dict(fused.edges)) == [(0, 3), (0, 4), (1, 2), (2, 4)]
+    assert fused.provenance.tolist() == ["local", "fused", "both", "fused"]
+
+
+def test_fuse_zero_candidate_adds_no_edge_and_keeps_local_zero_edge():
+    local = make_graph({(0, 1): 0.0, (1, 2): 1.0, (3, 4): 0.0}, 5)
+    incoming = batch([(0, 1, 0.0), (2, 3, 0.0), (3, 2, 0.0),
+                      (0, 2, 0.0), (2, 0, 0.4)])
+    fused = fuse(local, incoming, cfg())
+    # (2, 3) had only zero shares; (0, 2) has one positive orientation
+    assert edge_dict(fused.edges, fused.provenance) == {
+        (0, 1): "both", (0, 2): "fused", (1, 2): "local", (3, 4): "local"}
+    assert edge_dict(fused.edges)[(0, 1)] == 0.0
+    assert edge_dict(fused.edges)[(3, 4)] == 0.0
 
 
 # ------------------------------------------------------------- fusion round
@@ -581,9 +615,10 @@ def test_fusion_round_fused_edge_value_hand_check():
     # client c receives (2,3) only from b: N(2->3) = 1/4, N(3->2) = 1.0-
     # c's sums: 3 -> 2.0, 2 -> 0.0 (unit base)
     # candidates: src 2: (0.25/0.75)*1 = 1/3; src 3: capped 1.0 * 2.0 = 2.0
-    assert c_fused.edges[(2, 3)] == pytest.approx(2.0)
-    assert c_fused.provenance[(2, 3)] == "fused"
-    assert c_fused.edges[(3, 4)] == 2.0  # local evidence kept
+    edges = edge_dict(c_fused.edges)
+    assert edges[(2, 3)] == pytest.approx(2.0)
+    assert edge_dict(c_fused.edges, c_fused.provenance)[(2, 3)] == "fused"
+    assert edges[(3, 4)] == 2.0  # local evidence kept
 
 
 def test_fusion_round_needs_two_clients_and_unique_names():
@@ -600,8 +635,8 @@ def test_fusion_round_ddh_equals_plain():
     fused_ddh, _ = virtual_fusion_round(
         clients, cfg(seed=2, psi="ddh"), psi_backend=PsiBackend.ddh_small())
     for fp, fd in zip(fused_plain, fused_ddh):
-        assert fp.edges == fd.edges
-        assert fp.provenance == fd.provenance
+        assert np.array_equal(fp.edges, fd.edges)
+        assert np.array_equal(fp.provenance, fd.provenance)
 
 
 def test_fusion_round_runs_psi_once_per_unordered_pair(monkeypatch):
@@ -624,8 +659,8 @@ def test_fusion_round_deterministic_with_noise():
     f1, _ = virtual_fusion_round(clients, cfg(seed=3, dp_epsilon=2.0))
     f2, _ = virtual_fusion_round(clients, cfg(seed=3, dp_epsilon=2.0))
     f3, _ = virtual_fusion_round(clients, cfg(seed=4, dp_epsilon=2.0))
-    assert [g.edges for g in f1] == [g.edges for g in f2]
-    assert [g.edges for g in f1] != [g.edges for g in f3]
+    assert [edge_dict(g.edges) for g in f1] == [edge_dict(g.edges) for g in f2]
+    assert [edge_dict(g.edges) for g in f1] != [edge_dict(g.edges) for g in f3]
 
 
 def test_fusion_round_share_batches_are_record_arrays():
@@ -644,16 +679,34 @@ def test_fusion_round_share_batches_are_record_arrays():
             assert max(int(sent.hops.max()) for sent in shares.values()) == hops
 
 
-def test_fusion_round_noise_leaves_pairs_and_edge_set_unchanged():
-    # the noise perturbs share values only; which pairs are sent, and so the
-    # fused edge set, is the same at every epsilon
+def zeroed_pairs(receiver, shares):
+    """Pairs that are no edge of the receiver and whose incoming shares all
+    came to 0."""
+    values = {}
+    for (_, to), sent in shares.items():
+        if to == receiver.relation_name:
+            for s in sent:
+                pair = (min(s.src, s.dst), max(s.src, s.dst))
+                values.setdefault(pair, []).append(s.value)
+    local = edge_dict(receiver.edges)
+    return {pair for pair, got in values.items()
+            if pair not in local and not any(got)}
+
+
+def test_fusion_round_noise_leaves_pairs_and_drops_only_zeroed_edges():
+    # the noise perturbs share values only, so the sent pairs are the same at
+    # every epsilon; the fused edge set loses exactly the pairs whose shares
+    # were all clamped to 0
     rng = np.random.default_rng(46)
     clients = [random_graph(rng, 12, p=0.3, name=name) for name in "abc"]
     runs = [virtual_fusion_round(clients, cfg(seed=6, hops=2, dp_epsilon=eps))
             for eps in (math.inf, 1.0, 0.1)]
     (clean, clean_shares), noisy_runs = runs[0], runs[1:]
     for fused, shares in noisy_runs:
-        assert [set(g.edges) for g in fused] == [set(g.edges) for g in clean]
+        dropped = [zeroed_pairs(client, shares) for client in clients]
+        assert any(dropped)
+        assert [set(edge_dict(g.edges)) for g in fused] == [
+            set(edge_dict(g.edges)) - gone for g, gone in zip(clean, dropped)]
         for pair, sent in shares.items():
             assert (sent.src == clean_shares[pair].src).all()
             assert (sent.dst == clean_shares[pair].dst).all()

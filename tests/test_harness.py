@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from twosfgl.config import ExperimentConfig, parse_config
@@ -56,7 +57,8 @@ def test_prepare_data_synth_roundtrips_through_csv(tmp_path):
                             {name: tmp_path / "data" / f"seed3/{name}.csv"
                              for name in ("rel0", "rel1")})
     assert sorted(dataset.relations) == ["rel0", "rel1"]
-    assert dataset.relations["rel0"].edges == reloaded.relations["rel0"].edges
+    assert np.array_equal(dataset.relations["rel0"].edges,
+                          reloaded.relations["rel0"].edges)
     assert (dataset.nodes.features == reloaded.nodes.features).all()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edge_arrays import edge_dict
 from twosfgl.data import load_dataset, load_node_table, load_relation
 from twosfgl.synth import SyntheticSpec, _sample_pairs, generate_synthetic
 
@@ -72,7 +73,7 @@ def test_generated_files_and_loadability(tmp_path):
     assert int(dataset.nodes.labels.sum()) == round(0.3 * 60)
     for name, graph in dataset.relations.items():
         assert graph.vertices == frozenset(range(60))
-        assert all(w == 1.0 for w in graph.edges.values())
+        assert (graph.edges.weight == 1.0).all()
         assert len(graph.edges) > 0
 
 
@@ -117,7 +118,7 @@ def pair_sets(node_path, relation_paths):
     per_relation = {}
     for name, path in relation_paths.items():
         graph = load_relation(path, name, table)
-        per_relation[name] = set(graph.edges)
+        per_relation[name] = set(edge_dict(graph.edges))
     return fraud, per_relation
 
 
