@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fusion import FusionConfig
+from .psi import PsiBackend
 from .synth import SyntheticSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
@@ -20,6 +21,7 @@ class ConfigError(ValueError):
 
 
 _ARCHES = ("gcn", "sage")
+_PSI_BACKENDS = {"plain": PsiBackend.plain, "ddh": PsiBackend.ddh}
 
 
 @dataclass
@@ -73,8 +75,11 @@ class ExperimentConfig:
             raise ConfigError(f"fusion.*: {exc}") from None
 
     def fusion_config(self, seed: int) -> FusionConfig:
+        if self.psi not in _PSI_BACKENDS:
+            raise ValueError(f"psi must be 'plain' or 'ddh', got {self.psi!r}")
         return FusionConfig(lam=self.lam, hops=self.hops,
-                            dp_epsilon=self.dp_epsilon, seed=seed, psi=self.psi)
+                            dp_epsilon=self.dp_epsilon, seed=seed,
+                            psi=_PSI_BACKENDS[self.psi]())
 
 
 def _parse_scalar(text: str, kind: type, key: str, lineno: int):

@@ -172,7 +172,6 @@ class SplitAssignment:
 
     train_ids: frozenset
     test_ids: frozenset
-    seed: int
 
     def __post_init__(self):
         if self.train_ids & self.test_ids:
@@ -340,9 +339,7 @@ def stratified_split(sampled_ids, labels, train_frac: float = 0.6,
         n_test = int(len(members) * (1.0 - train_frac))
         test.extend(int(i) for i in members[:n_test])
         train.extend(int(i) for i in members[n_test:])
-    return SplitAssignment(
-        train_ids=frozenset(train), test_ids=frozenset(test), seed=seed
-    )
+    return SplitAssignment(train_ids=frozenset(train), test_ids=frozenset(test))
 
 
 def incident_sums(graph: ClientGraph) -> np.ndarray:

@@ -53,15 +53,15 @@ class FusionConfig:
     turns it off): the (src, dst) pairs travel in the clear, so the sent pairs
     are the same at every epsilon and the fused edge set loses only the pairs
     whose shares were all clamped to 0, and one edge changes every share at
-    both its endpoints, so this is not edge-level epsilon-DP; ``psi`` selects
-    the backend kind used when intersecting vertex sets ('plain' or 'ddh').
+    both its endpoints, so this is not edge-level epsilon-DP; ``psi`` is the
+    backend that intersects each pair's vertex sets.
     """
 
     lam: float = 0.5
     hops: int = 1
     dp_epsilon: float = math.inf
     seed: int = 0
-    psi: str = "plain"
+    psi: PsiBackend = PsiBackend.plain()
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -70,8 +70,6 @@ class FusionConfig:
             raise ValueError("hops must be 1, 2, or 3")
         if not (self.dp_epsilon > 0):
             raise ValueError("dp_epsilon must be positive (math.inf disables noise)")
-        if self.psi not in ("plain", "ddh"):
-            raise ValueError(f"psi must be 'plain' or 'ddh', got {self.psi!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,21 +274,19 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     )
 
 
-def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig,
-                       backend: PsiBackend | None) -> tuple:
+def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig) -> tuple:
     """Each side's view of the common vertices, from one PSI run."""
-    if backend is None or backend.kind == "plain":
+    if cfg.psi.kind == "plain":
         common = psi_plain(a.vertices, b.vertices)
         return common, common
     result = psi_ddh(
-        a.vertices, b.vertices, backend,
+        a.vertices, b.vertices, cfg.psi,
         seed=derive_seed(cfg.seed, "psi", a.relation_name, b.relation_name),
         name_a=a.relation_name, name_b=b.relation_name)
     return set(result.intersection_a), set(result.intersection_b)
 
 
-def virtual_fusion_round(clients, cfg: FusionConfig,
-                         psi_backend: PsiBackend | None = None):
+def virtual_fusion_round(clients, cfg: FusionConfig):
     """One full fusion round across every ordered client pair.
 
     Each unordered pair of clients runs PSI once; each sender then emits
@@ -317,7 +313,7 @@ def virtual_fusion_round(clients, cfg: FusionConfig,
             try:
                 if pair not in commons:
                     commons[pair], commons[pair[::-1]] = _pair_intersection(
-                        sender, receiver, cfg, psi_backend)
+                        sender, receiver, cfg)
                 common = commons[pair]
                 shares = normalize_edges(sender, common)
                 if cfg.hops >= 2:

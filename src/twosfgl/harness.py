@@ -21,7 +21,6 @@ from .data import (balance_sample, load_dataset, stratified_split,
 from .fedavg import FederationConfig, make_client, train_federation
 from .fusion import virtual_fusion_round, write_shares
 from .metrics import METRIC_NAMES, RoundHistory, window_average
-from .psi import PsiBackend
 from .seeding import derive_seed
 from .synth import generate_synthetic
 
@@ -52,16 +51,11 @@ def prepare_data(cfg: ExperimentConfig, seed: int, out_dir: Path):
     return load_dataset(cfg.node_path, cfg.relation_paths)
 
 
-def _psi_backend(cfg: ExperimentConfig) -> PsiBackend | None:
-    return PsiBackend.ddh() if cfg.psi == "ddh" else None
-
-
 def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir=None):
     """Run one fusion round; optionally dump fused graphs, tags, and shares."""
     graphs = [dataset.relations[name] for name in sorted(dataset.relations)]
     fusion_cfg = cfg.fusion_config(derive_seed(seed, "fusion"))
-    fused, shares_by_pair = virtual_fusion_round(graphs, fusion_cfg,
-                                                 psi_backend=_psi_backend(cfg))
+    fused, shares_by_pair = virtual_fusion_round(graphs, fusion_cfg)
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)

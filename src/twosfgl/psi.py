@@ -4,16 +4,29 @@ Two backends:
 
 * ``plain`` — a trusted-oracle set intersection, used as the reference in
   tests and for trusted-setup simulation runs.
-* ``ddh``   — a classic two-round blind-exponentiation protocol in a
-  prime-order subgroup of Z_p*.  Each party hashes its ids into the group,
-  blinds them with a secret exponent, and exchanges them; the peer re-blinds
-  with its own secret.  Double-blinded values H(x)^(ab) coincide exactly for
+* ``ddh``   — the two-round blind-exponentiation protocol of Meadows and of
+  Huberman, Franklin and Hogg, in the subgroup of prime order q of Z_p* for
+  a safe prime p = 2q + 1.  Each party hashes its ids into the group, blinds
+  them with a secret exponent, and exchanges them; the peer re-blinds with
+  its own secret.  Double-blinded values H(x)^(ab) coincide exactly for
   common ids, so each party learns which of its own ids are shared and
   nothing else (honest-but-curious model).
 
-The hash-to-group map raises a fixed generator to a digest-derived exponent.
-That is adequate for a simulator but NOT production-grade: discrete-log
-relations between hashed points are known to anyone who knows the map.
+Hash to group: RFC 9380 ``expand_message_xmd`` over SHA-256 stretches an
+id's encoding to bitlen(p) + 128 bits.  Reduced mod p that is within 2^-128
+of uniform, and squaring it lands in the subgroup with one multiplication,
+with no known discrete-log relation between hashed points.
+
+Subgroup test: for a safe prime the order-q subgroup is exactly the
+quadratic residues, so by Euler's criterion ``e^q = 1 (mod p)`` holds iff
+the Jacobi symbol (e | p) is 1.  The Jacobi symbol is a gcd-like loop, far
+cheaper than the full-width modexp; it is why a ``ddh`` backend rejects a
+group whose modulus is not 2 * order + 1.
+
+Secrets: blinding exponents are uniform in [1, min(2^256, q) - 1], at least
+twice the 112-bit strength of the 2048-bit group (RFC 7919 §5.2).  A seeded
+secret stretches its seed with the same ``expand_message_xmd``; seeded runs
+are reproducible by design, so their secrets carry only the seed's entropy.
 """
 
 import hashlib
@@ -32,8 +45,7 @@ __all__ = [
     "encode_id",
 ]
 
-# RFC 3526 2048-bit MODP group; (p-1)/2 is prime.  g=4 generates the
-# prime-order subgroup of quadratic residues.
+# RFC 3526 2048-bit MODP group: a safe prime, (p-1)/2 is prime.
 _MODP_2048_P = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
@@ -48,6 +60,10 @@ _MODP_2048_P = int(
 _TEST_P = 4611686018427377339
 _TEST_Q = 2305843009213688669
 
+_HASH_DST = b"TWOSFGL-PSI-V01-hash-to-group-XMD:SHA-256"
+_SECRET_DST = b"TWOSFGL-PSI-V01-secret-XMD:SHA-256"
+_SECRET_BITS = 256
+
 
 class PsiProtocolError(RuntimeError):
     """Protocol abort: a received message violates the group contract."""
@@ -57,20 +73,20 @@ class PsiProtocolError(RuntimeError):
 class PsiBackend:
     """Group parameters for the intersection protocol.
 
-    ``kind`` selects plain (oracle) or ddh.  For ddh, ``modulus`` is the
-    prime p, ``generator`` generates the subgroup of prime ``order`` q with
-    q | p-1.  ``hash_name`` identifies the digest used by hash-to-group.
+    ``kind`` selects plain (oracle) or ddh.  For ddh, ``modulus`` is a safe
+    prime p = 2q + 1 and ``order`` is the prime q, the order of the subgroup
+    of quadratic residues the protocol works in.
     """
 
     kind: str = "plain"
     modulus: int = _MODP_2048_P
-    generator: int = 4
     order: int = (_MODP_2048_P - 1) // 2
-    hash_name: str = "sha256"
 
     def __post_init__(self):
         if self.kind not in ("plain", "ddh"):
             raise ValueError(f"unknown PSI backend kind {self.kind!r}")
+        if self.kind == "ddh" and self.modulus != 2 * self.order + 1:
+            raise ValueError("a ddh group needs a safe prime: modulus == 2 * order + 1")
 
     @classmethod
     def plain(cls) -> "PsiBackend":
@@ -84,26 +100,59 @@ class PsiBackend:
     @classmethod
     def ddh_small(cls) -> "PsiBackend":
         """62-bit test group: fast, functionally identical protocol."""
-        return cls(kind="ddh", modulus=_TEST_P, generator=4, order=_TEST_Q)
+        return cls(kind="ddh", modulus=_TEST_P, order=_TEST_Q)
 
     @property
     def element_bytes(self) -> int:
         return (self.modulus.bit_length() + 7) // 8
 
     def hash_to_group(self, ident: int) -> int:
-        digest = hashlib.new(self.hash_name, encode_id(ident)).digest()
-        exponent = int.from_bytes(digest, "big") % self.order
-        return pow(self.generator, exponent, self.modulus)
+        p = self.modulus
+        width = (p.bit_length() + 128 + 7) // 8
+        wide = int.from_bytes(_expand_xmd(encode_id(ident), _HASH_DST, width), "big")
+        return pow(wide % p, 2, p)
 
     def in_subgroup(self, element: int) -> bool:
-        return 1 <= element < self.modulus and pow(element, self.order, self.modulus) == 1
+        return 1 <= element < self.modulus and _jacobi(element, self.modulus) == 1
 
     def random_secret(self, seed=None) -> int:
+        span = min(1 << _SECRET_BITS, self.order) - 1
         if seed is None:
-            return 1 + _secrets.randbelow(self.order - 1)
-        rng_val = derive_seed(seed, "psi-secret")
-        # fold a 64-bit derived seed into [1, q-1]
-        return 1 + (rng_val % (self.order - 1))
+            return 1 + _secrets.randbelow(span)
+        # 128 spare bits keep the reduction mod span within 2^-128 of uniform
+        wide = _expand_xmd(int(seed).to_bytes(16, "big", signed=True),
+                           _SECRET_DST, _SECRET_BITS // 8 + 16)
+        return 1 + int.from_bytes(wide, "big") % span
+
+
+def _expand_xmd(msg: bytes, dst: bytes, length: int) -> bytes:
+    """RFC 9380 §5.3.1 ``expand_message_xmd`` with SHA-256."""
+    blocks = -(-length // 32)
+    if blocks > 255 or length > 65535 or len(dst) > 255:
+        raise ValueError("expand_message_xmd: output or DST too long")
+    dst_prime = dst + bytes([len(dst)])
+    b0 = hashlib.sha256(bytes(64) + msg + length.to_bytes(2, "big") + b"\x00"
+                        + dst_prime).digest()
+    out = [hashlib.sha256(b0 + b"\x01" + dst_prime).digest()]
+    for i in range(2, blocks + 1):
+        mixed = bytes(x ^ y for x, y in zip(b0, out[-1]))
+        out.append(hashlib.sha256(mixed + bytes([i]) + dst_prime).digest())
+    return b"".join(out)[:length]
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a | n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and n & 7 in (3, 5):
+            result = -result
+        if a & n & 3 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
 
 
 def encode_id(ident: int) -> bytes:

@@ -173,7 +173,7 @@ def test_A3_gradients_and_fedavg_identities():
     graph = ClientGraph(relation_name="g", vertices=frozenset(range(12)),
                         edges=edge_array(edges), node_ref=table)
     split = SplitAssignment(train_ids=frozenset(range(8)),
-                            test_ids=frozenset(range(8, 12)), seed=0)
+                            test_ids=frozenset(range(8, 12)))
     shared = init_params("gcn", 3, seed=5)
     twins = [make_client(f"c{i}", graph, split, "gcn", x, seed=0,
                          params=shared.copy()) for i in range(3)]

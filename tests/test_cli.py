@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import twosfgl
+from twosfgl import fusion as fusion_module
 from twosfgl.cli import main
 
 TINY = """
@@ -69,6 +70,29 @@ def test_fuse_dumps_fused_graphs_and_shares(cfg_path, tmp_path, capsys):
     names = {p.name for p in out.iterdir() if p.is_file()}
     assert {"fused_rel0.csv", "fused_rel1.csv",
             "shares_rel0_rel1.csv", "shares_rel1_rel0.csv"} <= names
+
+
+def test_fuse_with_ddh_psi_writes_the_plain_csvs(tmp_path, monkeypatch):
+    real_psi = fusion_module.psi_ddh
+    groups = []
+
+    def recording_psi(ids_a, ids_b, backend, **kwargs):
+        groups.append(backend.modulus.bit_length())
+        return real_psi(ids_a, ids_b, backend, **kwargs)
+
+    monkeypatch.setattr(fusion_module, "psi_ddh", recording_psi)
+    tiny = "synth.nodes = 10\nsynth.relations = 2\nsynth.inter_p = 0.2\n"
+    outputs = {}
+    for psi in ("plain", "ddh"):
+        cfg = tmp_path / f"{psi}.cfg"
+        cfg.write_text(tiny + f"fusion.psi = {psi}\n", encoding="utf-8")
+        out = tmp_path / psi
+        assert run_cli("fuse", "--config", cfg, "--out", out) == 0
+        outputs[psi] = {f.relative_to(out): f.read_bytes()
+                        for f in out.rglob("*.csv")}
+    assert groups == [2048]
+    assert len(outputs["plain"]) >= 7
+    assert outputs["ddh"] == outputs["plain"]
 
 
 def test_run_full_pipeline_prints_table(cfg_path, tmp_path, capsys):

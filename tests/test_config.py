@@ -4,6 +4,7 @@ import pytest
 
 from twosfgl.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config)
+from twosfgl.psi import PsiBackend
 from twosfgl.synth import SyntheticSpec
 
 MINIMAL = "synth.nodes = 40\n"
@@ -135,7 +136,8 @@ def test_fusion_config_inherits_experiment_settings():
                        "fusion.psi = ddh\n")
     fus = cfg.fusion_config(seed=42)
     assert (fus.lam, fus.hops, fus.dp_epsilon, fus.psi, fus.seed) == \
-        (0.3, 2, 2.0, "ddh", 42)
+        (0.3, 2, 2.0, PsiBackend.ddh(), 42)
+    assert parse_config("synth.nodes = 40\n").fusion_config(0).psi == PsiBackend.plain()
 
 
 def test_load_config_roundtrip_and_missing_files(tmp_path):

@@ -315,7 +315,7 @@ def test_stratified_split_empty_sample():
 
 def test_split_assignment_overlap_rejected():
     with pytest.raises(ValueError, match="overlap"):
-        SplitAssignment(train_ids=frozenset({1, 2}), test_ids=frozenset({2}), seed=0)
+        SplitAssignment(train_ids=frozenset({1, 2}), test_ids=frozenset({2}))
 
 
 # ------------------------------------------------------------------- zscore

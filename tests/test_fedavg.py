@@ -35,8 +35,7 @@ def make_world(seed, n=20, n_clients=2, features=4, p=0.3):
     ids = rng.permutation(n)
     cut = int(n * 0.6)
     split = SplitAssignment(train_ids=frozenset(int(i) for i in ids[:cut]),
-                            test_ids=frozenset(int(i) for i in ids[cut:]),
-                            seed=seed)
+                            test_ids=frozenset(int(i) for i in ids[cut:]))
     return table, graphs, split
 
 
@@ -107,7 +106,7 @@ def test_make_client_seeded_init_and_explicit_params():
 def test_make_client_rejects_empty_train_mask():
     table, graphs, _ = make_world(3)
     empty = SplitAssignment(train_ids=frozenset(),
-                            test_ids=frozenset(range(5)), seed=0)
+                            test_ids=frozenset(range(5)))
     with pytest.raises(ValueError, match="empty train mask"):
         make_client("a", graphs[0], empty, "gcn", table.features, seed=0)
 

@@ -445,6 +445,7 @@ def test_fusion_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(dp_epsilon=0.0)
     assert FusionConfig().dp_epsilon == math.inf
+    assert FusionConfig().psi == PsiBackend.plain()
 
 
 # --------------------------------------------------------------------- fuse
@@ -633,7 +634,7 @@ def test_fusion_round_ddh_equals_plain():
     clients = three_clients()
     fused_plain, _ = virtual_fusion_round(clients, cfg(seed=2))
     fused_ddh, _ = virtual_fusion_round(
-        clients, cfg(seed=2, psi="ddh"), psi_backend=PsiBackend.ddh_small())
+        clients, cfg(seed=2, psi=PsiBackend.ddh_small()))
     for fp, fd in zip(fused_plain, fused_ddh):
         assert np.array_equal(fp.edges, fd.edges)
         assert np.array_equal(fp.provenance, fd.provenance)
@@ -648,8 +649,8 @@ def test_fusion_round_runs_psi_once_per_unordered_pair(monkeypatch):
         return real_psi(*args, **kwargs)
 
     monkeypatch.setattr(fusion_module, "psi_ddh", counting_psi)
-    _, shares = virtual_fusion_round(three_clients(), cfg(seed=2, psi="ddh"),
-                                     psi_backend=PsiBackend.ddh_small())
+    _, shares = virtual_fusion_round(three_clients(),
+                                     cfg(seed=2, psi=PsiBackend.ddh_small()))
     assert calls == [("a", "b"), ("a", "c"), ("b", "c")]
     assert len(shares) == 6
 

@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from twosfgl.psi import (PsiBackend, PsiProtocolError, _check_received,
-                         encode_id, psi_ddh, psi_plain)
+                         _expand_xmd, encode_id, psi_ddh, psi_plain)
 
 
 def small():
@@ -75,6 +77,15 @@ def test_backend_kind_validated():
         PsiBackend(kind="quantum")
 
 
+def test_ddh_backend_requires_safe_prime():
+    # 11 divides 67 - 1, so 67 has a subgroup of order 11, but 67 != 2 * 11 + 1
+    assert PsiBackend(kind="ddh", modulus=23, order=11).order == 11
+    with pytest.raises(ValueError, match="safe prime"):
+        PsiBackend(kind="ddh", modulus=67, order=11)
+    with pytest.raises(ValueError, match="safe prime"):
+        PsiBackend(kind="ddh", modulus=PsiBackend.ddh().modulus, order=11)
+
+
 def test_transcript_structure():
     backend = small()
     a, b = {1, 2, 3}, {2, 3}
@@ -97,21 +108,33 @@ def test_transcript_never_contains_raw_ids():
 
 
 def test_hash_to_group_lands_in_subgroup():
-    backend = small()
-    for ident in (0, 1, 7, 2**40, 999_999_999):
-        e = backend.hash_to_group(ident)
-        assert backend.in_subgroup(e)
+    for backend in (small(), PsiBackend.ddh()):
+        points = [backend.hash_to_group(ident)
+                  for ident in (0, 1, 7, 2**40, 999_999_999)]
+        assert all(backend.in_subgroup(e) for e in points)
+        assert len(set(points)) == len(points)
 
 
 def test_in_subgroup_rejects_bad_elements():
-    backend = small()
-    p = backend.modulus
-    assert not backend.in_subgroup(0)
-    assert not backend.in_subgroup(p)
-    # p-1 has order 2, not q
-    assert not backend.in_subgroup(p - 1)
-    assert backend.in_subgroup(1)
-    assert backend.in_subgroup(pow(backend.generator, 12345, p))
+    for backend in (small(), PsiBackend.ddh()):
+        p = backend.modulus
+        assert not backend.in_subgroup(0)
+        assert not backend.in_subgroup(p)
+        # p-1 has order 2, not q
+        assert not backend.in_subgroup(p - 1)
+        assert backend.in_subgroup(1)
+        assert backend.in_subgroup(pow(12345, 2, p))
+
+
+@pytest.mark.parametrize("backend", [PsiBackend.ddh_small(), PsiBackend.ddh()],
+                         ids=["small", "2048"])
+def test_in_subgroup_matches_euler_criterion(backend):
+    p, q = backend.modulus, backend.order
+    rng = random.Random(p.bit_length())
+    elements = [0, 1, p - 1, p] + [rng.randrange(1, p) for _ in range(300)]
+    expected = [1 <= e < p and pow(e, q, p) == 1 for e in elements]
+    assert [backend.in_subgroup(e) for e in elements] == expected
+    assert 100 < sum(expected) < 200  # both answers are exercised
 
 
 def test_check_received_aborts_on_subgroup_violation():
@@ -136,9 +159,19 @@ def test_encode_id_fixed_width_big_endian():
         encode_id(2**64)
 
 
+def test_expand_xmd_matches_rfc9380_vectors():
+    dst = b"QUUX-V01-CS02-with-expander-SHA256-128"
+    assert _expand_xmd(b"", dst, 32).hex() == \
+        "68a985b87eb6b46952128911f2a4412bbc302a9d759667f87f7a21d803f07235"
+    assert _expand_xmd(b"abc", dst, 32).hex() == \
+        "d8ccab23b5985ccea865c6c97b6e5b8350e794e603b4b97902f53a8a0d605615"
+
+
 def test_default_backend_group_sizes():
-    assert PsiBackend.ddh().modulus.bit_length() == 2048
-    assert PsiBackend.ddh().order.bit_length() >= 255
+    big = PsiBackend.ddh()
+    assert big.modulus.bit_length() == 2048
+    assert big.order.bit_length() >= 255
+    assert big.modulus == 2 * big.order + 1
     s = small()
     assert s.modulus == 2 * s.order + 1
     assert s.element_bytes == 8
@@ -149,3 +182,12 @@ def test_random_secret_seeded_is_deterministic():
     assert backend.random_secret(7) == backend.random_secret(7)
     assert 1 <= backend.random_secret(7) < backend.order
     assert backend.random_secret(7) != backend.random_secret(8)
+
+
+def test_random_secrets_span_256_bits():
+    backend = PsiBackend.ddh()
+    seeded = [backend.random_secret(seed) for seed in range(64)]
+    assert all(1 <= s < 2**256 for s in seeded)
+    assert any(s >= 2**250 for s in seeded)
+    assert len(set(seeded)) == 64
+    assert 1 <= backend.random_secret() < 2**256
