@@ -5,6 +5,14 @@ local full-batch optimizer step(s) on its own graph and train mask, and the
 server takes the sample-count-weighted average of the returned weights.
 Adam moment state stays on the client and is never averaged.  One round
 corresponds to one training epoch.
+
+For GCN, the evaluation forward after round r is also round r + 1's first
+training forward: the next ``local_steps`` adopts the very params object that
+was evaluated, and ``gcn_forward`` draws nothing from the seed, so the two
+results are bit-identical.  The client keeps that forward and its first step
+reuses it instead of running the same products again.  SAGE does not reuse
+it: evaluation and training sample neighbors with different seeds, so their
+forwards differ.
 """
 
 from dataclasses import dataclass
@@ -49,6 +57,9 @@ class ClientState:
     adjacency: object = None             # cached for gcn
     propagated_features: np.ndarray = None   # gcn: adjacency @ features
     fanout: int = DEFAULT_FANOUT
+    # gcn: (params, cache) of the last evaluation forward, for the next
+    # local step that adopts these same params
+    eval_forward: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -138,13 +149,21 @@ def _client_forward(client: ClientState, params: ModelParams, seed: int):
 def local_steps(client: ClientState, global_params: ModelParams,
                 round_seed: int, steps: int) -> float:
     """Adopt the global weights, run the local optimizer steps, return the
-    last train loss (nan when steps == 0)."""
+    last train loss (nan when steps == 0).
+
+    The first step reuses the client's last evaluation forward when that
+    forward was of ``global_params`` itself; every other step runs its own.
+    """
     client.params = global_params
+    evaluated, client.eval_forward = client.eval_forward, None
     loss = float("nan")
     for step in range(steps):
-        _, cache = _client_forward(
-            client, client.params,
-            seed=derive_seed(round_seed, client.client_id, step))
+        if step == 0 and evaluated is not None and evaluated[0] is global_params:
+            cache = evaluated[1]
+        else:
+            _, cache = _client_forward(
+                client, client.params,
+                seed=derive_seed(round_seed, client.client_id, step))
         loss, grads = loss_and_grads(client.params, cache, client.labels,
                                      client.train_mask)
         client.params, client.adam = adam_step(client.params, grads, client.adam)
@@ -168,12 +187,14 @@ def federated_round(clients, global_params: ModelParams, round_seed: int,
 
 def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
     """Mean of each metric over the clients' test masks, each client
-    evaluated on its own training graph."""
+    evaluated on its own training graph.  A GCN client keeps its forward
+    for the next ``local_steps`` of the same params."""
     per_metric = {name: [] for name in METRIC_NAMES}
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc, "gmean": gmean}
     for client in clients:
-        logits, _ = _client_forward(
+        logits, cache = _client_forward(
             client, params, seed=derive_seed(seed, "eval", client.client_id))
+        client.eval_forward = (params, cache) if params.arch == "gcn" else None
         scores = softmax(logits)[:, 1]
         result = EvalResult.from_scores(
             scores[client.test_mask], client.labels[client.test_mask])

@@ -2,11 +2,15 @@
 
 Two one-hidden-layer binary node classifiers over 64-bit floats:
 
-* GCN:  logits = A_hat . relu(A_hat X W1) . W2, where A_hat is the
+* GCN:  logits = A_hat . (relu(A_hat X W1) . W2), where A_hat is the
   symmetrically normalized adjacency (self-loops added, D^-1/2 A D^-1/2),
   built from the graph's cached CSR plus the identity.  A_hat X does not
   depend on the weights, so callers compute it once per graph and pass it
-  in place of X.
+  in place of X.  The second propagation multiplies A_hat by the narrow
+  side, the N x 2 product hidden . W2, not by the N x 64 hidden layer
+  (the order of Kipf & Welling 2017).  The backward pass likewise
+  propagates the N x 2 logit gradient once, through A_hat^T, and both
+  weight gradients reuse it.
 * SAGE: each node concatenates its own features with the mean of at most
   ``fanout`` sampled neighbor features, passes through a relu hidden layer,
   then a linear head.  Sampling works on the graph's cached CSR: one uniform
@@ -85,7 +89,6 @@ class ForwardCache:
     inputs: np.ndarray                # gcn: A_hat . X;  sage: [X || H_N]
     pre_hidden: np.ndarray            # hidden pre-activation
     hidden: np.ndarray                # relu output
-    propagated_hidden: np.ndarray     # gcn: A_hat . hidden; sage: hidden
     logits: np.ndarray
 
 
@@ -131,8 +134,8 @@ def normalized_adjacency(graph: ClientGraph) -> sp.csr_matrix:
 def gcn_forward(params: ModelParams, adjacency: sp.csr_matrix,
                 propagated_features: np.ndarray):
     """Forward pass from the first propagation ``adjacency @ X``, which the
-    caller computes once; propagates the hidden layer itself.  Returns
-    (logits, cache)."""
+    caller computes once; propagates the N x 2 product ``hidden @ W2``
+    itself.  Returns (logits, cache)."""
     if params.arch != "gcn":
         raise ValueError("gcn_forward requires gcn params")
     ax = np.asarray(propagated_features, dtype=np.float64)
@@ -141,11 +144,9 @@ def gcn_forward(params: ModelParams, adjacency: sp.csr_matrix,
                          f"W1 rows {params.W1.shape[0]}")
     pre = ax @ params.W1
     hidden = np.maximum(pre, 0.0)
-    propagated = adjacency @ hidden
-    logits = propagated @ params.W2
+    logits = adjacency @ (hidden @ params.W2)
     cache = ForwardCache(arch="gcn", adjacency=adjacency, inputs=ax,
-                         pre_hidden=pre, hidden=hidden,
-                         propagated_hidden=propagated, logits=logits)
+                         pre_hidden=pre, hidden=hidden, logits=logits)
     return logits, cache
 
 
@@ -164,12 +165,17 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
     indptr, indices, rows = csr.indptr, csr.indices, csr.rows
     n = len(indptr) - 1
     degree = np.diff(indptr)
-    keys = np.random.default_rng(seed).random(len(indices))
-    # sorted by row, then key: rows keep their slots, so the first fanout
-    # slots of a row hold its smallest keys
-    by_key = np.lexsort((keys, rows))
-    picked = np.zeros(len(indices), dtype=bool)
-    picked[by_key[np.arange(len(indices)) - indptr[rows] < fanout]] = True
+    nnz = len(indices)
+    keys = np.random.default_rng(seed).random(nnz)
+    # sorted by row, then key, ties by entry index (np.lexsort's order):
+    # rows keep their slots, so the first fanout slots of a row hold its
+    # smallest keys.  One sort of an integer composite key does it; the key
+    # is below n * nnz, far from the int64 limit.
+    key_rank = np.empty(nnz, dtype=np.int64)
+    key_rank[np.argsort(keys, kind="stable")] = np.arange(nnz)
+    by_key = np.argsort(rows * nnz + key_rank, kind="stable")
+    picked = np.zeros(nnz, dtype=bool)
+    picked[by_key[np.arange(nnz) - indptr[rows] < fanout]] = True
     counts = np.minimum(degree, fanout)
     sums = sp.csr_matrix(
         (np.ones(int(counts.sum())), indices[picked],
@@ -192,8 +198,7 @@ def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ params.W2
     cache = ForwardCache(arch="sage", adjacency=None, inputs=concat,
-                         pre_hidden=pre, hidden=hidden,
-                         propagated_hidden=hidden, logits=logits)
+                         pre_hidden=pre, hidden=hidden, logits=logits)
     return logits, cache
 
 
@@ -224,10 +229,11 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     grad_logits[mask, labels[mask]] -= 1.0
     grad_logits /= n_masked
 
-    grad_w2 = cache.propagated_hidden.T @ grad_logits
-    grad_hidden = grad_logits @ params.W2.T
-    if cache.arch == "gcn":
-        grad_hidden = cache.adjacency @ grad_hidden
+    # gradient w.r.t. the unpropagated logits hidden @ W2 (N x 2)
+    grad_head = (cache.adjacency.T @ grad_logits if cache.arch == "gcn"
+                 else grad_logits)
+    grad_w2 = cache.hidden.T @ grad_head
+    grad_hidden = grad_head @ params.W2.T
     grad_pre = grad_hidden * (cache.pre_hidden > 0)
     grad_w1 = cache.inputs.T @ grad_pre
     return loss, ModelParams(arch=cache.arch, W1=grad_w1, W2=grad_w2)

@@ -6,13 +6,14 @@ import pytest
 
 from edge_arrays import edge_array
 from twosfgl.data import ClientGraph, NodeTable, SplitAssignment
+from twosfgl import fedavg
 from twosfgl.fedavg import (FederationConfig, aggregate,
                             evaluate_global, federated_round, local_steps,
                             make_client, train_federation)
 from twosfgl.gnn import (ModelParams, adam_step, gcn_forward, init_params,
                          loss_and_grads, sage_forward, softmax)
-from twosfgl.metrics import (METRIC_NAMES, EvalResult, accuracy, auc, gmean,
-                             macro_f1)
+from twosfgl.metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy,
+                             auc, gmean, macro_f1)
 from twosfgl.seeding import derive_seed
 
 
@@ -293,6 +294,18 @@ def test_evaluate_global_matches_per_client_metric_mean():
         assert got[name] == pytest.approx(float(np.mean(expected)), abs=1e-15)
 
 
+def test_local_steps_ignore_an_evaluation_of_other_params():
+    evaluated, _, _, _ = build_clients("gcn", seed=13)
+    fresh, table, _, _ = build_clients("gcn", seed=13)
+    evaluate_global(evaluated, evaluated[0].params.copy())
+    other = init_params("gcn", table.feature_width, seed=77)
+    got = local_steps(evaluated[0], other, round_seed=4, steps=2)
+    want = local_steps(fresh[0], other, round_seed=4, steps=2)
+    assert got == want
+    assert np.array_equal(evaluated[0].params.W1, fresh[0].params.W1)
+    assert np.array_equal(evaluated[0].params.W2, fresh[0].params.W2)
+
+
 # --------------------------------------------------------- train_federation
 
 
@@ -306,6 +319,81 @@ def test_train_federation_records_every_round_and_metric():
     for _, _, metric, value in history.records:
         assert metric in METRIC_NAMES
         assert 0.0 <= value <= 1.0
+
+
+# 3 clients, 4 rounds: a gcn evaluation also serves the next round's step;
+# sage training and evaluation sample apart
+@pytest.mark.parametrize("arch, expected", [("gcn", 3 * (4 + 1)),
+                                            ("sage", 2 * 3 * 4)])
+def test_train_federation_forward_count(monkeypatch, arch, expected):
+    calls = []
+    for name in ("gcn_forward", "sage_forward"):
+        inner = getattr(fedavg, name)
+        monkeypatch.setattr(
+            fedavg, name,
+            lambda *a, _inner=inner, **kw: calls.append(1) or _inner(*a, **kw))
+    clients, _, _, _ = build_clients(arch, seed=14, n_clients=3)
+    train_federation(clients, FederationConfig(rounds=4), seed=3)
+    assert len(calls) == expected
+
+
+def reference_federation(clients, cfg, seed):
+    """train_federation with a fresh forward for every training step and
+    every evaluation; returns (history, final global params)."""
+    fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc,
+           "gmean": gmean}
+
+    def forward(client, params, seed):
+        if params.arch == "gcn":
+            return gcn_forward(params, client.adjacency,
+                               client.propagated_features)
+        return sage_forward(params, client.graph, client.features,
+                            fanout=client.fanout, seed=seed)
+
+    global_params = clients[0].params.copy()
+    history = RoundHistory()
+    for round_index in range(1, cfg.rounds + 1):
+        round_seed = derive_seed(seed, "round", round_index)
+        for client in clients:
+            client.params = global_params
+            for step in range(cfg.local_steps):
+                _, cache = forward(
+                    client, client.params,
+                    derive_seed(round_seed, client.client_id, step))
+                _, grads = loss_and_grads(client.params, cache, client.labels,
+                                          client.train_mask)
+                client.params, client.adam = adam_step(client.params, grads,
+                                                       client.adam)
+        global_params = aggregate([(c.params, c.sample_count)
+                                   for c in clients])
+        eval_seed = derive_seed(seed, "round-eval", round_index)
+        per_metric = {name: [] for name in METRIC_NAMES}
+        for client in clients:
+            logits, _ = forward(client, global_params,
+                                derive_seed(eval_seed, "eval", client.client_id))
+            result = EvalResult.from_scores(
+                softmax(logits)[:, 1][client.test_mask],
+                client.labels[client.test_mask])
+            for name in METRIC_NAMES:
+                per_metric[name].append(fns[name](result))
+        for name in METRIC_NAMES:
+            history.append(round_index, cfg.arm, name,
+                           float(np.mean(per_metric[name])))
+    return history, global_params
+
+
+@pytest.mark.parametrize("arch", ["gcn", "sage"])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_train_federation_matches_fresh_forward_reference(arch, steps):
+    cfg = FederationConfig(rounds=5, local_steps=steps)
+    clients, _, _, _ = build_clients(arch, seed=20, n_clients=3)
+    history = train_federation(clients, cfg, seed=6)
+    final = aggregate([(c.params, c.sample_count) for c in clients])
+    clients, _, _, _ = build_clients(arch, seed=20, n_clients=3)
+    want_history, want_final = reference_federation(clients, cfg, seed=6)
+    assert history.records == want_history.records
+    assert np.array_equal(final.W1, want_final.W1)
+    assert np.array_equal(final.W2, want_final.W2)
 
 
 def test_train_federation_deterministic_after_rebuilding_clients():

@@ -228,6 +228,41 @@ def test_sample_neighbor_means_matches_loop_reference():
                 loop_neighbor_means(graph, x, fanout, seed)), (seed, fanout)
 
 
+def lexsort_neighbor_means(graph, x, fanout, seed):
+    """The sampler's picks through ``np.lexsort((keys, rows))``: the same
+    uniform key per CSR entry, each row's fanout smallest keys, ties by entry
+    index; row sums accumulate in entry order, as the CSR product does."""
+    csr = graph.neighbor_csr
+    rows, nnz = csr.rows, len(csr.indices)
+    keys = np.random.default_rng(seed).random(nnz)
+    by_key = np.lexsort((keys, rows))
+    picked = np.zeros(nnz, dtype=bool)
+    picked[by_key[np.arange(nnz) - csr.indptr[rows] < fanout]] = True
+    sums = np.zeros((len(csr.nodes), x.shape[1]))
+    np.add.at(sums, rows[picked], x[csr.indices[picked]])
+    counts = np.minimum(np.diff(csr.indptr), fanout)
+    return sums / np.maximum(counts, 1)[:, None]
+
+
+def test_sample_neighbor_means_matches_lexsort_reference_bitwise():
+    # n > 2^11, where a row << 53 composite key would overflow int64, plus
+    # hub rows far above the fanout
+    for seed, n in ((0, 40), (1, 300), (2, 3000)):
+        rng = np.random.default_rng(seed)
+        ends = rng.integers(0, n, size=(3 * n, 2))
+        hubs = rng.choice(n, size=3, replace=False)
+        hub_ends = np.stack([np.repeat(hubs, 60),
+                             rng.integers(0, n, size=180)], axis=1)
+        edges = {(int(min(u, v)), int(max(u, v))): 1.0
+                 for u, v in np.concatenate([ends, hub_ends]) if u != v}
+        graph = make_graph(edges, n)
+        x = rng.standard_normal((n, 3))
+        for fanout in (1, 5, 40):
+            assert np.array_equal(
+                sample_neighbor_means(graph, x, fanout, seed),
+                lexsort_neighbor_means(graph, x, fanout, seed)), (n, fanout)
+
+
 def test_sample_neighbor_means_picks_hub_neighbors_uniformly():
     # one-hot features reveal which neighbors each draw picked
     deg, fanout, draws = 10, 3, 2000
