@@ -10,7 +10,8 @@ graphs over those nodes, one CSV per relation.
 import tempfile
 from pathlib import Path
 
-from twosfgl import SyntheticSpec, generate_synthetic, load_dataset
+from twosfgl.data import load_dataset
+from twosfgl.synth import SyntheticSpec, generate_synthetic
 
 out_dir = Path(tempfile.mkdtemp(prefix="twosfgl_demo_"))
 

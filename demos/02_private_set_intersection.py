@@ -8,7 +8,7 @@ blinds its hashed ids with a secret exponent, the other side re-blinds
 them, and only doubly blinded values ever cross the wire.
 """
 
-from twosfgl import PsiBackend, encode_id, psi_ddh, psi_plain
+from twosfgl.psi import PsiBackend, encode_id, psi_ddh, psi_plain
 
 bank_a = {101, 205, 317, 428, 512, 699}
 bank_b = {205, 317, 512, 888, 941}

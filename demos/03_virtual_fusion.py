@@ -11,8 +11,9 @@ keeps any single remote claim from dominating.
 
 import math
 
-from twosfgl import (ClientGraph, FusionConfig, apply_dp, normalize_edges,
-                     update_edge, virtual_fusion_round)
+from twosfgl.data import ClientGraph
+from twosfgl.fusion import (FusionConfig, apply_dp, normalize_edges,
+                            update_edge, virtual_fusion_round)
 
 
 def graph(name, edges, n=6):

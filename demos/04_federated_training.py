@@ -13,11 +13,13 @@ graphs and once on the fused ones, and prints the test AUC trajectory.
 import tempfile
 from pathlib import Path
 
-from twosfgl import (FederationConfig, FusionConfig, SyntheticSpec,
-                     balance_sample, derive_seed, generate_synthetic,
-                     load_dataset, make_client, stratified_split,
-                     train_federation, virtual_fusion_round, window_average,
-                     zscore_features)
+from twosfgl.data import (balance_sample, load_dataset, stratified_split,
+                          zscore_features)
+from twosfgl.fedavg import FederationConfig, make_client, train_federation
+from twosfgl.fusion import FusionConfig, virtual_fusion_round
+from twosfgl.metrics import window_average
+from twosfgl.seeding import derive_seed
+from twosfgl.synth import SyntheticSpec, generate_synthetic
 
 seed = 0
 out_dir = Path(tempfile.mkdtemp(prefix="twosfgl_demo_"))

@@ -22,7 +22,7 @@ import numpy as np
 from .data import ClientGraph, SplitAssignment
 from .gnn import (AdamState, ModelParams, adam_step, gcn_forward, init_adam,
                   init_params, loss_and_grads, normalized_adjacency,
-                  sage_forward, softmax)
+                  sage_forward)
 from .metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy, auc,
                       gmean, macro_f1)
 from .seeding import derive_seed
@@ -192,10 +192,10 @@ def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
     per_metric = {name: [] for name in METRIC_NAMES}
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc, "gmean": gmean}
     for client in clients:
-        logits, cache = _client_forward(
+        _, cache = _client_forward(
             client, params, seed=derive_seed(seed, "eval", client.client_id))
         client.eval_forward = (params, cache) if params.arch == "gcn" else None
-        scores = softmax(logits)[:, 1]
+        scores = cache.probs[:, 1]
         result = EvalResult.from_scores(
             scores[client.test_mask], client.labels[client.test_mask])
         for name in METRIC_NAMES:

@@ -15,19 +15,29 @@ Two one-hidden-layer binary node classifiers over 64-bit floats:
   ``fanout`` sampled neighbor features, passes through a relu hidden layer,
   then a linear head.  Sampling works on the graph's cached CSR: one uniform
   key per (node, neighbor) entry, the ``fanout`` smallest keys of each row
-  are kept (a uniform draw without replacement), and one sparse product
-  takes the row means.
+  are kept (a uniform draw without replacement), and each row adds up its
+  picked neighbor rows in CSR entry order, from 0.0, before the division.
+
+The sparse products are plain numpy with a fixed rounding order, which makes
+them reproducible bit for bit (and equal to scipy's CSR kernels):
+
+* A_hat holds the CSR entries plus the diagonal, sorted by (row, column).
+  Each value is (d[row] * w) * d[col], with d = 1 / sqrt(row sums); entries
+  whose value is exactly 0 (zero-weight edges) are dropped.
+* A_hat @ X adds each output's terms value * x in stored entry order,
+  starting from 0.0; A_hat^T @ X does the same with rows and columns
+  swapped.
 
 The loss is mean softmax cross-entropy over a node mask; gradients are
 analytic and verified against finite differences in the test suite.  The
-optimizer is bias-corrected Adam.
+softmax is taken once per forward and kept on its cache.  The optimizer is
+bias-corrected Adam.
 """
 
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import ClientGraph
 
@@ -35,6 +45,7 @@ __all__ = [
     "ModelParams",
     "AdamState",
     "ForwardCache",
+    "SparseMatrix",
     "init_params",
     "normalized_adjacency",
     "gcn_forward",
@@ -80,16 +91,65 @@ class AdamState:
     eps: float = 1e-8
 
 
+class SparseMatrix:
+    """A CSR matrix with the products A @ X and A^T @ X over dense X.
+
+    ``indptr``, ``indices`` and ``data`` follow scipy's CSR layout.  Each
+    output adds its terms ``data * x`` in stored entry order from 0.0, through
+    one ``np.bincount`` over flat ``row * width + column`` indices, which are
+    built once per product width.
+    """
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = shape
+        self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        self._flat = {}
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.indices] = self.data
+        return dense
+
+    def _product(self, x, transpose: bool) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        width = x.shape[1]
+        if width not in self._flat:
+            offsets = np.arange(width)
+            self._flat[width] = ((self.rows[:, None] * width + offsets).ravel(),
+                                 (self.indices[:, None] * width + offsets).ravel(),
+                                 np.repeat(self.data, width))
+        out_index, in_index, values = self._flat[width]
+        out_rows = self.shape[0]
+        if transpose:
+            out_index, in_index, out_rows = in_index, out_index, self.shape[1]
+        sums = np.bincount(out_index, weights=values * x.ravel()[in_index],
+                           minlength=out_rows * width)
+        return sums.reshape(out_rows, width)
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self._product(x, transpose=False)
+
+    def transpose_matmul(self, x) -> np.ndarray:
+        """``A^T @ x`` without building the transpose."""
+        return self._product(x, transpose=True)
+
+
 @dataclass
 class ForwardCache:
     """Activations kept from a forward pass, sufficient for backward."""
 
     arch: str
-    adjacency: sp.csr_matrix | None   # gcn only
+    adjacency: SparseMatrix | None    # gcn only
     inputs: np.ndarray                # gcn: A_hat . X;  sage: [X || H_N]
     pre_hidden: np.ndarray            # hidden pre-activation
     hidden: np.ndarray                # relu output
     logits: np.ndarray
+    probs: np.ndarray                 # softmax(logits)
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -111,7 +171,7 @@ def init_params(arch: str, feature_width: int, seed: int = 0,
     )
 
 
-def normalized_adjacency(graph: ClientGraph) -> sp.csr_matrix:
+def normalized_adjacency(graph: ClientGraph) -> SparseMatrix:
     """Symmetrically normalized weighted adjacency with unit self-loops.
 
     Rows/columns follow ``graph.neighbor_csr.nodes``.  Every diagonal degree
@@ -121,17 +181,23 @@ def normalized_adjacency(graph: ClientGraph) -> sp.csr_matrix:
     csr = graph.neighbor_csr
     n = len(csr.nodes)
     loops = np.arange(n)
-    # built through COO so the zero-weight entries stay until the products:
-    # the degree row sums add them in, and their order fixes the rounding
-    a_tilde = sp.csr_matrix(
-        (np.concatenate([csr.weights, np.ones(n)]),
-         (np.concatenate([csr.rows, loops]), np.concatenate([csr.indices, loops]))),
-        shape=(n, n))
-    d_half = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
-    return (d_half @ a_tilde @ d_half).tocsr()
+    # each self-loop goes after the row's entries below the diagonal; the
+    # zero-weight entries stay for the degree sums, whose order fixes the
+    # rounding, and leave only with the zero values
+    at = csr.indptr[:-1] + np.bincount(csr.rows[csr.indices < csr.rows],
+                                       minlength=n)
+    cols = np.insert(csr.indices, at, loops)
+    weights = np.insert(csr.weights, at, 1.0)
+    indptr = csr.indptr + np.arange(n + 1)
+    rows = np.repeat(loops, np.diff(indptr))
+    d_half = 1.0 / np.sqrt(np.add.reduceat(weights, indptr[:-1]))
+    values = (d_half[rows] * weights) * d_half[cols]
+    kept = values != 0.0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=n))))
+    return SparseMatrix(indptr, cols[kept], values[kept], (n, n))
 
 
-def gcn_forward(params: ModelParams, adjacency: sp.csr_matrix,
+def gcn_forward(params: ModelParams, adjacency: SparseMatrix,
                 propagated_features: np.ndarray):
     """Forward pass from the first propagation ``adjacency @ X``, which the
     caller computes once; propagates the N x 2 product ``hidden @ W2``
@@ -146,7 +212,8 @@ def gcn_forward(params: ModelParams, adjacency: sp.csr_matrix,
     hidden = np.maximum(pre, 0.0)
     logits = adjacency @ (hidden @ params.W2)
     cache = ForwardCache(arch="gcn", adjacency=adjacency, inputs=ax,
-                         pre_hidden=pre, hidden=hidden, logits=logits)
+                         pre_hidden=pre, hidden=hidden, logits=logits,
+                         probs=softmax(logits))
     return logits, cache
 
 
@@ -176,11 +243,12 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
     by_key = np.argsort(rows * nnz + key_rank, kind="stable")
     picked = np.zeros(nnz, dtype=bool)
     picked[by_key[np.arange(nnz) - indptr[rows] < fanout]] = True
-    counts = np.minimum(degree, fanout)
-    sums = sp.csr_matrix(
-        (np.ones(int(counts.sum())), indices[picked],
-         np.concatenate(([0], np.cumsum(counts)))), shape=(n, n)) @ features
-    return sums / np.maximum(counts, 1)[:, None]
+    # each row adds its picked feature rows in CSR entry order, from 0.0
+    width = features.shape[1]
+    flat = (rows[picked, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=features[indices[picked]].ravel(),
+                       minlength=n * width).reshape(n, width)
+    return sums / np.maximum(np.minimum(degree, fanout), 1)[:, None]
 
 
 def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
@@ -198,7 +266,8 @@ def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ params.W2
     cache = ForwardCache(arch="sage", adjacency=None, inputs=concat,
-                         pre_hidden=pre, hidden=hidden, logits=logits)
+                         pre_hidden=pre, hidden=hidden, logits=logits,
+                         probs=softmax(logits))
     return logits, cache
 
 
@@ -220,7 +289,7 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     if n_masked == 0:
         raise ValueError("loss mask is empty")
     labels = np.asarray(labels, dtype=np.int64)
-    probs = softmax(cache.logits)
+    probs = cache.probs
     picked = probs[mask, labels[mask]]
     loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
 
@@ -230,8 +299,8 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     grad_logits /= n_masked
 
     # gradient w.r.t. the unpropagated logits hidden @ W2 (N x 2)
-    grad_head = (cache.adjacency.T @ grad_logits if cache.arch == "gcn"
-                 else grad_logits)
+    grad_head = (cache.adjacency.transpose_matmul(grad_logits)
+                 if cache.arch == "gcn" else grad_logits)
     grad_w2 = cache.hidden.T @ grad_head
     grad_hidden = grad_head @ params.W2.T
     grad_pre = grad_hidden * (cache.pre_hidden > 0)

@@ -121,6 +121,46 @@ def test_normalized_adjacency_matches_loop_reference_bitwise():
         assert np.array_equal(got.data, ref.data)
 
 
+def product_test_graph(seed):
+    """Non-contiguous ids, a hub row far longer than 8 entries, zero-weight
+    edges (a zero-weight-only vertex among them) and isolated vertices."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(1000, size=60, replace=False)
+    hub, zero_only, *rest = ids[:-4].tolist()
+    pairs = {(min(hub, v), max(hub, v)) for v in rest}
+    pairs |= {(int(min(a, b)), int(max(a, b)))
+              for a, b in itertools.combinations(rest, 2) if rng.random() < 0.2}
+    edges = {pair: 0.0 if rng.random() < 0.15 else float(rng.uniform(0.01, 5.0))
+             for pair in pairs}
+    edges[(min(hub, zero_only), max(hub, zero_only))] = 0.0
+    return ClientGraph(relation_name="g", vertices=frozenset(ids.tolist()),
+                       edges=edge_array(edges))
+
+
+@pytest.mark.parametrize("width", [1, 2, 8])
+def test_adjacency_products_match_scipy_bitwise(width):
+    for seed in range(4):
+        g = product_test_graph(seed)
+        adj, ref = normalized_adjacency(g), loop_normalized_adjacency(g)
+        x = np.random.default_rng(seed).standard_normal((len(g.vertices), width))
+        x *= 10.0 ** np.random.default_rng(seed + 1).uniform(-6, 6, x.shape)
+        assert np.array_equal(adj @ x, ref @ x)
+        assert np.array_equal(adj.transpose_matmul(x), ref.T @ x)
+
+
+def test_adjacency_toarray_matches_dense_oracle_and_drops_only_zeros():
+    for seed in range(4):
+        g = product_test_graph(seed)
+        adj = normalized_adjacency(g)
+        dense = dense_normalized_adjacency(g)
+        assert adj.shape == dense.shape
+        assert np.allclose(adj.toarray(), dense, rtol=1e-14, atol=0.0)
+        # every nonzero of the dense oracle is stored, nothing else is
+        assert adj.nnz == np.count_nonzero(dense)
+        assert adj.nnz == len(g.vertices) + 2 * int((g.edges.weight > 0).sum())
+        assert np.all(adj.data != 0.0)
+
+
 # ------------------------------------------------------------------ forward
 
 
@@ -325,6 +365,16 @@ def test_sage_forward_seed_controls_sampling():
     assert not np.array_equal(l1, l3)
     with pytest.raises(ValueError, match="requires sage"):
         sage_forward(init_params("gcn", 3), g, x)
+
+
+def test_forward_caches_its_softmax():
+    graph, x, _ = random_setup(6)
+    _, gcn_cache = gcn_forward(init_params("gcn", x.shape[1], seed=6),
+                               *gcn_inputs(graph, x))
+    _, sage_cache = sage_forward(init_params("sage", x.shape[1], seed=6),
+                                 graph, x, fanout=3, seed=6)
+    for cache in (gcn_cache, sage_cache):
+        assert np.array_equal(cache.probs, softmax(cache.logits))
 
 
 def test_softmax_matches_scipy_and_handles_extremes():
