@@ -13,6 +13,10 @@ results are bit-identical.  The client keeps that forward and its first step
 reuses it instead of running the same products again.  SAGE does not reuse
 it: evaluation and training sample neighbors with different seeds, so their
 forwards differ.
+
+Each client owns the N x hidden buffers its forwards and backwards write
+into (``gnn.HiddenBuffers``), so the kept evaluation forward stays intact
+until the client's next forward, and no two clients share memory.
 """
 
 from dataclasses import dataclass
@@ -20,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClientGraph, SplitAssignment
-from .gnn import (AdamState, ModelParams, adam_step, gcn_forward, init_adam,
-                  init_params, loss_and_grads, normalized_adjacency,
-                  sage_forward)
+from .gnn import (AdamState, HiddenBuffers, ModelParams, adam_step,
+                  gcn_forward, init_adam, init_params, loss_and_grads,
+                  normalized_adjacency, sage_forward)
 from .metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy, auc,
                       gmean, macro_f1)
 from .seeding import derive_seed
@@ -57,6 +61,7 @@ class ClientState:
     adjacency: object = None             # cached for gcn
     propagated_features: np.ndarray = None   # gcn: adjacency @ features
     fanout: int = DEFAULT_FANOUT
+    buffers: HiddenBuffers = None        # this client's N x hidden arrays
     # gcn: (params, cache) of the last evaluation forward, for the next
     # local step that adopts these same params
     eval_forward: tuple | None = None
@@ -110,7 +115,8 @@ def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
         adam=init_adam(params, lr=lr), sample_count=int(train_mask.sum()),
         features=feats, labels=labels, train_mask=train_mask,
         test_mask=test_mask, adjacency=adjacency, propagated_features=ax,
-        fanout=fanout)
+        fanout=fanout,
+        buffers=HiddenBuffers.empty(len(nodes), params.W1.shape[1]))
 
 
 def aggregate(updates) -> ModelParams:
@@ -141,9 +147,10 @@ def aggregate(updates) -> ModelParams:
 
 def _client_forward(client: ClientState, params: ModelParams, seed: int):
     if params.arch == "gcn":
-        return gcn_forward(params, client.adjacency, client.propagated_features)
+        return gcn_forward(params, client.adjacency, client.propagated_features,
+                           buffers=client.buffers)
     return sage_forward(params, client.graph, client.features,
-                        fanout=client.fanout, seed=seed)
+                        fanout=client.fanout, seed=seed, buffers=client.buffers)
 
 
 def local_steps(client: ClientState, global_params: ModelParams,

@@ -26,7 +26,17 @@ them reproducible bit for bit (and equal to scipy's CSR kernels):
   whose value is exactly 0 (zero-weight edges) are dropped.
 * A_hat @ X adds each output's terms value * x in stored entry order,
   starting from 0.0; A_hat^T @ X does the same with rows and columns
-  swapped.
+  swapped.  The product goes one output column at a time: the column's
+  nnz terms are gathered and multiplied into one nnz-long scratch array,
+  then summed per output row by np.bincount, so no index array wider than
+  nnz is ever built.
+
+Each client owns one set of N x hidden buffers (``HiddenBuffers``): the
+forward writes the hidden pre-activation and the hidden layer into them, and
+``loss_and_grads`` writes the hidden-layer gradient, so a training step
+allocates nothing of that size.  A cache made with a client's buffers stays
+valid until that client's next forward, which overwrites them.  A forward
+called without buffers allocates fresh ones.
 
 The loss is mean softmax cross-entropy over a node mask; gradients are
 analytic and verified against finite differences in the test suite.  The
@@ -45,6 +55,7 @@ __all__ = [
     "ModelParams",
     "AdamState",
     "ForwardCache",
+    "HiddenBuffers",
     "SparseMatrix",
     "init_params",
     "normalized_adjacency",
@@ -95,16 +106,15 @@ class SparseMatrix:
     """A CSR matrix with the products A @ X and A^T @ X over dense X.
 
     ``indptr``, ``indices`` and ``data`` follow scipy's CSR layout.  Each
-    output adds its terms ``data * x`` in stored entry order from 0.0, through
-    one ``np.bincount`` over flat ``row * width + column`` indices, which are
-    built once per product width.
+    output adds its terms ``data * x`` in stored entry order from 0.0, one
+    output column per ``np.bincount`` over the entries' row (or, transposed,
+    column) indices.
     """
 
     def __init__(self, indptr, indices, data, shape):
         self.indptr, self.indices, self.data = indptr, indices, data
         self.shape = shape
         self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
-        self._flat = {}
 
     @property
     def nnz(self) -> int:
@@ -117,19 +127,17 @@ class SparseMatrix:
 
     def _product(self, x, transpose: bool) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        width = x.shape[1]
-        if width not in self._flat:
-            offsets = np.arange(width)
-            self._flat[width] = ((self.rows[:, None] * width + offsets).ravel(),
-                                 (self.indices[:, None] * width + offsets).ravel(),
-                                 np.repeat(self.data, width))
-        out_index, in_index, values = self._flat[width]
-        out_rows = self.shape[0]
+        out_index, in_index, out_rows = self.rows, self.indices, self.shape[0]
         if transpose:
             out_index, in_index, out_rows = in_index, out_index, self.shape[1]
-        sums = np.bincount(out_index, weights=values * x.ravel()[in_index],
-                           minlength=out_rows * width)
-        return sums.reshape(out_rows, width)
+        out = np.empty((out_rows, x.shape[1]))
+        terms = np.empty(self.nnz)
+        for col in range(x.shape[1]):
+            np.take(x[:, col], in_index, out=terms)
+            np.multiply(self.data, terms, out=terms)
+            out[:, col] = np.bincount(out_index, weights=terms,
+                                      minlength=out_rows)
+        return out
 
     def __matmul__(self, x) -> np.ndarray:
         return self._product(x, transpose=False)
@@ -140,16 +148,40 @@ class SparseMatrix:
 
 
 @dataclass
+class HiddenBuffers:
+    """The N x hidden arrays one client's forwards and backwards write into."""
+
+    pre_hidden: np.ndarray            # hidden pre-activation
+    hidden: np.ndarray                # relu output
+    grad_hidden: np.ndarray           # hidden-layer gradient, relu-masked
+
+    @classmethod
+    def empty(cls, rows: int, width: int) -> "HiddenBuffers":
+        return cls(*(np.empty((rows, width)) for _ in range(3)))
+
+
+@dataclass
 class ForwardCache:
-    """Activations kept from a forward pass, sufficient for backward."""
+    """Activations kept from a forward pass, sufficient for backward.
+
+    ``buffers`` holds the hidden layer; the next forward into the same
+    buffers overwrites it.
+    """
 
     arch: str
     adjacency: SparseMatrix | None    # gcn only
     inputs: np.ndarray                # gcn: A_hat . X;  sage: [X || H_N]
-    pre_hidden: np.ndarray            # hidden pre-activation
-    hidden: np.ndarray                # relu output
+    buffers: HiddenBuffers
     logits: np.ndarray
     probs: np.ndarray                 # softmax(logits)
+
+    @property
+    def pre_hidden(self) -> np.ndarray:
+        return self.buffers.pre_hidden
+
+    @property
+    def hidden(self) -> np.ndarray:
+        return self.buffers.hidden
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -197,23 +229,33 @@ def normalized_adjacency(graph: ClientGraph) -> SparseMatrix:
     return SparseMatrix(indptr, cols[kept], values[kept], (n, n))
 
 
+def _hidden_layer(inputs: np.ndarray, w1: np.ndarray,
+                  buffers: HiddenBuffers | None) -> HiddenBuffers:
+    """relu(inputs @ W1), written into ``buffers`` (fresh ones if None)."""
+    if buffers is None:
+        buffers = HiddenBuffers.empty(len(inputs), w1.shape[1])
+    np.matmul(inputs, w1, out=buffers.pre_hidden)
+    np.maximum(buffers.pre_hidden, 0.0, out=buffers.hidden)
+    return buffers
+
+
 def gcn_forward(params: ModelParams, adjacency: SparseMatrix,
-                propagated_features: np.ndarray):
+                propagated_features: np.ndarray,
+                buffers: HiddenBuffers | None = None):
     """Forward pass from the first propagation ``adjacency @ X``, which the
     caller computes once; propagates the N x 2 product ``hidden @ W2``
-    itself.  Returns (logits, cache)."""
+    itself.  The hidden layer goes into ``buffers``.  Returns (logits,
+    cache)."""
     if params.arch != "gcn":
         raise ValueError("gcn_forward requires gcn params")
     ax = np.asarray(propagated_features, dtype=np.float64)
     if ax.shape[1] != params.W1.shape[0]:
         raise ValueError(f"feature width {ax.shape[1]} does not match "
                          f"W1 rows {params.W1.shape[0]}")
-    pre = ax @ params.W1
-    hidden = np.maximum(pre, 0.0)
-    logits = adjacency @ (hidden @ params.W2)
+    buffers = _hidden_layer(ax, params.W1, buffers)
+    logits = adjacency @ (buffers.hidden @ params.W2)
     cache = ForwardCache(arch="gcn", adjacency=adjacency, inputs=ax,
-                         pre_hidden=pre, hidden=hidden, logits=logits,
-                         probs=softmax(logits))
+                         buffers=buffers, logits=logits, probs=softmax(logits))
     return logits, cache
 
 
@@ -252,8 +294,10 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
 
 
 def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
-                 fanout: int = 5, seed: int = 0):
-    """Sample-and-aggregate forward pass; returns (logits, cache)."""
+                 fanout: int = 5, seed: int = 0,
+                 buffers: HiddenBuffers | None = None):
+    """Sample-and-aggregate forward pass; the hidden layer goes into
+    ``buffers``.  Returns (logits, cache)."""
     if params.arch != "sage":
         raise ValueError("sage_forward requires sage params")
     features = np.asarray(features, dtype=np.float64)
@@ -262,12 +306,10 @@ def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
                          f"W1 rows {params.W1.shape[0]} (expected 2F)")
     neighbor_mean = sample_neighbor_means(graph, features, fanout, seed)
     concat = np.concatenate([features, neighbor_mean], axis=1)
-    pre = concat @ params.W1
-    hidden = np.maximum(pre, 0.0)
-    logits = hidden @ params.W2
+    buffers = _hidden_layer(concat, params.W1, buffers)
+    logits = buffers.hidden @ params.W2
     cache = ForwardCache(arch="sage", adjacency=None, inputs=concat,
-                         pre_hidden=pre, hidden=hidden, logits=logits,
-                         probs=softmax(logits))
+                         buffers=buffers, logits=logits, probs=softmax(logits))
     return logits, cache
 
 
@@ -281,8 +323,9 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
                    labels: np.ndarray, mask: np.ndarray):
     """Mean softmax cross-entropy over masked nodes, with analytic grads.
 
-    ``mask`` is a boolean vector over the cache's node rows.  Returns
-    (loss, grads) with grads shaped like the params.
+    ``mask`` is a boolean vector over the cache's node rows.  The N x hidden
+    gradient goes into the cache's buffers.  Returns (loss, grads) with
+    grads shaped like the params.
     """
     mask = np.asarray(mask, dtype=bool)
     n_masked = int(mask.sum())
@@ -302,8 +345,8 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     grad_head = (cache.adjacency.transpose_matmul(grad_logits)
                  if cache.arch == "gcn" else grad_logits)
     grad_w2 = cache.hidden.T @ grad_head
-    grad_hidden = grad_head @ params.W2.T
-    grad_pre = grad_hidden * (cache.pre_hidden > 0)
+    grad_pre = np.matmul(grad_head, params.W2.T, out=cache.buffers.grad_hidden)
+    grad_pre *= cache.pre_hidden > 0
     grad_w1 = cache.inputs.T @ grad_pre
     return loss, ModelParams(arch=cache.arch, W1=grad_w1, W2=grad_w2)
 

@@ -7,6 +7,7 @@ equals pair counting exactly.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +50,16 @@ class EvalResult:
         return cls(scores=scores, preds=(scores >= 0.5).astype(np.int64),
                    labels=labels)
 
-
-def _counts(result: EvalResult):
-    pos = result.labels == 1
-    neg = ~pos
-    tp = int(np.sum(result.preds[pos] == 1))
-    fn = int(np.sum(result.preds[pos] == 0))
-    tn = int(np.sum(result.preds[neg] == 0))
-    fp = int(np.sum(result.preds[neg] == 1))
-    return tp, fn, tn, fp
+    @cached_property
+    def counts(self) -> tuple:
+        """Confusion counts (tp, fn, tn, fp), computed on first use."""
+        pos = self.labels == 1
+        neg = ~pos
+        tp = int(np.sum(self.preds[pos] == 1))
+        fn = int(np.sum(self.preds[pos] == 0))
+        tn = int(np.sum(self.preds[neg] == 0))
+        fp = int(np.sum(self.preds[neg] == 1))
+        return tp, fn, tn, fp
 
 
 def accuracy(result: EvalResult) -> float:
@@ -67,7 +69,7 @@ def accuracy(result: EvalResult) -> float:
 def macro_f1(result: EvalResult) -> float:
     """Unweighted mean of per-class F1; a class with empty denominator
     contributes 0."""
-    tp, fn, tn, fp = _counts(result)
+    tp, fn, tn, fp = result.counts
     f1_pos = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else 0.0
     f1_neg = 2 * tn / (2 * tn + fn + fp) if (2 * tn + fn + fp) > 0 else 0.0
     return (f1_pos + f1_neg) / 2.0
@@ -76,7 +78,7 @@ def macro_f1(result: EvalResult) -> float:
 def gmean(result: EvalResult) -> float:
     """Geometric mean of the two class recalls; 0 when either is 0 or a
     class is absent."""
-    tp, fn, tn, fp = _counts(result)
+    tp, fn, tn, fp = result.counts
     tpr = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     tnr = tn / (tn + fp) if (tn + fp) > 0 else 0.0
     return float(np.sqrt(tpr * tnr))

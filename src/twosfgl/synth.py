@@ -9,6 +9,10 @@ slices, so no single relation sees the whole ring and fusing the relations
 is genuinely informative.  Features are Gaussian with a class-dependent mean
 shift.  Output is written in the dataset CSV contract and is byte-identical
 for a fixed seed.
+
+Edges are drawn by index into the lexicographic order of the candidate pairs
+(u < v, by u then v), and only the drawn indices are mapped back to pairs, so
+memory grows with the number of edges, not with the N(N-1)/2 candidates.
 """
 
 import math
@@ -52,19 +56,24 @@ class SyntheticSpec:
         return [f"rel{k}" for k in range(self.relations)]
 
 
-def _sample_pairs(rng, candidates: list, p: float) -> set:
-    """Bernoulli(p) over a list of candidate pairs, drawn as a batch."""
-    if not candidates or p <= 0.0:
-        return set()
+def _sample_pair_indices(rng, count: int, p: float) -> np.ndarray:
+    """Bernoulli(p) over ``count`` candidates, drawn as a batch; returns the
+    indices of the chosen candidates (unordered, without repeats)."""
+    if count == 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
     if p >= 1.0:
-        return set(candidates)
-    count = rng.binomial(len(candidates), p)
-    picked = rng.choice(len(candidates), size=count, replace=False)
-    return {candidates[i] for i in picked}
+        return np.arange(count)
+    drawn = rng.binomial(count, p)
+    return rng.choice(count, size=drawn, replace=False)
 
 
-def _all_pairs(n: int) -> list:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _pairs_at(n: int, index: np.ndarray):
+    """The (u, v) pairs at positions ``index`` of the lexicographic order of
+    all pairs u < v < n."""
+    u_range = np.arange(n)
+    first = u_range * (2 * n - u_range - 1) // 2   # index of the pair (u, u + 1)
+    u = np.searchsorted(first, index, side="right") - 1
+    return u, index - first[u] + u + 1
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir):
@@ -91,7 +100,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir):
     write_node_table(NodeTable(features=features, labels=labels), node_path)
 
     bg_rng = np.random.default_rng(derive_seed(seed, "synth-background"))
-    background = _sample_pairs(bg_rng, _all_pairs(n), spec.inter_p)
+    bg_u, bg_v = _pairs_at(n, _sample_pair_indices(bg_rng, n * (n - 1) // 2,
+                                                    spec.inter_p))
 
     relation_paths = {}
     for name in spec.relation_names():
@@ -99,16 +109,20 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir):
         observed = rel_rng.choice(fraud_ids, size=max(2, round(spec.coverage * n_fraud)),
                                   replace=False)
         observed = np.sort(observed)
-        block = [(int(u), int(v))
-                 for idx, u in enumerate(observed) for v in observed[idx + 1:]]
-        edges = _sample_pairs(rel_rng, block, spec.intra_p)
-        block_set = set(block)
-        edges |= {pair for pair in background if pair not in block_set}
+        m = len(observed)
+        i, j = _pairs_at(m, _sample_pair_indices(rel_rng, m * (m - 1) // 2,
+                                                 spec.intra_p))
+        in_block = np.zeros(n, dtype=bool)
+        in_block[observed] = True
+        outside = ~(in_block[bg_u] & in_block[bg_v])
+        u = np.concatenate((observed[i], bg_u[outside]))
+        v = np.concatenate((observed[j], bg_v[outside]))
+        order = np.lexsort((v, u))
 
         path = out_dir / f"{name}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# src,dst\n")
-            for u, v in sorted(edges):
-                fh.write(f"{u},{v}\n")
+            fh.writelines(f"{a},{b}\n"
+                          for a, b in zip(u[order].tolist(), v[order].tolist()))
         relation_paths[name] = path
     return node_path, relation_paths

@@ -1,17 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from edge_arrays import edge_array
-from twosfgl.data import ClientGraph, NodeTable, SplitAssignment
+from twosfgl.data import EDGE_DTYPE, ClientGraph, NodeTable, SplitAssignment
 from twosfgl import fedavg
 from twosfgl.fedavg import (FederationConfig, aggregate,
                             evaluate_global, federated_round, local_steps,
                             make_client, train_federation)
-from twosfgl.gnn import (ModelParams, adam_step, gcn_forward, init_params,
-                         loss_and_grads, sage_forward, softmax)
+from twosfgl.gnn import (HIDDEN_UNITS, ModelParams, adam_step, gcn_forward,
+                         init_params, loss_and_grads, sage_forward, softmax)
 from twosfgl.metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy,
                              auc, gmean, macro_f1)
 from twosfgl.seeding import derive_seed
@@ -338,8 +339,9 @@ def test_train_federation_forward_count(monkeypatch, arch, expected):
 
 
 def reference_federation(clients, cfg, seed):
-    """train_federation with a fresh forward for every training step and
-    every evaluation; returns (history, final global params)."""
+    """train_federation with a fresh forward, into freshly allocated
+    arrays, for every training step and every evaluation; returns (history,
+    final global params)."""
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc,
            "gmean": gmean}
 
@@ -394,6 +396,68 @@ def test_train_federation_matches_fresh_forward_reference(arch, steps):
     assert history.records == want_history.records
     assert np.array_equal(final.W1, want_final.W1)
     assert np.array_equal(final.W2, want_final.W2)
+
+
+@pytest.mark.parametrize("arch", ["gcn", "sage"])
+def test_clients_never_share_forward_memory(arch):
+    clients, _, _, _ = build_clients(arch, seed=21, n_clients=3)
+    train_federation(clients, FederationConfig(rounds=2), seed=0)
+    owned = []
+    for client in clients:
+        buffers = client.buffers
+        arrays = [buffers.pre_hidden, buffers.hidden, buffers.grad_hidden]
+        if client.eval_forward is not None:
+            cache = client.eval_forward[1]
+            assert cache.buffers is buffers
+            arrays += [cache.logits, cache.probs]
+        owned.append(arrays)
+    for mine, theirs in itertools.combinations(owned, 2):
+        for a, b in itertools.product(mine, theirs):
+            assert not np.shares_memory(a, b)
+
+
+def sparse_world(seed, n, n_clients=3, features=8, degree=10):
+    """Node table plus one random unit-weight graph of mean degree about
+    ``degree`` per client, and a 60/40 split."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, features))
+    table = NodeTable(features=x, labels=(x[:, 0] > 0).astype(np.int64))
+    graphs = []
+    for k in range(n_clients):
+        ends = rng.integers(0, n, size=(n * degree // 2, 2))
+        ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+        edges = np.rec.fromarrays([ends[:, 0], ends[:, 1], np.ones(len(ends))],
+                                  dtype=EDGE_DTYPE)
+        graphs.append(ClientGraph(relation_name=f"rel{k}",
+                                  vertices=frozenset(range(n)), edges=edges,
+                                  node_ref=table))
+    ids = rng.permutation(n).tolist()
+    split = SplitAssignment(train_ids=frozenset(ids[:int(0.6 * n)]),
+                            test_ids=frozenset(ids[int(0.6 * n):]))
+    return table, graphs, split
+
+
+def test_steady_state_gcn_round_allocates_less_than_a_hidden_layer():
+    n = 2000
+    table, graphs, split = sparse_world(22, n)
+    clients = [make_client(f"c{k}", graph, split, "gcn", table.features,
+                           seed=k) for k, graph in enumerate(graphs)]
+    global_params = clients[0].params.copy()
+
+    def one_round(round_index, params):
+        params, _ = federated_round(clients, params, round_seed=round_index)
+        evaluate_global(clients, params, seed=round_index)
+        return params
+
+    for round_index in range(2):   # warm-up
+        global_params = one_round(round_index, global_params)
+    tracemalloc.start()
+    try:
+        one_round(2, global_params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * HIDDEN_UNITS * 8, peak
 
 
 def test_train_federation_deterministic_after_rebuilding_clients():

@@ -68,6 +68,15 @@ def test_gmean_hand_and_zero_cases():
     assert gmean(result([0.9, 0.8], [1, 1])) == 0.0
 
 
+def test_confusion_counts_are_taken_once_per_result():
+    r = result([0.9, 0.6, 0.2, 0.7, 0.1], [1, 1, 1, 0, 0])
+    counts = r.counts
+    assert counts == (2, 1, 1, 1)  # tp, fn, tn, fp
+    macro_f1(r)
+    gmean(r)
+    assert r.counts is counts
+
+
 def test_auc_hand_case():
     assert auc(result([0.9, 0.8, 0.3, 0.2], [1, 0, 1, 0])) == pytest.approx(0.75)
 

@@ -130,10 +130,19 @@ def test_in_subgroup_rejects_bad_elements():
                          ids=["small", "2048"])
 def test_in_subgroup_matches_euler_criterion(backend):
     p, q = backend.modulus, backend.order
+    edge_cases = [0, 1, p - 1, p]
+    expected = [1 <= e < p and pow(e, q, p) == 1 for e in edge_cases]
+    # the random elements' answers hold by construction: squares are in the
+    # order-q subgroup, and a non-residue times a square is not
+    non_residue = next(g for g in range(2, p) if pow(g, q, p) != 1)
     rng = random.Random(p.bit_length())
-    elements = [0, 1, p - 1, p] + [rng.randrange(1, p) for _ in range(300)]
-    expected = [1 <= e < p and pow(e, q, p) == 1 for e in elements]
-    assert [backend.in_subgroup(e) for e in elements] == expected
+    elements = []
+    for _ in range(300):
+        square = pow(rng.randrange(1, p), 2, p)
+        inside = rng.random() < 0.5
+        elements.append(square if inside else non_residue * square % p)
+        expected.append(inside)
+    assert [backend.in_subgroup(e) for e in edge_cases + elements] == expected
     assert 100 < sum(expected) < 200  # both answers are exercised
 
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from edge_arrays import edge_dict
 from twosfgl.data import load_dataset, load_node_table, load_relation
-from twosfgl.synth import SyntheticSpec, _sample_pairs, generate_synthetic
+from twosfgl.seeding import derive_seed
+from twosfgl.synth import (SyntheticSpec, _pairs_at, _sample_pair_indices,
+                           generate_synthetic)
 
 
 def small_spec(**kw):
@@ -44,18 +48,86 @@ def test_spec_rejects_bad_values(kw):
 def test_sample_pairs_edge_cases():
     rng = np.random.default_rng(0)
     pairs = [(0, 1), (0, 2), (1, 2)]
-    assert _sample_pairs(rng, [], 0.5) == set()
-    assert _sample_pairs(rng, pairs, 0.0) == set()
-    assert _sample_pairs(rng, pairs, 1.0) == set(pairs)
-    picked = _sample_pairs(rng, pairs, 0.5)
-    assert picked <= set(pairs)
+    u, v = _pairs_at(3, np.arange(3))
+    assert list(zip(u.tolist(), v.tolist())) == pairs
+    assert _sample_pair_indices(rng, 0, 0.5).size == 0
+    assert _sample_pair_indices(rng, 3, 0.0).size == 0
+    assert _sample_pair_indices(rng, 3, 1.0).tolist() == [0, 1, 2]
+    picked = _sample_pair_indices(rng, 3, 0.5).tolist()
+    assert set(picked) <= {0, 1, 2} and len(set(picked)) == len(picked)
 
 
 def test_sample_pairs_rate_is_calibrated():
     rng = np.random.default_rng(1)
-    candidates = [(0, i) for i in range(1, 20001)]
-    picked = _sample_pairs(rng, candidates, 0.1)
-    assert 0.08 < len(picked) / len(candidates) < 0.12
+    picked = _sample_pair_indices(rng, 20000, 0.1)
+    assert len(np.unique(picked)) == len(picked)
+    assert 0.08 < len(picked) / 20000 < 0.12
+
+
+def reference_sample_pairs(rng, candidates: list, p: float) -> set:
+    """Bernoulli(p) over a list of every candidate pair."""
+    if not candidates or p <= 0.0:
+        return set()
+    if p >= 1.0:
+        return set(candidates)
+    count = rng.binomial(len(candidates), p)
+    picked = rng.choice(len(candidates), size=count, replace=False)
+    return {candidates[i] for i in picked}
+
+
+def reference_relation_files(spec, seed):
+    """Each relation CSV's text, from samplers that list all N(N-1)/2 pairs
+    and every pair of the fraud block, with the same RNG calls."""
+    n = spec.nodes
+    n_fraud = max(1, round(spec.fraud_fraction * n))
+    rng = np.random.default_rng(derive_seed(seed, "synth-nodes"))
+    fraud_ids = np.sort(rng.choice(n, size=n_fraud, replace=False))
+    bg_rng = np.random.default_rng(derive_seed(seed, "synth-background"))
+    background = reference_sample_pairs(
+        bg_rng, [(u, v) for u in range(n) for v in range(u + 1, n)],
+        spec.inter_p)
+    files = {}
+    for name in spec.relation_names():
+        rel_rng = np.random.default_rng(derive_seed(seed, "synth-relation", name))
+        observed = np.sort(rel_rng.choice(
+            fraud_ids, size=max(2, round(spec.coverage * n_fraud)),
+            replace=False))
+        block = [(int(u), int(v))
+                 for idx, u in enumerate(observed) for v in observed[idx + 1:]]
+        edges = reference_sample_pairs(rel_rng, block, spec.intra_p)
+        block_set = set(block)
+        edges |= {pair for pair in background if pair not in block_set}
+        files[f"{name}.csv"] = "# src,dst\n" + "".join(
+            f"{u},{v}\n" for u, v in sorted(edges))
+    return files
+
+
+@pytest.mark.parametrize("inter_p", [0.0, 0.005, 0.5, 1.0])
+@pytest.mark.parametrize("intra_p", [0.0, 0.005, 0.5, 1.0])
+def test_generate_matches_all_pairs_reference_bitwise(tmp_path, inter_p,
+                                                      intra_p):
+    for nodes, coverage, seed in [(10, 0.6, 0), (41, 1.0, 1), (150, 0.6, 2),
+                                  (150, 1.0, 3)]:
+        spec = small_spec(nodes=nodes, inter_p=inter_p, intra_p=intra_p,
+                          coverage=coverage, relations=3)
+        out = tmp_path / f"{nodes}-{seed}"
+        _, relation_paths = generate_synthetic(spec, seed=seed, out_dir=out)
+        want = reference_relation_files(spec, seed)
+        got = {path.name: path.read_text() for path in relation_paths.values()}
+        assert got == want, (nodes, coverage)
+
+
+def test_generate_memory_grows_with_edges_not_pairs(tmp_path):
+    # 4.5M candidate pairs at N=3000: listing them traced over 400 MB, while
+    # drawing the ~31k edges of each relation by index stays near 5 MB
+    spec = SyntheticSpec(nodes=3000)
+    tracemalloc.start()
+    try:
+        generate_synthetic(spec, seed=0, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 # ------------------------------------------------------------- file outputs
