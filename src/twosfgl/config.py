@@ -6,6 +6,7 @@ config text alone.  Unknown keys are rejected with the offending line number.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,8 @@ class ConfigError(ValueError):
 
 _ARCHES = ("gcn", "sage")
 _PSI_BACKENDS = {"plain": PsiBackend.plain, "ddh": PsiBackend.ddh}
+# a relation name becomes a CSV field, a file-name part and an arm suffix
+_RELATION_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass
@@ -52,6 +55,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seed in {self.seeds}")
         if not self.arms:
             raise ConfigError("need at least one arm")
         for arm in self.arms:
@@ -63,6 +68,22 @@ class ExperimentConfig:
             raise ConfigError("synth.* and data.* are mutually exclusive")
         if self.node_path is not None and not self.relation_paths:
             raise ConfigError("data.nodes given but no data.relation.<name> keys")
+        if not 0 < self.train_frac < 1:
+            raise ConfigError("split.train_frac must lie in (0, 1), got "
+                              f"{self.train_frac}")
+        # ratio_high = 0 would drop every positive, which no metric survives
+        if not 0 <= self.ratio_low <= self.ratio_high or self.ratio_high == 0:
+            raise ConfigError("sample ratios must satisfy 0 <= ratio_low <= "
+                              f"ratio_high, ratio_high > 0, got {self.ratio_low}"
+                              f" and {self.ratio_high}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("model.lr must be positive and finite, got "
+                              f"{self.lr}")
+        if self.local_steps < 0:
+            raise ConfigError("federation.local_steps must be >= 0, got "
+                              f"{self.local_steps}")
+        if self.fanout < 1:
+            raise ConfigError(f"model.fanout must be >= 1, got {self.fanout}")
         if not 1 <= self.window_lo <= self.window_hi:
             raise ConfigError("report window must satisfy 1 <= lo <= hi")
         if self.window_hi > self.rounds:
@@ -152,6 +173,9 @@ def parse_config(text: str, base_dir=".") -> ExperimentConfig:
             name = key[len("data.relation."):]
             if not name:
                 raise ConfigError(f"line {lineno}: relation name missing in {key!r}")
+            if not _RELATION_NAME.fullmatch(name):
+                raise ConfigError(f"line {lineno}: relation name {name!r} may "
+                                  "hold only letters, digits, '_' and '-'")
             top.setdefault("relation_paths", {})[name] = str(base_dir / value)
         elif key in _SCHEMA:
             target, attr, kind = _SCHEMA[key]

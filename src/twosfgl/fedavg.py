@@ -6,17 +6,14 @@ server takes the sample-count-weighted average of the returned weights.
 Adam moment state stays on the client and is never averaged.  One round
 corresponds to one training epoch.
 
-For GCN, the evaluation forward after round r is also round r + 1's first
-training forward: the next ``local_steps`` adopts the very params object that
-was evaluated, and ``gcn_forward`` draws nothing from the seed, so the two
-results are bit-identical.  The client keeps that forward and its first step
-reuses it instead of running the same products again.  SAGE does not reuse
-it: evaluation and training sample neighbors with different seeds, so their
-forwards differ.
-
-Each client owns the N x hidden buffers its forwards and backwards write
-into (``gnn.HiddenBuffers``), so the kept evaluation forward stays intact
-until the client's next forward, and no two clients share memory.
+Each client owns one ``gnn.ForwardCache``, which its forwards and backwards
+write into, so no two clients share memory.  ``_client_forward`` is the one
+place that decides whether a forward must run.  A GCN forward draws nothing
+from the seed, so a cache that already holds a forward of the very params
+object asked for is returned as it is: the evaluation forward after round r
+is round r + 1's first training forward, which adopts the evaluated params.
+A SAGE forward always runs, since evaluation and training sample neighbors
+with different seeds.
 """
 
 from dataclasses import dataclass
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClientGraph, SplitAssignment
-from .gnn import (AdamState, HiddenBuffers, ModelParams, adam_step,
+from .gnn import (AdamState, ForwardCache, ModelParams, adam_step,
                   gcn_forward, init_adam, init_params, loss_and_grads,
                   normalized_adjacency, sage_forward)
 from .metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy, auc,
@@ -61,10 +58,7 @@ class ClientState:
     adjacency: object = None             # cached for gcn
     propagated_features: np.ndarray = None   # gcn: adjacency @ features
     fanout: int = DEFAULT_FANOUT
-    buffers: HiddenBuffers = None        # this client's N x hidden arrays
-    # gcn: (params, cache) of the last evaluation forward, for the next
-    # local step that adopts these same params
-    eval_forward: tuple | None = None
+    cache: ForwardCache = None           # this client's forward state
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
         features=feats, labels=labels, train_mask=train_mask,
         test_mask=test_mask, adjacency=adjacency, propagated_features=ax,
         fanout=fanout,
-        buffers=HiddenBuffers.empty(len(nodes), params.W1.shape[1]))
+        cache=ForwardCache.empty(len(nodes), params.W1.shape[1]))
 
 
 def aggregate(updates) -> ModelParams:
@@ -145,32 +139,30 @@ def aggregate(updates) -> ModelParams:
     return ModelParams(arch=base.arch, W1=w1, W2=w2)
 
 
-def _client_forward(client: ClientState, params: ModelParams, seed: int):
-    if params.arch == "gcn":
-        return gcn_forward(params, client.adjacency, client.propagated_features,
-                           buffers=client.buffers)
-    return sage_forward(params, client.graph, client.features,
-                        fanout=client.fanout, seed=seed, buffers=client.buffers)
+def _client_forward(client: ClientState, params: ModelParams,
+                    seed: int) -> ForwardCache:
+    """The client's cache, holding its forward of ``params``; a GCN cache
+    that already holds that very params object is not filled again."""
+    cache = client.cache
+    if params.arch == "sage":
+        sage_forward(params, client.graph, client.features,
+                     fanout=client.fanout, seed=seed, cache=cache)
+    elif cache.params is not params:
+        gcn_forward(params, client.adjacency, client.propagated_features,
+                    cache=cache)
+    return cache
 
 
 def local_steps(client: ClientState, global_params: ModelParams,
                 round_seed: int, steps: int) -> float:
     """Adopt the global weights, run the local optimizer steps, return the
-    last train loss (nan when steps == 0).
-
-    The first step reuses the client's last evaluation forward when that
-    forward was of ``global_params`` itself; every other step runs its own.
-    """
+    last train loss (nan when steps == 0)."""
     client.params = global_params
-    evaluated, client.eval_forward = client.eval_forward, None
     loss = float("nan")
     for step in range(steps):
-        if step == 0 and evaluated is not None and evaluated[0] is global_params:
-            cache = evaluated[1]
-        else:
-            _, cache = _client_forward(
-                client, client.params,
-                seed=derive_seed(round_seed, client.client_id, step))
+        cache = _client_forward(
+            client, client.params,
+            seed=derive_seed(round_seed, client.client_id, step))
         loss, grads = loss_and_grads(client.params, cache, client.labels,
                                      client.train_mask)
         client.params, client.adam = adam_step(client.params, grads, client.adam)
@@ -194,14 +186,12 @@ def federated_round(clients, global_params: ModelParams, round_seed: int,
 
 def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
     """Mean of each metric over the clients' test masks, each client
-    evaluated on its own training graph.  A GCN client keeps its forward
-    for the next ``local_steps`` of the same params."""
+    evaluated on its own training graph."""
     per_metric = {name: [] for name in METRIC_NAMES}
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc, "gmean": gmean}
     for client in clients:
-        _, cache = _client_forward(
+        cache = _client_forward(
             client, params, seed=derive_seed(seed, "eval", client.client_id))
-        client.eval_forward = (params, cache) if params.arch == "gcn" else None
         scores = cache.probs[:, 1]
         result = EvalResult.from_scores(
             scores[client.test_mask], client.labels[client.test_mask])

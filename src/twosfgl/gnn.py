@@ -31,12 +31,13 @@ them reproducible bit for bit (and equal to scipy's CSR kernels):
   then summed per output row by np.bincount, so no index array wider than
   nnz is ever built.
 
-Each client owns one set of N x hidden buffers (``HiddenBuffers``): the
-forward writes the hidden pre-activation and the hidden layer into them, and
-``loss_and_grads`` writes the hidden-layer gradient, so a training step
-allocates nothing of that size.  A cache made with a client's buffers stays
-valid until that client's next forward, which overwrites them.  A forward
-called without buffers allocates fresh ones.
+A ``ForwardCache`` is the forward state of one client: the N x hidden
+arrays its forwards and backwards write into (the hidden pre-activation, the
+hidden layer and the hidden-layer gradient), allocated once, plus what the
+last forward left for backward, including the params object it ran with.
+So a training step allocates nothing of that size, and a cache stays valid
+until the next forward into it.  A forward called without a cache allocates
+a fresh one.
 
 The loss is mean softmax cross-entropy over a node mask; gradients are
 analytic and verified against finite differences in the test suite.  The
@@ -55,7 +56,6 @@ __all__ = [
     "ModelParams",
     "AdamState",
     "ForwardCache",
-    "HiddenBuffers",
     "SparseMatrix",
     "init_params",
     "normalized_adjacency",
@@ -148,40 +148,27 @@ class SparseMatrix:
 
 
 @dataclass
-class HiddenBuffers:
-    """The N x hidden arrays one client's forwards and backwards write into."""
+class ForwardCache:
+    """One client's forward state, sufficient for backward.
+
+    The three N x hidden arrays are allocated once and overwritten by every
+    forward (and, for ``grad_hidden``, every backward) into this cache; the
+    other fields describe the last forward, ``params`` being the very object
+    it ran with (None before the first).
+    """
 
     pre_hidden: np.ndarray            # hidden pre-activation
     hidden: np.ndarray                # relu output
     grad_hidden: np.ndarray           # hidden-layer gradient, relu-masked
+    params: ModelParams | None = None
+    adjacency: SparseMatrix | None = None   # gcn only
+    inputs: np.ndarray | None = None  # gcn: A_hat . X;  sage: [X || H_N]
+    logits: np.ndarray | None = None
+    probs: np.ndarray | None = None   # softmax(logits)
 
     @classmethod
-    def empty(cls, rows: int, width: int) -> "HiddenBuffers":
+    def empty(cls, rows: int, width: int) -> "ForwardCache":
         return cls(*(np.empty((rows, width)) for _ in range(3)))
-
-
-@dataclass
-class ForwardCache:
-    """Activations kept from a forward pass, sufficient for backward.
-
-    ``buffers`` holds the hidden layer; the next forward into the same
-    buffers overwrites it.
-    """
-
-    arch: str
-    adjacency: SparseMatrix | None    # gcn only
-    inputs: np.ndarray                # gcn: A_hat . X;  sage: [X || H_N]
-    buffers: HiddenBuffers
-    logits: np.ndarray
-    probs: np.ndarray                 # softmax(logits)
-
-    @property
-    def pre_hidden(self) -> np.ndarray:
-        return self.buffers.pre_hidden
-
-    @property
-    def hidden(self) -> np.ndarray:
-        return self.buffers.hidden
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -229,34 +216,38 @@ def normalized_adjacency(graph: ClientGraph) -> SparseMatrix:
     return SparseMatrix(indptr, cols[kept], values[kept], (n, n))
 
 
-def _hidden_layer(inputs: np.ndarray, w1: np.ndarray,
-                  buffers: HiddenBuffers | None) -> HiddenBuffers:
-    """relu(inputs @ W1), written into ``buffers`` (fresh ones if None)."""
-    if buffers is None:
-        buffers = HiddenBuffers.empty(len(inputs), w1.shape[1])
-    np.matmul(inputs, w1, out=buffers.pre_hidden)
-    np.maximum(buffers.pre_hidden, 0.0, out=buffers.hidden)
-    return buffers
+def _fill(params: ModelParams, inputs: np.ndarray,
+          adjacency: SparseMatrix | None, cache: ForwardCache | None):
+    """Write the forward of ``params`` over first-layer ``inputs`` into
+    ``cache`` (a fresh one if None): relu(inputs @ W1) @ W2, propagated by
+    ``adjacency`` when given, and its softmax.  Returns (logits, cache)."""
+    if inputs.shape[1] != params.W1.shape[0]:
+        raise ValueError(f"first-layer feature width {inputs.shape[1]} does not "
+                         f"match W1 rows {params.W1.shape[0]}")
+    if cache is None:
+        cache = ForwardCache.empty(len(inputs), params.W1.shape[1])
+    cache.params = None               # stale until the fill completes
+    np.matmul(inputs, params.W1, out=cache.pre_hidden)
+    np.maximum(cache.pre_hidden, 0.0, out=cache.hidden)
+    logits = cache.hidden @ params.W2
+    if adjacency is not None:
+        logits = adjacency @ logits
+    cache.adjacency, cache.inputs = adjacency, inputs
+    cache.logits, cache.probs = logits, softmax(logits)
+    cache.params = params
+    return logits, cache
 
 
 def gcn_forward(params: ModelParams, adjacency: SparseMatrix,
                 propagated_features: np.ndarray,
-                buffers: HiddenBuffers | None = None):
+                cache: ForwardCache | None = None):
     """Forward pass from the first propagation ``adjacency @ X``, which the
     caller computes once; propagates the N x 2 product ``hidden @ W2``
-    itself.  The hidden layer goes into ``buffers``.  Returns (logits,
-    cache)."""
+    itself.  Writes into ``cache``.  Returns (logits, cache)."""
     if params.arch != "gcn":
         raise ValueError("gcn_forward requires gcn params")
-    ax = np.asarray(propagated_features, dtype=np.float64)
-    if ax.shape[1] != params.W1.shape[0]:
-        raise ValueError(f"feature width {ax.shape[1]} does not match "
-                         f"W1 rows {params.W1.shape[0]}")
-    buffers = _hidden_layer(ax, params.W1, buffers)
-    logits = adjacency @ (buffers.hidden @ params.W2)
-    cache = ForwardCache(arch="gcn", adjacency=adjacency, inputs=ax,
-                         buffers=buffers, logits=logits, probs=softmax(logits))
-    return logits, cache
+    return _fill(params, np.asarray(propagated_features, dtype=np.float64),
+                 adjacency, cache)
 
 
 def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
@@ -295,22 +286,15 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
 
 def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
                  fanout: int = 5, seed: int = 0,
-                 buffers: HiddenBuffers | None = None):
-    """Sample-and-aggregate forward pass; the hidden layer goes into
-    ``buffers``.  Returns (logits, cache)."""
+                 cache: ForwardCache | None = None):
+    """Sample-and-aggregate forward pass, written into ``cache``.  Returns
+    (logits, cache)."""
     if params.arch != "sage":
         raise ValueError("sage_forward requires sage params")
     features = np.asarray(features, dtype=np.float64)
-    if 2 * features.shape[1] != params.W1.shape[0]:
-        raise ValueError(f"feature width {features.shape[1]} does not match "
-                         f"W1 rows {params.W1.shape[0]} (expected 2F)")
     neighbor_mean = sample_neighbor_means(graph, features, fanout, seed)
     concat = np.concatenate([features, neighbor_mean], axis=1)
-    buffers = _hidden_layer(concat, params.W1, buffers)
-    logits = buffers.hidden @ params.W2
-    cache = ForwardCache(arch="sage", adjacency=None, inputs=concat,
-                         buffers=buffers, logits=logits, probs=softmax(logits))
-    return logits, cache
+    return _fill(params, concat, None, cache)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -324,7 +308,7 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     """Mean softmax cross-entropy over masked nodes, with analytic grads.
 
     ``mask`` is a boolean vector over the cache's node rows.  The N x hidden
-    gradient goes into the cache's buffers.  Returns (loss, grads) with
+    gradient goes into the cache's ``grad_hidden``.  Returns (loss, grads) with
     grads shaped like the params.
     """
     mask = np.asarray(mask, dtype=bool)
@@ -343,12 +327,12 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
 
     # gradient w.r.t. the unpropagated logits hidden @ W2 (N x 2)
     grad_head = (cache.adjacency.transpose_matmul(grad_logits)
-                 if cache.arch == "gcn" else grad_logits)
+                 if params.arch == "gcn" else grad_logits)
     grad_w2 = cache.hidden.T @ grad_head
-    grad_pre = np.matmul(grad_head, params.W2.T, out=cache.buffers.grad_hidden)
+    grad_pre = np.matmul(grad_head, params.W2.T, out=cache.grad_hidden)
     grad_pre *= cache.pre_hidden > 0
     grad_w1 = cache.inputs.T @ grad_pre
-    return loss, ModelParams(arch=cache.arch, W1=grad_w1, W2=grad_w2)
+    return loss, ModelParams(arch=params.arch, W1=grad_w1, W2=grad_w2)
 
 
 def init_adam(params: ModelParams, lr: float = 0.005) -> AdamState:

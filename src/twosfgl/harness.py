@@ -29,7 +29,8 @@ __all__ = ["expand_arms", "prepare_data", "run_arm", "run_experiment",
 
 
 def expand_arms(arms, relation_names) -> list:
-    """Resolve the ``local`` shorthand into one arm per relation."""
+    """Resolve the ``local`` shorthand into one arm per relation; each
+    resolved arm must be unique, since it names its history file."""
     out = []
     for arm in arms:
         if arm == "local":
@@ -39,6 +40,8 @@ def expand_arms(arms, relation_names) -> list:
     for arm in out:
         if arm.startswith("local_") and arm[len("local_"):] not in relation_names:
             raise ValueError(f"arm {arm!r} names an unknown relation")
+        if out.count(arm) > 1:
+            raise ValueError(f"arm {arm!r} is listed more than once")
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from twosfgl.psi import PsiBackend
 from twosfgl.synth import SyntheticSpec
 
 MINIMAL = "synth.nodes = 40\n"
+SMOKE = (Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
+         ).read_text(encoding="utf-8")
 
 
 def test_minimal_synth_config_uses_defaults():
@@ -160,3 +163,48 @@ def test_load_config_roundtrip_and_missing_files(tmp_path):
 
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "absent.cfg")
+
+
+# each value once ran silently wrong or failed only at the train stage
+@pytest.mark.parametrize("line,fragment", [
+    ("split.train_frac = 1.5", "train_frac"),
+    ("split.train_frac = 0", "train_frac"),
+    ("split.train_frac = 1", "train_frac"),
+    ("sample.ratio_low = 3\nsample.ratio_high = 2", "ratio_low <= ratio_high"),
+    ("sample.ratio_low = -0.5", "0 <= ratio_low"),
+    ("sample.ratio_low = 0\nsample.ratio_high = 0", "ratio_high > 0"),
+    ("model.lr = -1", "model.lr"),
+    ("model.lr = 0", "model.lr"),
+    ("model.lr = inf", "model.lr"),
+    ("federation.local_steps = -1", "local_steps"),
+    ("model.fanout = 0", "fanout"),
+    ("seeds = 3, 3", "duplicate seed"),
+])
+def test_values_that_would_run_wrong_fail_at_load(tmp_path, line, fragment):
+    path = tmp_path / "smoke.cfg"
+    path.write_text(SMOKE.replace("seeds = 0\n", "") + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert fragment in str(err.value)
+
+
+def test_boundary_values_still_load():
+    cfg = parse_config(MINIMAL + "sample.ratio_low = 0\n"
+                       "sample.ratio_high = 0.5\nfederation.local_steps = 0\n"
+                       "model.fanout = 1\nsplit.train_frac = 0.01\n")
+    assert (cfg.ratio_low, cfg.ratio_high, cfg.local_steps, cfg.fanout) == \
+        (0.0, 0.5, 0, 1)
+    assert parse_config(MINIMAL + "sample.ratio_low = 1\n"
+                        "sample.ratio_high = 1\n").ratio_high == 1.0
+
+
+@pytest.mark.parametrize("name", ["a,b", "a b", "a/b", "a.b", "r\u00e9l"])
+def test_relation_names_outside_the_safe_set_are_rejected(name):
+    with pytest.raises(ConfigError, match="relation name"):
+        parse_config(f"data.nodes = n.csv\ndata.relation.{name} = r.csv\n")
+
+
+def test_relation_names_may_use_letters_digits_underscore_and_dash():
+    cfg = parse_config("data.nodes = n.csv\ndata.relation.Up-vote_2 = r.csv\n")
+    assert list(cfg.relation_paths) == ["Up-vote_2"]

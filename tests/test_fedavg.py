@@ -404,13 +404,9 @@ def test_clients_never_share_forward_memory(arch):
     train_federation(clients, FederationConfig(rounds=2), seed=0)
     owned = []
     for client in clients:
-        buffers = client.buffers
-        arrays = [buffers.pre_hidden, buffers.hidden, buffers.grad_hidden]
-        if client.eval_forward is not None:
-            cache = client.eval_forward[1]
-            assert cache.buffers is buffers
-            arrays += [cache.logits, cache.probs]
-        owned.append(arrays)
+        cache = client.cache
+        owned.append([cache.pre_hidden, cache.hidden, cache.grad_hidden,
+                      cache.logits, cache.probs])
     for mine, theirs in itertools.combinations(owned, 2):
         for a, b in itertools.product(mine, theirs):
             assert not np.shares_memory(a, b)

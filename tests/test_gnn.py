@@ -194,7 +194,7 @@ def test_gcn_forward_matches_dense_oracle():
         expected = a @ hidden @ params.W2
         assert logits.shape == (len(graph.vertices), NUM_CLASSES)
         assert np.allclose(logits, expected, rtol=1e-12, atol=1e-13)
-        assert cache.arch == "gcn"
+        assert cache.params is params
         assert np.allclose(cache.hidden, hidden, rtol=1e-12, atol=1e-13)
 
 

@@ -38,6 +38,14 @@ def test_expand_arms_resolves_local_shorthand():
         expand_arms(("local_missing",), ["r1"])
 
 
+@pytest.mark.parametrize("arms", [("2sfgl", "local", "local_r1"),
+                                  ("2sfgl", "fedavg_only", "2sfgl"),
+                                  ("local", "local")])
+def test_expand_arms_rejects_an_arm_listed_twice(arms):
+    with pytest.raises(ValueError, match="'(2sfgl|local_r1)' is listed more"):
+        expand_arms(arms, ["r1", "r2"])
+
+
 # -------------------------------------------------------------- single arms
 
 
@@ -155,7 +163,8 @@ def test_run_experiment_errors_name_seed_and_stage(tmp_path):
     with pytest.raises(RuntimeError, match="seed 0, stage data"):
         run_experiment(bad_data, out_dir=tmp_path / "out1")
 
-    broken_train = tiny_config(arch="sage", arms=("fedavg_only",), fanout=0)
+    broken_train = tiny_config(arch="sage", arms=("fedavg_only",))
+    broken_train.fanout = 0   # set past the load-time check, to fail in train
     with pytest.raises(RuntimeError,
                        match="seed 0, arm fedavg_only, stage train"):
         run_experiment(broken_train, out_dir=tmp_path / "out2")
