@@ -95,6 +95,12 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"fusion.*: {exc}") from None
 
+    def relation_names(self) -> list:
+        """Names of the relations every seed's dataset holds, sorted."""
+        if self.synth is not None:
+            return sorted(self.synth.relation_names())
+        return sorted(self.relation_paths)
+
     def fusion_config(self, seed: int) -> FusionConfig:
         if self.psi not in _PSI_BACKENDS:
             raise ValueError(f"psi must be 'plain' or 'ddh', got {self.psi!r}")

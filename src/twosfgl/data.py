@@ -4,7 +4,8 @@ A dataset is one shared node table (features + binary labels) plus one
 weighted undirected edge list per named relation.  Each relation is treated
 as one party's graph in the federation experiments.
 
-CSV contracts (UTF-8, ``#``-prefixed comment lines ignored, no header row):
+CSV contracts (UTF-8, no header row; ``#`` starts a comment that runs to the
+end of its line, and blank lines are ignored):
 
 * node file:      ``id,label,f0,...,f{F-1}``         (label in {0, 1})
 * relation file:  ``src,dst[,weight]``               (weight defaults to 1.0)
@@ -13,7 +14,9 @@ Edges are undirected and stored once under the canonical ``(min, max)`` pair;
 duplicate rows are summed.  Self-loop rows are ignored (self-loops enter the
 model only as part of adjacency normalization downstream).  Public dataset
 releases must be exported to these CSVs before use; the loader reads only
-this contract.
+this contract.  It parses a file in one pass with numpy's C reader and falls
+back to a per-line parser, which names the first bad row, for any file that
+pass cannot take whole.
 
 ``ClientGraph.edges`` is the one stored form of a graph: a record array of
 ``EDGE_DTYPE`` (``u``, ``v``, ``weight``) with ``u < v``, rows strictly
@@ -23,8 +26,10 @@ Every stage reads the graph through one derived index, the cached
 positions in sorted vertex order.
 """
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +45,7 @@ __all__ = [
     "load_dataset",
     "load_node_table",
     "load_relation",
+    "write_rows",
     "write_node_table",
     "write_relation",
     "balance_sample",
@@ -182,10 +188,31 @@ def _data_rows(path):
     """Yield (line_number, [fields]) for non-comment, non-blank CSV lines."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, [f.strip() for f in line.split(",")]
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, [f.strip() for f in line.split(",")]
+
+
+def _bulk_rows(path, dtype_of):
+    """Every data row of ``path`` parsed by numpy's C reader into the dtype
+    ``dtype_of(width)``, the width being the first data row's field count.
+
+    Returns None when the file has no data row, ``dtype_of`` returns None or
+    some row does not parse; the per-line parser then reads the file and
+    names the first bad row.  Both parsers round each float correctly, so
+    they agree bit for bit.
+    """
+    first = next(_data_rows(path), None)
+    dtype = None if first is None else dtype_of(len(first[1]))
+    if dtype is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(path, dtype=dtype, delimiter=",", comments="#",
+                              ndmin=1, encoding="utf-8")
+    except (ValueError, Warning):
+        return None
 
 
 def load_node_table(path) -> NodeTable:
@@ -194,6 +221,26 @@ def load_node_table(path) -> NodeTable:
     Ids must be exactly 0..N-1 (any row order); all rows must share one
     feature width; labels must be 0 or 1.
     """
+    table = _bulk_rows(path, _node_dtype)
+    if (table is None or not np.isin(table["label"], (0, 1)).all()
+            or not np.array_equal(np.sort(table["id"]), np.arange(len(table)))):
+        return _load_node_table_per_line(path)
+    features = np.empty_like(table["features"])
+    labels = np.empty_like(table["label"])
+    features[table["id"]] = table["features"]
+    labels[table["id"]] = table["label"]
+    return NodeTable(features=features, labels=labels)
+
+
+def _node_dtype(width: int):
+    if width < 3:
+        return None
+    return np.dtype([("id", np.int64), ("label", np.int64),
+                     ("features", np.float64, (width - 2,))])
+
+
+def _load_node_table_per_line(path) -> NodeTable:
+    """``load_node_table`` one line at a time, raising on the first bad row."""
     rows = {}
     width = None
     for lineno, fields in _data_rows(path):
@@ -229,14 +276,45 @@ def load_node_table(path) -> NodeTable:
     return NodeTable(features=features, labels=labels)
 
 
+_RELATION_DTYPES = {
+    2: np.dtype([("u", np.int64), ("v", np.int64)]),
+    3: np.dtype([("u", np.int64), ("v", np.int64), ("weight", np.float64)]),
+}
+
+
 def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
     """Load a relation CSV (``src,dst[,weight]``) against a node table.
 
     Duplicate rows (either orientation) are summed in file order; self-loop
     rows are ignored; endpoints must be valid node ids.
     """
-    rows = []
     n = nodes.num_nodes
+    rows = _bulk_rows(path, _RELATION_DTYPES.get)
+    if rows is not None and "weight" not in rows.dtype.names:
+        rows = np.rec.fromarrays([rows["u"], rows["v"], np.ones(len(rows))],
+                                 dtype=_RELATION_DTYPES[3])
+    if (rows is None or (rows["weight"] < 0).any()
+            or not ((0 <= rows["u"]) & (rows["u"] < n)
+                    & (0 <= rows["v"]) & (rows["v"] < n)).all()):
+        rows = _relation_rows_per_line(path, n)
+    u, v, w = rows["u"], rows["v"], rows["weight"]
+    keep = u != v
+    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+    # bincount adds each pair's weights in file order, starting from 0.0
+    keys, group = np.unique(lo * n + hi, return_inverse=True)
+    weights = np.bincount(group, weights=w[keep], minlength=len(keys))
+    return ClientGraph(
+        relation_name=name,
+        vertices=frozenset(range(n)),
+        edges=np.rec.fromarrays([keys // n, keys % n, weights], dtype=EDGE_DTYPE),
+        node_ref=nodes,
+    )
+
+
+def _relation_rows_per_line(path, n: int) -> np.ndarray:
+    """The (u, v, weight) rows of a relation CSV read one line at a time,
+    raising on the first bad row; a 2-field row has weight 1.0."""
+    rows = []
     for lineno, fields in _data_rows(path):
         if len(fields) not in (2, 3):
             raise DatasetFormatError(f"{path}:{lineno}: expected src,dst[,weight], "
@@ -253,18 +331,8 @@ def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
                                          f"{endpoint} (node table has {n} nodes)")
         if w < 0:
             raise DatasetFormatError(f"{path}:{lineno}: negative weight {w}")
-        if u != v:
-            rows.append((u, v, w) if u < v else (v, u, w))
-    rows = np.array(rows, dtype=EDGE_DTYPE)
-    # bincount adds each pair's weights in file order, starting from 0.0
-    keys, group = np.unique(rows["u"] * n + rows["v"], return_inverse=True)
-    weights = np.bincount(group, weights=rows["weight"], minlength=len(keys))
-    return ClientGraph(
-        relation_name=name,
-        vertices=frozenset(range(n)),
-        edges=np.rec.fromarrays([keys // n, keys % n, weights], dtype=EDGE_DTYPE),
-        node_ref=nodes,
-    )
+        rows.append((u, v, w))
+    return np.array(rows, dtype=_RELATION_DTYPES[3])
 
 
 def load_dataset(node_path, relation_paths: dict) -> MultiRelationDataset:
@@ -277,20 +345,33 @@ def load_dataset(node_path, relation_paths: dict) -> MultiRelationDataset:
     return MultiRelationDataset(nodes=nodes, relations=relations)
 
 
+WRITE_CHUNK_ROWS = 4096
+
+
+def write_rows(fh, row_format: str, rows) -> None:
+    """Write ``row_format % row`` for every row of ``rows``, a record array
+    or a 2-D array, with one %-format per chunk of ``WRITE_CHUNK_ROWS`` rows,
+    so that the text held in memory stays bounded.  ``%d`` writes an integer
+    field as ``str`` does and ``%r`` a float field as ``repr`` does."""
+    for start in range(0, len(rows), WRITE_CHUNK_ROWS):
+        chunk = rows[start:start + WRITE_CHUNK_ROWS].tolist()
+        fh.write((row_format * len(chunk)) % tuple(chain.from_iterable(chunk)))
+
+
 def write_node_table(nodes: NodeTable, path) -> None:
+    table = np.rec.fromarrays([np.arange(nodes.num_nodes), nodes.labels,
+                               *nodes.features.T])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# id,label,f0,...\n")
-        for i in range(nodes.num_nodes):
-            feats = ",".join(repr(float(x)) for x in nodes.features[i])
-            fh.write(f"{i},{int(nodes.labels[i])},{feats}\n")
+        write_rows(fh, "%d,%d," + ",".join(["%r"] * nodes.feature_width) + "\n",
+                   table)
 
 
 def write_relation(graph: ClientGraph, path) -> None:
     """Write a graph's edges in the relation CSV contract, in (u, v) order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# src,dst,weight\n")
-        for u, v, w in graph.edges.tolist():
-            fh.write(f"{u},{v},{w!r}\n")
+        write_rows(fh, "%d,%d,%r\n", graph.edges)
 
 
 def balance_sample(labels, ratio_low: float = 0.5, ratio_high: float = 2.0,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EDGE_DTYPE, ClientGraph, incident_sums
+from .data import EDGE_DTYPE, ClientGraph, incident_sums, write_rows
 from .psi import PsiBackend, psi_ddh, psi_plain
 from .seeding import derive_seed
 
@@ -33,6 +33,7 @@ __all__ = [
     "fuse",
     "virtual_fusion_round",
     "write_shares",
+    "write_tags",
 ]
 
 # keeps normalized values strictly below 1 so the 1/(1-N) update stays finite
@@ -341,5 +342,14 @@ def write_shares(shares: np.recarray, path, sender: str) -> None:
     """Audit CSV of one sender's batch: ``sender,src,dst,hops,value`` per share."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# sender,src,dst,hops,value\n")
-        for src, dst, hops, value in shares.tolist():
-            fh.write(f"{sender},{src},{dst},{hops},{value!r}\n")
+        write_rows(fh, sender.replace("%", "%%") + ",%d,%d,%d,%r\n",
+                   shares)
+
+
+def write_tags(graph: VirtualFusedGraph, path) -> None:
+    """Audit CSV of a fused graph: ``src,dst,origin`` per edge, in (u, v)
+    order."""
+    tags = np.rec.fromarrays([graph.edges.u, graph.edges.v, graph.provenance])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# src,dst,origin\n")
+        write_rows(fh, "%d,%d,%s\n", tags)

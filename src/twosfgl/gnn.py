@@ -47,6 +47,7 @@ bias-corrected Adam.
 
 import struct
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -119,11 +120,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return len(self.data)
-
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        dense[self.rows, self.indices] = self.data
-        return dense
 
     def _product(self, x, transpose: bool) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -258,6 +254,11 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
     degree <= fanout use all neighbors (no replacement, no padding); isolated
     nodes get the zero vector.  Edge weights play no part, so zero-weight
     edges can be sampled.  Deterministic per seed.
+
+    The picks equal those of ``np.lexsort((keys, rows))``: the entries are
+    sorted by key, then stably by row, with the row ids cast to the
+    narrowest unsigned type that holds n, which numpy radix-sorts when it is
+    16 bits or narrower.
     """
     if fanout < 1:
         raise ValueError("fanout must be >= 1")
@@ -267,20 +268,23 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
     degree = np.diff(indptr)
     nnz = len(indices)
     keys = np.random.default_rng(seed).random(nnz)
-    # sorted by row, then key, ties by entry index (np.lexsort's order):
-    # rows keep their slots, so the first fanout slots of a row hold its
-    # smallest keys.  One sort of an integer composite key does it; the key
-    # is below n * nnz, far from the int64 limit.
-    key_rank = np.empty(nnz, dtype=np.int64)
-    key_rank[np.argsort(keys, kind="stable")] = np.arange(nnz)
-    by_key = np.argsort(rows * nnz + key_rank, kind="stable")
+    # entries by key, ties by entry index: the default sort is exact when no
+    # two keys are equal, and the stable sort redoes it when two are
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+    # then stably by row: rows keep their slots, so the first fanout slots of
+    # a row hold its smallest keys
+    row_of = rows.astype(np.min_scalar_type(n))[order]
+    by_key = order[np.argsort(row_of, kind="stable")]
     picked = np.zeros(nnz, dtype=bool)
     picked[by_key[np.arange(nnz) - indptr[rows] < fanout]] = True
-    # each row adds its picked feature rows in CSR entry order, from 0.0
-    width = features.shape[1]
-    flat = (rows[picked, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(flat, weights=features[indices[picked]].ravel(),
-                       minlength=n * width).reshape(n, width)
+    # each row adds its picked feature rows in CSR entry order, from 0.0,
+    # one feature column per bincount
+    picked_rows, picked_cols = rows[picked], indices[picked]
+    sums = np.stack([np.bincount(picked_rows, weights=column.take(picked_cols),
+                                 minlength=n) for column in features.T], axis=1)
     return sums / np.maximum(np.minimum(degree, fanout), 1)[:, None]
 
 
@@ -298,9 +302,16 @@ def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Row-wise softmax of the max-shifted logits.
+
+    The row max and the row sum are taken column by column with
+    ``np.maximum`` and ``np.add``, which at two columns costs a fraction of
+    ``max(axis=1)`` and ``sum(axis=1)``.  The bits are those of the two-pass
+    formula: a max is exact in any order, and numpy sums a row narrower than
+    8 entries left to right, as this does.
+    """
+    exp = np.exp(logits - reduce(np.maximum, logits.T)[:, None])
+    return exp / reduce(np.add, exp.T)[:, None]
 
 
 def loss_and_grads(params: ModelParams, cache: ForwardCache,
@@ -312,17 +323,18 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     grads shaped like the params.
     """
     mask = np.asarray(mask, dtype=bool)
-    n_masked = int(mask.sum())
+    rows = np.flatnonzero(mask)
+    n_masked = len(rows)
     if n_masked == 0:
         raise ValueError("loss mask is empty")
-    labels = np.asarray(labels, dtype=np.int64)
+    picked_labels = np.asarray(labels, dtype=np.int64)[rows]
     probs = cache.probs
-    picked = probs[mask, labels[mask]]
+    picked = probs[rows, picked_labels]
     loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
 
-    grad_logits = np.zeros_like(cache.logits)
-    grad_logits[mask] = probs[mask]
-    grad_logits[mask, labels[mask]] -= 1.0
+    # probs on masked rows, 0.0 elsewhere, minus the one-hot labels
+    grad_logits = probs * mask[:, None]
+    grad_logits[rows, picked_labels] -= 1.0
     grad_logits /= n_masked
 
     # gradient w.r.t. the unpropagated logits hidden @ W2 (N x 2)

@@ -19,7 +19,7 @@ from .config import ExperimentConfig
 from .data import (balance_sample, load_dataset, stratified_split,
                    write_relation, zscore_features)
 from .fedavg import FederationConfig, make_client, train_federation
-from .fusion import virtual_fusion_round, write_shares
+from .fusion import virtual_fusion_round, write_shares, write_tags
 from .metrics import METRIC_NAMES, RoundHistory, window_average
 from .seeding import derive_seed
 from .synth import generate_synthetic
@@ -54,8 +54,10 @@ def prepare_data(cfg: ExperimentConfig, seed: int, out_dir: Path):
     return load_dataset(cfg.node_path, cfg.relation_paths)
 
 
-def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir=None):
-    """Run one fusion round; optionally dump fused graphs, tags, and shares."""
+def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir=None,
+                   audit: bool = True):
+    """Run one fusion round; optionally dump the fused graphs and, with
+    ``audit``, each fused edge's origin tag and every share batch sent."""
     graphs = [dataset.relations[name] for name in sorted(dataset.relations)]
     fusion_cfg = cfg.fusion_config(derive_seed(seed, "fusion"))
     fused, shares_by_pair = virtual_fusion_round(graphs, fusion_cfg)
@@ -64,14 +66,11 @@ def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir=None):
         dump_dir.mkdir(parents=True, exist_ok=True)
         for graph in fused:
             write_relation(graph, dump_dir / f"fused_{graph.relation_name}.csv")
-            tag_path = dump_dir / f"tags_{graph.relation_name}.csv"
-            with open(tag_path, "w", encoding="utf-8") as fh:
-                fh.write("# src,dst,origin\n")
-                for (u, v, _), origin in zip(graph.edges.tolist(),
-                                             graph.provenance.tolist()):
-                    fh.write(f"{u},{v},{origin}\n")
-        for (a, b), shares in sorted(shares_by_pair.items()):
-            write_shares(shares, dump_dir / f"shares_{a}_{b}.csv", a)
+        if audit:
+            for graph in fused:
+                write_tags(graph, dump_dir / f"tags_{graph.relation_name}.csv")
+            for (a, b), shares in sorted(shares_by_pair.items()):
+                write_shares(shares, dump_dir / f"shares_{a}_{b}.csv", a)
     return fused
 
 
@@ -150,6 +149,7 @@ def write_table(summary: dict, cfg: ExperimentConfig, path) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run every (arm, seed) cell, write all artifacts, return the summary."""
+    arms = expand_arms(cfg.arms, cfg.relation_names())
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     histories = {}
@@ -158,7 +158,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             dataset = prepare_data(cfg, seed, out)
         except Exception as exc:
             raise RuntimeError(f"seed {seed}, stage data: {exc}") from exc
-        arms = expand_arms(cfg.arms, sorted(dataset.relations))
         labels = dataset.nodes.labels
         sampled = balance_sample(labels, cfg.ratio_low, cfg.ratio_high,
                                  seed=derive_seed(seed, "sample"))
@@ -170,7 +169,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         if "2sfgl" in arms:
             try:
                 fused = fusion_outputs(cfg, dataset, seed,
-                                       dump_dir=out / f"fusion_seed{seed}")
+                                       dump_dir=out / f"fusion_seed{seed}",
+                                       audit=False)
             except Exception as exc:
                 raise RuntimeError(
                     f"seed {seed}, arm 2sfgl, stage fusion: {exc}") from exc

@@ -52,18 +52,19 @@ class EvalResult:
 
     @cached_property
     def counts(self) -> tuple:
-        """Confusion counts (tp, fn, tn, fp), computed on first use."""
-        pos = self.labels == 1
-        neg = ~pos
-        tp = int(np.sum(self.preds[pos] == 1))
-        fn = int(np.sum(self.preds[pos] == 0))
-        tn = int(np.sum(self.preds[neg] == 0))
-        fp = int(np.sum(self.preds[neg] == 1))
-        return tp, fn, tn, fp
+        """Confusion counts (tp, fn, tn, fp), computed on first use; every
+        label other than 1 counts as negative."""
+        on_positives = self.preds[self.labels == 1]
+        n_pos = len(on_positives)
+        tp = int(np.count_nonzero(on_positives))
+        fp = int(np.count_nonzero(self.preds)) - tp
+        n_neg = self.labels.size - n_pos
+        return tp, n_pos - tp, n_neg - fp, fp
 
 
 def accuracy(result: EvalResult) -> float:
-    return float(np.mean(result.preds == result.labels))
+    tp, _, tn, _ = result.counts
+    return (tp + tn) / result.labels.size
 
 
 def macro_f1(result: EvalResult) -> float:
@@ -84,22 +85,23 @@ def gmean(result: EvalResult) -> float:
     return float(np.sqrt(tpr * tnr))
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their positions, which
-    is an exact half-integer."""
-    _, inverse, counts = np.unique(values, return_inverse=True,
-                                   return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-
-
 def auc(result: EvalResult) -> float:
-    """Rank-based AUC; tied scores contribute 1/2 per pair."""
-    n_pos = int(np.sum(result.labels == 1))
-    n_neg = result.labels.size - n_pos
+    """Rank-based AUC; tied scores contribute 1/2 per pair.
+
+    The positives' 1-based ranks come from binary searches of their sorted
+    scores in all sorted scores: the scores tied with s fill sorted positions
+    [lo, hi), so their shared average rank is (lo + hi + 1) / 2.  The rank
+    sum is taken in integers and halved once, which is exact.
+    """
+    tp, fn, tn, fp = result.counts
+    n_pos, n_neg = tp + fn, tn + fp
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes in the evaluation mask")
-    ranks = _average_ranks(result.scores)
-    rank_sum = float(ranks[result.labels == 1].sum())
+    ordered = np.sort(result.scores)
+    positive = np.sort(result.scores[result.labels == 1])
+    lo = np.searchsorted(ordered, positive, side="left")
+    hi = np.searchsorted(ordered, positive, side="right")
+    rank_sum = int(lo.sum() + hi.sum() + n_pos) / 2.0
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

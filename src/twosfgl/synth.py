@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NodeTable, write_node_table
+from .data import NodeTable, write_node_table, write_rows
 from .seeding import derive_seed
 
 __all__ = ["SyntheticSpec", "generate_synthetic"]
@@ -122,7 +122,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir):
         path = out_dir / f"{name}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# src,dst\n")
-            fh.writelines(f"{a},{b}\n"
-                          for a, b in zip(u[order].tolist(), v[order].tolist()))
+            write_rows(fh, "%d,%d\n", np.stack([u[order], v[order]], axis=1))
         relation_paths[name] = path
     return node_path, relation_paths

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edge_arrays import edge_array, edge_dict
+from twosfgl import data as data_module
 from twosfgl.data import (EDGE_DTYPE, ClientGraph, DatasetFormatError, NodeTable,
                           SplitAssignment, balance_sample, incident_sums,
                           load_dataset, load_node_table, load_relation,
@@ -127,6 +128,111 @@ def test_relation_roundtrip_exact(tmp_path):
     write_relation(graph, path)
     again = load_relation(path, "rel", nodes4())
     assert edge_dict(again.edges) == edge_dict(graph.edges)
+
+
+# ------------------------------------------------------- bulk parse, writers
+
+# repr-written floats, subnormals, signed zeros and integers written with
+# and without a fraction
+AWKWARD_FLOATS = ["0.30000000000000004", "5e-324", "2.225073858507201e-308",
+                  "4.9406564584124654e-324", "1", "1.0", "-0.0", "1e+300",
+                  "0.1", "123456789.123456789", "7", "2.5e-17"]
+
+
+def per_line_only(monkeypatch):
+    monkeypatch.setattr(data_module, "_bulk_rows", lambda path, dtype_of: None)
+
+
+def test_bulk_node_parse_matches_per_line_bitwise(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 60
+    values = rng.choice(AWKWARD_FLOATS, size=(n, 3)).tolist()
+    values[0] = [repr(float(x)) for x in rng.standard_normal(3) * 1e-310]
+    lines = [f"{i},{int(rng.integers(0, 2))},{','.join(row)}"
+             for i, row in zip(rng.permutation(n), values)]
+    path = tmp_path / "nodes.csv"
+    path.write_text("# id,label,f0,...\n" + "\n".join(lines) + "\n")
+    bulk = load_node_table(path)
+    per_line_only(monkeypatch)
+    reference = load_node_table(path)
+    assert bulk.features.tobytes() == reference.features.tobytes()
+    assert np.array_equal(bulk.labels, reference.labels)
+
+
+def test_bulk_relation_parse_matches_per_line_bitwise(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    for fields in (2, 3):
+        rows = [f"{a},{b}" + (f",{w}" if fields == 3 else "")
+                for a, b, w in zip(rng.integers(0, 4, 90), rng.integers(0, 4, 90),
+                                   rng.choice(AWKWARD_FLOATS, 90))]
+        path = tmp_path / f"rel{fields}.csv"
+        path.write_text("# src,dst,weight\n" + "\n".join(rows) + "\n")
+        with monkeypatch.context() as patch:
+            bulk = load_relation(path, "rel", nodes4())
+            per_line_only(patch)
+            reference = load_relation(path, "rel", nodes4())
+        assert bulk.edges.tobytes() == reference.edges.tobytes()
+
+
+def test_bulk_parse_is_taken_on_well_formed_files(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-line parser used")
+
+    monkeypatch.setattr(data_module, "_load_node_table_per_line", refuse)
+    monkeypatch.setattr(data_module, "_relation_rows_per_line", refuse)
+    write_node_table(nodes4(), tmp_path / "nodes.csv")
+    (tmp_path / "a.csv").write_text("# src,dst\n0,1\n 2 , 1 # note\n")
+    (tmp_path / "b.csv").write_text("0,1,0.5\n\n1,0,0.25\n")
+    dataset = load_dataset(tmp_path / "nodes.csv",
+                           {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"})
+    assert edge_dict(dataset.relations["a"].edges) == {(0, 1): 1.0, (1, 2): 1.0}
+    assert edge_dict(dataset.relations["b"].edges) == {(0, 1): 0.75}
+
+
+def test_relation_mixing_two_and_three_field_rows_defaults_row_by_row(tmp_path):
+    path = tmp_path / "rel.csv"
+    path.write_text("0,1,0.25\n0,1\n2,3\n3,2,0.5\n1,2,2.0\n")
+    graph = load_relation(path, "rel", nodes4())
+    assert edge_dict(graph.edges) == {(0, 1): 1.25, (1, 2): 2.0, (2, 3): 1.5}
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    ("3,9", "dangling endpoint id 9"),
+    ("3,1,-0.5", "negative weight"),
+    ("3,1.5,1.0", "malformed"),
+])
+def test_relation_error_after_well_formed_rows_names_its_line(tmp_path, bad,
+                                                              fragment):
+    path = tmp_path / "rel.csv"
+    path.write_text("# src,dst,weight\n" + "0,1,1.0\n" * 40 + bad + "\n"
+                    + "1,2,1.0\n" * 5)
+    with pytest.raises(DatasetFormatError) as info:
+        load_relation(path, "rel", nodes4())
+    assert fragment in str(info.value)
+    assert "rel.csv:42:" in str(info.value)
+
+
+def test_node_error_after_well_formed_rows_names_its_line(tmp_path):
+    path = tmp_path / "nodes.csv"
+    path.write_text("".join(f"{i},0,0.5\n" for i in range(30)) + "30,2,0.5\n")
+    with pytest.raises(DatasetFormatError, match=r"nodes\.csv:31: non-binary"):
+        load_node_table(path)
+
+
+def test_writers_match_per_line_format_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_module, "WRITE_CHUNK_ROWS", 2)
+    features = np.array([[0.1 + 0.2, -0.0], [5e-324, 1.0], [1e300, 7.0],
+                         [1 / 3, -2.5e-17], [0.5, 3.0]])
+    nodes = NodeTable(features=features, labels=np.array([1, 0, 0, 1, 1]))
+    write_node_table(nodes, tmp_path / "nodes.csv")
+    assert (tmp_path / "nodes.csv").read_text() == "# id,label,f0,...\n" + "".join(
+        f"{i},{nodes.labels[i]},{','.join(repr(float(x)) for x in row)}\n"
+        for i, row in enumerate(features))
+    graph = make_graph({(0, 1): 0.1 + 0.2, (0, 3): 5e-324, (1, 2): 1.0,
+                        (2, 4): 1e300, (3, 4): 0.0}, 5)
+    write_relation(graph, tmp_path / "rel.csv")
+    assert (tmp_path / "rel.csv").read_text() == "# src,dst,weight\n" + "".join(
+        f"{u},{v},{w!r}\n" for u, v, w in graph.edges.tolist())
 
 
 def test_load_dataset(tmp_path):

@@ -733,3 +733,18 @@ def test_write_shares_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "a,0,2,2,0.125"
+
+
+def test_write_shares_matches_per_line_format_across_chunks(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr("twosfgl.data.WRITE_CHUNK_ROWS", 3)
+    rng = np.random.default_rng(4)
+    values = [0.1 + 0.2, 5e-324, 1.0, 0.0, 1 / 3, 2.5e-17, 0.999999]
+    shares = batch([(int(a), int(b), v, int(h)) for a, b, v, h in zip(
+        rng.integers(0, 50, 7), rng.integers(0, 50, 7), values,
+        rng.integers(1, 4, 7))])
+    path = tmp_path / "shares.csv"
+    write_shares(shares, path, "rel_0%s")
+    want = "# sender,src,dst,hops,value\n" + "".join(
+        f"rel_0%s,{s},{d},{h},{v!r}\n" for s, d, h, v in shares.tolist())
+    assert path.read_text() == want

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.special
 
 from edge_arrays import edge_array, edge_dict
-from twosfgl.data import ClientGraph
+from twosfgl.data import EDGE_DTYPE, ClientGraph
 from twosfgl.gnn import (HIDDEN_UNITS, NUM_CLASSES, ModelParams,
                          adam_step, gcn_forward, init_adam, init_params,
                          loss_and_grads, normalized_adjacency, params_to_bytes,
@@ -37,6 +37,13 @@ def gcn_inputs(graph, x):
     return adj, adj @ x
 
 
+def dense(matrix):
+    """A SparseMatrix as a dense array."""
+    out = np.zeros(matrix.shape)
+    out[matrix.rows, matrix.indices] = matrix.data
+    return out
+
+
 def dense_normalized_adjacency(graph):
     nodes = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(nodes)}
@@ -54,13 +61,13 @@ def dense_normalized_adjacency(graph):
 
 def test_normalized_adjacency_single_edge():
     g = make_graph({(0, 1): 1.0}, 2)
-    m = normalized_adjacency(g).toarray()
+    m = dense(normalized_adjacency(g))
     assert np.allclose(m, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_normalized_adjacency_isolated_node_row():
     g = make_graph({(0, 1): 3.0}, 3)
-    m = normalized_adjacency(g).toarray()
+    m = dense(normalized_adjacency(g))
     assert m[2, 2] == 1.0
     assert np.all(m[2, :2] == 0.0) and np.all(m[:2, 2] == 0.0)
 
@@ -69,7 +76,7 @@ def test_normalized_adjacency_matches_dense_oracle():
     rng = np.random.default_rng(4)
     for seed in range(8):
         g, _, _ = random_setup(seed, n=int(rng.integers(2, 10)))
-        m = normalized_adjacency(g).toarray()
+        m = dense(normalized_adjacency(g))
         assert np.allclose(m, dense_normalized_adjacency(g),
                            rtol=1e-14, atol=1e-15)
         assert np.allclose(m, m.T, rtol=1e-14, atol=1e-15)
@@ -78,7 +85,7 @@ def test_normalized_adjacency_matches_dense_oracle():
 def test_normalized_adjacency_spectral_radius_at_most_one():
     for seed in range(4):
         g, _, _ = random_setup(seed, n=8)
-        m = normalized_adjacency(g).toarray()
+        m = dense(normalized_adjacency(g))
         eigs = np.linalg.eigvalsh(m)
         assert eigs.max() <= 1.0 + 1e-12
 
@@ -152,11 +159,11 @@ def test_adjacency_toarray_matches_dense_oracle_and_drops_only_zeros():
     for seed in range(4):
         g = product_test_graph(seed)
         adj = normalized_adjacency(g)
-        dense = dense_normalized_adjacency(g)
-        assert adj.shape == dense.shape
-        assert np.allclose(adj.toarray(), dense, rtol=1e-14, atol=0.0)
+        oracle = dense_normalized_adjacency(g)
+        assert adj.shape == oracle.shape
+        assert np.allclose(dense(adj), oracle, rtol=1e-14, atol=0.0)
         # every nonzero of the dense oracle is stored, nothing else is
-        assert adj.nnz == np.count_nonzero(dense)
+        assert adj.nnz == np.count_nonzero(oracle)
         assert adj.nnz == len(g.vertices) + 2 * int((g.edges.weight > 0).sum())
         assert np.all(adj.data != 0.0)
 
@@ -303,6 +310,47 @@ def test_sample_neighbor_means_matches_lexsort_reference_bitwise():
                 lexsort_neighbor_means(graph, x, fanout, seed)), (n, fanout)
 
 
+def test_sample_neighbor_means_tie_path_matches_lexsort_reference(monkeypatch):
+    # keys drawn from 4 values: most keys tie, so the sampler must take the
+    # stable sort; the reference draws the same patched keys
+    draw = np.random.default_rng
+
+    class TiedKeys:
+        def __init__(self, seed):
+            self.rng = draw(seed)
+
+        def random(self, size):
+            return self.rng.integers(0, 4, size=size) / 4.0
+
+    for seed in range(4):
+        graph, x, _ = random_setup(seed, n=30, p=0.5)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", TiedKeys)
+            for fanout in (1, 3, 7):
+                assert np.array_equal(
+                    sample_neighbor_means(graph, x, fanout, seed),
+                    lexsort_neighbor_means(graph, x, fanout, seed)), fanout
+
+
+def test_sample_neighbor_means_above_16_bit_rows_matches_lexsort_reference():
+    # n > 65535 rows do not fit the 16-bit row type that numpy radix-sorts
+    n = 70_000
+    rng = np.random.default_rng(5)
+    ends = rng.integers(0, n, size=(150_000, 2))
+    hub_ends = np.stack([np.zeros(40, np.int64),
+                         rng.integers(1, n, size=40)], axis=1)
+    lo, hi = np.sort(np.concatenate([ends, hub_ends]), axis=1).T
+    keys = np.unique(lo[lo != hi] * n + hi[lo != hi])
+    graph = ClientGraph(relation_name="g", vertices=frozenset(range(n)),
+                        edges=np.rec.fromarrays(
+                            [keys // n, keys % n, np.ones(len(keys))],
+                            dtype=EDGE_DTYPE))
+    x = rng.standard_normal((n, 2))
+    for fanout in (1, 5):
+        assert np.array_equal(sample_neighbor_means(graph, x, fanout, 9),
+                              lexsort_neighbor_means(graph, x, fanout, 9))
+
+
 def test_sample_neighbor_means_picks_hub_neighbors_uniformly():
     # one-hot features reveal which neighbors each draw picked
     deg, fanout, draws = 10, 3, 2000
@@ -386,6 +434,67 @@ def test_softmax_matches_scipy_and_handles_extremes():
     assert np.isfinite(big).all()
     assert big[0, 0] == pytest.approx(1.0)
     assert np.allclose(softmax(z).sum(axis=1), 1.0)
+
+
+def two_pass_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_softmax_matches_two_pass_formula_bitwise(width):
+    rng = np.random.default_rng(width)
+    z = rng.standard_normal((500, width)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+    assert same_bits(softmax(z), two_pass_softmax(z))
+    extremes = [1e308, -1e308, -np.inf, 0.0, -0.0, 1.0, 709.0, -745.0]
+    z = np.array(list(itertools.product(extremes, repeat=min(width, 2))))
+    z = np.concatenate([z, np.zeros((len(z), width - z.shape[1]))], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(softmax(z), two_pass_softmax(z))
+    equal = np.repeat(rng.standard_normal((50, 1)), width, axis=1)
+    assert same_bits(softmax(equal), two_pass_softmax(equal))
+
+
+def boolean_index_loss_and_grads(params, cache, labels, mask):
+    """The loss and gradients through boolean-mask indexing, on the arrays
+    a forward left in ``cache``."""
+    probs = cache.probs
+    picked = probs[mask, labels[mask]]
+    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    grad_logits = np.zeros_like(cache.logits)
+    grad_logits[mask] = probs[mask]
+    grad_logits[mask, labels[mask]] -= 1.0
+    grad_logits /= int(mask.sum())
+    grad_head = (cache.adjacency.transpose_matmul(grad_logits)
+                 if params.arch == "gcn" else grad_logits)
+    grad_pre = (grad_head @ params.W2.T) * (cache.pre_hidden > 0)
+    return loss, cache.hidden.T @ grad_head, cache.inputs.T @ grad_pre
+
+
+@pytest.mark.parametrize("arch", ["gcn", "sage"])
+def test_loss_and_grads_match_boolean_index_formula_bitwise(arch):
+    for seed in range(5):
+        graph, x, labels = random_setup(seed, n=40, features=5, p=0.2)
+        params = init_params(arch, x.shape[1], seed=seed, hidden=8)
+        if arch == "gcn":
+            _, cache = gcn_forward(params, *gcn_inputs(graph, x))
+        else:
+            _, cache = sage_forward(params, graph, x, fanout=3, seed=seed)
+        rng = np.random.default_rng(seed)
+        for mask in (rng.random(40) < 0.3, np.ones(40, bool),
+                     np.arange(40) == seed):
+            want_loss, want_w2, want_w1 = boolean_index_loss_and_grads(
+                params, cache, labels, mask)
+            loss, grads = loss_and_grads(params, cache, labels, mask)
+            assert same_bits(np.array(loss), np.array(want_loss))
+            assert same_bits(grads.W2, want_w2)
+            assert same_bits(grads.W1, want_w1)
 
 
 # ---------------------------------------------------------------- gradients

@@ -46,6 +46,25 @@ def test_expand_arms_rejects_an_arm_listed_twice(arms):
         expand_arms(arms, ["r1", "r2"])
 
 
+def test_run_experiment_rejects_a_repeated_arm_before_writing_data(tmp_path):
+    cfg = tiny_config(arms=("2sfgl", "local", "local_rel0"))
+    with pytest.raises(ValueError, match="'local_rel0' is listed more"):
+        run_experiment(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_checks_arms_of_loaded_data_before_reading_it(tmp_path):
+    # the data files do not exist: the arm error must come first
+    cfg = ExperimentConfig(node_path=str(tmp_path / "nodes.csv"),
+                           relation_paths={"b": str(tmp_path / "b.csv"),
+                                           "a": str(tmp_path / "a.csv")},
+                           arms=("local", "local_a"))
+    assert cfg.relation_names() == ["a", "b"]
+    with pytest.raises(ValueError, match="'local_a' is listed more"):
+        run_experiment(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------------- single arms
 
 
@@ -105,10 +124,9 @@ def test_run_experiment_writes_every_artifact(tmp_path):
     for seed in (0, 1):
         expected |= {f"data/seed{seed}/{n}.csv"
                      for n in ("nodes", "rel0", "rel1")}
+        # the audit dumps (tags_*, shares_*) come only from `twosfgl fuse`
         expected |= {f"fusion_seed{seed}/{n}"
-                     for n in ("fused_rel0.csv", "fused_rel1.csv",
-                               "shares_rel0_rel1.csv", "shares_rel1_rel0.csv",
-                               "tags_rel0.csv", "tags_rel1.csv")}
+                     for n in ("fused_rel0.csv", "fused_rel1.csv")}
     assert set(tree(tmp_path)) == expected
     assert set(summary) == {(arm, m) for arm in arms for m in METRIC_NAMES}
     for value in summary.values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twosfgl.metrics import (METRIC_NAMES, EvalResult, RoundHistory,
-                             _average_ranks, accuracy, auc, gmean, macro_f1,
+                             accuracy, auc, gmean, macro_f1,
                              window_average)
 
 
@@ -77,6 +77,23 @@ def test_confusion_counts_are_taken_once_per_result():
     assert r.counts is counts
 
 
+def test_counts_and_accuracy_match_boolean_formulas_bitwise():
+    rng = np.random.default_rng(23)
+    for size in (1, 2, 5, 64, 333):
+        for _ in range(20):
+            # scores on a coarse grid, so some sit exactly on the threshold
+            r = result(rng.integers(0, 9, size=size) / 8.0,
+                       rng.integers(0, 2, size=size))
+            pos, neg = r.labels == 1, r.labels == 0
+            assert r.counts == (int(np.sum(r.preds[pos] == 1)),
+                                int(np.sum(r.preds[pos] == 0)),
+                                int(np.sum(r.preds[neg] == 0)),
+                                int(np.sum(r.preds[neg] == 1)))
+            want = float(np.mean(r.preds == r.labels))
+            assert np.array(accuracy(r)).view(np.int64) == \
+                np.array(want).view(np.int64)
+
+
 def test_auc_hand_case():
     assert auc(result([0.9, 0.8, 0.3, 0.2], [1, 0, 1, 0])) == pytest.approx(0.75)
 
@@ -103,13 +120,20 @@ def test_auc_equals_pair_counting_with_ties():
         assert auc(r) == pair_count_auc(scores, labels)
 
 
-def test_average_ranks_equal_scipy_rankdata_on_ties():
+def test_auc_equals_scipy_rankdata_formula_bitwise_on_ties():
     from scipy.stats import rankdata
     rng = np.random.default_rng(6)
-    for size in (1, 2, 17, 400):
-        # few distinct values, so most scores are tied
-        scores = rng.integers(0, 8, size=size) / 7.0
-        assert np.array_equal(_average_ranks(scores), rankdata(scores))
+    for size in (2, 3, 17, 400):
+        for _ in range(20):
+            # few distinct values, so most scores are tied
+            scores = rng.integers(0, 8, size=size) / 7.0
+            labels = rng.integers(0, 2, size=size)
+            labels[:2] = (0, 1)
+            n_pos = int(labels.sum())
+            n_neg = size - n_pos
+            rank_sum = float(rankdata(scores)[labels == 1].sum())
+            want = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+            assert auc(result(scores, labels)) == want
 
 
 def test_auc_single_class_rejected():
