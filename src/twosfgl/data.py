@@ -7,8 +7,8 @@ as one party's graph in the federation experiments.
 CSV contracts (UTF-8, no header row; ``#`` starts a comment that runs to the
 end of its line, and blank lines are ignored):
 
-* node file:      ``id,label,f0,...,f{F-1}``         (label in {0, 1})
-* relation file:  ``src,dst[,weight]``               (weight defaults to 1.0)
+* node file:      ``id,label,f0,...,f{F-1}``   (label in {0, 1}, finite features)
+* relation file:  ``src,dst[,weight]``         (finite weight >= 0, default 1.0)
 
 Edges are undirected and stored once under the canonical ``(min, max)`` pair;
 duplicate rows are summed.  Self-loop rows are ignored (self-loops enter the
@@ -26,10 +26,10 @@ Every stage reads the graph through one derived index, the cached
 positions in sorted vertex order.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -118,9 +118,10 @@ class ClientGraph:
 
     ``edges`` is a record array of ``EDGE_DTYPE``, one row per edge, with
     ``u < v``, rows strictly ascending by ``(u, v)``, endpoints in
-    ``vertices`` and nonnegative weights; it is stored read-only.  Instances
-    are immutable after construction and safe to share across workers.
-    ``edges`` is the only stored form; array code reads ``neighbor_csr``.
+    ``vertices`` and finite nonnegative weights; it is stored read-only.
+    Instances are immutable after construction and safe to share across
+    workers.  ``edges`` is the only stored form; array code reads
+    ``neighbor_csr``.
     """
 
     relation_name: str
@@ -138,12 +139,14 @@ class ClientGraph:
         inside = np.isin(u, nodes) & np.isin(v, nodes)
         ascending = np.ones(len(edges), dtype=bool)
         ascending[1:] = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
-        bad = np.flatnonzero((u >= v) | ~inside | ~ascending | (w < 0))
+        finite = np.isfinite(w)
+        bad = np.flatnonzero((u >= v) | ~inside | ~ascending | ~finite | (w < 0))
         if len(bad):
             i = bad[0]
             problem = ("is not canonical (u < v)" if u[i] >= v[i] else
                        "has endpoint outside the vertex set" if not inside[i] else
                        "is repeated or out of (u, v) order" if not ascending[i] else
+                       f"has non-finite weight {w[i]}" if not finite[i] else
                        f"has negative weight {w[i]}")
             raise ValueError(f"edge ({u[i]}, {v[i]}) {problem}")
 
@@ -219,10 +222,11 @@ def load_node_table(path) -> NodeTable:
     """Load a node CSV (``id,label,f0,...``) into a NodeTable.
 
     Ids must be exactly 0..N-1 (any row order); all rows must share one
-    feature width; labels must be 0 or 1.
+    feature width; labels must be 0 or 1; features must be finite.
     """
     table = _bulk_rows(path, _node_dtype)
     if (table is None or not np.isin(table["label"], (0, 1)).all()
+            or not np.isfinite(table["features"]).all()
             or not np.array_equal(np.sort(table["id"]), np.arange(len(table)))):
         return _load_node_table_per_line(path)
     features = np.empty_like(table["features"])
@@ -256,6 +260,9 @@ def _load_node_table_per_line(path) -> NodeTable:
         if label not in (0, 1):
             raise DatasetFormatError(f"{path}:{lineno}: non-binary label {label} "
                                      f"for node id {nid}")
+        if not all(map(math.isfinite, feats)):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite feature "
+                                     f"for node id {nid}")
         if width is None:
             width = len(feats)
         elif len(feats) != width:
@@ -286,7 +293,8 @@ def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
     """Load a relation CSV (``src,dst[,weight]``) against a node table.
 
     Duplicate rows (either orientation) are summed in file order; self-loop
-    rows are ignored; endpoints must be valid node ids.
+    rows are ignored; endpoints must be valid node ids; weights must be
+    finite and nonnegative.
     """
     n = nodes.num_nodes
     rows = _bulk_rows(path, _RELATION_DTYPES.get)
@@ -294,6 +302,7 @@ def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
         rows = np.rec.fromarrays([rows["u"], rows["v"], np.ones(len(rows))],
                                  dtype=_RELATION_DTYPES[3])
     if (rows is None or (rows["weight"] < 0).any()
+            or not np.isfinite(rows["weight"]).all()
             or not ((0 <= rows["u"]) & (rows["u"] < n)
                     & (0 <= rows["v"]) & (rows["v"] < n)).all()):
         rows = _relation_rows_per_line(path, n)
@@ -329,6 +338,8 @@ def _relation_rows_per_line(path, n: int) -> np.ndarray:
             if not 0 <= endpoint < n:
                 raise DatasetFormatError(f"{path}:{lineno}: dangling endpoint id "
                                          f"{endpoint} (node table has {n} nodes)")
+        if not math.isfinite(w):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite weight {w}")
         if w < 0:
             raise DatasetFormatError(f"{path}:{lineno}: negative weight {w}")
         rows.append((u, v, w))
@@ -348,30 +359,61 @@ def load_dataset(node_path, relation_paths: dict) -> MultiRelationDataset:
 WRITE_CHUNK_ROWS = 4096
 
 
-def write_rows(fh, row_format: str, rows) -> None:
-    """Write ``row_format % row`` for every row of ``rows``, a record array
-    or a 2-D array, with one %-format per chunk of ``WRITE_CHUNK_ROWS`` rows,
-    so that the text held in memory stays bounded.  ``%d`` writes an integer
-    field as ``str`` does and ``%r`` a float field as ``repr`` does."""
-    for start in range(0, len(rows), WRITE_CHUNK_ROWS):
-        chunk = rows[start:start + WRITE_CHUNK_ROWS].tolist()
-        fh.write((row_format * len(chunk)) % tuple(chain.from_iterable(chunk)))
+def write_rows(path, header: str, columns) -> None:
+    """Write ``header``, then one comma-separated row per index of the
+    ``columns``: scalars repeated on every row, 1-D arrays of one length and
+    2-D arrays of that many rows, each of whose columns is a field.
+
+    A float is written as ``repr`` writes it and anything else as ``str``
+    does; a text that is not ASCII or holds a NUL is refused.  Each entry's
+    distinct values are formatted once, floats told apart by bit pattern so
+    that ``-0.0`` and ``0.0`` keep their own text.  Each chunk of
+    ``WRITE_CHUNK_ROWS`` rows is gathered from those texts into one bytes
+    write, so the text held in memory stays bounded per chunk.
+    """
+    columns = [np.asarray(column) for column in columns]
+    n = len(next(column for column in columns if column.ndim))
+    tables = [_text_table(column, n) for column in columns]
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, n, WRITE_CHUNK_ROWS):
+            rows = min(WRITE_CHUNK_ROWS, n - start)
+            text = np.hstack([np.take(table, index[start:start + rows], axis=0)
+                              .reshape(rows, -1) for table, index in tables])
+            text[:, -1] = ord("\n")      # the last field's "," ends the row
+            fh.write(text[text != 0].tobytes())
+
+
+def _text_table(column: np.ndarray, n: int):
+    """The texts of an entry's distinct values as the rows of a byte matrix,
+    each padded with NULs and ended by a "," in the last byte, and the row of
+    each of the entry's values, broadcast to ``n`` rows."""
+    if column.dtype.kind == "f":
+        bits = column.astype(np.float64, copy=False).view(np.uint64)
+        keys, index = np.unique(bits, return_inverse=True)
+        texts = list(map(repr, keys.view(np.float64).tolist()))
+        width = 25                      # a float's repr has at most 24 characters
+    else:
+        keys, index = np.unique(column, return_inverse=True)
+        texts = list(map(str, keys.tolist()))
+        if "\0" in "".join(texts):
+            raise ValueError("a CSV field holds a NUL")
+        width = max(map(len, texts), default=0) + 1
+    table = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    table[:, -1] = ord(",")
+    return table, np.broadcast_to(index.reshape(column.shape),
+                                  (n, *column.shape[1:]))
 
 
 def write_node_table(nodes: NodeTable, path) -> None:
-    table = np.rec.fromarrays([np.arange(nodes.num_nodes), nodes.labels,
-                               *nodes.features.T])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# id,label,f0,...\n")
-        write_rows(fh, "%d,%d," + ",".join(["%r"] * nodes.feature_width) + "\n",
-                   table)
+    write_rows(path, "# id,label,f0,...\n",
+               [np.arange(nodes.num_nodes), nodes.labels, nodes.features])
 
 
 def write_relation(graph: ClientGraph, path) -> None:
     """Write a graph's edges in the relation CSV contract, in (u, v) order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# src,dst,weight\n")
-        write_rows(fh, "%d,%d,%r\n", graph.edges)
+    edges = graph.edges
+    write_rows(path, "# src,dst,weight\n", [edges.u, edges.v, edges.weight])
 
 
 def balance_sample(labels, ratio_low: float = 0.5, ratio_high: float = 2.0,

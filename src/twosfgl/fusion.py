@@ -109,6 +109,30 @@ def _find(sorted_keys: np.ndarray, query: np.ndarray):
     return pos, found
 
 
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in a sorted array."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.flatnonzero(first)
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where ``b``'s entries fall in the ascending union of two ascending
+    arrays with no value in common: a mask over the union."""
+    from_b = np.zeros(len(a) + len(b), dtype=bool)
+    from_b[np.searchsorted(a, b) + np.arange(len(b))] = True
+    return from_b
+
+
+def _place(from_b: np.ndarray, a: np.ndarray, b) -> np.ndarray:
+    """``a``'s entries, in order, where ``from_b`` is False and ``b``'s where
+    it is True."""
+    out = np.empty(len(from_b), dtype=a.dtype)
+    out[from_b] = b
+    out[~from_b] = a
+    return out
+
+
 def _shares(graph: ClientGraph, src, dst, values, hops) -> np.recarray:
     """A share batch with one row per CSR position pair, values clamped."""
     nodes = graph.neighbor_csr.nodes
@@ -170,12 +194,13 @@ def khop_shares(graph: ClientGraph, common, k: int) -> np.recarray:
         # end at i or at a direct neighbor of i, so these filters drop them
         new = (end != src) & is_common[end] & ~_find(taken, pair)[1]
         # best product per pair: sort by pair, then product descending, and
-        # keep the first of each group
+        # keep the first of each run
         order = np.flatnonzero(new)[np.lexsort((-product[new], pair[new]))]
-        keys, first = np.unique(pair[order], return_index=True)
-        best = product[order][first]
-        found.append((keys, best, np.full(len(keys), hops)))
-        taken = np.union1d(taken, keys)
+        first = order[_first_of_runs(pair[order])]
+        keys = pair[first]
+        found.append((keys, product[first], np.full(len(keys), hops)))
+        if hops < k:
+            taken = _place(_merge(taken, keys), taken, keys)
     keys, best, hops = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((keys, hops, keys // n))
     keys = keys[order]
@@ -242,7 +267,8 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     oriented, group = np.unique(src * n + dst, return_inverse=True)
     means = np.bincount(group, weights=incoming.value) / np.bincount(group)
     heads, tails = oriented // n, oriented % n
-    pairs = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    pairs = np.sort(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    pairs = pairs[_first_of_runs(pairs)]
     u, v = pairs // n, pairs % n
     forward, has_forward = _find(oriented, pairs)
     backward, has_backward = _find(oriented, v * n + u)
@@ -256,22 +282,23 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     local_weight[in_local] = csr.weights[at[in_local]]
 
     keep = in_local | (candidate > 0)
-    upper = csr.rows < csr.indices          # each local edge once, in row order
-    # a pair's first occurrence is its fused row, which replaces the local one
-    keys, first = np.unique(np.concatenate([pairs[keep], entries[upper]]),
-                            return_index=True)
-    weight = np.concatenate([np.maximum(local_weight, candidate)[keep],
-                             csr.weights[upper]])
-    provenance = np.concatenate([np.where(in_local, "both", "fused")[keep],
-                                 np.full(len(local.edges), "local")])
+    # a pair's fused row replaces its local edge; the other local edges stay
+    only_local = csr.rows < csr.indices     # each local edge once, in row order
+    only_local[at[in_local]] = False
+    fused_keys, local_keys = pairs[keep], entries[only_local]
+    from_local = _merge(fused_keys, local_keys)
+    keys = _place(from_local, fused_keys, local_keys)
     return VirtualFusedGraph(
         relation_name=local.relation_name,
         vertices=local.vertices,
         edges=np.rec.fromarrays(
-            [csr.nodes[keys // n], csr.nodes[keys % n], weight[first]],
+            [csr.nodes[keys // n], csr.nodes[keys % n],
+             _place(from_local, np.maximum(local_weight, candidate)[keep],
+                    csr.weights[only_local])],
             dtype=EDGE_DTYPE),
         node_ref=local.node_ref,
-        provenance=provenance[first],
+        provenance=_place(from_local, np.where(in_local, "both", "fused")[keep],
+                          "local"),
     )
 
 
@@ -340,16 +367,12 @@ def virtual_fusion_round(clients, cfg: FusionConfig):
 
 def write_shares(shares: np.recarray, path, sender: str) -> None:
     """Audit CSV of one sender's batch: ``sender,src,dst,hops,value`` per share."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# sender,src,dst,hops,value\n")
-        write_rows(fh, sender.replace("%", "%%") + ",%d,%d,%d,%r\n",
-                   shares)
+    write_rows(path, "# sender,src,dst,hops,value\n",
+               [sender, shares.src, shares.dst, shares.hops, shares.value])
 
 
 def write_tags(graph: VirtualFusedGraph, path) -> None:
     """Audit CSV of a fused graph: ``src,dst,origin`` per edge, in (u, v)
     order."""
-    tags = np.rec.fromarrays([graph.edges.u, graph.edges.v, graph.provenance])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# src,dst,origin\n")
-        write_rows(fh, "%d,%d,%s\n", tags)
+    write_rows(path, "# src,dst,origin\n",
+               [graph.edges.u, graph.edges.v, graph.provenance])

@@ -120,8 +120,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir):
         order = np.lexsort((v, u))
 
         path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# src,dst\n")
-            write_rows(fh, "%d,%d\n", np.stack([u[order], v[order]], axis=1))
+        write_rows(path, "# src,dst\n", [u[order], v[order]])
         relation_paths[name] = path
     return node_path, relation_paths

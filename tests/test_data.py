@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from twosfgl.data import (EDGE_DTYPE, ClientGraph, DatasetFormatError, NodeTable
                           SplitAssignment, balance_sample, incident_sums,
                           load_dataset, load_node_table, load_relation,
                           stratified_split, write_node_table, write_relation,
-                          zscore_features)
+                          write_rows, zscore_features)
 
 
 def make_graph(edges, n, name="g", nodes=None):
@@ -219,6 +221,89 @@ def test_node_error_after_well_formed_rows_names_its_line(tmp_path):
         load_node_table(path)
 
 
+@pytest.mark.parametrize("parser", ["bulk", "per_line"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_weight_is_refused_with_its_line(tmp_path, monkeypatch,
+                                                    parser, value):
+    if parser == "per_line":
+        per_line_only(monkeypatch)
+    path = tmp_path / "rel.csv"
+    path.write_text("# src,dst,weight\n0,1,1.0\n1,2,0.5\n2,3," + value
+                    + "\n0,3,2.0\n")
+    with pytest.raises(DatasetFormatError,
+                       match=r"rel\.csv:4: non-finite weight " + value.lstrip("+")):
+        load_relation(path, "rel", nodes4())
+
+
+@pytest.mark.parametrize("parser", ["bulk", "per_line"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_feature_is_refused_with_its_line(tmp_path, monkeypatch,
+                                                     parser, value):
+    if parser == "per_line":
+        per_line_only(monkeypatch)
+    path = tmp_path / "nodes.csv"
+    path.write_text("0,0,0.5,1.0\n1,1,0.25," + value + "\n2,0,1.5,2.0\n")
+    with pytest.raises(DatasetFormatError,
+                       match=r"nodes\.csv:2: non-finite feature for node id 1"):
+        load_node_table(path)
+
+
+# Per-row references of the writers: one %-format per row, ``%r`` for a
+# float, ``%d`` for an integer and ``%s`` for a string.
+
+def percent_rows(row_format, rows):
+    return "".join(row_format % tuple(row) for row in rows)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 0.1 + 0.2, 5e-324, 1e16, 1e-05, np.nan, np.inf,
+               -np.inf, -0.0, float(np.frombuffer(
+                   np.array([0xFFF8000000000001], dtype=np.uint64).tobytes())[0]),
+               -np.nan, 1e300, -2.5e-17, 0.0, 123456789.123456789]
+EDGE_INTS = [0, -1, 7, -2**63, 2**63 - 1, -2**63 + 1, 2**63 - 2, 0, -7, 42]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 4096])
+def test_write_rows_matches_percent_format_at_the_edges(tmp_path, monkeypatch,
+                                                        chunk_rows):
+    monkeypatch.setattr(data_module, "WRITE_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(5)
+    n = 40
+    floats = np.array(EDGE_FLOATS)[rng.integers(0, len(EDGE_FLOATS), n)]
+    floats[:2] = [-0.0, 0.0]                # one chunk even at 3 rows
+    ints = np.array(EDGE_INTS, dtype=np.int64)[rng.integers(0, len(EDGE_INTS), n)]
+    names = np.array(["local", "both", "fused", "x"])[rng.integers(0, 4, n)]
+    block = rng.integers(-3, 1000, size=(n, 2))
+    columns = ["rel_0", ints, floats, names, block, floats[::-1]]
+    rows = [("rel_0", i, f, s, a, b, g) for i, f, s, (a, b), g in zip(
+        ints.tolist(), floats.tolist(), names.tolist(), block.tolist(),
+        floats[::-1].tolist())]
+    path = tmp_path / "rows.csv"
+    write_rows(path, "# h\n", columns)
+    assert path.read_bytes() == ("# h\n" + percent_rows(
+        "%s,%d,%r,%s,%d,%d,%r\n", rows)).encode()
+    # equal as values, the two zeros keep their own texts
+    assert [line.split(",")[2] for line in path.read_text().splitlines()[1:3]] \
+        == ["-0.0", "0.0"]
+
+
+def test_write_rows_writes_synth_blocks_and_empty_arrays(tmp_path):
+    pairs = np.array([[0, 1], [0, 17], [3, 2**40], [-5, 9]])
+    write_rows(tmp_path / "pairs.csv", "# src,dst\n", [pairs])
+    assert (tmp_path / "pairs.csv").read_text() == "# src,dst\n" + percent_rows(
+        "%d,%d\n", pairs.tolist())
+    write_rows(tmp_path / "empty.csv", "# src,dst,weight\n",
+               [np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(0)])
+    assert (tmp_path / "empty.csv").read_text() == "# src,dst,weight\n"
+
+
+def test_write_rows_refuses_nul_and_non_ascii_text(tmp_path):
+    for bad in ("a\0b", "caf\u00e9"):
+        with pytest.raises(ValueError):
+            write_rows(tmp_path / "bad.csv", "", [np.array([bad, "ok"]),
+                                                  np.arange(2)])
+
+
 def test_writers_match_per_line_format_across_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(data_module, "WRITE_CHUNK_ROWS", 2)
     features = np.array([[0.1 + 0.2, -0.0], [5e-324, 1.0], [1e300, 7.0],
@@ -266,6 +351,10 @@ def test_client_graph_validation():
      "edge (0, 3) is repeated or out of (u, v) order"),
     ([(0, 1, 1.0), (0, 2, -0.5), (2, 1, 1.0)],
      "edge (0, 2) has negative weight -0.5"),
+    ([(0, 1, 1.0), (0, 2, np.nan), (1, 2, -1.0)],
+     "edge (0, 2) has non-finite weight nan"),
+    ([(0, 1, np.inf)], "edge (0, 1) has non-finite weight inf"),
+    ([(0, 1, 1.0), (1, 2, -np.inf)], "edge (1, 2) has non-finite weight -inf"),
 ])
 def test_client_graph_rejects_first_invalid_row(rows, message):
     edges = np.array(rows, dtype=EDGE_DTYPE)

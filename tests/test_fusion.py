@@ -9,7 +9,8 @@ from twosfgl import fusion as fusion_module
 from twosfgl.data import EDGE_DTYPE, ClientGraph, incident_sums
 from twosfgl.fusion import (SHARE_CLAMP_DELTA, SHARE_DTYPE, FusionConfig,
                             apply_dp, fuse, khop_shares, normalize_edges,
-                            update_edge, virtual_fusion_round, write_shares)
+                            update_edge, virtual_fusion_round, write_shares,
+                            write_tags)
 from twosfgl.psi import PsiBackend
 
 TOP = 1.0 - SHARE_CLAMP_DELTA
@@ -737,14 +738,137 @@ def test_write_shares_format(tmp_path):
 
 def test_write_shares_matches_per_line_format_across_chunks(tmp_path,
                                                             monkeypatch):
-    monkeypatch.setattr("twosfgl.data.WRITE_CHUNK_ROWS", 3)
     rng = np.random.default_rng(4)
-    values = [0.1 + 0.2, 5e-324, 1.0, 0.0, 1 / 3, 2.5e-17, 0.999999]
+    # -0.0 and 0.0 share a chunk; a writer that told floats apart by value
+    # would give both the same text
+    values = [-0.0, 0.0, 0.1 + 0.2, 5e-324, 1.0, 1e16, 1e-05, np.nan, np.inf,
+              -np.inf, 1 / 3, 2.5e-17, 0.999999, 0.0, -0.0]
+    m = len(values)
     shares = batch([(int(a), int(b), v, int(h)) for a, b, v, h in zip(
-        rng.integers(0, 50, 7), rng.integers(0, 50, 7), values,
-        rng.integers(1, 4, 7))])
-    path = tmp_path / "shares.csv"
-    write_shares(shares, path, "rel_0%s")
+        rng.integers(0, 50, m), rng.integers(0, 50, m), values,
+        rng.integers(1, 4, m))])
     want = "# sender,src,dst,hops,value\n" + "".join(
         f"rel_0%s,{s},{d},{h},{v!r}\n" for s, d, h, v in shares.tolist())
-    assert path.read_text() == want
+    for chunk_rows in (1, 3):
+        monkeypatch.setattr("twosfgl.data.WRITE_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "shares.csv"
+        write_shares(shares, path, "rel_0%s")
+        assert path.read_text() == want, chunk_rows
+
+
+def test_write_tags_matches_per_line_format_across_chunks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    local = random_sparse_graph(rng, 12)
+    ids = sorted(local.vertices)
+    incoming = batch((ids[a], ids[b], v) for a, b, v in zip(
+        rng.integers(0, 12, 30), rng.integers(0, 12, 30),
+        rng.uniform(0, TOP, 30)) if a != b)
+    fused = fuse(local, incoming, cfg())
+    assert {"local", "both", "fused"} <= set(fused.provenance.tolist())
+    want = "# src,dst,origin\n" + "".join(
+        f"{u},{v},{tag}\n" for (u, v, _), tag in zip(fused.edges.tolist(),
+                                                    fused.provenance.tolist()))
+    for chunk_rows in (1, 3):
+        monkeypatch.setattr("twosfgl.data.WRITE_CHUNK_ROWS", chunk_rows)
+        write_tags(fused, tmp_path / "tags.csv")
+        assert (tmp_path / "tags.csv").read_text() == want, chunk_rows
+
+
+# -------------------------------------------- set operations against np.unique
+# References: khop_shares and fuse as they were written with numpy's
+# np.unique and np.union1d, before the sort-based merges.
+
+def unique_khop_shares(graph, common, k):
+    csr, is_common, steps = fusion_module._sender_view(graph, common)
+    n = len(csr.nodes)
+    taken = csr.rows * n + csr.indices
+    src = np.flatnonzero(is_common)
+    walk, end, product = fusion_module._extend(csr, steps, src, np.ones(len(src)))
+    src = src[walk]
+    found = []
+    for hops in range(2, k + 1):
+        walk, end, product = fusion_module._extend(csr, steps, end, product)
+        src = src[walk]
+        pair = src * n + end
+        new = (end != src) & is_common[end] & ~fusion_module._find(taken, pair)[1]
+        order = np.flatnonzero(new)[np.lexsort((-product[new], pair[new]))]
+        keys, first = np.unique(pair[order], return_index=True)
+        found.append((keys, product[order][first], np.full(len(keys), hops)))
+        taken = np.union1d(taken, keys)
+    keys, best, hops = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((keys, hops, keys // n))
+    keys = keys[order]
+    return fusion_module._shares(graph, keys // n, keys % n, best[order],
+                                 hops[order])
+
+
+def unique_fuse(local, incoming, lam):
+    """(edges, provenance) of ``fuse``."""
+    csr = local.neighbor_csr
+    n = len(csr.nodes)
+    (src, dst), _ = fusion_module._find(csr.nodes,
+                                        np.stack([incoming.src, incoming.dst]))
+    oriented, group = np.unique(src * n + dst, return_inverse=True)
+    means = np.bincount(group, weights=incoming.value) / np.bincount(group)
+    heads, tails = oriented // n, oriented % n
+    pairs = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    u, v = pairs // n, pairs % n
+    forward, has_forward = fusion_module._find(oriented, pairs)
+    backward, has_backward = fusion_module._find(oriented, v * n + u)
+    sums = incident_sums(local)
+    candidate = np.maximum(
+        update_edge(means[np.where(has_forward, forward, backward)], sums[u], lam),
+        update_edge(means[np.where(has_backward, backward, forward)], sums[v], lam))
+    entries = csr.rows * n + csr.indices
+    at, in_local = fusion_module._find(entries, pairs)
+    local_weight = np.zeros(len(pairs))
+    local_weight[in_local] = csr.weights[at[in_local]]
+    keep = in_local | (candidate > 0)
+    upper = csr.rows < csr.indices
+    keys, first = np.unique(np.concatenate([pairs[keep], entries[upper]]),
+                            return_index=True)
+    weight = np.concatenate([np.maximum(local_weight, candidate)[keep],
+                             csr.weights[upper]])
+    provenance = np.concatenate([np.where(in_local, "both", "fused")[keep],
+                                 np.full(len(local.edges), "local")])
+    edges = np.rec.fromarrays(
+        [csr.nodes[keys // n], csr.nodes[keys % n], weight[first]],
+        dtype=EDGE_DTYPE)
+    return edges, provenance[first]
+
+
+def random_graph_on(rng, ids, p, name):
+    """A graph over the vertex ids ``ids``, about a fifth of its edges at 0."""
+    return ClientGraph(relation_name=name, vertices=frozenset(ids),
+                       edges=edge_array({
+                           (u, v): (0.0 if rng.random() < 0.2
+                                    else float(rng.uniform(0.1, 2.0)))
+                           for a, u in enumerate(ids) for v in ids[a + 1:]
+                           if rng.random() < p}))
+
+
+def test_sort_based_set_operations_match_the_unique_formulas():
+    rng = np.random.default_rng(61)
+    for trial in range(12):
+        ids = sorted(int(i) for i in rng.choice(300, size=40, replace=False))
+        local, *senders = (random_graph_on(rng, ids, 0.12, name)
+                           for name in "abc")
+        sent = []
+        for sender in senders:
+            common = random_common(rng, sender)
+            for k in (2, 3):
+                got = khop_shares(sender, common, k)
+                want = unique_khop_shares(sender, common, k)
+                assert got.dtype == want.dtype and len(got)
+                assert got.tobytes() == want.tobytes(), (trial, k)
+            sent.append(apply_dp(np.concatenate(
+                [normalize_edges(sender, common), got]).view(np.recarray),
+                1.0, seed=trial))
+        incoming = np.concatenate(sent).view(np.recarray)
+        assert (incoming.value == 0).any() and (incoming.value > 0).any()
+        for lam in (0.3, 0.5):
+            fused = fuse(local, incoming, cfg(lam=lam))
+            edges, provenance = unique_fuse(local, incoming, lam)
+            assert fused.edges.tobytes() == edges.tobytes(), trial
+            assert fused.provenance.dtype == provenance.dtype
+            assert fused.provenance.tolist() == provenance.tolist()

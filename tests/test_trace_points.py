@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` replaces each traced function in the namespace of
 the module that calls it.  A refactor that calls a function through another
 name leaves its span silently empty; these runs of the traced benchmark child
-on ``configs/smoke.cfg``, once per architecture, notice.
+on ``configs/smoke.cfg``, once per architecture and once as a k-hop ``fuse``,
+notice.
 """
 
 import collections
@@ -16,19 +17,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def traced_smoke_spans(tmp_path, *extra_args) -> collections.Counter:
-    """Span counts of one traced ``twosfgl run`` on the smoke config."""
+def traced_child(tmp_path, command, config, *extra_args) -> dict:
+    """The record of one traced ``twosfgl`` command run by the benchmark
+    child: its spans and counts."""
     result_path = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"),
          "--result", str(result_path), "--trace", "1", "--",
-         "run", "--config", str(ROOT / "configs" / "smoke.cfg"),
-         "--out", str(tmp_path / "out"), *extra_args],
+         command, "--config", str(config), "--out", str(tmp_path / "out"),
+         *extra_args],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(result_path.read_text(encoding="utf-8"))
     assert doc["code"] == 0
+    return doc
+
+
+def traced_smoke_spans(tmp_path, *extra_args) -> collections.Counter:
+    """Span counts of one traced ``twosfgl run`` on the smoke config."""
+    doc = traced_child(tmp_path, "run", ROOT / "configs" / "smoke.cfg",
+                       *extra_args)
     return collections.Counter(name for name, *_ in doc["spans"])
 
 
@@ -52,3 +61,25 @@ def test_traced_sage_smoke_run_reaches_the_sampling_points(tmp_path):
     for name in ("fedavg.local_steps", "gnn.backward", "gnn.adam"):
         assert spans[name] == 9 * 40, name
     assert spans["fedavg.eval"] == 5 * 40
+
+
+def data_rows(paths) -> int:
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) - 1
+               for path in paths)
+
+
+def test_traced_khop_fuse_reaches_the_fusion_points(tmp_path):
+    config = tmp_path / "khop.cfg"
+    config.write_text((ROOT / "configs" / "smoke.cfg").read_text(encoding="utf-8")
+                      + "fusion.hops = 2\nfusion.dp_epsilon = 1\n",
+                      encoding="utf-8")
+    doc = traced_child(tmp_path, "fuse", config)
+    spans = collections.Counter(name for name, *_ in doc["spans"])
+    # 3 clients: 6 ordered pairs send shares, each of 3 receivers fuses once
+    for name, count in [("fusion.normalize", 6), ("fusion.khop", 6),
+                        ("fusion.dp", 6), ("fusion.fuse", 3),
+                        ("fusion.round", 1), ("harness.fusion_outputs", 1)]:
+        assert spans[name] == count, name
+    out = tmp_path / "out"
+    assert doc["counts"]["fusion.shares"] == data_rows(out.glob("shares_*.csv"))
+    assert doc["counts"]["fusion.fused_edges"] == data_rows(out.glob("fused_*.csv"))
