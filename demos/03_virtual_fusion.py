@@ -18,7 +18,7 @@ from twosfgl.fusion import (FusionConfig, apply_dp, normalize_edges,
 
 def graph(name, edges, n=6):
     """A party's graph from (u, v, weight) rows with u < v, in (u, v) order."""
-    return ClientGraph(relation_name=name, vertices=frozenset(range(n)),
+    return ClientGraph(relation_name=name, vertices=range(n),
                        edges=edges)
 
 

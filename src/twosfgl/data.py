@@ -18,19 +18,21 @@ this contract.  It parses a file in one pass with numpy's C reader and falls
 back to a per-line parser, which names the first bad row, for any file that
 pass cannot take whole.
 
-``ClientGraph.edges`` is the one stored form of a graph: a record array of
-``EDGE_DTYPE`` (``u``, ``v``, ``weight``) with ``u < v``, rows strictly
-ascending by ``(u, v)``.  It is what is loaded, validated, fused and dumped.
-Every stage reads the graph through one derived index, the cached
-``ClientGraph.neighbor_csr`` (a ``GraphCSR``): a weighted symmetric CSR over
-positions in sorted vertex order.
+A vertex or id set has one form, an ascending, read-only int64 array without
+repeats (``id_array``): a graph's ``vertices``, a PSI result, a sample and
+each side of a split.  ``ClientGraph.edges`` is the one stored form of a
+graph: a record array of ``EDGE_DTYPE`` (``u``, ``v``, ``weight``), ``u < v``,
+rows strictly ascending by ``(u, v)``; it is what is loaded, validated, fused
+and dumped.  Every stage reads it through the cached
+``ClientGraph.neighbor_csr``, a ``GraphCSR`` whose id map is the graph's own
+``vertices``.  ``GraphCSR`` is the one sparse matrix type: the GCN's
+normalized adjacency is one too, over the same vertices.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "NodeTable",
     "GraphCSR",
     "ClientGraph",
+    "id_array",
     "MultiRelationDataset",
     "SplitAssignment",
     "DatasetFormatError",
@@ -92,51 +95,87 @@ class NodeTable:
         return self.features.shape[1]
 
 
-class GraphCSR(NamedTuple):
-    """Weighted symmetric adjacency over positions in sorted vertex order.
+def id_array(ids) -> np.ndarray:
+    """``ids`` in the one form of a vertex or id set: an ascending, read-only
+    int64 array without repeats.  A read-only array already in that form is
+    returned as it is; anything else is sorted and deduplicated into a new
+    array."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim == 1 and not ids.flags.writeable and (ids[1:] > ids[:-1]).all():
+        return ids
+    ids = np.unique(ids)
+    ids.flags.writeable = False
+    return ids
 
-    ``nodes[p]`` is the vertex id at position p.  Row p lists the positions
-    of p's neighbors, ``indices[indptr[p]:indptr[p + 1]]``, in ascending
-    order, with the matching edge ``weights``; each undirected edge appears
-    once in each endpoint's row.  Zero-weight edges are kept.
+
+class GraphCSR:
+    """A square sparse matrix over a vertex set in CSR layout: a graph's
+    neighbor index, or the normalized adjacency built from it.
+
+    ``nodes[p]`` is the vertex id at position p.  Row p holds the column
+    positions ``indices[indptr[p]:indptr[p + 1]]``, ascending, with their
+    ``weights``; ``rows`` is each entry's row, computed once.  A graph's
+    index holds each edge once in each endpoint's row, zero weights kept.
+
+    The products are bit for bit those of scipy's CSR kernels: each output
+    of ``A @ x`` adds its terms ``weight * x`` in stored entry order from
+    0.0, and ``transpose_matmul`` swaps rows and columns.  They go one
+    column of ``x`` at a time, the column's nnz terms gathered into one
+    scratch array and summed per output row by ``np.bincount``, so no index
+    array wider than nnz is built.
     """
 
-    nodes: np.ndarray      # (V,) int64 vertex ids, ascending
-    indptr: np.ndarray     # (V + 1,) int64
-    indices: np.ndarray    # (2E,) int64 neighbor positions
-    weights: np.ndarray    # (2E,) float64
+    def __init__(self, nodes, indptr, indices, weights):
+        self.nodes, self.indptr = nodes, indptr
+        self.indices, self.weights = indices, weights
+        self.rows = np.repeat(np.arange(len(nodes)), np.diff(indptr))
 
     @property
-    def rows(self) -> np.ndarray:
-        """Row position of every entry."""
-        return np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
+    def nnz(self) -> int:
+        return len(self.weights)
+
+    def _product(self, x, out_index, in_index) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        n = len(self.nodes)
+        out = np.empty((n, x.shape[1]))
+        terms = np.empty(self.nnz)
+        for col in range(x.shape[1]):
+            np.take(x[:, col], in_index, out=terms)
+            np.multiply(self.weights, terms, out=terms)
+            out[:, col] = np.bincount(out_index, weights=terms, minlength=n)
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self._product(x, self.rows, self.indices)
+
+    def transpose_matmul(self, x) -> np.ndarray:
+        """``A^T @ x`` without building the transpose."""
+        return self._product(x, self.indices, self.rows)
 
 
 @dataclass(frozen=True, eq=False)
 class ClientGraph:
     """One party's view: a vertex set and its weighted undirected edges.
 
-    ``edges`` is a record array of ``EDGE_DTYPE``, one row per edge, with
-    ``u < v``, rows strictly ascending by ``(u, v)``, endpoints in
-    ``vertices`` and finite nonnegative weights; it is stored read-only.
-    Instances are immutable after construction and safe to share across
-    workers.  ``edges`` is the only stored form; array code reads
-    ``neighbor_csr``.
+    ``vertices`` is an id array (``id_array`` normalizes the input).
+    ``edges`` is a read-only record array of ``EDGE_DTYPE``, one row per
+    edge, with ``u < v``, rows strictly ascending by ``(u, v)``, endpoints
+    in ``vertices`` and finite nonnegative weights.  Instances are immutable
+    and safe to share across workers; array code reads ``neighbor_csr``.
     """
 
     relation_name: str
-    vertices: frozenset
+    vertices: np.ndarray   # ascending read-only int64 ids
     edges: np.recarray     # EDGE_DTYPE rows
     node_ref: NodeTable | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
+        object.__setattr__(self, "vertices", id_array(self.vertices))
         edges = np.asarray(self.edges, dtype=EDGE_DTYPE).view(np.recarray)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         u, v, w = edges.u, edges.v, edges.weight
-        nodes = np.fromiter(self.vertices, dtype=np.int64, count=len(self.vertices))
-        inside = np.isin(u, nodes) & np.isin(v, nodes)
+        inside = np.isin(u, self.vertices) & np.isin(v, self.vertices)
         ascending = np.ones(len(edges), dtype=bool)
         ascending[1:] = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
         finite = np.isfinite(w)
@@ -152,12 +191,9 @@ class ClientGraph:
 
     @cached_property
     def neighbor_csr(self) -> GraphCSR:
-        """The graph's one derived index, built on first use and cached.
-
-        Matrices built from the graph (adjacency, feature rows, masks)
-        follow the same sorted vertex order, ``neighbor_csr.nodes``.
-        """
-        nodes = np.array(sorted(self.vertices), dtype=np.int64)
+        """The graph's one derived index, built on first use and cached.  Its
+        id map is ``vertices``, the row order of every matrix built from it."""
+        nodes = self.vertices
         ends = np.searchsorted(nodes, np.stack([self.edges.u, self.edges.v], axis=1))
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
         order = np.lexsort((cols, rows))
@@ -175,15 +211,17 @@ class MultiRelationDataset:
     relations: dict  # name -> ClientGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitAssignment:
-    """Disjoint train/test node-id sets produced by stratified_split."""
+    """Disjoint train/test id arrays produced by stratified_split."""
 
-    train_ids: frozenset
-    test_ids: frozenset
+    train_ids: np.ndarray
+    test_ids: np.ndarray
 
     def __post_init__(self):
-        if self.train_ids & self.test_ids:
+        object.__setattr__(self, "train_ids", id_array(self.train_ids))
+        object.__setattr__(self, "test_ids", id_array(self.test_ids))
+        if np.isin(self.train_ids, self.test_ids).any():
             raise ValueError("train and test sets overlap")
 
 
@@ -274,10 +312,10 @@ def _load_node_table_per_line(path) -> NodeTable:
     if not rows:
         raise DatasetFormatError(f"{path}: no node rows")
     n = len(rows)
-    if set(rows) != set(range(n)):
-        missing = sorted(set(range(n)) - set(rows))[:1]
+    missing = next((i for i in range(n) if i not in rows), None)
+    if missing is not None:
         raise DatasetFormatError(f"{path}: node ids are not contiguous 0..{n - 1}"
-                                 + (f" (missing id {missing[0]})" if missing else ""))
+                                 f" (missing id {missing})")
     features = np.array([rows[i][1] for i in range(n)], dtype=np.float64)
     labels = np.array([rows[i][0] for i in range(n)], dtype=np.int64)
     return NodeTable(features=features, labels=labels)
@@ -312,12 +350,9 @@ def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
     # bincount adds each pair's weights in file order, starting from 0.0
     keys, group = np.unique(lo * n + hi, return_inverse=True)
     weights = np.bincount(group, weights=w[keep], minlength=len(keys))
-    return ClientGraph(
-        relation_name=name,
-        vertices=frozenset(range(n)),
-        edges=np.rec.fromarrays([keys // n, keys % n, weights], dtype=EDGE_DTYPE),
-        node_ref=nodes,
-    )
+    edges = np.rec.fromarrays([keys // n, keys % n, weights], dtype=EDGE_DTYPE)
+    return ClientGraph(relation_name=name, vertices=np.arange(n), edges=edges,
+                       node_ref=nodes)
 
 
 def _relation_rows_per_line(path, n: int) -> np.ndarray:
@@ -417,8 +452,8 @@ def write_relation(graph: ClientGraph, path) -> None:
 
 
 def balance_sample(labels, ratio_low: float = 0.5, ratio_high: float = 2.0,
-                   seed: int = 0) -> set:
-    """Select node ids so the positive/negative ratio lies in [low, high].
+                   seed: int = 0) -> np.ndarray:
+    """An id array of nodes whose positive/negative ratio lies in [low, high].
 
     When the full data is already in range, everything is kept.  Otherwise
     the majority class is uniformly undersampled without replacement to the
@@ -438,7 +473,7 @@ def balance_sample(labels, ratio_low: float = 0.5, ratio_high: float = 2.0,
     elif ratio > ratio_high:
         keep = int(ratio_high * len(neg))
         pos = np.sort(rng.choice(pos, size=keep, replace=False))
-    return set(int(i) for i in pos) | set(int(i) for i in neg)
+    return id_array(np.concatenate([pos, neg]))
 
 
 def stratified_split(sampled_ids, labels, train_frac: float = 0.6,
@@ -446,29 +481,29 @@ def stratified_split(sampled_ids, labels, train_frac: float = 0.6,
     """Split sampled ids per class into train/test at train_frac.
 
     The fractional node of each class rounds toward train.  Train and test
-    are disjoint and together cover the sampled set exactly.
+    are disjoint id arrays that together cover the sampled set exactly.
+    Each class's members are shuffled in ascending id order.
     """
-    sampled = sorted(sampled_ids)
-    if not sampled:
+    sampled = id_array(sampled_ids)
+    if not len(sampled):
         raise ValueError("stratified_split requires a nonempty sample")
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     train, test = [], []
     for cls in (0, 1):
-        members = np.array([i for i in sampled if labels[i] == cls], dtype=np.int64)
-        if len(members) == 0:
-            continue
+        members = sampled[labels[sampled] == cls]
         rng.shuffle(members)
         n_test = int(len(members) * (1.0 - train_frac))
-        test.extend(int(i) for i in members[:n_test])
-        train.extend(int(i) for i in members[n_test:])
-    return SplitAssignment(train_ids=frozenset(train), test_ids=frozenset(test))
+        test.append(members[:n_test])
+        train.append(members[n_test:])
+    return SplitAssignment(train_ids=np.concatenate(train),
+                           test_ids=np.concatenate(test))
 
 
 def incident_sums(graph: ClientGraph) -> np.ndarray:
     """Each vertex's incident weight sum: the row sums of the graph's CSR.
 
-    Entry p belongs to vertex ``graph.neighbor_csr.nodes[p]``; isolated
+    Entry p belongs to vertex ``graph.vertices[p]``; isolated
     vertices get 0.0.  Each row is summed in ascending neighbor order.
     """
     csr = graph.neighbor_csr
@@ -476,12 +511,12 @@ def incident_sums(graph: ClientGraph) -> np.ndarray:
 
 
 def zscore_features(features: np.ndarray, train_ids) -> np.ndarray:
-    """Standardize each feature dimension using train-split statistics.
-
-    Dimensions that are constant on the train split map to 0 everywhere.
+    """Standardize each feature dimension with train-split statistics, taken
+    over the train rows in ascending id order.  Dimensions that are constant
+    on the train split map to 0 everywhere.
     """
     features = np.asarray(features, dtype=np.float64)
-    train_idx = np.array(sorted(train_ids), dtype=np.int64)
+    train_idx = id_array(train_ids)
     mean = features[train_idx].mean(axis=0)
     std = features[train_idx].std(axis=0)
     out = np.zeros_like(features)

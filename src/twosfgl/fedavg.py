@@ -79,17 +79,18 @@ def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
                 params: ModelParams | None = None,
                 fanout: int = DEFAULT_FANOUT, lr: float = 0.005) -> ClientState:
     """Assemble a ClientState with arrays aligned to the graph's node order
-    (``graph.neighbor_csr.nodes``).
+    (``graph.vertices``).
 
     ``features`` is indexed by node id over the full node table (already
     standardized by the caller); labels come from the graph's node table.
+    The split's id arrays must lie inside the graph's vertices.
     """
-    nodes = graph.neighbor_csr.nodes
+    nodes = graph.vertices
     feats = np.asarray(features, dtype=np.float64)[nodes]
     labels = graph.node_ref.labels[nodes]
 
     def node_mask(ids):
-        mask = np.isin(nodes, list(ids))
+        mask = np.isin(nodes, ids)
         if mask.sum() != len(ids):
             raise ValueError(f"client {client_id!r}: split ids outside the graph")
         return mask

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EDGE_DTYPE, ClientGraph, incident_sums, write_rows
+from .data import EDGE_DTYPE, ClientGraph, id_array, incident_sums, write_rows
 from .psi import PsiBackend, psi_ddh, psi_plain
 from .seeding import derive_seed
 
@@ -89,16 +89,17 @@ def _clamp(values: np.ndarray) -> np.ndarray:
 
 
 def _sender_view(graph: ClientGraph, common):
-    """The graph's CSR, which of its positions are common, and each entry's
-    weight over its row's incident sum (0 for a zero weight, whose row sum
-    may be 0 too)."""
-    common = set(common)
-    if not common <= graph.vertices:
-        raise ValueError("common vertices must be a subset of the graph's vertices")
+    """The graph's CSR, which of its positions are in the id set ``common``,
+    and each entry's weight over its row's incident sum (0 for a zero
+    weight, whose row sum may be 0 too)."""
+    common = id_array(common)
     csr = graph.neighbor_csr
+    is_common = np.isin(csr.nodes, common)
+    if is_common.sum() != len(common):
+        raise ValueError("common vertices must be a subset of the graph's vertices")
     steps = np.divide(csr.weights, incident_sums(graph)[csr.rows],
                       out=np.zeros_like(csr.weights), where=csr.weights > 0)
-    return csr, np.isin(csr.nodes, list(common)), steps
+    return csr, is_common, steps
 
 
 def _find(sorted_keys: np.ndarray, query: np.ndarray):
@@ -135,10 +136,9 @@ def _place(from_b: np.ndarray, a: np.ndarray, b) -> np.ndarray:
 
 def _shares(graph: ClientGraph, src, dst, values, hops) -> np.recarray:
     """A share batch with one row per CSR position pair, values clamped."""
-    nodes = graph.neighbor_csr.nodes
-    return np.rec.fromarrays(
-        [nodes[src], nodes[dst], np.broadcast_to(hops, len(src)), _clamp(values)],
-        dtype=SHARE_DTYPE)
+    return np.rec.fromarrays([graph.vertices[src], graph.vertices[dst],
+                              np.broadcast_to(hops, len(src)), _clamp(values)],
+                             dtype=SHARE_DTYPE)
 
 
 def normalize_edges(graph: ClientGraph, common) -> np.recarray:
@@ -303,7 +303,7 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
 
 
 def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig) -> tuple:
-    """Each side's view of the common vertices, from one PSI run."""
+    """Both sides' id arrays of the common vertices, from one PSI run."""
     if cfg.psi.kind == "plain":
         common = psi_plain(a.vertices, b.vertices)
         return common, common
@@ -311,7 +311,7 @@ def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig) -> tup
         a.vertices, b.vertices, cfg.psi,
         seed=derive_seed(cfg.seed, "psi", a.relation_name, b.relation_name),
         name_a=a.relation_name, name_b=b.relation_name)
-    return set(result.intersection_a), set(result.intersection_b)
+    return result.intersection_a, result.intersection_b
 
 
 def virtual_fusion_round(clients, cfg: FusionConfig):

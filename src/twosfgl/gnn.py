@@ -18,18 +18,11 @@ Two one-hidden-layer binary node classifiers over 64-bit floats:
   are kept (a uniform draw without replacement), and each row adds up its
   picked neighbor rows in CSR entry order, from 0.0, before the division.
 
-The sparse products are plain numpy with a fixed rounding order, which makes
-them reproducible bit for bit (and equal to scipy's CSR kernels):
-
-* A_hat holds the CSR entries plus the diagonal, sorted by (row, column).
-  Each value is (d[row] * w) * d[col], with d = 1 / sqrt(row sums); entries
-  whose value is exactly 0 (zero-weight edges) are dropped.
-* A_hat @ X adds each output's terms value * x in stored entry order,
-  starting from 0.0; A_hat^T @ X does the same with rows and columns
-  swapped.  The product goes one output column at a time: the column's
-  nnz terms are gathered and multiplied into one nnz-long scratch array,
-  then summed per output row by np.bincount, so no index array wider than
-  nnz is ever built.
+A_hat is a ``data.GraphCSR`` over the graph's vertices, the type of the
+graph's own index, so its products are that type's bit-exact ones.  It holds
+the CSR entries plus the diagonal, sorted by (row, column), each valued
+(d[row] * w) * d[col] with d = 1 / sqrt(row sums); entries exactly 0
+(zero-weight edges) are dropped.
 
 A ``ForwardCache`` is the forward state of one client: the N x hidden
 arrays its forwards and backwards write into (the hidden pre-activation, the
@@ -51,13 +44,12 @@ from functools import reduce
 
 import numpy as np
 
-from .data import ClientGraph
+from .data import ClientGraph, GraphCSR
 
 __all__ = [
     "ModelParams",
     "AdamState",
     "ForwardCache",
-    "SparseMatrix",
     "init_params",
     "normalized_adjacency",
     "gcn_forward",
@@ -103,46 +95,6 @@ class AdamState:
     eps: float = 1e-8
 
 
-class SparseMatrix:
-    """A CSR matrix with the products A @ X and A^T @ X over dense X.
-
-    ``indptr``, ``indices`` and ``data`` follow scipy's CSR layout.  Each
-    output adds its terms ``data * x`` in stored entry order from 0.0, one
-    output column per ``np.bincount`` over the entries' row (or, transposed,
-    column) indices.
-    """
-
-    def __init__(self, indptr, indices, data, shape):
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.shape = shape
-        self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def _product(self, x, transpose: bool) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out_index, in_index, out_rows = self.rows, self.indices, self.shape[0]
-        if transpose:
-            out_index, in_index, out_rows = in_index, out_index, self.shape[1]
-        out = np.empty((out_rows, x.shape[1]))
-        terms = np.empty(self.nnz)
-        for col in range(x.shape[1]):
-            np.take(x[:, col], in_index, out=terms)
-            np.multiply(self.data, terms, out=terms)
-            out[:, col] = np.bincount(out_index, weights=terms,
-                                      minlength=out_rows)
-        return out
-
-    def __matmul__(self, x) -> np.ndarray:
-        return self._product(x, transpose=False)
-
-    def transpose_matmul(self, x) -> np.ndarray:
-        """``A^T @ x`` without building the transpose."""
-        return self._product(x, transpose=True)
-
-
 @dataclass
 class ForwardCache:
     """One client's forward state, sufficient for backward.
@@ -157,7 +109,7 @@ class ForwardCache:
     hidden: np.ndarray                # relu output
     grad_hidden: np.ndarray           # hidden-layer gradient, relu-masked
     params: ModelParams | None = None
-    adjacency: SparseMatrix | None = None   # gcn only
+    adjacency: GraphCSR | None = None   # gcn only
     inputs: np.ndarray | None = None  # gcn: A_hat . X;  sage: [X || H_N]
     logits: np.ndarray | None = None
     probs: np.ndarray | None = None   # softmax(logits)
@@ -186,10 +138,10 @@ def init_params(arch: str, feature_width: int, seed: int = 0,
     )
 
 
-def normalized_adjacency(graph: ClientGraph) -> SparseMatrix:
+def normalized_adjacency(graph: ClientGraph) -> GraphCSR:
     """Symmetrically normalized weighted adjacency with unit self-loops.
 
-    Rows/columns follow ``graph.neighbor_csr.nodes``.  Every diagonal degree
+    Rows/columns follow ``graph.vertices``.  Every diagonal degree
     entry is at least 1 (the self-loop), so the result is finite even for
     isolated vertices or zero-weight edges.
     """
@@ -209,11 +161,11 @@ def normalized_adjacency(graph: ClientGraph) -> SparseMatrix:
     values = (d_half[rows] * weights) * d_half[cols]
     kept = values != 0.0
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=n))))
-    return SparseMatrix(indptr, cols[kept], values[kept], (n, n))
+    return GraphCSR(csr.nodes, indptr, cols[kept], values[kept])
 
 
 def _fill(params: ModelParams, inputs: np.ndarray,
-          adjacency: SparseMatrix | None, cache: ForwardCache | None):
+          adjacency: GraphCSR | None, cache: ForwardCache | None):
     """Write the forward of ``params`` over first-layer ``inputs`` into
     ``cache`` (a fresh one if None): relu(inputs @ W1) @ W2, propagated by
     ``adjacency`` when given, and its softmax.  Returns (logits, cache)."""
@@ -234,7 +186,7 @@ def _fill(params: ModelParams, inputs: np.ndarray,
     return logits, cache
 
 
-def gcn_forward(params: ModelParams, adjacency: SparseMatrix,
+def gcn_forward(params: ModelParams, adjacency: GraphCSR,
                 propagated_features: np.ndarray,
                 cache: ForwardCache | None = None):
     """Forward pass from the first propagation ``adjacency @ X``, which the
@@ -250,7 +202,7 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
                           fanout: int, seed: int) -> np.ndarray:
     """Mean of <= fanout sampled neighbor feature rows per node.
 
-    ``features`` rows follow ``graph.neighbor_csr.nodes``.  Nodes with
+    ``features`` rows follow ``graph.vertices``.  Nodes with
     degree <= fanout use all neighbors (no replacement, no padding); isolated
     nodes get the zero vector.  Edge weights play no part, so zero-weight
     edges can be sampled.  Deterministic per seed.

@@ -142,12 +142,16 @@ class RoundHistory:
 def window_average(history: RoundHistory, lo: int = 60, hi: int = 100) -> dict:
     """Mean of each (arm, metric) over rounds lo..hi inclusive.
 
-    Every arm must cover the full window; missing rounds are an error.
+    Each (arm, metric) must hold every round of the window exactly once.
     """
     buckets = {}
     for round_index, arm, metric, value in history.records:
         if lo <= round_index <= hi:
-            buckets.setdefault((arm, metric), {})[round_index] = value
+            by_round = buckets.setdefault((arm, metric), {})
+            if round_index in by_round:
+                raise ValueError(f"history for {arm}/{metric} repeats round "
+                                 f"{round_index}")
+            by_round[round_index] = value
     if not buckets:
         raise ValueError(f"history has no rounds in [{lo}, {hi}]")
     expected = set(range(lo, hi + 1))

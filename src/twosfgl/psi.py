@@ -33,6 +33,9 @@ import hashlib
 import secrets as _secrets
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .data import id_array
 from .seeding import derive_seed
 
 __all__ = [
@@ -173,16 +176,19 @@ class PsiTranscript:
         return b"".join(payload for _, payload in self.records)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiResult:
-    intersection_a: frozenset
-    intersection_b: frozenset
+    """Each party's view of the intersection, an id array, and the messages."""
+
+    intersection_a: np.ndarray
+    intersection_b: np.ndarray
     transcript: PsiTranscript
 
 
-def psi_plain(set_a, set_b) -> set:
-    """Trusted-oracle intersection."""
-    return set(set_a) & set(set_b)
+def psi_plain(ids_a, ids_b) -> np.ndarray:
+    """Trusted-oracle intersection of two id sets, as an id array."""
+    return id_array(np.intersect1d(id_array(ids_a), id_array(ids_b),
+                                   assume_unique=True))
 
 
 def _pack(backend: PsiBackend, elements) -> bytes:
@@ -227,11 +233,11 @@ def psi_ddh(ids_a, ids_b, backend: PsiBackend | None = None,
             raise ValueError("secrets must lie in [1, order - 1]")
 
     p = backend.modulus
-    ids_a = sorted(ids_a)
-    ids_b = sorted(ids_b)
+    ids_a = id_array(ids_a)
+    ids_b = id_array(ids_b)
     transcript = PsiTranscript()
 
-    # round 1: blinded own sets
+    # round 1: blinded own sets, in ascending id order
     blinded_a = [pow(backend.hash_to_group(x), secret_a, p) for x in ids_a]
     blinded_b = [pow(backend.hash_to_group(y), secret_b, p) for y in ids_b]
     _check_received(backend, blinded_a, f"{name_b} receiving from {name_a}")
@@ -247,9 +253,8 @@ def psi_ddh(ids_a, ids_b, backend: PsiBackend | None = None,
     transcript.append(name_b, _pack(backend, double_a))
     transcript.append(name_a, _pack(backend, double_b))
 
-    double_b_set = set(double_b)
-    double_a_set = set(double_a)
-    inter_a = frozenset(x for x, d in zip(ids_a, double_a) if d in double_b_set)
-    inter_b = frozenset(y for y, d in zip(ids_b, double_b) if d in double_a_set)
-    return PsiResult(intersection_a=inter_a, intersection_b=inter_b,
+    # each party keeps its ids whose double-blinded value the peer's list holds
+    in_a, in_b = set(double_a), set(double_b)
+    return PsiResult(intersection_a=id_array(ids_a[[d in in_b for d in double_a]]),
+                     intersection_b=id_array(ids_b[[d in in_a for d in double_b]]),
                      transcript=transcript)

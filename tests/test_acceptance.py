@@ -59,7 +59,7 @@ def test_A1_protocol_arithmetic():
             for u in partners:
                 key = (min(v, int(u)), max(v, int(u)))
                 edges.setdefault(key, float(rng.uniform(0.5, 2.0)))
-        graph = ClientGraph(relation_name="g", vertices=frozenset(range(n)),
+        graph = ClientGraph(relation_name="g", vertices=np.arange(n),
                             edges=edge_array(edges))
         shares = normalize_edges(graph, range(n))
         sums = {}
@@ -80,15 +80,16 @@ def test_A2_psi_equivalence_and_privacy():
     for trial in range(100):
         size_a, size_b = rng.integers(0, 201, size=2)
         universe = rng.choice(1_000_000, size=size_a + size_b, replace=False)
-        ids_a = {int(x) for x in universe[:size_a]}
-        ids_b = set(int(x) for x in universe[size_b:])  # overlapping slice
+        ids_a = universe[:size_a]
+        ids_b = universe[size_b:]  # overlapping slice
         expected = psi_plain(ids_a, ids_b)
+        assert expected.tolist() == sorted(set(ids_a.tolist()) & set(ids_b.tolist()))
         result = psi_ddh(ids_a, ids_b, backend=backend, seed=trial)
-        assert set(result.intersection_a) == expected, f"trial {trial}"
-        assert set(result.intersection_b) == expected
+        assert np.array_equal(result.intersection_a, expected), f"trial {trial}"
+        assert np.array_equal(result.intersection_b, expected)
 
         payload = result.transcript.payload_bytes()
-        for outsider in (ids_a ^ ids_b):
+        for outsider in np.setxor1d(ids_a, ids_b).tolist():
             assert encode_id(outsider) not in payload
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"100 PSI runs took {elapsed:.1f}s"
@@ -113,7 +114,7 @@ def _random_instance(arch, rng, hidden=4):
             for v in range(u + 1, n):
                 if rng.random() < 0.5:
                     edges[(u, v)] = float(rng.uniform(0.3, 1.5))
-        graph = ClientGraph(relation_name="g", vertices=frozenset(range(n)),
+        graph = ClientGraph(relation_name="g", vertices=np.arange(n),
                             edges=edge_array(edges))
         x = rng.standard_normal((n, 3))
         labels = rng.integers(0, 2, size=n)
@@ -170,10 +171,9 @@ def test_A3_gradients_and_fedavg_identities():
     table = NodeTable(features=x, labels=(x[:, 0] > 0).astype(np.int64))
     edges = {(u, v): 1.0 for u in range(12) for v in range(u + 1, 12)
              if rng.random() < 0.3}
-    graph = ClientGraph(relation_name="g", vertices=frozenset(range(12)),
+    graph = ClientGraph(relation_name="g", vertices=np.arange(12),
                         edges=edge_array(edges), node_ref=table)
-    split = SplitAssignment(train_ids=frozenset(range(8)),
-                            test_ids=frozenset(range(8, 12)))
+    split = SplitAssignment(train_ids=np.arange(8), test_ids=np.arange(8, 12))
     shared = init_params("gcn", 3, seed=5)
     twins = [make_client(f"c{i}", graph, split, "gcn", x, seed=0,
                          params=shared.copy()) for i in range(3)]

@@ -207,3 +207,25 @@ def test_commands_run_without_scipy(command, config, tmp_path):
                          for f in out.rglob("*.csv")}
     assert outputs["blocked"]
     assert outputs["blocked"] == outputs["plain"]
+
+
+@pytest.mark.parametrize("command", ["run", "fuse", "report"])
+def test_smoke_commands_pass_under_dev_mode_with_warnings_as_errors(
+        command, tmp_path):
+    # -X dev reports unclosed files and other resource warnings, and -W error
+    # turns them, and any numpy deprecation, into a failing exit status
+    def strict(name, out):
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", RUN_MAIN, name,
+             "--config", str(SMOKE), "--out", str(out)],
+            env=SRC_ENV, capture_output=True, text=True, timeout=300)
+
+    out = tmp_path / "out"
+    if command == "report":
+        assert strict("run", out).returncode == 0
+        (out / "summary.csv").unlink()
+    result = strict(command, out)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    expected = "summary.csv" if command != "fuse" else "shares_rel0_rel1.csv"
+    assert (out / expected).is_file()

@@ -13,7 +13,7 @@ from twosfgl.data import (EDGE_DTYPE, ClientGraph, DatasetFormatError, NodeTable
 
 
 def make_graph(edges, n, name="g", nodes=None):
-    return ClientGraph(relation_name=name, vertices=frozenset(range(n)),
+    return ClientGraph(relation_name=name, vertices=np.arange(n),
                        edges=edge_array(edges), node_ref=nodes)
 
 
@@ -86,7 +86,7 @@ def test_relation_defaults_sums_and_self_loops(tmp_path):
     path.write_text("# src,dst,weight\n0,1\n1,0,2.5\n0,2,1.5\n2,0\n3,3,9.0\n")
     graph = load_relation(path, "rel", nodes4())
     assert edge_dict(graph.edges) == {(0, 1): 3.5, (0, 2): 2.5}
-    assert graph.vertices == frozenset(range(4))
+    assert np.array_equal(graph.vertices, np.arange(4))
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -359,7 +359,7 @@ def test_client_graph_validation():
 def test_client_graph_rejects_first_invalid_row(rows, message):
     edges = np.array(rows, dtype=EDGE_DTYPE)
     with pytest.raises(ValueError) as info:
-        ClientGraph(relation_name="g", vertices=frozenset(range(4)), edges=edges)
+        ClientGraph(relation_name="g", vertices=np.arange(4), edges=edges)
     assert str(info.value) == message
 
 
@@ -372,11 +372,12 @@ def test_client_graph_edges_are_read_only_records():
 
 
 def random_sparse_graph(rng, n=9, p=0.4):
-    """Non-contiguous ids, some zero weights, edge keys in random order."""
+    """Non-contiguous ids given in descending order, some zero weights, edge
+    keys in random order."""
     ids = sorted(int(i) for i in rng.choice(40, size=n, replace=False))
     pairs = [(a, b) for a in ids for b in ids if a < b and rng.random() < p]
     rng.shuffle(pairs)
-    return ClientGraph(relation_name="g", vertices=frozenset(ids),
+    return ClientGraph(relation_name="g", vertices=ids[::-1],
                        edges=edge_array({
                            pair: 0.0 if rng.random() < 0.2
                            else float(rng.uniform(0.1, 3.0))
@@ -384,9 +385,10 @@ def random_sparse_graph(rng, n=9, p=0.4):
 
 
 def test_neighbor_csr_rows_sorted_and_complete():
-    g = ClientGraph(relation_name="g", vertices=frozenset({9, 2, 5, 7}),
+    g = ClientGraph(relation_name="g", vertices=[9, 2, 5, 7],
                     edges=edge_array({(2, 9): 1.0, (2, 5): 0.0}))
     csr = g.neighbor_csr
+    assert csr.nodes is g.vertices
     assert csr.nodes.tolist() == [2, 5, 7, 9]
     assert csr.indptr.tolist() == [0, 2, 3, 3, 4]       # 7 is isolated
     assert csr.indices.tolist() == [1, 3, 0, 0]
@@ -397,7 +399,8 @@ def test_neighbor_csr_rows_sorted_and_complete():
     for _ in range(10):
         g = random_sparse_graph(rng)
         csr = g.neighbor_csr
-        assert csr.nodes.tolist() == sorted(g.vertices)
+        assert csr.nodes is g.vertices
+        assert len(csr.nodes) == 9 and (np.diff(csr.nodes) > 0).all()
         for p, v in enumerate(csr.nodes.tolist()):
             row = slice(csr.indptr[p], csr.indptr[p + 1])
             expected = sorted((b if a == v else a, w)
@@ -421,20 +424,44 @@ def test_incident_sums_are_csr_row_sums():
             assert total == sum(w for _, w in weights)
 
 
+def test_vertices_are_one_read_only_id_array():
+    edges = edge_array({(2, 9): 1.0, (5, 7): 0.5})
+    for given in ([9, 2, 5, 7], [7, 9, 2, 2, 5, 9], np.array([5, 9, 7, 2]),
+                  np.array([2.0, 5.0, 7.0, 9.0]), (9, 7, 5, 2)):
+        g = ClientGraph(relation_name="g", vertices=given, edges=edges)
+        assert g.vertices.dtype == np.int64 and g.vertices.ndim == 1
+        assert g.vertices.tolist() == [2, 5, 7, 9]
+        assert not g.vertices.flags.writeable
+        with pytest.raises(ValueError):
+            g.vertices[0] = 3
+        assert g.neighbor_csr.nodes is g.vertices
+    # an id array is taken as it is, so a fused graph keeps the local array
+    again = ClientGraph(relation_name="h", vertices=g.vertices, edges=edges)
+    assert again.vertices is g.vertices
+    writable = np.array([2, 5, 7, 9])
+    copied = ClientGraph(relation_name="h", vertices=writable, edges=edges)
+    assert copied.vertices is not writable and writable.flags.writeable
+    assert data_module.id_array([]).dtype == np.int64
+    with pytest.raises(ValueError, match="outside the vertex set"):
+        ClientGraph(relation_name="g", vertices=[2, 9, 9], edges=edges)
+
+
 # ------------------------------------------------------------------ sampling
 
 
 def test_balance_sample_identity_when_in_range():
     labels = np.array([1] * 10 + [0] * 10)
-    assert balance_sample(labels, seed=0) == set(range(20))
+    sampled = balance_sample(labels, seed=0)
+    assert np.array_equal(sampled, np.arange(20))
+    assert sampled.dtype == np.int64 and not sampled.flags.writeable
 
 
 def test_balance_sample_undersamples_negatives():
     labels = np.array([1] * 5 + [0] * 50)
     sampled = balance_sample(labels, seed=3)
-    kept_pos = {i for i in sampled if labels[i] == 1}
-    kept_neg = {i for i in sampled if labels[i] == 0}
-    assert kept_pos == set(range(5))            # minority untouched
+    assert np.array_equal(sampled, np.unique(sampled))
+    kept_pos, kept_neg = sampled[labels[sampled] == 1], sampled[labels[sampled] == 0]
+    assert np.array_equal(kept_pos, np.arange(5))   # minority untouched
     assert len(kept_neg) == 10                  # int(5 / 0.5)
     assert len(kept_pos) / len(kept_neg) == 0.5
 
@@ -442,9 +469,8 @@ def test_balance_sample_undersamples_negatives():
 def test_balance_sample_undersamples_positives():
     labels = np.array([1] * 50 + [0] * 5)
     sampled = balance_sample(labels, seed=3)
-    kept_pos = {i for i in sampled if labels[i] == 1}
-    kept_neg = {i for i in sampled if labels[i] == 0}
-    assert kept_neg == set(range(50, 55))
+    kept_pos, kept_neg = sampled[labels[sampled] == 1], sampled[labels[sampled] == 0]
+    assert np.array_equal(kept_neg, np.arange(50, 55))
     assert len(kept_pos) == 10                  # int(2.0 * 5)
 
 
@@ -452,9 +478,9 @@ def test_balance_sample_deterministic_and_seed_sensitive():
     labels = np.array([1] * 5 + [0] * 100)
     a = balance_sample(labels, seed=7)
     b = balance_sample(labels, seed=7)
-    assert a == b
+    assert np.array_equal(a, b)
     others = [balance_sample(labels, seed=s) for s in range(5)]
-    assert any(o != a for o in others)
+    assert any(not np.array_equal(o, a) for o in others)
 
 
 def test_balance_sample_ratio_property():
@@ -465,10 +491,11 @@ def test_balance_sample_ratio_property():
         if labels.sum() in (0, n):
             continue
         sampled = balance_sample(labels, seed=int(rng.integers(1 << 30)))
-        pos = sum(1 for i in sampled if labels[i] == 1)
+        pos = int(labels[sampled].sum())
         neg = len(sampled) - pos
         assert 0.5 <= pos / neg <= 2.0
-        assert sampled <= set(range(n))
+        assert np.array_equal(sampled, np.unique(sampled))
+        assert 0 <= sampled[0] and sampled[-1] < n
 
 
 def test_balance_sample_single_class_rejected():
@@ -478,39 +505,76 @@ def test_balance_sample_single_class_rejected():
 
 def test_stratified_split_exact_counts():
     labels = np.array([0] * 10 + [1] * 5)
-    split = stratified_split(set(range(15)), labels, train_frac=0.6, seed=0)
-    test_by_class = [sum(1 for i in split.test_ids if labels[i] == c) for c in (0, 1)]
+    split = stratified_split(np.arange(15)[::-1], labels, train_frac=0.6, seed=0)
+    test_by_class = [int((labels[split.test_ids] == c).sum()) for c in (0, 1)]
     assert test_by_class == [4, 2]              # int(10*0.4), int(5*0.4)
     assert len(split.train_ids) == 9
-    assert split.train_ids | split.test_ids == set(range(15))
-    assert not split.train_ids & split.test_ids
+    assert np.array_equal(np.union1d(split.train_ids, split.test_ids), np.arange(15))
+    assert not np.intersect1d(split.train_ids, split.test_ids).size
+    for ids in (split.train_ids, split.test_ids):
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+        assert np.array_equal(ids, np.unique(ids))
 
 
 def test_stratified_split_respects_sample_subset():
     labels = np.array([0, 1] * 10)
-    sampled = {0, 1, 2, 3, 8, 9}
+    sampled = [9, 3, 0, 8, 1, 2, 3]
     split = stratified_split(sampled, labels, seed=1)
-    assert split.train_ids | split.test_ids == sampled
+    assert np.array_equal(np.union1d(split.train_ids, split.test_ids),
+                          [0, 1, 2, 3, 8, 9])
 
 
 def test_stratified_split_deterministic_and_seed_sensitive():
     labels = np.array([0, 1] * 25)
-    sampled = set(range(50))
-    assert stratified_split(sampled, labels, seed=4) == stratified_split(
-        sampled, labels, seed=4)
-    assert any(stratified_split(sampled, labels, seed=s).train_ids
-               != stratified_split(sampled, labels, seed=4).train_ids
+    sampled = np.arange(50)
+    a, b = (stratified_split(sampled, labels, seed=4) for _ in range(2))
+    assert np.array_equal(a.train_ids, b.train_ids)
+    assert np.array_equal(a.test_ids, b.test_ids)
+    assert any(not np.array_equal(stratified_split(sampled, labels, seed=s).train_ids,
+                                  a.train_ids)
                for s in range(5, 10))
+
+
+def stratified_split_reference(sampled_ids, labels, train_frac, seed):
+    """The per-id list-comprehension split that the array version replaced,
+    as sorted (train, test) lists."""
+    sampled = sorted(set(sampled_ids))
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for cls in (0, 1):
+        members = np.array([i for i in sampled if labels[i] == cls], dtype=np.int64)
+        if len(members) == 0:
+            continue
+        rng.shuffle(members)
+        n_test = int(len(members) * (1.0 - train_frac))
+        test.extend(int(i) for i in members[:n_test])
+        train.extend(int(i) for i in members[n_test:])
+    return sorted(train), sorted(test)
+
+
+def test_stratified_split_matches_the_list_comprehension_reference():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = int(rng.integers(2, 120))
+        labels = (rng.random(n) < rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])).astype(int)
+        sampled = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
+        frac = float(rng.choice([0.0, 0.25, 0.5, 0.6, 0.8, 1.0]))
+        seed = int(rng.integers(1 << 30))
+        split = stratified_split(sampled, labels, train_frac=frac, seed=seed)
+        train, test = stratified_split_reference(sampled, labels, frac, seed)
+        assert split.train_ids.tolist() == train, f"trial {trial}"
+        assert split.test_ids.tolist() == test, f"trial {trial}"
 
 
 def test_stratified_split_empty_sample():
     with pytest.raises(ValueError):
-        stratified_split(set(), np.array([0, 1]))
+        stratified_split([], np.array([0, 1]))
 
 
 def test_split_assignment_overlap_rejected():
     with pytest.raises(ValueError, match="overlap"):
-        SplitAssignment(train_ids=frozenset({1, 2}), test_ids=frozenset({2}))
+        SplitAssignment(train_ids=[1, 2], test_ids=[2])
 
 
 # ------------------------------------------------------------------- zscore
@@ -518,7 +582,7 @@ def test_split_assignment_overlap_rejected():
 
 def test_zscore_uses_train_statistics_only():
     x = np.array([[1.0, 5.0], [3.0, 5.0], [100.0, -7.0]])
-    out = zscore_features(x, train_ids={0, 1})
+    out = zscore_features(x, train_ids=[1, 0])
     # train stats: mean = (2, 5), std = (1, 0)
     assert np.allclose(out[:, 0], [(1 - 2) / 1, (3 - 2) / 1, (100 - 2) / 1])
     assert np.array_equal(out[:, 1], [0.0, 0.0, 0.0])   # constant on train
@@ -527,8 +591,8 @@ def test_zscore_uses_train_statistics_only():
 def test_zscore_standardizes_train_rows():
     rng = np.random.default_rng(2)
     x = rng.normal(5.0, 3.0, size=(40, 6))
-    train = set(range(0, 40, 2))
-    out = zscore_features(x, train)
-    idx = sorted(train)
+    train = np.arange(0, 40, 2)
+    out = zscore_features(x, train[::-1])
+    idx = train
     assert np.allclose(out[idx].mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(out[idx].std(axis=0), 1.0, atol=1e-12)

@@ -32,12 +32,11 @@ def make_world(seed, n=20, n_clients=2, features=4, p=0.3):
                 if rng.random() < p:
                     edges[(u, v)] = float(rng.uniform(0.5, 1.5))
         graphs.append(ClientGraph(relation_name=f"rel{k}",
-                                  vertices=frozenset(range(n)),
+                                  vertices=np.arange(n),
                                   edges=edge_array(edges), node_ref=table))
     ids = rng.permutation(n)
     cut = int(n * 0.6)
-    split = SplitAssignment(train_ids=frozenset(int(i) for i in ids[:cut]),
-                            test_ids=frozenset(int(i) for i in ids[cut:]))
+    split = SplitAssignment(train_ids=ids[:cut], test_ids=ids[cut:])
     return table, graphs, split
 
 
@@ -59,10 +58,9 @@ def test_make_client_aligns_arrays_with_node_order():
     client = make_client("a", graphs[0], split, "gcn", table.features, seed=0)
     assert np.array_equal(client.features, table.features)  # ids are 0..n-1
     assert np.array_equal(client.labels, table.labels)
-    n = table.num_nodes
-    for v in range(n):
-        assert client.train_mask[v] == (v in split.train_ids)
-        assert client.test_mask[v] == (v in split.test_ids)
+    # positions are ids here, so each mask's positions are its id array
+    assert np.array_equal(np.flatnonzero(client.train_mask), split.train_ids)
+    assert np.array_equal(np.flatnonzero(client.test_mask), split.test_ids)
     assert client.sample_count == len(split.train_ids)
     assert client.adjacency is not None
     assert not (client.train_mask & client.test_mask).any()
@@ -77,7 +75,7 @@ def test_make_client_caches_propagated_features_for_gcn():
 
 def test_make_client_rejects_split_ids_outside_the_graph():
     table, graphs, split = make_world(1)
-    part = ClientGraph(relation_name="part", vertices=frozenset(range(10)),
+    part = ClientGraph(relation_name="part", vertices=np.arange(10),
                        edges=edge_array({}), node_ref=table)
     with pytest.raises(ValueError, match="outside the graph"):
         make_client("a", part, split, "gcn", table.features, seed=0)
@@ -107,8 +105,7 @@ def test_make_client_seeded_init_and_explicit_params():
 
 def test_make_client_rejects_empty_train_mask():
     table, graphs, _ = make_world(3)
-    empty = SplitAssignment(train_ids=frozenset(),
-                            test_ids=frozenset(range(5)))
+    empty = SplitAssignment(train_ids=[], test_ids=np.arange(5))
     with pytest.raises(ValueError, match="empty train mask"):
         make_client("a", graphs[0], empty, "gcn", table.features, seed=0)
 
@@ -425,11 +422,11 @@ def sparse_world(seed, n, n_clients=3, features=8, degree=10):
         edges = np.rec.fromarrays([ends[:, 0], ends[:, 1], np.ones(len(ends))],
                                   dtype=EDGE_DTYPE)
         graphs.append(ClientGraph(relation_name=f"rel{k}",
-                                  vertices=frozenset(range(n)), edges=edges,
+                                  vertices=np.arange(n), edges=edges,
                                   node_ref=table))
     ids = rng.permutation(n).tolist()
-    split = SplitAssignment(train_ids=frozenset(ids[:int(0.6 * n)]),
-                            test_ids=frozenset(ids[int(0.6 * n):]))
+    split = SplitAssignment(train_ids=ids[:int(0.6 * n)],
+                            test_ids=ids[int(0.6 * n):])
     return table, graphs, split
 
 

@@ -17,7 +17,7 @@ TOP = 1.0 - SHARE_CLAMP_DELTA
 
 
 def make_graph(edges, n, name="g"):
-    return ClientGraph(relation_name=name, vertices=frozenset(range(n)),
+    return ClientGraph(relation_name=name, vertices=np.arange(n),
                        edges=edge_array(edges))
 
 
@@ -39,7 +39,7 @@ def random_sparse_graph(rng, n, p=0.4, name="g"):
             if rng.random() < p:
                 edges[(u, v)] = (0.0 if rng.random() < 0.2
                                  else float(rng.uniform(0.1, 2.0)))
-    return ClientGraph(relation_name=name, vertices=frozenset(ids),
+    return ClientGraph(relation_name=name, vertices=ids,
                        edges=edge_array(edges))
 
 
@@ -51,9 +51,10 @@ def batch(rows):
 
 
 def random_common(rng, graph):
-    ids = sorted(graph.vertices)
-    return {ids[i] for i in rng.choice(len(ids), size=rng.integers(2, len(ids) + 1),
-                                       replace=False)}
+    """A random subset of the graph's vertices, as ids in random order."""
+    ids = graph.vertices
+    return ids[rng.choice(len(ids), size=rng.integers(2, len(ids) + 1),
+                          replace=False)]
 
 
 # Per-share loop references.  Neighbors are taken in ascending order and
@@ -160,7 +161,7 @@ def as_tuples(shares):
 
 def test_normalize_edges_hand_case():
     g = make_graph({(0, 1): 2.0, (0, 2): 6.0}, 3)
-    shares = normalize_edges(g, {0, 1, 2})
+    shares = normalize_edges(g, [0, 1, 2])
     assert [(s.src, s.dst, s.value) for s in shares] == [
         (0, 1, 0.25), (0, 2, 0.75), (1, 0, TOP), (2, 0, TOP)]
     assert all(s.hops == 1 for s in shares)
@@ -168,7 +169,7 @@ def test_normalize_edges_hand_case():
 
 def test_normalize_edges_common_subset_filters_pairs():
     g = make_graph({(0, 1): 2.0, (0, 2): 6.0}, 3)
-    shares = normalize_edges(g, {0, 1})
+    shares = normalize_edges(g, [0, 1])
     assert [(s.src, s.dst) for s in shares] == [(0, 1), (1, 0)]
     # denominator still counts the non-common edge (0, 2)
     assert shares[0].value == 0.25
@@ -176,13 +177,13 @@ def test_normalize_edges_common_subset_filters_pairs():
 
 def test_normalize_edges_skips_zero_weight():
     g = make_graph({(0, 1): 0.0, (0, 2): 5.0}, 3)
-    shares = normalize_edges(g, {0, 1, 2})
+    shares = normalize_edges(g, [0, 1, 2])
     assert [(s.src, s.dst) for s in shares] == [(0, 2), (2, 0)]
 
 
 def test_normalize_edges_rejects_foreign_common():
     with pytest.raises(ValueError, match="subset"):
-        normalize_edges(make_graph({}, 3), {0, 7})
+        normalize_edges(make_graph({}, 3), [0, 7])
 
 
 def test_normalize_edges_matches_loop_reference_bitwise():
@@ -294,7 +295,7 @@ def oracle_khop(graph, common, k):
 
 def test_khop_hand_case_two_hops():
     g = make_graph({(0, 1): 1.5, (1, 2): 0.5}, 3)
-    shares = khop_shares(g, {0, 2}, 2)
+    shares = khop_shares(g, [0, 2], 2)
     assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 2, 2), (2, 0, 2)]
     assert shares[0].value == pytest.approx((1.5 / 1.5) * (0.5 / 2.0))
     assert shares[1].value == pytest.approx((0.5 / 0.5) * (1.5 / 2.0))
@@ -302,8 +303,8 @@ def test_khop_hand_case_two_hops():
 
 def test_khop_hand_case_three_hops():
     g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0}, 4)
-    assert len(khop_shares(g, {0, 3}, 2)) == 0
-    shares = khop_shares(g, {0, 3}, 3)
+    assert len(khop_shares(g, [0, 3], 2)) == 0
+    shares = khop_shares(g, [0, 3], 3)
     assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 3, 3), (3, 0, 3)]
     # path 0-1-2-3: (1/1) * (1/2) * (1/2)
     assert shares[0].value == pytest.approx(0.25)
@@ -311,7 +312,7 @@ def test_khop_hand_case_three_hops():
 
 def test_khop_takes_max_over_paths():
     g = make_graph({(0, 1): 1.0, (1, 3): 1.0, (0, 2): 1.0, (2, 3): 4.0}, 4)
-    shares = khop_shares(g, {0, 3}, 2)
+    shares = khop_shares(g, [0, 3], 2)
     by_pair = {(s.src, s.dst): s.value for s in shares}
     # via 1: (1/2)*(1/2) = 0.25; via 2: (1/2)*(4/5) = 0.4
     assert by_pair[(0, 3)] == pytest.approx(0.4)
@@ -319,16 +320,16 @@ def test_khop_takes_max_over_paths():
 
 def test_khop_skips_direct_edges_and_noncommon():
     g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}, 3)
-    assert len(khop_shares(g, {0, 1, 2}, 2)) == 0  # triangle: all pairs direct
+    assert len(khop_shares(g, [0, 1, 2], 2)) == 0  # triangle: all pairs direct
     g2 = make_graph({(0, 1): 1.0, (1, 2): 1.0}, 3)
-    assert len(khop_shares(g2, {0, 1}, 2)) == 0    # 2 not common
+    assert len(khop_shares(g2, [0, 1], 2)) == 0    # 2 not common
 
 
 def test_khop_two_hops_preempt_three_hops():
     # 0-1-4 (two hops) and 0-2-3-4 (three hops): only the 2-hop share emits
     g = make_graph({(0, 1): 1.0, (1, 4): 1.0, (0, 2): 1.0, (2, 3): 1.0,
                     (3, 4): 1.0}, 5)
-    shares = khop_shares(g, {0, 4}, 3)
+    shares = khop_shares(g, [0, 4], 3)
     assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 4, 2), (4, 0, 2)]
 
 
@@ -361,14 +362,14 @@ def test_khop_zero_weight_edge_blocks_share_but_carries_no_path():
     # 0-1 has weight 0: the pair counts as direct, and 0-1-3 is no path, so
     # 0 and 3 meet only through 0-2-1-3
     g = make_graph({(0, 1): 0.0, (0, 2): 1.0, (1, 2): 1.0, (1, 3): 1.0}, 4)
-    shares = khop_shares(g, {0, 1, 3}, 3)
+    shares = khop_shares(g, [0, 1, 3], 3)
     assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 3, 3), (3, 0, 3)]
     assert [s.value for s in shares] == [0.25, 0.25]
 
 
 def test_khop_k_validated():
     with pytest.raises(ValueError):
-        khop_shares(make_graph({}, 2), {0, 1}, 1)
+        khop_shares(make_graph({}, 2), [0, 1], 1)
 
 
 # ------------------------------------------------------------------ dp noise
@@ -563,7 +564,7 @@ def test_fuse_without_incoming_is_identity_with_local_tags():
     assert edge_dict(fused.edges) == edge_dict(local.edges)
     assert fused.provenance.tolist() == ["local", "local"]
     assert fused.relation_name == local.relation_name
-    assert fused.vertices == local.vertices
+    assert fused.vertices is local.vertices
 
 
 def test_fuse_returns_sorted_edge_array_with_aligned_provenance():
@@ -638,6 +639,62 @@ def test_fusion_round_ddh_equals_plain():
         clients, cfg(seed=2, psi=PsiBackend.ddh_small()))
     for fp, fd in zip(fused_plain, fused_ddh):
         assert np.array_equal(fp.edges, fd.edges)
+        assert np.array_equal(fp.provenance, fd.provenance)
+
+
+def overlapping_clients(rng):
+    """Three clients whose vertex sets, 35 ids each given unsorted, are drawn
+    from one 60-id universe, so every pair overlaps only in part."""
+    universe = rng.choice(1000, size=60, replace=False)
+    clients = []
+    for name in "abc":
+        ids = rng.choice(universe, size=35, replace=False)
+        ordered = np.sort(ids).tolist()
+        edges = {(u, v): float(rng.uniform(0.1, 2.0))
+                 for a, u in enumerate(ordered) for v in ordered[a + 1:]
+                 if rng.random() < 0.15}
+        clients.append(ClientGraph(relation_name=name, vertices=ids,
+                                   edges=edge_array(edges)))
+    return clients
+
+
+@pytest.mark.parametrize("hops", [1, 2])
+def test_fusion_round_over_partial_vertex_overlap(hops, monkeypatch):
+    clients = overlapping_clients(np.random.default_rng(70 + hops))
+    by_name = {c.relation_name: c for c in clients}
+    seen = {}
+    real_intersection = fusion_module._pair_intersection
+
+    def recording(a, b, fusion_cfg):
+        seen[(a.relation_name, b.relation_name)] = got = real_intersection(
+            a, b, fusion_cfg)
+        return got
+
+    monkeypatch.setattr(fusion_module, "_pair_intersection", recording)
+    fused_by_psi = {}
+    for backend in (PsiBackend.plain(), PsiBackend.ddh_small()):
+        seen.clear()
+        fused, shares = virtual_fusion_round(
+            clients, cfg(seed=6, hops=hops, dp_epsilon=1.0, psi=backend))
+        fused_by_psi[backend.kind] = fused
+        assert sorted(seen) == [("a", "b"), ("a", "c"), ("b", "c")]
+        for (a, b), sides in seen.items():
+            overlap = sorted(set(by_name[a].vertices.tolist())
+                             & set(by_name[b].vertices.tolist()))
+            assert 0 < len(overlap) < 35
+            for side in sides:
+                assert side.tolist() == overlap
+        assert len(shares) == 6 and all(len(sent) for sent in shares.values())
+        for (_, receiver), sent in shares.items():
+            ids = by_name[receiver].vertices
+            assert np.isin(sent.src, ids).all() and np.isin(sent.dst, ids).all()
+        for client, graph in zip(clients, fused):
+            assert graph.vertices is client.vertices
+            assert np.isin(graph.edges.u, client.vertices).all()
+            assert np.isin(graph.edges.v, client.vertices).all()
+        assert any(len(g.edges) > len(c.edges) for c, g in zip(clients, fused))
+    for fp, fd in zip(fused_by_psi["plain"], fused_by_psi["ddh"]):
+        assert fp.edges.tobytes() == fd.edges.tobytes()
         assert np.array_equal(fp.provenance, fd.provenance)
 
 
@@ -839,7 +896,7 @@ def unique_fuse(local, incoming, lam):
 
 def random_graph_on(rng, ids, p, name):
     """A graph over the vertex ids ``ids``, about a fifth of its edges at 0."""
-    return ClientGraph(relation_name=name, vertices=frozenset(ids),
+    return ClientGraph(relation_name=name, vertices=ids,
                        edges=edge_array({
                            (u, v): (0.0 if rng.random() < 0.2
                                     else float(rng.uniform(0.1, 2.0)))

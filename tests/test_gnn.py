@@ -14,7 +14,7 @@ from twosfgl.gnn import (HIDDEN_UNITS, NUM_CLASSES, ModelParams,
 
 
 def make_graph(edges, n):
-    return ClientGraph(relation_name="g", vertices=frozenset(range(n)),
+    return ClientGraph(relation_name="g", vertices=np.arange(n),
                        edges=edge_array(edges))
 
 
@@ -38,9 +38,9 @@ def gcn_inputs(graph, x):
 
 
 def dense(matrix):
-    """A SparseMatrix as a dense array."""
-    out = np.zeros(matrix.shape)
-    out[matrix.rows, matrix.indices] = matrix.data
+    """A GraphCSR as a dense array."""
+    out = np.zeros((len(matrix.nodes),) * 2)
+    out[matrix.rows, matrix.indices] = matrix.weights
     return out
 
 
@@ -119,13 +119,14 @@ def test_normalized_adjacency_matches_loop_reference_bitwise():
         rng.shuffle(pairs)
         edges = {pair: 0.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 3.0))
                  for pair in pairs}
-        g = ClientGraph(relation_name="g", vertices=frozenset(ids.tolist()),
+        g = ClientGraph(relation_name="g", vertices=ids,
                         edges=edge_array(edges))
         got, ref = normalized_adjacency(g), loop_normalized_adjacency(g)
         assert got.nnz == ref.nnz < len(g.vertices) + 2 * len(edges)
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(got.weights, ref.data)
+        assert got.nodes is g.vertices
 
 
 def product_test_graph(seed):
@@ -140,7 +141,7 @@ def product_test_graph(seed):
     edges = {pair: 0.0 if rng.random() < 0.15 else float(rng.uniform(0.01, 5.0))
              for pair in pairs}
     edges[(min(hub, zero_only), max(hub, zero_only))] = 0.0
-    return ClientGraph(relation_name="g", vertices=frozenset(ids.tolist()),
+    return ClientGraph(relation_name="g", vertices=ids,
                        edges=edge_array(edges))
 
 
@@ -160,12 +161,12 @@ def test_adjacency_toarray_matches_dense_oracle_and_drops_only_zeros():
         g = product_test_graph(seed)
         adj = normalized_adjacency(g)
         oracle = dense_normalized_adjacency(g)
-        assert adj.shape == oracle.shape
+        assert adj.nodes is g.vertices and len(adj.nodes) == len(oracle)
         assert np.allclose(dense(adj), oracle, rtol=1e-14, atol=0.0)
         # every nonzero of the dense oracle is stored, nothing else is
         assert adj.nnz == np.count_nonzero(oracle)
         assert adj.nnz == len(g.vertices) + 2 * int((g.edges.weight > 0).sum())
-        assert np.all(adj.data != 0.0)
+        assert np.all(adj.weights != 0.0)
 
 
 # ------------------------------------------------------------------ forward
@@ -341,7 +342,7 @@ def test_sample_neighbor_means_above_16_bit_rows_matches_lexsort_reference():
                          rng.integers(1, n, size=40)], axis=1)
     lo, hi = np.sort(np.concatenate([ends, hub_ends]), axis=1).T
     keys = np.unique(lo[lo != hi] * n + hi[lo != hi])
-    graph = ClientGraph(relation_name="g", vertices=frozenset(range(n)),
+    graph = ClientGraph(relation_name="g", vertices=np.arange(n),
                         edges=np.rec.fromarrays(
                             [keys // n, keys % n, np.ones(len(keys))],
                             dtype=EDGE_DTYPE))
@@ -369,7 +370,7 @@ def test_sample_neighbor_means_picks_hub_neighbors_uniformly():
 
 
 def test_sample_neighbor_means_non_contiguous_vertices():
-    g = ClientGraph(relation_name="g", vertices=frozenset({2, 5, 9, 11}),
+    g = ClientGraph(relation_name="g", vertices=[11, 2, 9, 5],
                     edges=edge_array({(2, 9): 1.0, (5, 9): 2.0}))
     x = np.array([[1.0, 10.0], [2.0, 20.0], [4.0, 40.0], [8.0, 80.0]])
     means = sample_neighbor_means(g, x, fanout=5, seed=0)

@@ -256,3 +256,16 @@ def test_report_from_dir_wants_history_files(tmp_path):
     (tmp_path / "history_strange.csv").write_text("round,arm,metric,value\n")
     with pytest.raises(ValueError, match="cannot parse"):
         report_from_dir(tmp_path, tiny_config())
+
+
+def test_report_from_dir_rejects_a_repeated_round(tmp_path):
+    # rounds 1 and 2 at 0.5 plus a second round-2 row at 0.9 once averaged
+    # to 0.7, the last row silently replacing the first
+    history = RoundHistory()
+    for round_index, value in ((1, 0.5), (2, 0.5), (2, 0.9)):
+        history.append(round_index, "fedavg_only", "auc", value)
+    history.to_csv(tmp_path / "history_fedavg_only_0.csv")
+    cfg = tiny_config(arms=("fedavg_only",), rounds=2, window_lo=1, window_hi=2)
+    with pytest.raises(ValueError, match="fedavg_only/auc repeats round 2"):
+        report_from_dir(tmp_path, cfg)
+    assert not (tmp_path / "summary.csv").exists()

@@ -11,10 +11,16 @@ def small():
     return PsiBackend.ddh_small()
 
 
+def assert_id_array(ids, expected):
+    """``ids`` is the ascending, read-only int64 array of ``expected``."""
+    assert ids.dtype == np.int64 and not ids.flags.writeable
+    assert ids.tolist() == expected
+
+
 def test_plain_is_set_intersection():
-    assert psi_plain({1, 2, 3}, {2, 3, 4}) == {2, 3}
-    assert psi_plain(set(), {1}) == set()
-    assert psi_plain(range(5), [3, 4, 5]) == {3, 4}
+    assert_id_array(psi_plain([3, 1, 2, 3], np.array([4, 2, 3])), [2, 3])
+    assert_id_array(psi_plain([], [1]), [])
+    assert_id_array(psi_plain(range(5), [5, 4, 3]), [3, 4])
 
 
 def test_ddh_matches_plain_on_random_sets():
@@ -22,30 +28,32 @@ def test_ddh_matches_plain_on_random_sets():
     backend = small()
     for trial in range(25):
         universe = rng.choice(10**6, size=60, replace=False)
-        a = set(int(x) for x in universe[: rng.integers(0, 40)])
-        b = set(int(x) for x in universe[20: 20 + rng.integers(0, 40)])
-        expected = psi_plain(a, b)
-        res = psi_ddh(a, b, backend, seed=trial)
-        assert set(res.intersection_a) == expected
-        assert set(res.intersection_b) == expected
+        a = universe[: rng.integers(0, 40)]
+        b = universe[20: 20 + rng.integers(0, 40)]
+        expected = sorted(set(a.tolist()) & set(b.tolist()))
+        assert_id_array(psi_plain(a, b), expected)
+        # unsorted ids with repeats give the same intersection
+        res = psi_ddh(np.concatenate([a, a[:3]]), b, backend, seed=trial)
+        assert_id_array(res.intersection_a, expected)
+        assert_id_array(res.intersection_b, expected)
 
 
 def test_ddh_disjoint_and_identical_sets():
     backend = small()
-    res = psi_ddh({1, 2}, {3, 4}, backend, seed=0)
-    assert res.intersection_a == frozenset()
-    res = psi_ddh({5, 6, 7}, {5, 6, 7}, backend, seed=0)
-    assert res.intersection_a == frozenset({5, 6, 7})
+    res = psi_ddh([1, 2], [3, 4], backend, seed=0)
+    assert_id_array(res.intersection_a, [])
+    res = psi_ddh([7, 5, 6], [5, 6, 7], backend, seed=0)
+    assert_id_array(res.intersection_a, [5, 6, 7])
 
 
 def test_ddh_empty_side():
-    res = psi_ddh(set(), {1, 2}, small(), seed=1)
-    assert res.intersection_a == frozenset()
-    assert res.intersection_b == frozenset()
+    res = psi_ddh([], [1, 2], small(), seed=1)
+    assert_id_array(res.intersection_a, [])
+    assert_id_array(res.intersection_b, [])
 
 
 def test_ddh_deterministic_transcript_per_seed():
-    a, b = {10, 20, 30}, {20, 40}
+    a, b = [10, 20, 30], [20, 40]
     r1 = psi_ddh(a, b, small(), seed=9)
     r2 = psi_ddh(a, b, small(), seed=9)
     assert r1.transcript.payload_bytes() == r2.transcript.payload_bytes()
@@ -54,22 +62,22 @@ def test_ddh_deterministic_transcript_per_seed():
 
 
 def test_ddh_unseeded_secrets_still_correct():
-    res = psi_ddh({1, 2, 3}, {2, 3, 4}, small())
-    assert res.intersection_a == frozenset({2, 3})
+    res = psi_ddh([1, 2, 3], [2, 3, 4], small())
+    assert_id_array(res.intersection_a, [2, 3])
 
 
 def test_ddh_explicit_secrets():
-    res = psi_ddh({1, 2}, {2, 9}, small(), secret_a=12345, secret_b=67890)
-    assert res.intersection_a == frozenset({2})
+    res = psi_ddh([1, 2], [2, 9], small(), secret_a=12345, secret_b=67890)
+    assert_id_array(res.intersection_a, [2])
     with pytest.raises(ValueError, match="secrets"):
-        psi_ddh({1}, {1}, small(), secret_a=0, secret_b=5)
+        psi_ddh([1], [1], small(), secret_a=0, secret_b=5)
     with pytest.raises(ValueError, match="secrets"):
-        psi_ddh({1}, {1}, small(), secret_a=5, secret_b=small().order)
+        psi_ddh([1], [1], small(), secret_a=5, secret_b=small().order)
 
 
 def test_ddh_requires_ddh_backend():
     with pytest.raises(ValueError, match="requires a ddh backend"):
-        psi_ddh({1}, {1}, PsiBackend.plain())
+        psi_ddh([1], [1], PsiBackend.plain())
 
 
 def test_backend_kind_validated():
@@ -88,7 +96,7 @@ def test_ddh_backend_requires_safe_prime():
 
 def test_transcript_structure():
     backend = small()
-    a, b = {1, 2, 3}, {2, 3}
+    a, b = [1, 2, 3], [2, 3]
     res = psi_ddh(a, b, backend, seed=4, name_a="east", name_b="west")
     senders = [s for s, _ in res.transcript.records]
     assert senders == ["east", "west", "west", "east"]
@@ -99,11 +107,11 @@ def test_transcript_structure():
 
 def test_transcript_never_contains_raw_ids():
     backend = small()
-    ids_a = {3, 1_000_001, 77_777_777}
-    ids_b = {3, 42, 77_777_777}
+    ids_a = [3, 1_000_001, 77_777_777]
+    ids_b = [3, 42, 77_777_777]
     res = psi_ddh(ids_a, ids_b, backend, seed=5)
     payload = res.transcript.payload_bytes()
-    for ident in ids_a | ids_b:
+    for ident in ids_a + ids_b:
         assert encode_id(ident) not in payload
 
 

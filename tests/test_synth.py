@@ -144,7 +144,7 @@ def test_generated_files_and_loadability(tmp_path):
     assert dataset.nodes.feature_width == 4
     assert int(dataset.nodes.labels.sum()) == round(0.3 * 60)
     for name, graph in dataset.relations.items():
-        assert graph.vertices == frozenset(range(60))
+        assert np.array_equal(graph.vertices, np.arange(60))
         assert (graph.edges.weight == 1.0).all()
         assert len(graph.edges) > 0
 
