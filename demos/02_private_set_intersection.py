@@ -20,7 +20,7 @@ bank_b = [205, 317, 512, 888, 941]
 print("plain intersection:", psi_plain(bank_a, bank_b).tolist())
 
 # The protocol run over the 2048-bit safe-prime group (10.1-10.9 ms per id).
-backend = PsiBackend.ddh()
+backend = PsiBackend()
 result = psi_ddh(bank_a, bank_b, backend=backend, seed=7,
                  name_a="bank_a", name_b="bank_b")
 print("protocol result:   ", result.intersection_a.tolist())

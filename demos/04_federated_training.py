@@ -13,6 +13,7 @@ graphs and once on the fused ones, and prints the test AUC trajectory.
 import tempfile
 from pathlib import Path
 
+from twosfgl.config import ExperimentConfig
 from twosfgl.data import (balance_sample, load_dataset, stratified_split,
                           zscore_features)
 from twosfgl.fedavg import FederationConfig, make_client, train_federation
@@ -27,12 +28,16 @@ spec = SyntheticSpec(nodes=400, relations=3, intra_p=0.08, inter_p=0.008,
                      class_sep=0.5, coverage=0.6)
 node_path, relation_paths = generate_synthetic(spec, seed, out_dir)
 dataset = load_dataset(node_path, relation_paths)
+# sampling, split and model settings at their experiment defaults
+defaults = ExperimentConfig(synth=spec)
 
 # Same sampled nodes, split, and feature scaling for both runs, so the
 # only difference is the graph each client trains on.
 labels = dataset.nodes.labels
-sampled = balance_sample(labels, seed=derive_seed(seed, "sample"))
-split = stratified_split(sampled, labels, seed=derive_seed(seed, "split"))
+sampled = balance_sample(labels, defaults.ratio_low, defaults.ratio_high,
+                         seed=derive_seed(seed, "sample"))
+split = stratified_split(sampled, labels, defaults.train_frac,
+                         seed=derive_seed(seed, "split"))
 features = zscore_features(dataset.nodes.features, split.train_ids)
 print(f"{len(sampled)} nodes sampled, {len(split.train_ids)} train / "
       f"{len(split.test_ids)} test")
@@ -45,10 +50,11 @@ rounds = 60
 histories = {}
 for arm, graphs in (("fedavg_only", raw_graphs), ("2sfgl", fused_graphs)):
     clients = [make_client(g.relation_name, g, split, "gcn", features,
-                           seed=derive_seed(seed, "model"))
+                           seed=derive_seed(seed, "model"),
+                           fanout=defaults.fanout, lr=defaults.lr)
                for g in graphs]
     histories[arm] = train_federation(
-        clients, FederationConfig(rounds=rounds, arm=arm),
+        clients, FederationConfig(rounds=rounds), arm,
         seed=derive_seed(seed, "train"))
 
 print(f"\nround   {'raw AUC':>8}  {'fused AUC':>9}")

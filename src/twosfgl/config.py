@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .fedavg import FederationConfig
 from .fusion import FusionConfig
 from .psi import PsiBackend
 from .synth import SyntheticSpec
@@ -22,13 +23,17 @@ class ConfigError(ValueError):
 
 
 _ARCHES = ("gcn", "sage")
-_PSI_BACKENDS = {"plain": PsiBackend.plain, "ddh": PsiBackend.ddh}
+_PSI_BACKENDS = {"plain": None, "ddh": PsiBackend()}
 # a relation name becomes a CSV field, a file-name part and an arm suffix
 _RELATION_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass
 class ExperimentConfig:
+    """Every setting of an experiment.  Each stage's settings live in its own
+    section object (``synth``, ``fusion``, ``federation``), which checks
+    them; the rest are checked here."""
+
     arch: str = "gcn"
     seeds: tuple = (0,)
     arms: tuple = ("2sfgl", "fedavg_only", "local")
@@ -36,12 +41,8 @@ class ExperimentConfig:
     synth: SyntheticSpec = None
     node_path: str = None
     relation_paths: dict = field(default_factory=dict)
-    lam: float = 0.5
-    hops: int = 1
-    dp_epsilon: float = math.inf
-    psi: str = "plain"
-    rounds: int = 100
-    local_steps: int = 1
+    fusion: FusionConfig = FusionConfig()
+    federation: FederationConfig = FederationConfig()
     ratio_low: float = 0.5
     ratio_high: float = 2.0
     train_frac: float = 0.6
@@ -79,34 +80,20 @@ class ExperimentConfig:
         if not 0 < self.lr < math.inf:
             raise ConfigError("model.lr must be positive and finite, got "
                               f"{self.lr}")
-        if self.local_steps < 0:
-            raise ConfigError("federation.local_steps must be >= 0, got "
-                              f"{self.local_steps}")
         if self.fanout < 1:
             raise ConfigError(f"model.fanout must be >= 1, got {self.fanout}")
         if not 1 <= self.window_lo <= self.window_hi:
             raise ConfigError("report window must satisfy 1 <= lo <= hi")
-        if self.window_hi > self.rounds:
+        if self.window_hi > self.federation.rounds:
             raise ConfigError(
                 f"report window ends at round {self.window_hi} but the run "
-                f"has only {self.rounds} rounds")
-        try:
-            self.fusion_config(0)
-        except ValueError as exc:
-            raise ConfigError(f"fusion.*: {exc}") from None
+                f"has only {self.federation.rounds} rounds")
 
     def relation_names(self) -> list:
         """Names of the relations every seed's dataset holds, sorted."""
         if self.synth is not None:
             return sorted(self.synth.relation_names())
         return sorted(self.relation_paths)
-
-    def fusion_config(self, seed: int) -> FusionConfig:
-        if self.psi not in _PSI_BACKENDS:
-            raise ValueError(f"psi must be 'plain' or 'ddh', got {self.psi!r}")
-        return FusionConfig(lam=self.lam, hops=self.hops,
-                            dp_epsilon=self.dp_epsilon, seed=seed,
-                            psi=_PSI_BACKENDS[self.psi]())
 
 
 def _parse_scalar(text: str, kind: type, key: str, lineno: int):
@@ -121,16 +108,15 @@ def _parse_scalar(text: str, kind: type, key: str, lineno: int):
                           f"got {text!r}") from None
 
 
-# key -> (target, attribute, type); target "top" or "synth"
+# key -> (section, attribute, type); section "top" is ExperimentConfig itself
 _SCHEMA = {
     "arch": ("top", "arch", str),
     "out_dir": ("top", "out_dir", str),
-    "fusion.lambda": ("top", "lam", float),
-    "fusion.hops": ("top", "hops", int),
-    "fusion.dp_epsilon": ("top", "dp_epsilon", float),
-    "fusion.psi": ("top", "psi", str),
-    "federation.rounds": ("top", "rounds", int),
-    "federation.local_steps": ("top", "local_steps", int),
+    "fusion.lambda": ("fusion", "lam", float),
+    "fusion.hops": ("fusion", "hops", int),
+    "fusion.dp_epsilon": ("fusion", "dp_epsilon", float),
+    "federation.rounds": ("federation", "rounds", int),
+    "federation.local_steps": ("federation", "local_steps", int),
     "sample.ratio_low": ("top", "ratio_low", float),
     "sample.ratio_high": ("top", "ratio_high", float),
     "split.train_frac": ("top", "train_frac", float),
@@ -147,14 +133,16 @@ _SCHEMA = {
     "synth.class_sep": ("synth", "class_sep", float),
     "synth.coverage": ("synth", "coverage", float),
 }
+# section -> the object its keys build; synth is built only when a key names it
+_SECTIONS = {"synth": SyntheticSpec, "fusion": FusionConfig,
+             "federation": FederationConfig}
 
 
 def parse_config(text: str, base_dir=".") -> ExperimentConfig:
     """Parse config text.  Relative data paths resolve against base_dir."""
     base_dir = Path(base_dir)
     top = {}
-    synth_kwargs = {}
-    saw_synth = False
+    sections = {name: {} for name in _SECTIONS}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -183,21 +171,24 @@ def parse_config(text: str, base_dir=".") -> ExperimentConfig:
                 raise ConfigError(f"line {lineno}: relation name {name!r} may "
                                   "hold only letters, digits, '_' and '-'")
             top.setdefault("relation_paths", {})[name] = str(base_dir / value)
+        elif key == "fusion.psi":
+            if value not in _PSI_BACKENDS:
+                raise ConfigError("fusion.*: psi must be 'plain' or 'ddh', "
+                                  f"got {value!r}")
+            sections["fusion"]["psi"] = _PSI_BACKENDS[value]
         elif key in _SCHEMA:
-            target, attr, kind = _SCHEMA[key]
+            section, attr, kind = _SCHEMA[key]
             parsed = _parse_scalar(value, kind, key, lineno)
-            if target == "synth":
-                synth_kwargs[attr] = parsed
-                saw_synth = True
-            else:
-                top[attr] = parsed
+            (top if section == "top" else sections[section])[attr] = parsed
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    if saw_synth:
+    for name, build in _SECTIONS.items():
+        if name == "synth" and not sections[name]:
+            continue
         try:
-            top["synth"] = SyntheticSpec(**synth_kwargs)
+            top[name] = build(**sections[name])
         except ValueError as exc:
-            raise ConfigError(f"synth.*: {exc}") from None
+            raise ConfigError(f"{name}.*: {exc}") from None
     try:
         return ExperimentConfig(**top)
     except TypeError as exc:

@@ -451,7 +451,7 @@ def write_relation(graph: ClientGraph, path) -> None:
     write_rows(path, "# src,dst,weight\n", [edges.u, edges.v, edges.weight])
 
 
-def balance_sample(labels, ratio_low: float = 0.5, ratio_high: float = 2.0,
+def balance_sample(labels, ratio_low: float, ratio_high: float,
                    seed: int = 0) -> np.ndarray:
     """An id array of nodes whose positive/negative ratio lies in [low, high].
 
@@ -476,7 +476,7 @@ def balance_sample(labels, ratio_low: float = 0.5, ratio_high: float = 2.0,
     return id_array(np.concatenate([pos, neg]))
 
 
-def stratified_split(sampled_ids, labels, train_frac: float = 0.6,
+def stratified_split(sampled_ids, labels, train_frac: float,
                      seed: int = 0) -> SplitAssignment:
     """Split sampled ids per class into train/test at train_frac.
 

@@ -39,9 +39,6 @@ __all__ = [
     "train_federation",
 ]
 
-DEFAULT_FANOUT = 5
-
-
 @dataclass
 class ClientState:
     """One participant: its graph view, masks, weights, and optimizer."""
@@ -51,21 +48,23 @@ class ClientState:
     params: ModelParams
     adam: AdamState
     sample_count: int
+    fanout: int                          # sage: neighbors sampled per node
     features: np.ndarray = None          # rows aligned with node order
     labels: np.ndarray = None
     train_mask: np.ndarray = None
     test_mask: np.ndarray = None
     adjacency: object = None             # cached for gcn
     propagated_features: np.ndarray = None   # gcn: adjacency @ features
-    fanout: int = DEFAULT_FANOUT
     cache: ForwardCache = None           # this client's forward state
 
 
 @dataclass(frozen=True)
 class FederationConfig:
+    """Knobs of the training stage: FedAvg rounds, and local optimizer steps
+    per client per round."""
+
     rounds: int = 100
     local_steps: int = 1
-    arm: str = "2sfgl"
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -75,9 +74,8 @@ class FederationConfig:
 
 
 def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
-                arch: str, features: np.ndarray, seed: int,
-                params: ModelParams | None = None,
-                fanout: int = DEFAULT_FANOUT, lr: float = 0.005) -> ClientState:
+                arch: str, features: np.ndarray, seed: int, fanout: int,
+                lr: float, params: ModelParams | None = None) -> ClientState:
     """Assemble a ClientState with arrays aligned to the graph's node order
     (``graph.vertices``).
 
@@ -171,7 +169,7 @@ def local_steps(client: ClientState, global_params: ModelParams,
 
 
 def federated_round(clients, global_params: ModelParams, round_seed: int,
-                    steps: int = 1):
+                    steps: int):
     """Broadcast, local steps, aggregate.  Returns (new global, train losses)."""
     if not clients:
         raise ValueError("federated_round requires at least one client")
@@ -201,9 +199,10 @@ def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
     return {name: float(np.mean(values)) for name, values in per_metric.items()}
 
 
-def train_federation(clients, cfg: FederationConfig,
+def train_federation(clients, cfg: FederationConfig, arm: str,
                      seed: int = 0) -> RoundHistory:
-    """Run the configured number of rounds and record global test metrics.
+    """Run the configured number of rounds and record global test metrics,
+    labelled ``arm`` in the history.
 
     All clients participate every round.  Per-client Adam state persists
     across rounds; only the weights are averaged.  Deterministic for a fixed
@@ -221,5 +220,5 @@ def train_federation(clients, cfg: FederationConfig,
         scores = evaluate_global(clients, global_params,
                                  seed=derive_seed(seed, "round-eval", round_index))
         for name in METRIC_NAMES:
-            history.append(round_index, cfg.arm, name, scores[name])
+            history.append(round_index, arm, name, scores[name])
     return history

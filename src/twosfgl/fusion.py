@@ -55,14 +55,15 @@ class FusionConfig:
     are the same at every epsilon and the fused edge set loses only the pairs
     whose shares were all clamped to 0, and one edge changes every share at
     both its endpoints, so this is not edge-level epsilon-DP; ``psi`` is the
-    backend that intersects each pair's vertex sets.
+    DDH group that intersects each pair's vertex sets, or None for the plain
+    oracle.
     """
 
     lam: float = 0.5
     hops: int = 1
     dp_epsilon: float = math.inf
     seed: int = 0
-    psi: PsiBackend = PsiBackend.plain()
+    psi: PsiBackend | None = None
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -304,7 +305,7 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
 
 def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig) -> tuple:
     """Both sides' id arrays of the common vertices, from one PSI run."""
-    if cfg.psi.kind == "plain":
+    if cfg.psi is None:
         common = psi_plain(a.vertices, b.vertices)
         return common, common
     result = psi_ddh(

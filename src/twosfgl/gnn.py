@@ -63,6 +63,10 @@ __all__ = [
 
 HIDDEN_UNITS = 64
 NUM_CLASSES = 2
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -84,15 +88,12 @@ class ModelParams:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus step count."""
+    """First/second moment accumulators, step count and learning rate."""
 
     m: ModelParams
     v: ModelParams
-    step: int = 0
-    lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    step: int
+    lr: float
 
 
 @dataclass
@@ -241,7 +242,7 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
 
 
 def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
-                 fanout: int = 5, seed: int = 0,
+                 fanout: int, seed: int = 0,
                  cache: ForwardCache | None = None):
     """Sample-and-aggregate forward pass, written into ``cache``.  Returns
     (logits, cache)."""
@@ -299,7 +300,7 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     return loss, ModelParams(arch=params.arch, W1=grad_w1, W2=grad_w2)
 
 
-def init_adam(params: ModelParams, lr: float = 0.005) -> AdamState:
+def init_adam(params: ModelParams, lr: float) -> AdamState:
     zeros = ModelParams(params.arch, np.zeros_like(params.W1),
                         np.zeros_like(params.W2))
     return AdamState(m=zeros, v=zeros.copy(), step=0, lr=lr)
@@ -310,23 +311,22 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
     if params.W1.shape != grads.W1.shape or params.W2.shape != grads.W2.shape:
         raise ValueError("gradient shapes do not match parameter shapes")
     t = state.step + 1
-    new_w, new_m, new_v = {}, {}, {}
-    for name in ("W1", "W2"):
-        w = getattr(params, name)
-        g = getattr(grads, name)
-        m = state.beta1 * getattr(state.m, name) + (1.0 - state.beta1) * g
-        v = state.beta2 * getattr(state.v, name) + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_w[name] = w - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m[name] = m
-        new_v[name] = v
-    new_params = ModelParams(params.arch, new_w["W1"], new_w["W2"])
-    new_state = AdamState(
-        m=ModelParams(params.arch, new_m["W1"], new_m["W2"]),
-        v=ModelParams(params.arch, new_v["W1"], new_v["W2"]),
-        step=t, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_params, new_state
+    w1, m1, v1 = _adam_update(params.W1, grads.W1, state.m.W1, state.v.W1, t,
+                              state.lr)
+    w2, m2, v2 = _adam_update(params.W2, grads.W2, state.m.W2, state.v.W2, t,
+                              state.lr)
+    arch = params.arch
+    return ModelParams(arch, w1, w2), AdamState(
+        ModelParams(arch, m1, m2), ModelParams(arch, v1, v2), t, state.lr)
+
+
+def _adam_update(w, g, m, v, t: int, lr: float):
+    """One matrix's Adam update at step t: (new weights, new m, new v)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return w - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 _ARCH_CODES = {"gcn": b"GCN ", "sage": b"SAGE"}

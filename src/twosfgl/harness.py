@@ -13,12 +13,13 @@ reproduces every output file byte for byte.  Failures are re-raised with the
 seed, arm, and stage in the message.
 """
 
+import dataclasses
 from pathlib import Path
 
 from .config import ExperimentConfig
 from .data import (balance_sample, load_dataset, stratified_split,
-                   write_relation, zscore_features)
-from .fedavg import FederationConfig, make_client, train_federation
+                   write_relation, write_rows, zscore_features)
+from .fedavg import make_client, train_federation
 from .fusion import virtual_fusion_round, write_shares, write_tags
 from .metrics import METRIC_NAMES, RoundHistory, window_average
 from .seeding import derive_seed
@@ -59,7 +60,7 @@ def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir=None,
     """Run one fusion round; optionally dump the fused graphs and, with
     ``audit``, each fused edge's origin tag and every share batch sent."""
     graphs = [dataset.relations[name] for name in sorted(dataset.relations)]
-    fusion_cfg = cfg.fusion_config(derive_seed(seed, "fusion"))
+    fusion_cfg = dataclasses.replace(cfg.fusion, seed=derive_seed(seed, "fusion"))
     fused, shares_by_pair = virtual_fusion_round(graphs, fusion_cfg)
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
@@ -93,9 +94,8 @@ def run_arm(cfg: ExperimentConfig, dataset, arm: str, split, features,
     clients = [make_client(g.relation_name, g, split, cfg.arch, features,
                            seed=model_seed, fanout=cfg.fanout, lr=cfg.lr)
                for g in graphs]
-    fed_cfg = FederationConfig(rounds=cfg.rounds, local_steps=cfg.local_steps,
-                               arm=arm)
-    return train_federation(clients, fed_cfg, seed=derive_seed(seed, "train"))
+    return train_federation(clients, cfg.federation, arm,
+                            seed=derive_seed(seed, "train"))
 
 
 def summarize(histories: dict, cfg: ExperimentConfig) -> dict:
@@ -117,30 +117,27 @@ def summarize(histories: dict, cfg: ExperimentConfig) -> dict:
     return {key: sums[key] / counts[key] for key in sums}
 
 
-def _summary_rows(summary: dict):
-    arms = sorted({arm for arm, _ in summary})
-    for arm in arms:
-        for metric in METRIC_NAMES:
-            yield arm, metric, summary[(arm, metric)]
-
-
 def write_summary(summary: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("arm,metric,value\n")
-        for arm, metric, value in _summary_rows(summary):
-            fh.write(f"{arm},{metric},{repr(float(value))}\n")
+    """One (arm, metric, value) row per entry, arms sorted, metrics in
+    ``METRIC_NAMES`` order."""
+    keys = [(arm, metric) for arm in sorted({arm for arm, _ in summary})
+            for metric in METRIC_NAMES]
+    write_rows(path, "arm,metric,value\n",
+               [[arm for arm, _ in keys], [metric for _, metric in keys],
+                [float(summary[key]) for key in keys]])
 
 
-def write_table(summary: dict, cfg: ExperimentConfig, path) -> None:
-    """Human-readable companion to summary.csv (fixed 4-decimal cells)."""
+def write_table(summary: dict, cfg: ExperimentConfig, seeds, path) -> None:
+    """Human-readable companion to summary.csv (fixed 4-decimal cells);
+    ``seeds`` are those whose histories were summarized."""
     arms = sorted({arm for arm, _ in summary})
     header = ["arm"] + list(METRIC_NAMES)
     rows = [[arm] + [f"{summary[(arm, m)]:.4f}" for m in METRIC_NAMES]
             for arm in arms]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    lines = [f"arch={cfg.arch}  rounds={cfg.rounds}  "
+    lines = [f"arch={cfg.arch}  rounds={cfg.federation.rounds}  "
              f"window={cfg.window_lo}-{cfg.window_hi}  "
-             f"seeds={','.join(str(s) for s in cfg.seeds)}"]
+             f"seeds={','.join(str(s) for s in seeds)}"]
     lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
@@ -186,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
 
     summary = summarize(histories, cfg)
     write_summary(summary, out / "summary.csv")
-    write_table(summary, cfg, out / "table.txt")
+    write_table(summary, cfg, cfg.seeds, out / "table.txt")
     return summary
 
 
@@ -205,5 +202,6 @@ def report_from_dir(out_dir, cfg: ExperimentConfig) -> dict:
         histories[(arm, int(seed_text))] = RoundHistory.from_csv(path)
     summary = summarize(histories, cfg)
     write_summary(summary, out / "summary.csv")
-    write_table(summary, cfg, out / "table.txt")
+    write_table(summary, cfg, sorted({seed for _, seed in histories}),
+                out / "table.txt")
     return summary

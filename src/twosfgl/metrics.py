@@ -11,6 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import write_rows
+
 __all__ = [
     "METRIC_NAMES",
     "EvalResult",
@@ -118,10 +120,10 @@ class RoundHistory:
         self.records.append((round_index, arm, metric, value))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("round,arm,metric,value\n")
-            for round_index, arm, metric, value in self.records:
-                fh.write(f"{round_index},{arm},{metric},{repr(float(value))}\n")
+        rows = self.records
+        write_rows(path, "round,arm,metric,value\n",
+                   [[r[0] for r in rows], [r[1] for r in rows],
+                    [r[2] for r in rows], [float(r[3]) for r in rows]])
 
     @classmethod
     def from_csv(cls, path) -> "RoundHistory":
@@ -139,7 +141,7 @@ class RoundHistory:
         return history
 
 
-def window_average(history: RoundHistory, lo: int = 60, hi: int = 100) -> dict:
+def window_average(history: RoundHistory, lo: int, hi: int) -> dict:
     """Mean of each (arm, metric) over rounds lo..hi inclusive.
 
     Each (arm, metric) must hold every round of the window exactly once.

@@ -1,16 +1,17 @@
 """Private set intersection over vertex identifiers.
 
-Two backends:
+A backend is a DDH group, or the plain oracle when ``FusionConfig.psi`` is
+None:
 
-* ``plain`` — a trusted-oracle set intersection, used as the reference in
-  tests and for trusted-setup simulation runs.
-* ``ddh``   — the two-round blind-exponentiation protocol of Meadows and of
-  Huberman, Franklin and Hogg, in the subgroup of prime order q of Z_p* for
-  a safe prime p = 2q + 1.  Each party hashes its ids into the group, blinds
-  them with a secret exponent, and exchanges them; the peer re-blinds with
-  its own secret.  Double-blinded values H(x)^(ab) coincide exactly for
-  common ids, so each party learns which of its own ids are shared and
-  nothing else (honest-but-curious model).
+* ``psi_plain`` — a trusted-oracle set intersection, used as the reference
+  in tests and for trusted-setup simulation runs.
+* ``psi_ddh`` with a ``PsiBackend`` — the two-round blind-exponentiation
+  protocol of Meadows and of Huberman, Franklin and Hogg, in the subgroup of
+  prime order q of Z_p* for a safe prime p = 2q + 1.  Each party hashes its
+  ids into the group, blinds them with a secret exponent, and exchanges
+  them; the peer re-blinds with its own secret.  Double-blinded values
+  H(x)^(ab) coincide exactly for common ids, so each party learns which of
+  its own ids are shared and nothing else (honest-but-curious model).
 
 Hash to group: RFC 9380 ``expand_message_xmd`` over SHA-256 stretches an
 id's encoding to bitlen(p) + 128 bits.  Reduced mod p that is within 2^-128
@@ -20,8 +21,8 @@ with no known discrete-log relation between hashed points.
 Subgroup test: for a safe prime the order-q subgroup is exactly the
 quadratic residues, so by Euler's criterion ``e^q = 1 (mod p)`` holds iff
 the Jacobi symbol (e | p) is 1.  The Jacobi symbol is a gcd-like loop, far
-cheaper than the full-width modexp; it is why a ``ddh`` backend rejects a
-group whose modulus is not 2 * order + 1.
+cheaper than the full-width modexp; it is why a backend rejects a group
+whose modulus is not 2 * order + 1.
 
 Secrets: blinding exponents are uniform in [1, min(2^256, q) - 1], at least
 twice the 112-bit strength of the 2048-bit group (RFC 7919 §5.2).  A seeded
@@ -74,36 +75,24 @@ class PsiProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class PsiBackend:
-    """Group parameters for the intersection protocol.
+    """The DDH group the intersection protocol works in.
 
-    ``kind`` selects plain (oracle) or ddh.  For ddh, ``modulus`` is a safe
-    prime p = 2q + 1 and ``order`` is the prime q, the order of the subgroup
-    of quadratic residues the protocol works in.
+    ``modulus`` is a safe prime p = 2q + 1 and ``order`` is the prime q, the
+    order of the subgroup of quadratic residues.  The default is the 2048-bit
+    group, whose order >= 2^255 is as recommended for real use.
     """
 
-    kind: str = "plain"
     modulus: int = _MODP_2048_P
     order: int = (_MODP_2048_P - 1) // 2
 
     def __post_init__(self):
-        if self.kind not in ("plain", "ddh"):
-            raise ValueError(f"unknown PSI backend kind {self.kind!r}")
-        if self.kind == "ddh" and self.modulus != 2 * self.order + 1:
+        if self.modulus != 2 * self.order + 1:
             raise ValueError("a ddh group needs a safe prime: modulus == 2 * order + 1")
-
-    @classmethod
-    def plain(cls) -> "PsiBackend":
-        return cls(kind="plain")
-
-    @classmethod
-    def ddh(cls) -> "PsiBackend":
-        """2048-bit group; order >= 2^255 as recommended for real use."""
-        return cls(kind="ddh")
 
     @classmethod
     def ddh_small(cls) -> "PsiBackend":
         """62-bit test group: fast, functionally identical protocol."""
-        return cls(kind="ddh", modulus=_TEST_P, order=_TEST_Q)
+        return cls(modulus=_TEST_P, order=_TEST_Q)
 
     @property
     def element_bytes(self) -> int:
@@ -206,7 +195,7 @@ def _check_received(backend: PsiBackend, elements, what: str) -> None:
             f"group order {backend.order} is too small for this id set)")
 
 
-def psi_ddh(ids_a, ids_b, backend: PsiBackend | None = None,
+def psi_ddh(ids_a, ids_b, backend: PsiBackend,
             secret_a: int | None = None, secret_b: int | None = None,
             seed: int | None = None,
             name_a: str = "A", name_b: str = "B") -> PsiResult:
@@ -220,10 +209,6 @@ def psi_ddh(ids_a, ids_b, backend: PsiBackend | None = None,
     Both in-memory parties are simulated here; every message is appended to
     the transcript exactly as it would cross the wire.
     """
-    if backend is None:
-        backend = PsiBackend.ddh_small()
-    if backend.kind != "ddh":
-        raise ValueError("psi_ddh requires a ddh backend")
     if secret_a is None:
         secret_a = backend.random_secret(None if seed is None else derive_seed(seed, name_a))
     if secret_b is None:

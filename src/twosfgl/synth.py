@@ -51,6 +51,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.features < 1:
             raise ValueError("need at least one feature dimension")
+        if not math.isfinite(self.class_sep):
+            raise ValueError(f"class_sep must be finite, got {self.class_sep}")
 
     def relation_names(self) -> list:
         return [f"rel{k}" for k in range(self.relations)]

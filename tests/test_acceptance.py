@@ -15,7 +15,8 @@ from edge_arrays import edge_array
 from twosfgl.cli import main as cli_main
 from twosfgl.config import ExperimentConfig
 from twosfgl.data import ClientGraph, NodeTable, SplitAssignment
-from twosfgl.fedavg import aggregate, federated_round, make_client
+from twosfgl.fedavg import (FederationConfig, aggregate, federated_round,
+                            make_client)
 from twosfgl.fusion import normalize_edges, update_edge
 from twosfgl.gnn import (gcn_forward, init_params,
                          loss_and_grads, normalized_adjacency, sage_forward)
@@ -26,6 +27,8 @@ from twosfgl.psi import PsiBackend, encode_id, psi_ddh, psi_plain
 from twosfgl.synth import SyntheticSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# the experiment's default model settings (ExperimentConfig.fanout, .lr)
+CLIENT_KW = dict(fanout=5, lr=0.005)
 
 
 # ---------------------------------------------------------------------- A1
@@ -175,14 +178,16 @@ def test_A3_gradients_and_fedavg_identities():
                         edges=edge_array(edges), node_ref=table)
     split = SplitAssignment(train_ids=np.arange(8), test_ids=np.arange(8, 12))
     shared = init_params("gcn", 3, seed=5)
-    twins = [make_client(f"c{i}", graph, split, "gcn", x, seed=0,
+    twins = [make_client(f"c{i}", graph, split, "gcn", x, **CLIENT_KW, seed=0,
                          params=shared.copy()) for i in range(3)]
-    solo = [make_client("s", graph, split, "gcn", x, seed=0,
+    solo = [make_client("s", graph, split, "gcn", x, **CLIENT_KW, seed=0,
                         params=shared.copy())]
     g_twin, g_solo = shared.copy(), shared.copy()
     for round_index in range(4):
-        g_twin, _ = federated_round(twins, g_twin, round_seed=round_index)
-        g_solo, _ = federated_round(solo, g_solo, round_seed=round_index)
+        g_twin, _ = federated_round(twins, g_twin,
+                                    round_seed=round_index, steps=1)
+        g_solo, _ = federated_round(solo, g_solo,
+                                    round_seed=round_index, steps=1)
         assert np.array_equal(g_twin.W1, g_solo.W1)
         assert np.array_equal(g_twin.W2, g_solo.W2)
 
@@ -194,7 +199,8 @@ def test_A4_synthetic_fusion_gap(tmp_path):
     cfg = ExperimentConfig(synth=SyntheticSpec(), arch="gcn",
                            seeds=(0, 1, 2, 3, 4),
                            arms=("2sfgl", "fedavg_only"),
-                           rounds=100, window_lo=60, window_hi=100)
+                           federation=FederationConfig(rounds=100),
+                           window_lo=60, window_hi=100)
     started = time.perf_counter()
     summary = run_experiment(cfg, out_dir=tmp_path / "a4")
     elapsed = time.perf_counter() - started
@@ -220,7 +226,8 @@ def _dataset_summary(paths, arch, out_dir):
     cfg = ExperimentConfig(node_path=str(paths["nodes"]),
                            relation_paths=relation_paths, arch=arch,
                            seeds=(0, 1, 2), arms=("2sfgl", "fedavg_only"),
-                           rounds=100, window_lo=60, window_hi=100)
+                           federation=FederationConfig(rounds=100),
+                           window_lo=60, window_hi=100)
     return run_experiment(cfg, out_dir=out_dir)
 
 

@@ -209,7 +209,7 @@ def test_commands_run_without_scipy(command, config, tmp_path):
     assert outputs["blocked"] == outputs["plain"]
 
 
-@pytest.mark.parametrize("command", ["run", "fuse", "report"])
+@pytest.mark.parametrize("command", ["gen", "fuse", "train", "run", "report"])
 def test_smoke_commands_pass_under_dev_mode_with_warnings_as_errors(
         command, tmp_path):
     # -X dev reports unclosed files and other resource warnings, and -W error
@@ -227,5 +227,6 @@ def test_smoke_commands_pass_under_dev_mode_with_warnings_as_errors(
     result = strict(command, out)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
-    expected = "summary.csv" if command != "fuse" else "shares_rel0_rel1.csv"
+    expected = {"gen": "nodes.csv",
+                "fuse": "shares_rel0_rel1.csv"}.get(command, "summary.csv")
     assert (out / expected).is_file()

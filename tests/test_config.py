@@ -5,6 +5,8 @@ import pytest
 
 from twosfgl.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config)
+from twosfgl.fedavg import FederationConfig
+from twosfgl.fusion import FusionConfig
 from twosfgl.psi import PsiBackend
 from twosfgl.synth import SyntheticSpec
 
@@ -21,8 +23,10 @@ def test_minimal_synth_config_uses_defaults():
     assert cfg.synth.nodes == 40
     assert cfg.synth.relations == SyntheticSpec().relations
     assert cfg.node_path is None
-    assert cfg.dp_epsilon == math.inf
-    assert (cfg.window_lo, cfg.window_hi, cfg.rounds) == (60, 100, 100)
+    assert cfg.fusion == FusionConfig()
+    assert cfg.fusion.dp_epsilon == math.inf
+    assert cfg.federation == FederationConfig()
+    assert (cfg.window_lo, cfg.window_hi, cfg.federation.rounds) == (60, 100, 100)
 
 
 def test_every_key_reaches_its_field():
@@ -58,8 +62,9 @@ def test_every_key_reaches_its_field():
     assert cfg.seeds == (3, 5, 8)
     assert cfg.arms == ("2sfgl", "fedavg_only")
     assert cfg.out_dir == "results"
-    assert (cfg.lam, cfg.hops, cfg.dp_epsilon, cfg.psi) == (0.4, 2, 1.5, "ddh")
-    assert (cfg.rounds, cfg.local_steps) == (80, 2)
+    assert cfg.fusion == FusionConfig(lam=0.4, hops=2, dp_epsilon=1.5,
+                                      psi=PsiBackend())
+    assert cfg.federation == FederationConfig(rounds=80, local_steps=2)
     assert (cfg.ratio_low, cfg.ratio_high) == (0.6, 1.8)
     assert cfg.train_frac == 0.7
     assert (cfg.fanout, cfg.lr) == (7, 0.01)
@@ -94,6 +99,15 @@ def test_data_paths_resolve_against_base_dir(tmp_path):
     ("fusion.psi = dhh\nsynth.nodes = 40\n", "fusion.*: psi must be"),
     ("fusion.hops = 4\nsynth.nodes = 40\n", "fusion.*: hops must be"),
     ("fusion.lambda = 2\nsynth.nodes = 40\n", "fusion.*: lam must"),
+    ("fusion.dp_epsilon = 0\nsynth.nodes = 40\n", "fusion.*: dp_epsilon must"),
+    ("federation.rounds = 0\nsynth.nodes = 40\n",
+     "federation.*: rounds must be >= 1"),
+    ("federation.local_steps = -1\nsynth.nodes = 40\n",
+     "federation.*: local_steps must be >= 0"),
+    ("synth.nodes = 20\nsynth.class_sep = nan\n",
+     "synth.*: class_sep must be finite"),
+    ("synth.nodes = 20\nsynth.class_sep = inf\n",
+     "synth.*: class_sep must be finite"),
 ])
 def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(ConfigError, match=None) as err:
@@ -103,7 +117,7 @@ def test_parse_errors_carry_context(text, fragment):
 
 def test_inf_epsilon_disables_noise_keyword():
     cfg = parse_config("synth.nodes = 40\nfusion.dp_epsilon = inf\n")
-    assert cfg.dp_epsilon == math.inf
+    assert cfg.fusion.dp_epsilon == math.inf
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
@@ -116,7 +130,8 @@ def test_inf_epsilon_disables_noise_keyword():
     (dict(node_path="x"), "no data.relation"),
     (dict(synth=SyntheticSpec(), window_lo=0), "window"),
     (dict(synth=SyntheticSpec(), window_lo=50, window_hi=40), "window"),
-    (dict(synth=SyntheticSpec(), rounds=30), "only 30 rounds"),
+    (dict(synth=SyntheticSpec(), federation=FederationConfig(rounds=30)),
+     "only 30 rounds"),
 ])
 def test_experiment_config_validation(kwargs, fragment):
     defaults = dict(kwargs)
@@ -137,10 +152,11 @@ def test_fusion_config_inherits_experiment_settings():
     cfg = parse_config("synth.nodes = 40\nfusion.lambda = 0.3\n"
                        "fusion.hops = 2\nfusion.dp_epsilon = 2.0\n"
                        "fusion.psi = ddh\n")
-    fus = cfg.fusion_config(seed=42)
+    fus = cfg.fusion
     assert (fus.lam, fus.hops, fus.dp_epsilon, fus.psi, fus.seed) == \
-        (0.3, 2, 2.0, PsiBackend.ddh(), 42)
-    assert parse_config("synth.nodes = 40\n").fusion_config(0).psi == PsiBackend.plain()
+        (0.3, 2, 2.0, PsiBackend(), 0)
+    assert parse_config("synth.nodes = 40\n").fusion.psi is None
+    assert parse_config("synth.nodes = 40\nfusion.psi = plain\n").fusion.psi is None
 
 
 def test_load_config_roundtrip_and_missing_files(tmp_path):
@@ -193,7 +209,8 @@ def test_boundary_values_still_load():
     cfg = parse_config(MINIMAL + "sample.ratio_low = 0\n"
                        "sample.ratio_high = 0.5\nfederation.local_steps = 0\n"
                        "model.fanout = 1\nsplit.train_frac = 0.01\n")
-    assert (cfg.ratio_low, cfg.ratio_high, cfg.local_steps, cfg.fanout) == \
+    assert (cfg.ratio_low, cfg.ratio_high, cfg.federation.local_steps,
+            cfg.fanout) == \
         (0.0, 0.5, 0, 1)
     assert parse_config(MINIMAL + "sample.ratio_low = 1\n"
                         "sample.ratio_high = 1\n").ratio_high == 1.0

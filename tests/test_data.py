@@ -451,14 +451,14 @@ def test_vertices_are_one_read_only_id_array():
 
 def test_balance_sample_identity_when_in_range():
     labels = np.array([1] * 10 + [0] * 10)
-    sampled = balance_sample(labels, seed=0)
+    sampled = balance_sample(labels, 0.5, 2.0, seed=0)
     assert np.array_equal(sampled, np.arange(20))
     assert sampled.dtype == np.int64 and not sampled.flags.writeable
 
 
 def test_balance_sample_undersamples_negatives():
     labels = np.array([1] * 5 + [0] * 50)
-    sampled = balance_sample(labels, seed=3)
+    sampled = balance_sample(labels, 0.5, 2.0, seed=3)
     assert np.array_equal(sampled, np.unique(sampled))
     kept_pos, kept_neg = sampled[labels[sampled] == 1], sampled[labels[sampled] == 0]
     assert np.array_equal(kept_pos, np.arange(5))   # minority untouched
@@ -468,7 +468,7 @@ def test_balance_sample_undersamples_negatives():
 
 def test_balance_sample_undersamples_positives():
     labels = np.array([1] * 50 + [0] * 5)
-    sampled = balance_sample(labels, seed=3)
+    sampled = balance_sample(labels, 0.5, 2.0, seed=3)
     kept_pos, kept_neg = sampled[labels[sampled] == 1], sampled[labels[sampled] == 0]
     assert np.array_equal(kept_neg, np.arange(50, 55))
     assert len(kept_pos) == 10                  # int(2.0 * 5)
@@ -476,10 +476,10 @@ def test_balance_sample_undersamples_positives():
 
 def test_balance_sample_deterministic_and_seed_sensitive():
     labels = np.array([1] * 5 + [0] * 100)
-    a = balance_sample(labels, seed=7)
-    b = balance_sample(labels, seed=7)
+    a = balance_sample(labels, 0.5, 2.0, seed=7)
+    b = balance_sample(labels, 0.5, 2.0, seed=7)
     assert np.array_equal(a, b)
-    others = [balance_sample(labels, seed=s) for s in range(5)]
+    others = [balance_sample(labels, 0.5, 2.0, seed=s) for s in range(5)]
     assert any(not np.array_equal(o, a) for o in others)
 
 
@@ -490,7 +490,7 @@ def test_balance_sample_ratio_property():
         labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
         if labels.sum() in (0, n):
             continue
-        sampled = balance_sample(labels, seed=int(rng.integers(1 << 30)))
+        sampled = balance_sample(labels, 0.5, 2.0, seed=int(rng.integers(1 << 30)))
         pos = int(labels[sampled].sum())
         neg = len(sampled) - pos
         assert 0.5 <= pos / neg <= 2.0
@@ -500,7 +500,7 @@ def test_balance_sample_ratio_property():
 
 def test_balance_sample_single_class_rejected():
     with pytest.raises(ValueError):
-        balance_sample(np.ones(5, dtype=int))
+        balance_sample(np.ones(5, dtype=int), 0.5, 2.0)
 
 
 def test_stratified_split_exact_counts():
@@ -519,7 +519,7 @@ def test_stratified_split_exact_counts():
 def test_stratified_split_respects_sample_subset():
     labels = np.array([0, 1] * 10)
     sampled = [9, 3, 0, 8, 1, 2, 3]
-    split = stratified_split(sampled, labels, seed=1)
+    split = stratified_split(sampled, labels, 0.6, seed=1)
     assert np.array_equal(np.union1d(split.train_ids, split.test_ids),
                           [0, 1, 2, 3, 8, 9])
 
@@ -527,10 +527,10 @@ def test_stratified_split_respects_sample_subset():
 def test_stratified_split_deterministic_and_seed_sensitive():
     labels = np.array([0, 1] * 25)
     sampled = np.arange(50)
-    a, b = (stratified_split(sampled, labels, seed=4) for _ in range(2))
+    a, b = (stratified_split(sampled, labels, 0.6, seed=4) for _ in range(2))
     assert np.array_equal(a.train_ids, b.train_ids)
     assert np.array_equal(a.test_ids, b.test_ids)
-    assert any(not np.array_equal(stratified_split(sampled, labels, seed=s).train_ids,
+    assert any(not np.array_equal(stratified_split(sampled, labels, 0.6, seed=s).train_ids,
                                   a.train_ids)
                for s in range(5, 10))
 
@@ -569,7 +569,7 @@ def test_stratified_split_matches_the_list_comprehension_reference():
 
 def test_stratified_split_empty_sample():
     with pytest.raises(ValueError):
-        stratified_split([], np.array([0, 1]))
+        stratified_split([], np.array([0, 1]), 0.6)
 
 
 def test_split_assignment_overlap_rejected():

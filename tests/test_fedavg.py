@@ -17,6 +17,9 @@ from twosfgl.metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy,
                              auc, gmean, macro_f1)
 from twosfgl.seeding import derive_seed
 
+# the experiment's default model settings (ExperimentConfig.fanout, .lr)
+CLIENT_KW = dict(fanout=5, lr=0.005)
+
 
 def make_world(seed, n=20, n_clients=2, features=4, p=0.3):
     """Shared node table plus one random relation graph per client."""
@@ -44,6 +47,7 @@ def build_clients(arch, seed=0, n_clients=2, shared_params=None, **kw):
     table, graphs, split = make_world(seed, n_clients=n_clients, **kw)
     return [
         make_client(f"c{k}", graphs[k], split, arch, table.features,
+                    **CLIENT_KW,
                     seed=derive_seed(seed, "client", k),
                     params=shared_params.copy() if shared_params else None)
         for k in range(n_clients)
@@ -55,7 +59,8 @@ def build_clients(arch, seed=0, n_clients=2, shared_params=None, **kw):
 
 def test_make_client_aligns_arrays_with_node_order():
     table, graphs, split = make_world(1)
-    client = make_client("a", graphs[0], split, "gcn", table.features, seed=0)
+    client = make_client("a", graphs[0], split, "gcn", table.features,
+                         **CLIENT_KW, seed=0)
     assert np.array_equal(client.features, table.features)  # ids are 0..n-1
     assert np.array_equal(client.labels, table.labels)
     # positions are ids here, so each mask's positions are its id array
@@ -68,7 +73,8 @@ def test_make_client_aligns_arrays_with_node_order():
 
 def test_make_client_caches_propagated_features_for_gcn():
     table, graphs, split = make_world(1)
-    client = make_client("a", graphs[0], split, "gcn", table.features, seed=0)
+    client = make_client("a", graphs[0], split, "gcn", table.features,
+                         **CLIENT_KW, seed=0)
     assert np.array_equal(client.propagated_features,
                           client.adjacency @ client.features)
 
@@ -78,12 +84,14 @@ def test_make_client_rejects_split_ids_outside_the_graph():
     part = ClientGraph(relation_name="part", vertices=np.arange(10),
                        edges=edge_array({}), node_ref=table)
     with pytest.raises(ValueError, match="outside the graph"):
-        make_client("a", part, split, "gcn", table.features, seed=0)
+        make_client("a", part, split, "gcn", table.features,
+                    **CLIENT_KW, seed=0)
 
 
 def test_make_client_sage_has_no_adjacency():
     table, graphs, split = make_world(1)
-    client = make_client("a", graphs[0], split, "sage", table.features, seed=0)
+    client = make_client("a", graphs[0], split, "sage", table.features,
+                         **CLIENT_KW, seed=0)
     assert client.adjacency is None
     assert client.propagated_features is None
     assert client.params.arch == "sage"
@@ -92,14 +100,17 @@ def test_make_client_sage_has_no_adjacency():
 
 def test_make_client_seeded_init_and_explicit_params():
     table, graphs, split = make_world(2)
-    a = make_client("a", graphs[0], split, "gcn", table.features, seed=5)
-    b = make_client("b", graphs[0], split, "gcn", table.features, seed=5)
-    c = make_client("c", graphs[0], split, "gcn", table.features, seed=6)
+    a = make_client("a", graphs[0], split, "gcn", table.features,
+                    **CLIENT_KW, seed=5)
+    b = make_client("b", graphs[0], split, "gcn", table.features,
+                    **CLIENT_KW, seed=5)
+    c = make_client("c", graphs[0], split, "gcn", table.features,
+                    **CLIENT_KW, seed=6)
     assert np.array_equal(a.params.W1, b.params.W1)
     assert not np.array_equal(a.params.W1, c.params.W1)
     given = init_params("gcn", table.feature_width, seed=99)
-    d = make_client("d", graphs[0], split, "gcn", table.features, seed=5,
-                    params=given)
+    d = make_client("d", graphs[0], split, "gcn", table.features,
+                    **CLIENT_KW, seed=5, params=given)
     assert d.params is given
 
 
@@ -107,7 +118,8 @@ def test_make_client_rejects_empty_train_mask():
     table, graphs, _ = make_world(3)
     empty = SplitAssignment(train_ids=[], test_ids=np.arange(5))
     with pytest.raises(ValueError, match="empty train mask"):
-        make_client("a", graphs[0], empty, "gcn", table.features, seed=0)
+        make_client("a", graphs[0], empty, "gcn", table.features,
+                    **CLIENT_KW, seed=0)
 
 
 # --------------------------------------------------------------- aggregate
@@ -225,7 +237,7 @@ def test_local_steps_match_manual_adam_loop():
 def test_federated_round_single_client_equals_local_training():
     clients, table, _, _ = build_clients("gcn", seed=9, n_clients=1)
     start = clients[0].params.copy()
-    new_global, losses = federated_round(clients, start, round_seed=5)
+    new_global, losses = federated_round(clients, start, round_seed=5, steps=1)
     assert np.array_equal(new_global.W1, clients[0].params.W1)
     assert len(losses) == 1 and np.isfinite(losses[0])
 
@@ -236,18 +248,18 @@ def test_federated_round_identical_clients_match_centralized():
     table, graphs, split = make_world(10, n_clients=1)
     shared = init_params("gcn", table.feature_width, seed=0)
     twin_a = make_client("a", graphs[0], split, "gcn", table.features,
-                         seed=0, params=shared.copy())
+                         **CLIENT_KW, seed=0, params=shared.copy())
     twin_b = make_client("b", graphs[0], split, "gcn", table.features,
-                         seed=0, params=shared.copy())
+                         **CLIENT_KW, seed=0, params=shared.copy())
     solo = make_client("s", graphs[0], split, "gcn", table.features,
-                       seed=0, params=shared.copy())
+                       **CLIENT_KW, seed=0, params=shared.copy())
     global_fed = shared.copy()
     global_solo = shared.copy()
     for round_index in range(5):
         global_fed, _ = federated_round([twin_a, twin_b], global_fed,
-                                        round_seed=round_index)
+                                        round_seed=round_index, steps=1)
         global_solo, _ = federated_round([solo], global_solo,
-                                         round_seed=round_index)
+                                         round_seed=round_index, steps=1)
         assert np.array_equal(global_fed.W1, global_solo.W1)
         assert np.array_equal(global_fed.W2, global_solo.W2)
 
@@ -257,14 +269,18 @@ def test_federated_round_wraps_client_failures():
     # corrupt one client
     clients[1].propagated_features = clients[1].propagated_features[:, :2]
     with pytest.raises(RuntimeError, match="client 'c1'"):
-        federated_round(clients, clients[0].params.copy(), round_seed=0)
+        federated_round(clients, clients[0].params.copy(), round_seed=0,
+                        steps=1)
     with pytest.raises(ValueError, match="at least one client"):
-        federated_round([], init_params("gcn", 4), round_seed=0)
+        federated_round([], init_params("gcn", 4), round_seed=0, steps=1)
 
 
 def test_federation_config_validation():
     assert FederationConfig().rounds == 100
     assert FederationConfig().local_steps == 1
+    # the arm is a history label, passed to train_federation
+    with pytest.raises(TypeError):
+        FederationConfig(arm="2sfgl")
     with pytest.raises(ValueError):
         FederationConfig(rounds=0)
     with pytest.raises(ValueError):
@@ -309,7 +325,7 @@ def test_local_steps_ignore_an_evaluation_of_other_params():
 
 def test_train_federation_records_every_round_and_metric():
     clients, _, _, _ = build_clients("gcn", seed=14)
-    history = train_federation(clients, FederationConfig(rounds=7, arm="x"),
+    history = train_federation(clients, FederationConfig(rounds=7), "x",
                                seed=3)
     assert {arm for _, arm, _, _ in history.records} == {"x"}
     assert sorted({r for r, _, _, _ in history.records}) == list(range(1, 8))
@@ -331,11 +347,11 @@ def test_train_federation_forward_count(monkeypatch, arch, expected):
             fedavg, name,
             lambda *a, _inner=inner, **kw: calls.append(1) or _inner(*a, **kw))
     clients, _, _, _ = build_clients(arch, seed=14, n_clients=3)
-    train_federation(clients, FederationConfig(rounds=4), seed=3)
+    train_federation(clients, FederationConfig(rounds=4), "x", seed=3)
     assert len(calls) == expected
 
 
-def reference_federation(clients, cfg, seed):
+def reference_federation(clients, cfg, arm, seed):
     """train_federation with a fresh forward, into freshly allocated
     arrays, for every training step and every evaluation; returns (history,
     final global params)."""
@@ -376,7 +392,7 @@ def reference_federation(clients, cfg, seed):
             for name in METRIC_NAMES:
                 per_metric[name].append(fns[name](result))
         for name in METRIC_NAMES:
-            history.append(round_index, cfg.arm, name,
+            history.append(round_index, arm, name,
                            float(np.mean(per_metric[name])))
     return history, global_params
 
@@ -386,10 +402,10 @@ def reference_federation(clients, cfg, seed):
 def test_train_federation_matches_fresh_forward_reference(arch, steps):
     cfg = FederationConfig(rounds=5, local_steps=steps)
     clients, _, _, _ = build_clients(arch, seed=20, n_clients=3)
-    history = train_federation(clients, cfg, seed=6)
+    history = train_federation(clients, cfg, "x", seed=6)
     final = aggregate([(c.params, c.sample_count) for c in clients])
     clients, _, _, _ = build_clients(arch, seed=20, n_clients=3)
-    want_history, want_final = reference_federation(clients, cfg, seed=6)
+    want_history, want_final = reference_federation(clients, cfg, "x", seed=6)
     assert history.records == want_history.records
     assert np.array_equal(final.W1, want_final.W1)
     assert np.array_equal(final.W2, want_final.W2)
@@ -398,7 +414,7 @@ def test_train_federation_matches_fresh_forward_reference(arch, steps):
 @pytest.mark.parametrize("arch", ["gcn", "sage"])
 def test_clients_never_share_forward_memory(arch):
     clients, _, _, _ = build_clients(arch, seed=21, n_clients=3)
-    train_federation(clients, FederationConfig(rounds=2), seed=0)
+    train_federation(clients, FederationConfig(rounds=2), "x", seed=0)
     owned = []
     for client in clients:
         cache = client.cache
@@ -434,11 +450,12 @@ def test_steady_state_gcn_round_allocates_less_than_a_hidden_layer():
     n = 2000
     table, graphs, split = sparse_world(22, n)
     clients = [make_client(f"c{k}", graph, split, "gcn", table.features,
-                           seed=k) for k, graph in enumerate(graphs)]
+                           **CLIENT_KW, seed=k) for k, graph in enumerate(graphs)]
     global_params = clients[0].params.copy()
 
     def one_round(round_index, params):
-        params, _ = federated_round(clients, params, round_seed=round_index)
+        params, _ = federated_round(clients, params,
+                                    round_seed=round_index, steps=1)
         evaluate_global(clients, params, seed=round_index)
         return params
 
@@ -459,7 +476,7 @@ def test_train_federation_deterministic_after_rebuilding_clients():
         for _ in range(2):
             clients, _, _, _ = build_clients(arch, seed=15)
             history = train_federation(clients, FederationConfig(rounds=4),
-                                       seed=9)
+                                       "x", seed=9)
             runs.append(history.records)
         assert runs[0] == runs[1], arch
 
@@ -467,22 +484,22 @@ def test_train_federation_deterministic_after_rebuilding_clients():
 def test_train_federation_seed_matters_only_for_sampling_arch():
     # gcn is full-batch deterministic: the training seed changes nothing
     clients, _, _, _ = build_clients("gcn", seed=16)
-    h1 = train_federation(clients, FederationConfig(rounds=3), seed=1)
+    h1 = train_federation(clients, FederationConfig(rounds=3), "x", seed=1)
     clients, _, _, _ = build_clients("gcn", seed=16)
-    h2 = train_federation(clients, FederationConfig(rounds=3), seed=2)
+    h2 = train_federation(clients, FederationConfig(rounds=3), "x", seed=2)
     assert h1.records == h2.records
     # sage samples neighbors per round: the seed shows up in the history
     clients, _, _, _ = build_clients("sage", seed=16)
-    h3 = train_federation(clients, FederationConfig(rounds=3), seed=1)
+    h3 = train_federation(clients, FederationConfig(rounds=3), "x", seed=1)
     clients, _, _, _ = build_clients("sage", seed=16)
-    h4 = train_federation(clients, FederationConfig(rounds=3), seed=2)
+    h4 = train_federation(clients, FederationConfig(rounds=3), "x", seed=2)
     assert h3.records != h4.records
 
 
 def test_train_federation_zero_local_steps_freezes_metrics():
     clients, _, _, _ = build_clients("gcn", seed=17)
     history = train_federation(
-        clients, FederationConfig(rounds=3, local_steps=0), seed=0)
+        clients, FederationConfig(rounds=3, local_steps=0), "x", seed=0)
     by_metric = {}
     for _, _, metric, value in history.records:
         by_metric.setdefault(metric, set()).add(value)
@@ -492,14 +509,15 @@ def test_train_federation_zero_local_steps_freezes_metrics():
 
 def test_train_federation_rejects_empty_client_list():
     with pytest.raises(ValueError, match="at least one client"):
-        train_federation([], FederationConfig(rounds=1))
+        train_federation([], FederationConfig(rounds=1), "x")
 
 
 def test_federation_learns_separable_labels():
     # sparse graphs keep the self-loop dominant, so the feature-derived
     # labels stay recoverable through the propagation
     clients, _, _, _ = build_clients("gcn", seed=19, n=30, p=0.06)
-    history = train_federation(clients, FederationConfig(rounds=120), seed=0)
+    history = train_federation(clients, FederationConfig(rounds=120),
+                               "x", seed=0)
     final_acc = [v for r, _, m, v in history.records
                  if m == "accuracy" and r == 120][0]
     first_acc = [v for r, _, m, v in history.records

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,8 +8,8 @@ import scipy.special
 
 from edge_arrays import edge_array, edge_dict
 from twosfgl.data import EDGE_DTYPE, ClientGraph
-from twosfgl.gnn import (HIDDEN_UNITS, NUM_CLASSES, ModelParams,
-                         adam_step, gcn_forward, init_adam, init_params,
+from twosfgl.gnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HIDDEN_UNITS,
+                         NUM_CLASSES, ModelParams, adam_step, gcn_forward, init_adam, init_params,
                          loss_and_grads, normalized_adjacency, params_to_bytes,
                          sage_forward, sample_neighbor_means, softmax)
 
@@ -413,7 +414,7 @@ def test_sage_forward_seed_controls_sampling():
     assert np.array_equal(l1, l2)
     assert not np.array_equal(l1, l3)
     with pytest.raises(ValueError, match="requires sage"):
-        sage_forward(init_params("gcn", 3), g, x)
+        sage_forward(init_params("gcn", 3), g, x, fanout=3)
 
 
 def test_forward_caches_its_softmax():
@@ -598,11 +599,11 @@ def naive_adam(params, grads, state):
     for name in ("W1", "W2"):
         w = getattr(params, name)
         g = getattr(grads, name)
-        m = state.beta1 * getattr(state.m, name) + (1.0 - state.beta1) * g
-        v = state.beta2 * getattr(state.v, name) + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        out[name] = w - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m = ADAM_BETA1 * getattr(state.m, name) + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * getattr(state.v, name) + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        out[name] = w - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         ms[name], vs[name] = m, v
     return out, ms, vs, t
 
@@ -616,7 +617,10 @@ def test_adam_step_matches_reference_bitwise():
                             rng.standard_normal(params.W2.shape))
         expected_w, expected_m, expected_v, expected_t = naive_adam(
             params, grads, state)
+        old = params
         params, state = adam_step(params, grads, state)
+        # a new object every step: cached forwards are matched by identity
+        assert params is not old
         for name in ("W1", "W2"):
             assert np.array_equal(getattr(params, name), expected_w[name])
             assert np.array_equal(getattr(state.m, name), expected_m[name])
@@ -638,14 +642,14 @@ def test_adam_step_rejects_shape_mismatch():
     params = init_params("gcn", 4, seed=0, hidden=3)
     bad = ModelParams("gcn", np.zeros((5, 3)), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="shape"):
-        adam_step(params, bad, init_adam(params))
+        adam_step(params, bad, init_adam(params, lr=0.005))
 
 
 def test_adam_defaults():
-    state = init_adam(init_params("gcn", 2, seed=0, hidden=2))
-    assert (state.lr, state.beta1, state.beta2, state.eps) == \
-        (0.005, 0.9, 0.999, 1e-8)
-    assert state.step == 0
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+    state = init_adam(init_params("gcn", 2, seed=0, hidden=2), lr=0.02)
+    assert [f.name for f in dataclasses.fields(state)] == ["m", "v", "step", "lr"]
+    assert (state.lr, state.step) == (0.02, 0)
     assert np.all(state.m.W1 == 0) and np.all(state.v.W2 == 0)
 
 
@@ -654,7 +658,7 @@ def test_training_descends_on_both_architectures():
         graph, x, _ = random_setup(33, n=12, features=4)
         labels = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
         params = init_params(arch, 4, seed=33, hidden=8)
-        state = init_adam(params)
+        state = init_adam(params, lr=0.005)
         mask = np.ones(12, dtype=bool)
         adj = normalized_adjacency(graph)
 

@@ -3,6 +3,8 @@ import pytest
 
 from twosfgl.config import ExperimentConfig, parse_config
 from twosfgl.data import load_dataset
+from twosfgl.fedavg import FederationConfig
+from twosfgl.fusion import FusionConfig
 from twosfgl.harness import (expand_arms, fusion_outputs, prepare_data,
                              report_from_dir, run_arm, run_experiment,
                              summarize, write_summary, write_table)
@@ -13,9 +15,10 @@ TINY_SYNTH = dict(nodes=40, fraud_fraction=0.3, relations=2, intra_p=0.4,
                   inter_p=0.05, features=4, class_sep=1.0, coverage=0.6)
 
 
-def tiny_config(**kw):
+def tiny_config(rounds=4, **kw):
     base = dict(synth=SyntheticSpec(**TINY_SYNTH), seeds=(0,),
-                arms=("2sfgl", "fedavg_only", "local"), rounds=4,
+                arms=("2sfgl", "fedavg_only", "local"),
+                federation=FederationConfig(rounds=rounds),
                 window_lo=2, window_hi=4)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -157,7 +160,7 @@ def test_run_experiment_skips_fusion_when_not_armed(tmp_path):
 
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
-    cfg = tiny_config(seeds=(0, 1), dp_epsilon=3.0)
+    cfg = tiny_config(seeds=(0, 1), fusion=FusionConfig(dp_epsilon=3.0))
     run_experiment(cfg, out_dir=tmp_path / "a")
     run_experiment(cfg, out_dir=tmp_path / "b")
     names_a, names_b = tree(tmp_path / "a"), tree(tmp_path / "b")
@@ -229,7 +232,7 @@ def test_write_summary_and_table_formats(tmp_path):
     assert lines[1] == "2sfgl,macro_f1,0.5"
     assert len(lines) == 1 + 2 * len(METRIC_NAMES)
 
-    write_table(summary, cfg, tmp_path / "table.txt")
+    write_table(summary, cfg, [0, 1], tmp_path / "table.txt")
     text = (tmp_path / "table.txt").read_text()
     assert "arch=gcn" in text and "window=1-3" in text and "seeds=0,1" in text
     assert "2sfgl" in text and "0.5000" in text and "0.2500" in text
@@ -248,6 +251,18 @@ def test_report_from_dir_reproduces_run_outputs(tmp_path):
     assert (tmp_path / "summary.csv").read_bytes() == summary_bytes
     assert (tmp_path / "table.txt").read_bytes() == table_bytes
     assert ("2sfgl", "auc") in summary
+
+
+def test_report_table_lists_the_seeds_it_summarized(tmp_path):
+    # histories of seed 1 only, as `run --seed 1` leaves them, reported with
+    # a config that lists three seeds
+    run_experiment(tiny_config(seeds=(1,)), out_dir=tmp_path)
+    summary_bytes = (tmp_path / "summary.csv").read_bytes()
+    table = (tmp_path / "table.txt").read_text()
+    report_from_dir(tmp_path, tiny_config(seeds=(0, 1, 2)))
+    assert (tmp_path / "summary.csv").read_bytes() == summary_bytes
+    assert (tmp_path / "table.txt").read_text() == table
+    assert table.splitlines()[0].endswith("  seeds=1")
 
 
 def test_report_from_dir_wants_history_files(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -76,22 +77,27 @@ def test_ddh_explicit_secrets():
 
 
 def test_ddh_requires_ddh_backend():
-    with pytest.raises(ValueError, match="requires a ddh backend"):
-        psi_ddh([1], [1], PsiBackend.plain())
+    # no silent fallback to the 62-bit test group
+    with pytest.raises(TypeError, match="backend"):
+        psi_ddh([1], [1])
+    with pytest.raises(TypeError, match="backend"):
+        psi_ddh([1], [1], seed=0)
 
 
-def test_backend_kind_validated():
-    with pytest.raises(ValueError, match="unknown PSI backend"):
-        PsiBackend(kind="quantum")
+def test_backend_is_only_a_ddh_group():
+    assert [f.name for f in dataclasses.fields(PsiBackend)] == ["modulus", "order"]
+    assert PsiBackend().modulus.bit_length() == 2048
+    with pytest.raises(TypeError):
+        PsiBackend(kind="ddh")
 
 
 def test_ddh_backend_requires_safe_prime():
     # 11 divides 67 - 1, so 67 has a subgroup of order 11, but 67 != 2 * 11 + 1
-    assert PsiBackend(kind="ddh", modulus=23, order=11).order == 11
+    assert PsiBackend(modulus=23, order=11).order == 11
     with pytest.raises(ValueError, match="safe prime"):
-        PsiBackend(kind="ddh", modulus=67, order=11)
+        PsiBackend(modulus=67, order=11)
     with pytest.raises(ValueError, match="safe prime"):
-        PsiBackend(kind="ddh", modulus=PsiBackend.ddh().modulus, order=11)
+        PsiBackend(modulus=PsiBackend().modulus, order=11)
 
 
 def test_transcript_structure():
@@ -116,7 +122,7 @@ def test_transcript_never_contains_raw_ids():
 
 
 def test_hash_to_group_lands_in_subgroup():
-    for backend in (small(), PsiBackend.ddh()):
+    for backend in (small(), PsiBackend()):
         points = [backend.hash_to_group(ident)
                   for ident in (0, 1, 7, 2**40, 999_999_999)]
         assert all(backend.in_subgroup(e) for e in points)
@@ -124,7 +130,7 @@ def test_hash_to_group_lands_in_subgroup():
 
 
 def test_in_subgroup_rejects_bad_elements():
-    for backend in (small(), PsiBackend.ddh()):
+    for backend in (small(), PsiBackend()):
         p = backend.modulus
         assert not backend.in_subgroup(0)
         assert not backend.in_subgroup(p)
@@ -134,7 +140,7 @@ def test_in_subgroup_rejects_bad_elements():
         assert backend.in_subgroup(pow(12345, 2, p))
 
 
-@pytest.mark.parametrize("backend", [PsiBackend.ddh_small(), PsiBackend.ddh()],
+@pytest.mark.parametrize("backend", [PsiBackend.ddh_small(), PsiBackend()],
                          ids=["small", "2048"])
 def test_in_subgroup_matches_euler_criterion(backend):
     p, q = backend.modulus, backend.order
@@ -185,7 +191,7 @@ def test_expand_xmd_matches_rfc9380_vectors():
 
 
 def test_default_backend_group_sizes():
-    big = PsiBackend.ddh()
+    big = PsiBackend()
     assert big.modulus.bit_length() == 2048
     assert big.order.bit_length() >= 255
     assert big.modulus == 2 * big.order + 1
@@ -202,7 +208,7 @@ def test_random_secret_seeded_is_deterministic():
 
 
 def test_random_secrets_span_256_bits():
-    backend = PsiBackend.ddh()
+    backend = PsiBackend()
     seeded = [backend.random_secret(seed) for seed in range(64)]
     assert all(1 <= s < 2**256 for s in seeded)
     assert any(s >= 2**250 for s in seeded)
