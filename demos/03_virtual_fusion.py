@@ -12,8 +12,9 @@ keeps any single remote claim from dominating.
 import math
 
 from twosfgl.data import ClientGraph
-from twosfgl.fusion import (FusionConfig, apply_dp, normalize_edges,
-                            update_edge, virtual_fusion_round)
+from twosfgl.fusion import (FusionConfig, apply_dp, edge_origins,
+                            normalize_edges, received, update_edge,
+                            virtual_fusion_round)
 
 
 def graph(name, edges, n=6):
@@ -71,7 +72,9 @@ for before, after in zip(clients, fused):
     print(f"  {before.relation_name}: {len(before.edges)} -> "
           f"{len(after.edges)} edges, gained {sorted(gained)}")
 
-# Every fused edge remembers where it came from.
+# Where each fused edge came from follows from the local graph and the
+# shares the party received.
 devices = fused[2]
-for (u, v, w), origin in zip(devices.edges.tolist(), devices.provenance.tolist()):
+origins = edge_origins(clients[2], devices, received(traffic, "devices"))
+for (u, v, w), origin in zip(devices.edges.tolist(), origins.tolist()):
     print(f"  devices {(u, v)}: weight {w:.3f} ({origin})")

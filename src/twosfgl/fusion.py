@@ -5,15 +5,17 @@ each edge between common vertices by the source vertex's incident weight sum,
 optionally adds implied multi-hop shares, perturbs everything with Laplace
 noise, and transmits.  The receiver converts each normalized value back to an
 edge weight on its own scale through a thresholded update and augments its
-local graph, never losing local evidence (max rule).
+local graph, never losing local evidence (max rule).  A fused graph is a
+plain ``ClientGraph``; ``edge_origins`` derives its edges' audit tags.
 
 Every step is array code over a graph's cached CSR (``neighbor_csr``).  One
 sender's shares to one receiver are one ``np.recarray`` of ``SHARE_DTYPE``, the
 wire and audit format from emission through noise, fusion and dump.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +27,13 @@ __all__ = [
     "SHARE_CLAMP_DELTA",
     "SHARE_DTYPE",
     "FusionConfig",
-    "VirtualFusedGraph",
     "normalize_edges",
     "khop_shares",
     "apply_dp",
     "update_edge",
     "fuse",
+    "edge_origins",
+    "received",
     "virtual_fusion_round",
     "write_shares",
     "write_tags",
@@ -72,17 +75,6 @@ class FusionConfig:
             raise ValueError("hops must be 1, 2, or 3")
         if not (self.dp_epsilon > 0):
             raise ValueError("dp_epsilon must be positive (math.inf disables noise)")
-
-
-@dataclass(frozen=True, eq=False)
-class VirtualFusedGraph(ClientGraph):
-    """A client graph augmented with fused edges; tags record provenance.
-
-    ``provenance`` tags each row of ``edges``: 'local' (local evidence only),
-    'fused' (materialized from remote shares) or 'both'.
-    """
-
-    provenance: np.ndarray = field(kw_only=True)
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:
@@ -214,16 +206,16 @@ def apply_dp(shares: np.recarray, epsilon: float, seed: int = 0) -> np.recarray:
     Only values are perturbed: the (src, dst) pairs travel in the clear and
     are the same at every epsilon.  One edge changes every share at both its
     endpoints, so this is not edge-level epsilon-DP.
-    ``epsilon = inf`` returns an unperturbed copy.  Noisy values are clamped
+    ``epsilon = inf`` returns the batch itself.  Noisy values are clamped
     back to [0, 1 - delta]; the noise is drawn in row order from ``seed``.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if math.isinf(epsilon):
+        return shares
     noisy = shares.copy()
-    if not math.isinf(epsilon):
-        noise = np.random.default_rng(seed).laplace(0.0, 1.0 / epsilon,
-                                                    size=len(noisy))
-        noisy.value = _clamp(noisy.value + noise)
+    noise = np.random.default_rng(seed).laplace(0.0, 1.0 / epsilon, size=len(noisy))
+    noisy.value = _clamp(noisy.value + noise)
     return noisy
 
 
@@ -240,7 +232,7 @@ def update_edge(n_value, local_incident_sum, lam: float):
     return ratio / (1.0 - ratio) * base
 
 
-def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
+def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> ClientGraph:
     """Augment the local graph with the weights implied by a share batch.
 
     Shares for the same unordered pair are averaged per orientation (src
@@ -289,7 +281,7 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
     fused_keys, local_keys = pairs[keep], entries[only_local]
     from_local = _merge(fused_keys, local_keys)
     keys = _place(from_local, fused_keys, local_keys)
-    return VirtualFusedGraph(
+    return ClientGraph(
         relation_name=local.relation_name,
         vertices=local.vertices,
         edges=np.rec.fromarrays(
@@ -298,9 +290,20 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> VirtualFusedGraph:
                     csr.weights[only_local])],
             dtype=EDGE_DTYPE),
         node_ref=local.node_ref,
-        provenance=_place(from_local, np.where(in_local, "both", "fused")[keep],
-                          "local"),
     )
+
+
+def edge_origins(local: ClientGraph, fused: ClientGraph, incoming) -> np.ndarray:
+    """Origin of each row of ``fused = fuse(local, incoming, ...)``: 'fused' if no
+    local edge, else 'both' if its pair got a share (even of 0), else 'local'."""
+    csr = local.neighbor_csr
+    n = len(csr.nodes)
+    (src, dst), _ = _find(csr.nodes, np.stack([incoming.src, incoming.dst]))
+    (u, v), _ = _find(csr.nodes, np.stack([fused.edges.u, fused.edges.v]))
+    keys = u * n + v
+    shared = _find(np.sort(np.minimum(src, dst) * n + np.maximum(src, dst)), keys)[1]
+    in_local = _find(csr.rows * n + csr.indices, keys)[1]
+    return np.where(in_local, np.where(shared, "both", "local"), "fused")
 
 
 def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig) -> tuple:
@@ -331,39 +334,37 @@ def virtual_fusion_round(clients, cfg: FusionConfig):
     if len(set(names)) != len(names):
         raise ValueError("client relation names must be unique")
 
-    inbox = {name: [] for name in names}
-    shares_by_pair = {}
-    commons = {}
-    for sender in clients:
-        for receiver in clients:
-            if sender.relation_name == receiver.relation_name:
-                continue
-            pair = (sender.relation_name, receiver.relation_name)
-            try:
-                if pair not in commons:
-                    commons[pair], commons[pair[::-1]] = _pair_intersection(
-                        sender, receiver, cfg)
-                common = commons[pair]
-                shares = normalize_edges(sender, common)
-                if cfg.hops >= 2:
-                    shares = np.concatenate([shares, khop_shares(
-                        sender, common, cfg.hops)]).view(np.recarray)
-                shares = apply_dp(shares, cfg.dp_epsilon,
-                                  seed=derive_seed(cfg.seed, "dp", *pair))
-            except Exception as exc:
-                raise RuntimeError(f"fusion pair {pair[0]} -> {pair[1]}: {exc}") from exc
-            shares_by_pair[pair] = shares
-            inbox[receiver.relation_name].append(shares)
+    shares_by_pair, commons = {}, {}
+    for sender, receiver in itertools.permutations(clients, 2):
+        pair = (sender.relation_name, receiver.relation_name)
+        try:
+            if pair not in commons:
+                commons[pair], commons[pair[::-1]] = _pair_intersection(
+                    sender, receiver, cfg)
+            common = commons[pair]
+            shares = normalize_edges(sender, common)
+            if cfg.hops >= 2:
+                shares = np.concatenate([shares, khop_shares(
+                    sender, common, cfg.hops)]).view(np.recarray)
+            shares = apply_dp(shares, cfg.dp_epsilon,
+                              seed=derive_seed(cfg.seed, "dp", *pair))
+        except Exception as exc:
+            raise RuntimeError(f"fusion pair {pair[0]} -> {pair[1]}: {exc}") from exc
+        shares_by_pair[pair] = shares
 
     fused = []
-    for client in clients:
+    for client, name in zip(clients, names):
         try:
-            incoming = np.concatenate(inbox[client.relation_name])
-            fused.append(fuse(client, incoming.view(np.recarray), cfg))
+            fused.append(fuse(client, received(shares_by_pair, name), cfg))
         except Exception as exc:
-            raise RuntimeError(
-                f"fusing client {client.relation_name!r}: {exc}") from exc
+            raise RuntimeError(f"fusing client {name!r}: {exc}") from exc
     return fused, shares_by_pair
+
+
+def received(shares_by_pair: dict, receiver: str) -> np.recarray:
+    """Every batch sent to ``receiver``, concatenated in sender (dict) order."""
+    return np.concatenate([shares for (_, to), shares in shares_by_pair.items()
+                           if to == receiver]).view(np.recarray)
 
 
 def write_shares(shares: np.recarray, path, sender: str) -> None:
@@ -372,8 +373,7 @@ def write_shares(shares: np.recarray, path, sender: str) -> None:
                [sender, shares.src, shares.dst, shares.hops, shares.value])
 
 
-def write_tags(graph: VirtualFusedGraph, path) -> None:
+def write_tags(graph: ClientGraph, origins, path) -> None:
     """Audit CSV of a fused graph: ``src,dst,origin`` per edge, in (u, v)
-    order."""
-    write_rows(path, "# src,dst,origin\n",
-               [graph.edges.u, graph.edges.v, graph.provenance])
+    order, ``origins`` being its ``edge_origins``."""
+    write_rows(path, "# src,dst,origin\n", [graph.edges.u, graph.edges.v, origins])

@@ -25,8 +25,8 @@ the CSR entries plus the diagonal, sorted by (row, column), each valued
 (zero-weight edges) are dropped.
 
 A ``ForwardCache`` is the forward state of one client: the N x hidden
-arrays its forwards and backwards write into (the hidden pre-activation, the
-hidden layer and the hidden-layer gradient), allocated once, plus what the
+arrays its forwards and backwards write into (the hidden layer, relu applied
+in place, and the hidden-layer gradient), allocated once, plus what the
 last forward left for backward, including the params object it ran with.
 So a training step allocates nothing of that size, and a cache stays valid
 until the next forward into it.  A forward called without a cache allocates
@@ -100,13 +100,12 @@ class AdamState:
 class ForwardCache:
     """One client's forward state, sufficient for backward.
 
-    The three N x hidden arrays are allocated once and overwritten by every
+    The two N x hidden arrays are allocated once and overwritten by every
     forward (and, for ``grad_hidden``, every backward) into this cache; the
     other fields describe the last forward, ``params`` being the very object
     it ran with (None before the first).
     """
 
-    pre_hidden: np.ndarray            # hidden pre-activation
     hidden: np.ndarray                # relu output
     grad_hidden: np.ndarray           # hidden-layer gradient, relu-masked
     params: ModelParams | None = None
@@ -117,7 +116,7 @@ class ForwardCache:
 
     @classmethod
     def empty(cls, rows: int, width: int) -> "ForwardCache":
-        return cls(*(np.empty((rows, width)) for _ in range(3)))
+        return cls(*(np.empty((rows, width)) for _ in range(2)))
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -176,8 +175,7 @@ def _fill(params: ModelParams, inputs: np.ndarray,
     if cache is None:
         cache = ForwardCache.empty(len(inputs), params.W1.shape[1])
     cache.params = None               # stale until the fill completes
-    np.matmul(inputs, params.W1, out=cache.pre_hidden)
-    np.maximum(cache.pre_hidden, 0.0, out=cache.hidden)
+    np.maximum(np.matmul(inputs, params.W1, out=cache.hidden), 0.0, out=cache.hidden)
     logits = cache.hidden @ params.W2
     if adjacency is not None:
         logits = adjacency @ logits
@@ -295,7 +293,7 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
                  if params.arch == "gcn" else grad_logits)
     grad_w2 = cache.hidden.T @ grad_head
     grad_pre = np.matmul(grad_head, params.W2.T, out=cache.grad_hidden)
-    grad_pre *= cache.pre_hidden > 0
+    grad_pre *= cache.hidden > 0      # relu(x) > 0 exactly where x > 0
     grad_w1 = cache.inputs.T @ grad_pre
     return loss, ModelParams(arch=params.arch, W1=grad_w1, W2=grad_w2)
 

@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .data import (balance_sample, load_dataset, stratified_split,
                    write_relation, write_rows, zscore_features)
 from .fedavg import make_client, train_federation
-from .fusion import virtual_fusion_round, write_shares, write_tags
+from .fusion import edge_origins, received, virtual_fusion_round, write_shares, write_tags
 from .metrics import METRIC_NAMES, RoundHistory, window_average
 from .seeding import derive_seed
 from .synth import generate_synthetic
@@ -55,23 +55,24 @@ def prepare_data(cfg: ExperimentConfig, seed: int, out_dir: Path):
     return load_dataset(cfg.node_path, cfg.relation_paths)
 
 
-def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir=None,
+def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir,
                    audit: bool = True):
-    """Run one fusion round; optionally dump the fused graphs and, with
-    ``audit``, each fused edge's origin tag and every share batch sent."""
+    """Run one fusion round and dump the fused graphs and, with ``audit``,
+    each fused edge's origin tag and every share batch sent."""
     graphs = [dataset.relations[name] for name in sorted(dataset.relations)]
     fusion_cfg = dataclasses.replace(cfg.fusion, seed=derive_seed(seed, "fusion"))
     fused, shares_by_pair = virtual_fusion_round(graphs, fusion_cfg)
-    if dump_dir is not None:
-        dump_dir = Path(dump_dir)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        for graph in fused:
-            write_relation(graph, dump_dir / f"fused_{graph.relation_name}.csv")
-        if audit:
-            for graph in fused:
-                write_tags(graph, dump_dir / f"tags_{graph.relation_name}.csv")
-            for (a, b), shares in sorted(shares_by_pair.items()):
-                write_shares(shares, dump_dir / f"shares_{a}_{b}.csv", a)
+    dump_dir = Path(dump_dir)
+    dump_dir.mkdir(parents=True, exist_ok=True)
+    for graph in fused:
+        write_relation(graph, dump_dir / f"fused_{graph.relation_name}.csv")
+    if audit:
+        for local, graph in zip(graphs, fused):
+            name = graph.relation_name
+            origins = edge_origins(local, graph, received(shares_by_pair, name))
+            write_tags(graph, origins, dump_dir / f"tags_{name}.csv")
+        for (a, b), shares in sorted(shares_by_pair.items()):
+            write_shares(shares, dump_dir / f"shares_{a}_{b}.csv", a)
     return fused
 
 
@@ -127,15 +128,15 @@ def write_summary(summary: dict, path) -> None:
                 [float(summary[key]) for key in keys]])
 
 
-def write_table(summary: dict, cfg: ExperimentConfig, seeds, path) -> None:
-    """Human-readable companion to summary.csv (fixed 4-decimal cells);
-    ``seeds`` are those whose histories were summarized."""
+def write_table(summary: dict, cfg: ExperimentConfig, seeds, rounds, path) -> None:
+    """Human-readable companion to summary.csv (fixed 4-decimal cells), headed
+    by the seeds whose histories were summarized and the last round held."""
     arms = sorted({arm for arm, _ in summary})
     header = ["arm"] + list(METRIC_NAMES)
     rows = [[arm] + [f"{summary[(arm, m)]:.4f}" for m in METRIC_NAMES]
             for arm in arms]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    lines = [f"arch={cfg.arch}  rounds={cfg.federation.rounds}  "
+    lines = [f"arch={cfg.arch}  rounds={rounds}  "
              f"window={cfg.window_lo}-{cfg.window_hi}  "
              f"seeds={','.join(str(s) for s in seeds)}"]
     lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -183,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
 
     summary = summarize(histories, cfg)
     write_summary(summary, out / "summary.csv")
-    write_table(summary, cfg, cfg.seeds, out / "table.txt")
+    write_table(summary, cfg, cfg.seeds, cfg.federation.rounds, out / "table.txt")
     return summary
 
 
@@ -203,5 +204,6 @@ def report_from_dir(out_dir, cfg: ExperimentConfig) -> dict:
     summary = summarize(histories, cfg)
     write_summary(summary, out / "summary.csv")
     write_table(summary, cfg, sorted({seed for _, seed in histories}),
+                max(r[0] for h in histories.values() for r in h.records),
                 out / "table.txt")
     return summary

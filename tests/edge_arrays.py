@@ -16,6 +16,6 @@ def edge_array(mapping):
 
 def edge_dict(edges, values=None):
     """``{(u, v): weight}`` in row order, or ``{(u, v): value}`` for a
-    row-aligned ``values`` array such as a fused graph's provenance."""
+    row-aligned ``values`` array such as a fused graph's ``edge_origins``."""
     keys = list(zip(edges.u.tolist(), edges.v.tolist()))
     return dict(zip(keys, (edges.weight if values is None else values).tolist()))

@@ -127,7 +127,7 @@ def _random_instance(arch, rng, hidden=4):
                              hidden=hidden)
         adjacency = normalized_adjacency(graph) if arch == "gcn" else None
         _, cache = _forward(arch, params, graph, adjacency, x, seed=7)
-        if np.abs(cache.pre_hidden).min() > 1e-4:
+        if np.abs(cache.inputs @ params.W1).min() > 1e-4:
             return graph, adjacency, x, labels, params, cache
 
 

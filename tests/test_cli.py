@@ -133,6 +133,19 @@ def test_report_recomputes_from_histories(cfg_path, tmp_path, capsys):
     assert "arch=gcn" in capsys.readouterr().out
 
 
+def test_report_table_gives_the_rounds_the_histories_hold(tmp_path):
+    smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
+    out = tmp_path / "runs"
+    assert run_cli("run", "--config", smoke, "--out", out) == 0
+    assert "  rounds=40  " in (out / "table.txt").read_text()
+    longer = tmp_path / "longer.cfg"
+    longer.write_text(smoke.read_text(encoding="utf-8").replace(
+        "federation.rounds = 40", "federation.rounds = 60"), encoding="utf-8")
+    assert run_cli("report", "--config", longer, "--out", out) == 0
+    header = (out / "table.txt").read_text().splitlines()[0]
+    assert "  rounds=40  " in header
+
+
 def test_seed_and_arch_overrides(cfg_path, tmp_path, capsys):
     out = tmp_path / "runs"
     assert run_cli("run", "--config", cfg_path, "--out", out,

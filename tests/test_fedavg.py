@@ -418,8 +418,8 @@ def test_clients_never_share_forward_memory(arch):
     owned = []
     for client in clients:
         cache = client.cache
-        owned.append([cache.pre_hidden, cache.hidden, cache.grad_hidden,
-                      cache.logits, cache.probs])
+        owned.append([cache.hidden, cache.grad_hidden, cache.logits,
+                      cache.probs])
     for mine, theirs in itertools.combinations(owned, 2):
         for a, b in itertools.product(mine, theirs):
             assert not np.shares_memory(a, b)

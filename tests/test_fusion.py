@@ -8,9 +8,9 @@ from edge_arrays import edge_array, edge_dict
 from twosfgl import fusion as fusion_module
 from twosfgl.data import EDGE_DTYPE, ClientGraph, incident_sums
 from twosfgl.fusion import (SHARE_CLAMP_DELTA, SHARE_DTYPE, FusionConfig,
-                            apply_dp, fuse, khop_shares, normalize_edges,
-                            update_edge, virtual_fusion_round, write_shares,
-                            write_tags)
+                            apply_dp, edge_origins, fuse, khop_shares,
+                            normalize_edges, received, update_edge,
+                            virtual_fusion_round, write_shares, write_tags)
 from twosfgl.psi import PsiBackend
 
 TOP = 1.0 - SHARE_CLAMP_DELTA
@@ -129,7 +129,7 @@ def loop_apply_dp(shares, epsilon, seed):
 
 
 def loop_fuse(local, incoming, lam):
-    """(edges, provenance) of the max-rule fusion, one pair at a time; a
+    """(edges, origins) of the max-rule fusion, one pair at a time; a
     pair that is no local edge and has only zero candidates adds nothing."""
     sums = loop_sums(local)
     local_edges = edge_dict(local.edges)
@@ -141,15 +141,15 @@ def loop_fuse(local, incoming, lam):
         key = (i, j) if i < j else (j, i)
         pair_values.setdefault(key, {})[i] = sum(values) / len(values)
     edges = dict(local_edges)
-    provenance = {key: "local" for key in local_edges}
+    origins = {key: "local" for key in local_edges}
     for (u, v), oriented in sorted(pair_values.items()):
         candidates = [oracle_update(oriented.get(a, oriented.get(b)), sums[a], lam)
                       for a, b in ((u, v), (v, u))]
         if (u, v) not in local_edges and max(candidates) == 0:
             continue
         edges[(u, v)] = max(local_edges.get((u, v), 0.0), max(candidates))
-        provenance[(u, v)] = "both" if (u, v) in local_edges else "fused"
-    return edges, provenance
+        origins[(u, v)] = "both" if (u, v) in local_edges else "fused"
+    return edges, origins
 
 
 def as_tuples(shares):
@@ -381,11 +381,17 @@ def make_shares(values):
 
 def test_apply_dp_infinite_epsilon_is_identity():
     shares = make_shares([0.1, 0.5, 0.9])
-    out = apply_dp(shares, math.inf, seed=3)
-    assert out is not shares
-    assert [s.value for s in out] == [0.1, 0.5, 0.9]
-    out.value[0] = 0.7
-    assert shares.value[0] == 0.1
+    assert apply_dp(shares, math.inf, seed=3) is shares
+    assert [s.value for s in shares] == [0.1, 0.5, 0.9]
+
+
+def test_apply_dp_finite_epsilon_leaves_its_input_unchanged():
+    shares = make_shares([0.1, 0.5, 0.9])
+    before = shares.tobytes()
+    noisy = apply_dp(shares, 1.0, seed=3)
+    assert not np.shares_memory(noisy, shares)
+    assert (noisy.value != shares.value).all()
+    assert shares.tobytes() == before
 
 
 def test_apply_dp_deterministic_and_clamped():
@@ -461,7 +467,8 @@ def test_fuse_materializes_remote_edge_single_orientation():
     local = make_graph({(0, 1): 4.0}, 4)
     incoming = batch([(2, 3, 0.2)])
     fused = fuse(local, incoming, cfg())
-    edges, tags = edge_dict(fused.edges), edge_dict(fused.edges, fused.provenance)
+    edges = edge_dict(fused.edges)
+    tags = edge_dict(fused.edges, edge_origins(local, fused, incoming))
     # both endpoints have no local edges -> unit base; borrowed orientation
     assert edges[(2, 3)] == pytest.approx(0.2 / 0.8)
     assert tags[(2, 3)] == "fused"
@@ -476,7 +483,7 @@ def test_fuse_averages_per_orientation_and_takes_max():
     # orientation 0->1 averages to 0.3 -> (0.3/0.7)*4; 1->0 is 0.6 -> capped 4.0
     # max(local 4.0, 12/7, 4.0) = 4.0
     assert edge_dict(fused.edges) == {(0, 1): 4.0}
-    assert fused.provenance.tolist() == ["both"]
+    assert edge_origins(local, fused, incoming).tolist() == ["both"]
 
 
 def test_fuse_averages_three_senders_in_list_order():
@@ -487,7 +494,7 @@ def test_fuse_averages_three_senders_in_list_order():
     # src 0: (mean/(1-mean))*0.5; borrowed src 1: (mean/(1-mean))*2.0 wins
     assert edge_dict(fused.edges) == {(0, 1): (mean / (1.0 - mean)) * 2.0,
                                       (1, 2): 1.5}
-    assert fused.provenance.tolist() == ["both", "local"]
+    assert edge_origins(local, fused, incoming).tolist() == ["both", "local"]
 
 
 def test_fuse_matches_loop_reference_bitwise():
@@ -504,10 +511,11 @@ def test_fuse_matches_loop_reference_bitwise():
                                values) if a != b)
         for lam in (0.3, 0.5, 0.8):
             fused = fuse(local, incoming, cfg(lam=lam))
-            edges, provenance = loop_fuse(local, incoming, lam)
+            edges, origins = loop_fuse(local, incoming, lam)
             assert edge_dict(fused.edges) == edges
             assert list(edge_dict(fused.edges)) == sorted(edges)
-            assert edge_dict(fused.edges, fused.provenance) == provenance
+            assert edge_dict(fused.edges,
+                             edge_origins(local, fused, incoming)) == origins
 
 
 def test_fuse_remote_evidence_can_raise_local_weight():
@@ -516,7 +524,8 @@ def test_fuse_remote_evidence_can_raise_local_weight():
     fused = fuse(local, incoming, cfg())
     # src 0: (0.4/0.6)*0.5 = 1/3; borrowed src 1: (0.4/0.6)*2.0 = 4/3
     assert edge_dict(fused.edges)[(0, 1)] == pytest.approx(4.0 / 3.0)
-    assert edge_dict(fused.edges, fused.provenance)[(0, 1)] == "both"
+    assert edge_dict(fused.edges,
+                     edge_origins(local, fused, incoming))[(0, 1)] == "both"
 
 
 def test_fuse_never_reduces_local_evidence():
@@ -562,18 +571,21 @@ def test_fuse_without_incoming_is_identity_with_local_tags():
     local = make_graph({(0, 1): 2.0, (1, 2): 3.0}, 3)
     fused = fuse(local, batch([]), cfg())
     assert edge_dict(fused.edges) == edge_dict(local.edges)
-    assert fused.provenance.tolist() == ["local", "local"]
+    assert edge_origins(local, fused, batch([])).tolist() == ["local", "local"]
     assert fused.relation_name == local.relation_name
     assert fused.vertices is local.vertices
 
 
 def test_fuse_returns_sorted_edge_array_with_aligned_provenance():
     local = make_graph({(0, 3): 1.0, (1, 2): 2.0}, 5)
-    fused = fuse(local, batch([(4, 2, 0.3), (2, 1, 0.5), (0, 4, 0.1)]), cfg())
+    incoming = batch([(4, 2, 0.3), (2, 1, 0.5), (0, 4, 0.1)])
+    fused = fuse(local, incoming, cfg())
+    assert type(fused) is ClientGraph
     assert isinstance(fused.edges, np.recarray)
     assert fused.edges.dtype == EDGE_DTYPE
     assert list(edge_dict(fused.edges)) == [(0, 3), (0, 4), (1, 2), (2, 4)]
-    assert fused.provenance.tolist() == ["local", "fused", "both", "fused"]
+    assert edge_origins(local, fused, incoming).tolist() == [
+        "local", "fused", "both", "fused"]
 
 
 def test_fuse_zero_candidate_adds_no_edge_and_keeps_local_zero_edge():
@@ -582,7 +594,7 @@ def test_fuse_zero_candidate_adds_no_edge_and_keeps_local_zero_edge():
                       (0, 2, 0.0), (2, 0, 0.4)])
     fused = fuse(local, incoming, cfg())
     # (2, 3) had only zero shares; (0, 2) has one positive orientation
-    assert edge_dict(fused.edges, fused.provenance) == {
+    assert edge_dict(fused.edges, edge_origins(local, fused, incoming)) == {
         (0, 1): "both", (0, 2): "fused", (1, 2): "local", (3, 4): "local"}
     assert edge_dict(fused.edges)[(0, 1)] == 0.0
     assert edge_dict(fused.edges)[(3, 4)] == 0.0
@@ -609,18 +621,25 @@ def test_fusion_round_share_traffic_and_output_order():
     assert sent[(1, 0)] == pytest.approx(1.0 / 3.0)
     assert sent[(1, 2)] == pytest.approx(2.0 / 3.0)
     assert sent[(2, 1)] == TOP  # 2.0/2.0 clamped
+    # each receiver fuses its batches concatenated in sender order
+    assert received(shares, "b").tobytes() == np.concatenate(
+        [shares[("a", "b")], shares[("c", "b")]]).tobytes()
+    for client, graph in zip(clients, fused):
+        want = fuse(client, received(shares, client.relation_name), cfg(seed=1))
+        assert graph.edges.tobytes() == want.edges.tobytes()
 
 
 def test_fusion_round_fused_edge_value_hand_check():
     clients = three_clients()
-    fused, _ = virtual_fusion_round(clients, cfg(seed=1))
+    fused, shares = virtual_fusion_round(clients, cfg(seed=1))
     c_fused = fused[2]
     # client c receives (2,3) only from b: N(2->3) = 1/4, N(3->2) = 1.0-
     # c's sums: 3 -> 2.0, 2 -> 0.0 (unit base)
     # candidates: src 2: (0.25/0.75)*1 = 1/3; src 3: capped 1.0 * 2.0 = 2.0
     edges = edge_dict(c_fused.edges)
     assert edges[(2, 3)] == pytest.approx(2.0)
-    assert edge_dict(c_fused.edges, c_fused.provenance)[(2, 3)] == "fused"
+    origins = edge_origins(clients[2], c_fused, received(shares, "c"))
+    assert edge_dict(c_fused.edges, origins)[(2, 3)] == "fused"
     assert edges[(3, 4)] == 2.0  # local evidence kept
 
 
@@ -634,12 +653,15 @@ def test_fusion_round_needs_two_clients_and_unique_names():
 
 def test_fusion_round_ddh_equals_plain():
     clients = three_clients()
-    fused_plain, _ = virtual_fusion_round(clients, cfg(seed=2))
-    fused_ddh, _ = virtual_fusion_round(
+    fused_plain, shares_plain = virtual_fusion_round(clients, cfg(seed=2))
+    fused_ddh, shares_ddh = virtual_fusion_round(
         clients, cfg(seed=2, psi=PsiBackend.ddh_small()))
-    for fp, fd in zip(fused_plain, fused_ddh):
+    for client, fp, fd in zip(clients, fused_plain, fused_ddh):
         assert np.array_equal(fp.edges, fd.edges)
-        assert np.array_equal(fp.provenance, fd.provenance)
+        name = client.relation_name
+        assert np.array_equal(
+            edge_origins(client, fp, received(shares_plain, name)),
+            edge_origins(client, fd, received(shares_ddh, name)))
 
 
 def overlapping_clients(rng):
@@ -671,12 +693,15 @@ def test_fusion_round_over_partial_vertex_overlap(hops, monkeypatch):
         return got
 
     monkeypatch.setattr(fusion_module, "_pair_intersection", recording)
-    fused_by_psi = {}
+    fused_by_psi, origins_by_psi = {}, {}
     for name, backend in (("plain", None), ("ddh", PsiBackend.ddh_small())):
         seen.clear()
         fused, shares = virtual_fusion_round(
             clients, cfg(seed=6, hops=hops, dp_epsilon=1.0, psi=backend))
         fused_by_psi[name] = fused
+        origins_by_psi[name] = [
+            edge_origins(c, g, received(shares, c.relation_name))
+            for c, g in zip(clients, fused)]
         assert sorted(seen) == [("a", "b"), ("a", "c"), ("b", "c")]
         for (a, b), sides in seen.items():
             overlap = sorted(set(by_name[a].vertices.tolist())
@@ -695,7 +720,8 @@ def test_fusion_round_over_partial_vertex_overlap(hops, monkeypatch):
         assert any(len(g.edges) > len(c.edges) for c, g in zip(clients, fused))
     for fp, fd in zip(fused_by_psi["plain"], fused_by_psi["ddh"]):
         assert fp.edges.tobytes() == fd.edges.tobytes()
-        assert np.array_equal(fp.provenance, fd.provenance)
+    for op, od in zip(origins_by_psi["plain"], origins_by_psi["ddh"]):
+        assert np.array_equal(op, od)
 
 
 def test_fusion_round_runs_psi_once_per_unordered_pair(monkeypatch):
@@ -821,13 +847,14 @@ def test_write_tags_matches_per_line_format_across_chunks(tmp_path, monkeypatch)
         rng.integers(0, 12, 30), rng.integers(0, 12, 30),
         rng.uniform(0, TOP, 30)) if a != b)
     fused = fuse(local, incoming, cfg())
-    assert {"local", "both", "fused"} <= set(fused.provenance.tolist())
+    origins = edge_origins(local, fused, incoming)
+    assert {"local", "both", "fused"} <= set(origins.tolist())
     want = "# src,dst,origin\n" + "".join(
         f"{u},{v},{tag}\n" for (u, v, _), tag in zip(fused.edges.tolist(),
-                                                    fused.provenance.tolist()))
+                                                    origins.tolist()))
     for chunk_rows in (1, 3):
         monkeypatch.setattr("twosfgl.data.WRITE_CHUNK_ROWS", chunk_rows)
-        write_tags(fused, tmp_path / "tags.csv")
+        write_tags(fused, origins, tmp_path / "tags.csv")
         assert (tmp_path / "tags.csv").read_text() == want, chunk_rows
 
 
@@ -860,7 +887,7 @@ def unique_khop_shares(graph, common, k):
 
 
 def unique_fuse(local, incoming, lam):
-    """(edges, provenance) of ``fuse``."""
+    """(edges, origins) of ``fuse``."""
     csr = local.neighbor_csr
     n = len(csr.nodes)
     (src, dst), _ = fusion_module._find(csr.nodes,
@@ -886,12 +913,12 @@ def unique_fuse(local, incoming, lam):
                             return_index=True)
     weight = np.concatenate([np.maximum(local_weight, candidate)[keep],
                              csr.weights[upper]])
-    provenance = np.concatenate([np.where(in_local, "both", "fused")[keep],
-                                 np.full(len(local.edges), "local")])
+    origins = np.concatenate([np.where(in_local, "both", "fused")[keep],
+                              np.full(len(local.edges), "local")])
     edges = np.rec.fromarrays(
         [csr.nodes[keys // n], csr.nodes[keys % n], weight[first]],
         dtype=EDGE_DTYPE)
-    return edges, provenance[first]
+    return edges, origins[first]
 
 
 def random_graph_on(rng, ids, p, name):
@@ -925,7 +952,8 @@ def test_sort_based_set_operations_match_the_unique_formulas():
         assert (incoming.value == 0).any() and (incoming.value > 0).any()
         for lam in (0.3, 0.5):
             fused = fuse(local, incoming, cfg(lam=lam))
-            edges, provenance = unique_fuse(local, incoming, lam)
+            edges, origins = unique_fuse(local, incoming, lam)
             assert fused.edges.tobytes() == edges.tobytes(), trial
-            assert fused.provenance.dtype == provenance.dtype
-            assert fused.provenance.tolist() == provenance.tolist()
+            got = edge_origins(local, fused, incoming)
+            assert got.dtype == origins.dtype
+            assert got.tolist() == origins.tolist()

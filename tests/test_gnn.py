@@ -475,7 +475,7 @@ def boolean_index_loss_and_grads(params, cache, labels, mask):
     grad_logits /= int(mask.sum())
     grad_head = (cache.adjacency.transpose_matmul(grad_logits)
                  if params.arch == "gcn" else grad_logits)
-    grad_pre = (grad_head @ params.W2.T) * (cache.pre_hidden > 0)
+    grad_pre = (grad_head @ params.W2.T) * (cache.inputs @ params.W1 > 0)
     return loss, cache.hidden.T @ grad_head, cache.inputs.T @ grad_pre
 
 
@@ -538,7 +538,7 @@ def relu_safe_setup(arch, seed, hidden=4):
         else:
             adj = None
             _, cache = sage_forward(params, graph, x, fanout=3, seed=seed)
-        if np.abs(cache.pre_hidden).min() > 1e-4:
+        if np.abs(cache.inputs @ params.W1).min() > 1e-4:
             return graph, adj, x, labels, params, cache
     raise AssertionError("no relu-safe configuration found")
 

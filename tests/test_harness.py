@@ -232,9 +232,10 @@ def test_write_summary_and_table_formats(tmp_path):
     assert lines[1] == "2sfgl,macro_f1,0.5"
     assert len(lines) == 1 + 2 * len(METRIC_NAMES)
 
-    write_table(summary, cfg, [0, 1], tmp_path / "table.txt")
+    write_table(summary, cfg, [0, 1], 3, tmp_path / "table.txt")
     text = (tmp_path / "table.txt").read_text()
     assert "arch=gcn" in text and "window=1-3" in text and "seeds=0,1" in text
+    assert "rounds=3" in text
     assert "2sfgl" in text and "0.5000" in text and "0.2500" in text
     header = text.splitlines()[1].split()
     assert header == ["arm", *METRIC_NAMES]
