@@ -49,7 +49,7 @@ fused_graphs, _ = virtual_fusion_round(
 rounds = 60
 histories = {}
 for arm, graphs in (("fedavg_only", raw_graphs), ("2sfgl", fused_graphs)):
-    clients = [make_client(g.relation_name, g, split, "gcn", features,
+    clients = [make_client(g, split, "gcn", features, labels,
                            seed=derive_seed(seed, "model"),
                            fanout=defaults.fanout, lr=defaults.lr)
                for g in graphs]

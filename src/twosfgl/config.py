@@ -52,6 +52,8 @@ class ExperimentConfig:
     window_hi: int = 100
 
     def __post_init__(self):
+        """Check every setting.  ``arms`` is resolved: ``local`` becomes one
+        ``local_<relation>`` per relation, and each arm names a history file."""
         if self.arch not in _ARCHES:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if not self.seeds:
@@ -60,9 +62,17 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate seed in {self.seeds}")
         if not self.arms:
             raise ConfigError("need at least one arm")
-        for arm in self.arms:
-            if arm not in ("2sfgl", "fedavg_only", "local") and not arm.startswith("local_"):
+        names = sorted(self.relation_paths if self.synth is None
+                       else self.synth.relation_names())
+        arms = [resolved for arm in self.arms for resolved in
+                ([f"local_{name}" for name in names] if arm == "local" else [arm])]
+        known = {"2sfgl", "fedavg_only", *(f"local_{name}" for name in names)}
+        for arm in arms:
+            if arm not in known:
                 raise ConfigError(f"unknown arm {arm!r}")
+            if arms.count(arm) > 1:
+                raise ConfigError(f"arm {arm!r} is listed more than once")
+        self.arms = tuple(arms)
         if self.synth is None and self.node_path is None:
             raise ConfigError("config needs either synth.* keys or data.* paths")
         if self.synth is not None and self.node_path is not None:
@@ -88,12 +98,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"report window ends at round {self.window_hi} but the run "
                 f"has only {self.federation.rounds} rounds")
-
-    def relation_names(self) -> list:
-        """Names of the relations every seed's dataset holds, sorted."""
-        if self.synth is not None:
-            return sorted(self.synth.relation_names())
-        return sorted(self.relation_paths)
 
 
 def _parse_scalar(text: str, kind: type, key: str, lineno: int):

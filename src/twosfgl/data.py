@@ -155,7 +155,8 @@ class GraphCSR:
 
 @dataclass(frozen=True, eq=False)
 class ClientGraph:
-    """One party's view: a vertex set and its weighted undirected edges.
+    """One party's view: a vertex set and its weighted undirected edges;
+    node features and labels stay in the dataset's ``NodeTable``.
 
     ``vertices`` is an id array (``id_array`` normalizes the input).
     ``edges`` is a read-only record array of ``EDGE_DTYPE``, one row per
@@ -167,7 +168,6 @@ class ClientGraph:
     relation_name: str
     vertices: np.ndarray   # ascending read-only int64 ids
     edges: np.recarray     # EDGE_DTYPE rows
-    node_ref: NodeTable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", id_array(self.vertices))
@@ -351,8 +351,7 @@ def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
     keys, group = np.unique(lo * n + hi, return_inverse=True)
     weights = np.bincount(group, weights=w[keep], minlength=len(keys))
     edges = np.rec.fromarrays([keys // n, keys % n, weights], dtype=EDGE_DTYPE)
-    return ClientGraph(relation_name=name, vertices=np.arange(n), edges=edges,
-                       node_ref=nodes)
+    return ClientGraph(relation_name=name, vertices=np.arange(n), edges=edges)
 
 
 def _relation_rows_per_line(path, n: int) -> np.ndarray:

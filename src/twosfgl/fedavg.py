@@ -53,7 +53,7 @@ class ClientState:
     labels: np.ndarray = None
     train_mask: np.ndarray = None
     test_mask: np.ndarray = None
-    adjacency: object = None             # cached for gcn
+    adjacency: object = None             # gcn only: None marks a sage client
     propagated_features: np.ndarray = None   # gcn: adjacency @ features
     cache: ForwardCache = None           # this client's forward state
 
@@ -73,19 +73,20 @@ class FederationConfig:
             raise ValueError("local_steps must be >= 0")
 
 
-def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
-                arch: str, features: np.ndarray, seed: int, fanout: int,
-                lr: float, params: ModelParams | None = None) -> ClientState:
-    """Assemble a ClientState with arrays aligned to the graph's node order
-    (``graph.vertices``).
+def make_client(graph: ClientGraph, split: SplitAssignment, arch: str,
+                features: np.ndarray, labels: np.ndarray, seed: int,
+                fanout: int, lr: float) -> ClientState:
+    """Assemble a ClientState named after ``graph.relation_name``, with
+    arrays aligned to the graph's node order (``graph.vertices``).
 
-    ``features`` is indexed by node id over the full node table (already
-    standardized by the caller); labels come from the graph's node table.
-    The split's id arrays must lie inside the graph's vertices.
+    ``features`` and ``labels`` are indexed by node id over the full node
+    table (features already standardized by the caller).  The split's id
+    arrays must lie inside the graph's vertices.
     """
+    client_id = graph.relation_name
     nodes = graph.vertices
     feats = np.asarray(features, dtype=np.float64)[nodes]
-    labels = graph.node_ref.labels[nodes]
+    labels = np.asarray(labels, dtype=np.int64)[nodes]
 
     def node_mask(ids):
         mask = np.isin(nodes, ids)
@@ -97,8 +98,7 @@ def make_client(client_id: str, graph: ClientGraph, split: SplitAssignment,
     test_mask = node_mask(split.test_ids)
     if not train_mask.any():
         raise ValueError(f"client {client_id!r} has an empty train mask")
-    if params is None:
-        params = init_params(arch, feats.shape[1], seed=derive_seed(seed, "init"))
+    params = init_params(arch, feats.shape[1], seed=derive_seed(seed, "init"))
     adjacency = ax = None
     if arch == "gcn":
         adjacency = normalized_adjacency(graph)
@@ -117,7 +117,8 @@ def aggregate(updates) -> ModelParams:
 
     Computed as W_1 plus weighted deviations from W_1, which is algebraically
     the convex combination but stays bit-exact when every update is
-    identical (and trivially for a single client).
+    identical (and trivially for a single client).  A GCN and a SAGE update
+    differ in W1's rows, so mixing them fails the shape check.
     """
     updates = list(updates)
     if not updates:
@@ -127,15 +128,13 @@ def aggregate(updates) -> ModelParams:
     for params, _ in updates[1:]:
         if params.W1.shape != base.W1.shape or params.W2.shape != base.W2.shape:
             raise ValueError("client parameter shapes do not match")
-        if params.arch != base.arch:
-            raise ValueError("client architectures do not match")
     w1 = base.W1.copy()
     w2 = base.W2.copy()
     for params, count in updates[1:]:
         alpha = count / total
         w1 += alpha * (params.W1 - base.W1)
         w2 += alpha * (params.W2 - base.W2)
-    return ModelParams(arch=base.arch, W1=w1, W2=w2)
+    return ModelParams(W1=w1, W2=w2)
 
 
 def _client_forward(client: ClientState, params: ModelParams,
@@ -143,7 +142,7 @@ def _client_forward(client: ClientState, params: ModelParams,
     """The client's cache, holding its forward of ``params``; a GCN cache
     that already holds that very params object is not filled again."""
     cache = client.cache
-    if params.arch == "sage":
+    if client.adjacency is None:
         sage_forward(params, client.graph, client.features,
                      fanout=client.fanout, seed=seed, cache=cache)
     elif cache.params is not params:

@@ -288,9 +288,7 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> ClientGraph:
             [csr.nodes[keys // n], csr.nodes[keys % n],
              _place(from_local, np.maximum(local_weight, candidate)[keep],
                     csr.weights[only_local])],
-            dtype=EDGE_DTYPE),
-        node_ref=local.node_ref,
-    )
+            dtype=EDGE_DTYPE))
 
 
 def edge_origins(local: ClientGraph, fused: ClientGraph, incoming) -> np.ndarray:

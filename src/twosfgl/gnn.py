@@ -24,6 +24,9 @@ the CSR entries plus the diagonal, sorted by (row, column), each valued
 (d[row] * w) * d[col] with d = 1 / sqrt(row sums); entries exactly 0
 (zero-weight edges) are dropped.
 
+A model is only its two weight matrices: W1's rows (F for GCN, 2F for SAGE)
+tell the two apart, and a backward uses A_hat^T when its cache holds one.
+
 A ``ForwardCache`` is the forward state of one client: the N x hidden
 arrays its forwards and backwards write into (the hidden layer, relu applied
 in place, and the hidden-layer gradient), allocated once, plus what the
@@ -78,12 +81,11 @@ class ModelParams:
     mean), W2 is hidden x 2.
     """
 
-    arch: str
     W1: np.ndarray
     W2: np.ndarray
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, self.W1.copy(), self.W2.copy())
+        return ModelParams(self.W1.copy(), self.W2.copy())
 
 
 @dataclass
@@ -111,8 +113,7 @@ class ForwardCache:
     params: ModelParams | None = None
     adjacency: GraphCSR | None = None   # gcn only
     inputs: np.ndarray | None = None  # gcn: A_hat . X;  sage: [X || H_N]
-    logits: np.ndarray | None = None
-    probs: np.ndarray | None = None   # softmax(logits)
+    probs: np.ndarray | None = None   # softmax of the logits
 
     @classmethod
     def empty(cls, rows: int, width: int) -> "ForwardCache":
@@ -132,7 +133,6 @@ def init_params(arch: str, feature_width: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     in1 = feature_width if arch == "gcn" else 2 * feature_width
     return ModelParams(
-        arch=arch,
         W1=_glorot(rng, in1, hidden),
         W2=_glorot(rng, hidden, NUM_CLASSES),
     )
@@ -180,7 +180,7 @@ def _fill(params: ModelParams, inputs: np.ndarray,
     if adjacency is not None:
         logits = adjacency @ logits
     cache.adjacency, cache.inputs = adjacency, inputs
-    cache.logits, cache.probs = logits, softmax(logits)
+    cache.probs = softmax(logits)
     cache.params = params
     return logits, cache
 
@@ -191,8 +191,6 @@ def gcn_forward(params: ModelParams, adjacency: GraphCSR,
     """Forward pass from the first propagation ``adjacency @ X``, which the
     caller computes once; propagates the N x 2 product ``hidden @ W2``
     itself.  Writes into ``cache``.  Returns (logits, cache)."""
-    if params.arch != "gcn":
-        raise ValueError("gcn_forward requires gcn params")
     return _fill(params, np.asarray(propagated_features, dtype=np.float64),
                  adjacency, cache)
 
@@ -244,8 +242,6 @@ def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
                  cache: ForwardCache | None = None):
     """Sample-and-aggregate forward pass, written into ``cache``.  Returns
     (logits, cache)."""
-    if params.arch != "sage":
-        raise ValueError("sage_forward requires sage params")
     features = np.asarray(features, dtype=np.float64)
     neighbor_mean = sample_neighbor_means(graph, features, fanout, seed)
     concat = np.concatenate([features, neighbor_mean], axis=1)
@@ -290,17 +286,16 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
 
     # gradient w.r.t. the unpropagated logits hidden @ W2 (N x 2)
     grad_head = (cache.adjacency.transpose_matmul(grad_logits)
-                 if params.arch == "gcn" else grad_logits)
+                 if cache.adjacency is not None else grad_logits)
     grad_w2 = cache.hidden.T @ grad_head
     grad_pre = np.matmul(grad_head, params.W2.T, out=cache.grad_hidden)
     grad_pre *= cache.hidden > 0      # relu(x) > 0 exactly where x > 0
     grad_w1 = cache.inputs.T @ grad_pre
-    return loss, ModelParams(arch=params.arch, W1=grad_w1, W2=grad_w2)
+    return loss, ModelParams(W1=grad_w1, W2=grad_w2)
 
 
 def init_adam(params: ModelParams, lr: float) -> AdamState:
-    zeros = ModelParams(params.arch, np.zeros_like(params.W1),
-                        np.zeros_like(params.W2))
+    zeros = ModelParams(np.zeros_like(params.W1), np.zeros_like(params.W2))
     return AdamState(m=zeros, v=zeros.copy(), step=0, lr=lr)
 
 
@@ -313,9 +308,8 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
                               state.lr)
     w2, m2, v2 = _adam_update(params.W2, grads.W2, state.m.W2, state.v.W2, t,
                               state.lr)
-    arch = params.arch
-    return ModelParams(arch, w1, w2), AdamState(
-        ModelParams(arch, m1, m2), ModelParams(arch, v1, v2), t, state.lr)
+    return ModelParams(w1, w2), AdamState(
+        ModelParams(m1, m2), ModelParams(v1, v2), t, state.lr)
 
 
 def _adam_update(w, g, m, v, t: int, lr: float):
@@ -327,13 +321,10 @@ def _adam_update(w, g, m, v, t: int, lr: float):
     return w - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
-_ARCH_CODES = {"gcn": b"GCN ", "sage": b"SAGE"}
-
-
 def params_to_bytes(params: ModelParams) -> bytes:
-    """Flat binary layout: arch tag, matrix count, then per-matrix
-    (rows, cols, row-major float64 data)."""
-    out = [_ARCH_CODES[params.arch], struct.pack("<I", 2)]
+    """Flat binary layout: matrix count, then per-matrix (rows, cols,
+    row-major float64 data)."""
+    out = [struct.pack("<I", 2)]
     for mat in (params.W1, params.W2):
         out.append(struct.pack("<II", *mat.shape))
         out.append(np.ascontiguousarray(mat, dtype=np.float64).tobytes())

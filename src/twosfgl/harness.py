@@ -25,25 +25,8 @@ from .metrics import METRIC_NAMES, RoundHistory, window_average
 from .seeding import derive_seed
 from .synth import generate_synthetic
 
-__all__ = ["expand_arms", "prepare_data", "run_arm", "run_experiment",
-           "summarize", "write_summary", "write_table", "report_from_dir"]
-
-
-def expand_arms(arms, relation_names) -> list:
-    """Resolve the ``local`` shorthand into one arm per relation; each
-    resolved arm must be unique, since it names its history file."""
-    out = []
-    for arm in arms:
-        if arm == "local":
-            out.extend(f"local_{name}" for name in relation_names)
-        else:
-            out.append(arm)
-    for arm in out:
-        if arm.startswith("local_") and arm[len("local_"):] not in relation_names:
-            raise ValueError(f"arm {arm!r} names an unknown relation")
-        if out.count(arm) > 1:
-            raise ValueError(f"arm {arm!r} is listed more than once")
-    return out
+__all__ = ["prepare_data", "run_arm", "run_experiment", "summarize",
+           "write_summary", "write_table", "report_from_dir"]
 
 
 def prepare_data(cfg: ExperimentConfig, seed: int, out_dir: Path):
@@ -78,21 +61,19 @@ def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir,
 
 def run_arm(cfg: ExperimentConfig, dataset, arm: str, split, features,
             seed: int, fused=None) -> RoundHistory:
-    """Train one arm for one seed and return its per-round metric history."""
-    names = sorted(dataset.relations)
+    """Train one arm of ``cfg.arms`` for one seed and return its per-round
+    metric history."""
     if arm == "2sfgl":
         if fused is None:
             raise ValueError("arm '2sfgl' needs fused graphs")
         graphs = fused
     elif arm == "fedavg_only":
-        graphs = [dataset.relations[name] for name in names]
-    elif arm.startswith("local_"):
-        graphs = [dataset.relations[arm[len("local_"):]]]
+        graphs = [dataset.relations[name] for name in sorted(dataset.relations)]
     else:
-        raise ValueError(f"unknown arm {arm!r}")
+        graphs = [dataset.relations[arm[len("local_"):]]]
 
     model_seed = derive_seed(seed, "model")
-    clients = [make_client(g.relation_name, g, split, cfg.arch, features,
+    clients = [make_client(g, split, cfg.arch, features, dataset.nodes.labels,
                            seed=model_seed, fanout=cfg.fanout, lr=cfg.lr)
                for g in graphs]
     return train_federation(clients, cfg.federation, arm,
@@ -147,7 +128,6 @@ def write_table(summary: dict, cfg: ExperimentConfig, seeds, rounds, path) -> No
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run every (arm, seed) cell, write all artifacts, return the summary."""
-    arms = expand_arms(cfg.arms, cfg.relation_names())
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     histories = {}
@@ -157,14 +137,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         except Exception as exc:
             raise RuntimeError(f"seed {seed}, stage data: {exc}") from exc
         labels = dataset.nodes.labels
-        sampled = balance_sample(labels, cfg.ratio_low, cfg.ratio_high,
-                                 seed=derive_seed(seed, "sample"))
-        split = stratified_split(sampled, labels, cfg.train_frac,
-                                 seed=derive_seed(seed, "split"))
-        features = zscore_features(dataset.nodes.features, split.train_ids)
+        try:
+            sampled = balance_sample(labels, cfg.ratio_low, cfg.ratio_high,
+                                     seed=derive_seed(seed, "sample"))
+            split = stratified_split(sampled, labels, cfg.train_frac,
+                                     seed=derive_seed(seed, "split"))
+            features = zscore_features(dataset.nodes.features, split.train_ids)
+        except Exception as exc:
+            raise RuntimeError(f"seed {seed}, stage sample: {exc}") from exc
 
         fused = None
-        if "2sfgl" in arms:
+        if "2sfgl" in cfg.arms:
             try:
                 fused = fusion_outputs(cfg, dataset, seed,
                                        dump_dir=out / f"fusion_seed{seed}",
@@ -172,7 +155,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             except Exception as exc:
                 raise RuntimeError(
                     f"seed {seed}, arm 2sfgl, stage fusion: {exc}") from exc
-        for arm in arms:
+        for arm in cfg.arms:
             try:
                 history = run_arm(cfg, dataset, arm, split, features, seed,
                                   fused=fused)
@@ -198,7 +181,7 @@ def report_from_dir(out_dir, cfg: ExperimentConfig) -> dict:
     for path in paths:
         stem = path.stem[len("history_"):]
         arm, _, seed_text = stem.rpartition("_")
-        if not arm or not seed_text.isdigit():
+        if not arm or not seed_text.removeprefix("-").isdigit():
             raise ValueError(f"cannot parse arm/seed from {path.name!r}")
         histories[(arm, int(seed_text))] = RoundHistory.from_csv(path)
     summary = summarize(histories, cfg)

@@ -43,6 +43,12 @@ class SyntheticSpec:
             raise ValueError("need at least 10 nodes")
         if not 0.0 < self.fraud_fraction < 1.0:
             raise ValueError("fraud_fraction must be in (0, 1)")
+        # a fraud block needs 2 fraud nodes, and sampling needs a negative
+        n_fraud = round(self.fraud_fraction * self.nodes)
+        if not 2 <= n_fraud <= self.nodes - 1:
+            raise ValueError(f"fraud_fraction {self.fraud_fraction} of "
+                             f"{self.nodes} nodes gives {n_fraud} fraud nodes; "
+                             "need 2 to nodes - 1")
         if self.relations < 1:
             raise ValueError("need at least one relation")
         for name in ("intra_p", "inter_p", "coverage"):
@@ -87,7 +93,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = spec.nodes
-    n_fraud = max(1, round(spec.fraud_fraction * n))
+    n_fraud = round(spec.fraud_fraction * n)
 
     rng = np.random.default_rng(derive_seed(seed, "synth-nodes"))
     fraud_ids = np.sort(rng.choice(n, size=n_fraud, replace=False))

@@ -175,14 +175,13 @@ def test_A3_gradients_and_fedavg_identities():
     edges = {(u, v): 1.0 for u in range(12) for v in range(u + 1, 12)
              if rng.random() < 0.3}
     graph = ClientGraph(relation_name="g", vertices=np.arange(12),
-                        edges=edge_array(edges), node_ref=table)
+                        edges=edge_array(edges))
     split = SplitAssignment(train_ids=np.arange(8), test_ids=np.arange(8, 12))
-    shared = init_params("gcn", 3, seed=5)
-    twins = [make_client(f"c{i}", graph, split, "gcn", x, **CLIENT_KW, seed=0,
-                         params=shared.copy()) for i in range(3)]
-    solo = [make_client("s", graph, split, "gcn", x, **CLIENT_KW, seed=0,
-                        params=shared.copy())]
-    g_twin, g_solo = shared.copy(), shared.copy()
+    twins = [make_client(graph, split, "gcn", x, table.labels, **CLIENT_KW,
+                         seed=5) for _ in range(3)]
+    solo = [make_client(graph, split, "gcn", x, table.labels, **CLIENT_KW,
+                        seed=5)]
+    g_twin, g_solo = twins[0].params.copy(), twins[0].params.copy()
     for round_index in range(4):
         g_twin, _ = federated_round(twins, g_twin,
                                     round_seed=round_index, steps=1)

@@ -133,6 +133,29 @@ def test_report_recomputes_from_histories(cfg_path, tmp_path, capsys):
     assert "arch=gcn" in capsys.readouterr().out
 
 
+def test_report_reads_a_negative_seed(cfg_path, tmp_path):
+    out = tmp_path / "runs"
+    assert run_cli("run", "--config", cfg_path, "--out", out,
+                   "--seed", -1) == 0
+    assert (out / "history_2sfgl_-1.csv").is_file()
+    before = {name: (out / name).read_bytes()
+              for name in ("summary.csv", "table.txt")}
+    (out / "table.txt").unlink()
+    assert run_cli("report", "--config", cfg_path, "--out", out) == 0
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert b"seeds=-1\n" in before["table.txt"]
+
+
+@pytest.mark.parametrize("command", ["gen", "fuse"])
+def test_commands_without_training_still_check_arms(command, tmp_path, capsys):
+    cfg = tmp_path / "arms.cfg"
+    cfg.write_text(TINY + "arms = 2sfgl, local_missing\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 1
+    assert "unknown arm 'local_missing'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_table_gives_the_rounds_the_histories_hold(tmp_path):
     smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
     out = tmp_path / "runs"

@@ -19,7 +19,8 @@ def test_minimal_synth_config_uses_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.arch == "gcn"
     assert cfg.seeds == (0,)
-    assert cfg.arms == ("2sfgl", "fedavg_only", "local")
+    assert cfg.arms == ("2sfgl", "fedavg_only", "local_rel0", "local_rel1",
+                        "local_rel2")
     assert cfg.synth.nodes == 40
     assert cfg.synth.relations == SyntheticSpec().relations
     assert cfg.node_path is None
@@ -108,6 +109,11 @@ def test_data_paths_resolve_against_base_dir(tmp_path):
      "synth.*: class_sep must be finite"),
     ("synth.nodes = 20\nsynth.class_sep = inf\n",
      "synth.*: class_sep must be finite"),
+    # one fraud node leaves no pair for a fraud block; all fraud, no negatives
+    ("synth.nodes = 100\nsynth.fraud_fraction = 0.01\n",
+     "synth.*: fraud_fraction 0.01 of 100 nodes gives 1 fraud nodes"),
+    ("synth.nodes = 10\nsynth.fraud_fraction = 0.99\n",
+     "synth.*: fraud_fraction 0.99 of 10 nodes gives 10 fraud nodes"),
 ])
 def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(ConfigError, match=None) as err:
@@ -140,6 +146,27 @@ def test_experiment_config_validation(kwargs, fragment):
     with pytest.raises(ConfigError, match=None) as err:
         ExperimentConfig(**defaults)
     assert fragment in str(err.value)
+
+
+def test_local_arm_resolves_to_one_arm_per_relation():
+    spec = SyntheticSpec(relations=2)
+    cfg = ExperimentConfig(synth=spec, arms=("2sfgl", "local"))
+    assert cfg.arms == ("2sfgl", "local_rel0", "local_rel1")
+    cfg = ExperimentConfig(synth=spec, arms=("local_rel1", "fedavg_only"))
+    assert cfg.arms == ("local_rel1", "fedavg_only")
+    with pytest.raises(ConfigError, match="unknown arm 'local_missing'"):
+        ExperimentConfig(synth=spec, arms=("local_missing",))
+    with pytest.raises(ConfigError, match="unknown arm 'local_rel2'"):
+        ExperimentConfig(synth=spec, arms=("local_rel2",))
+
+
+@pytest.mark.parametrize("arms", [("2sfgl", "local", "local_rel0"),
+                                  ("2sfgl", "fedavg_only", "2sfgl"),
+                                  ("local", "local")])
+def test_an_arm_listed_twice_after_resolution_is_rejected(arms):
+    with pytest.raises(ConfigError,
+                       match="'(2sfgl|local_rel0)' is listed more"):
+        ExperimentConfig(synth=SyntheticSpec(relations=2), arms=arms)
 
 
 def test_local_prefix_arms_are_accepted():

@@ -12,9 +12,9 @@ from twosfgl.data import (EDGE_DTYPE, ClientGraph, DatasetFormatError, NodeTable
                           write_rows, zscore_features)
 
 
-def make_graph(edges, n, name="g", nodes=None):
+def make_graph(edges, n, name="g"):
     return ClientGraph(relation_name=name, vertices=np.arange(n),
-                       edges=edge_array(edges), node_ref=nodes)
+                       edges=edge_array(edges))
 
 
 # ---------------------------------------------------------------- node table
@@ -125,7 +125,7 @@ def test_relation_sums_duplicates_in_file_order_bitwise(tmp_path):
 
 
 def test_relation_roundtrip_exact(tmp_path):
-    graph = make_graph({(0, 1): 0.1 + 0.2, (1, 3): 7.25}, 4, nodes=nodes4())
+    graph = make_graph({(0, 1): 0.1 + 0.2, (1, 3): 7.25}, 4)
     path = tmp_path / "rel.csv"
     write_relation(graph, path)
     again = load_relation(path, "rel", nodes4())
@@ -328,7 +328,8 @@ def test_load_dataset(tmp_path):
                       {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"})
     assert set(ds.relations) == {"a", "b"}
     assert edge_dict(ds.relations["a"].edges) == {(0, 1): 1.0}
-    assert ds.relations["b"].node_ref is ds.nodes
+    for graph in ds.relations.values():
+        assert np.array_equal(graph.vertices, np.arange(ds.nodes.num_nodes))
 
 
 def test_client_graph_validation():

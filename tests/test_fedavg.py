@@ -36,20 +36,18 @@ def make_world(seed, n=20, n_clients=2, features=4, p=0.3):
                     edges[(u, v)] = float(rng.uniform(0.5, 1.5))
         graphs.append(ClientGraph(relation_name=f"rel{k}",
                                   vertices=np.arange(n),
-                                  edges=edge_array(edges), node_ref=table))
+                                  edges=edge_array(edges)))
     ids = rng.permutation(n)
     cut = int(n * 0.6)
     split = SplitAssignment(train_ids=ids[:cut], test_ids=ids[cut:])
     return table, graphs, split
 
 
-def build_clients(arch, seed=0, n_clients=2, shared_params=None, **kw):
+def build_clients(arch, seed=0, n_clients=2, **kw):
     table, graphs, split = make_world(seed, n_clients=n_clients, **kw)
     return [
-        make_client(f"c{k}", graphs[k], split, arch, table.features,
-                    **CLIENT_KW,
-                    seed=derive_seed(seed, "client", k),
-                    params=shared_params.copy() if shared_params else None)
+        make_client(graphs[k], split, arch, table.features, table.labels,
+                    **CLIENT_KW, seed=derive_seed(seed, "client", k))
         for k in range(n_clients)
     ], table, graphs, split
 
@@ -59,8 +57,9 @@ def build_clients(arch, seed=0, n_clients=2, shared_params=None, **kw):
 
 def test_make_client_aligns_arrays_with_node_order():
     table, graphs, split = make_world(1)
-    client = make_client("a", graphs[0], split, "gcn", table.features,
-                         **CLIENT_KW, seed=0)
+    client = make_client(graphs[0], split, "gcn", table.features,
+                         table.labels, **CLIENT_KW, seed=0)
+    assert client.client_id == "rel0"
     assert np.array_equal(client.features, table.features)  # ids are 0..n-1
     assert np.array_equal(client.labels, table.labels)
     # positions are ids here, so each mask's positions are its id array
@@ -71,10 +70,27 @@ def test_make_client_aligns_arrays_with_node_order():
     assert not (client.train_mask & client.test_mask).any()
 
 
+def test_make_client_aligns_passed_labels_to_graph_vertices():
+    # a graph over some vertices only: row p holds node graph.vertices[p]
+    table, _, _ = make_world(1)
+    vertices = np.array([3, 5, 8, 13, 17])
+    part = ClientGraph(relation_name="part", vertices=vertices,
+                       edges=edge_array({(3, 8): 1.0, (5, 17): 2.0}))
+    split = SplitAssignment(train_ids=[3, 8, 17], test_ids=[5, 13])
+    labels = np.arange(20) % 2
+    for arch in ("gcn", "sage"):
+        client = make_client(part, split, arch, table.features, labels,
+                             **CLIENT_KW, seed=0)
+        assert client.labels.tolist() == [1, 1, 0, 1, 1]
+        assert np.array_equal(client.features, table.features[vertices])
+        assert client.train_mask.tolist() == [True, False, True, False, True]
+        assert client.test_mask.tolist() == [False, True, False, True, False]
+
+
 def test_make_client_caches_propagated_features_for_gcn():
     table, graphs, split = make_world(1)
-    client = make_client("a", graphs[0], split, "gcn", table.features,
-                         **CLIENT_KW, seed=0)
+    client = make_client(graphs[0], split, "gcn", table.features,
+                         table.labels, **CLIENT_KW, seed=0)
     assert np.array_equal(client.propagated_features,
                           client.adjacency @ client.features)
 
@@ -82,52 +98,49 @@ def test_make_client_caches_propagated_features_for_gcn():
 def test_make_client_rejects_split_ids_outside_the_graph():
     table, graphs, split = make_world(1)
     part = ClientGraph(relation_name="part", vertices=np.arange(10),
-                       edges=edge_array({}), node_ref=table)
-    with pytest.raises(ValueError, match="outside the graph"):
-        make_client("a", part, split, "gcn", table.features,
+                       edges=edge_array({}))
+    with pytest.raises(ValueError, match="client 'part': split ids outside"):
+        make_client(part, split, "gcn", table.features, table.labels,
                     **CLIENT_KW, seed=0)
 
 
 def test_make_client_sage_has_no_adjacency():
     table, graphs, split = make_world(1)
-    client = make_client("a", graphs[0], split, "sage", table.features,
-                         **CLIENT_KW, seed=0)
+    client = make_client(graphs[0], split, "sage", table.features,
+                         table.labels, **CLIENT_KW, seed=0)
     assert client.adjacency is None
     assert client.propagated_features is None
-    assert client.params.arch == "sage"
     assert client.params.W1.shape[0] == 2 * table.feature_width
 
 
-def test_make_client_seeded_init_and_explicit_params():
+def test_make_client_seeded_init():
     table, graphs, split = make_world(2)
-    a = make_client("a", graphs[0], split, "gcn", table.features,
+    a = make_client(graphs[0], split, "gcn", table.features, table.labels,
                     **CLIENT_KW, seed=5)
-    b = make_client("b", graphs[0], split, "gcn", table.features,
+    b = make_client(graphs[1], split, "gcn", table.features, table.labels,
                     **CLIENT_KW, seed=5)
-    c = make_client("c", graphs[0], split, "gcn", table.features,
+    c = make_client(graphs[0], split, "gcn", table.features, table.labels,
                     **CLIENT_KW, seed=6)
     assert np.array_equal(a.params.W1, b.params.W1)
     assert not np.array_equal(a.params.W1, c.params.W1)
-    given = init_params("gcn", table.feature_width, seed=99)
-    d = make_client("d", graphs[0], split, "gcn", table.features,
-                    **CLIENT_KW, seed=5, params=given)
-    assert d.params is given
+    want = init_params("gcn", table.feature_width, seed=derive_seed(5, "init"))
+    assert np.array_equal(a.params.W1, want.W1)
+    assert np.array_equal(a.params.W2, want.W2)
 
 
 def test_make_client_rejects_empty_train_mask():
     table, graphs, _ = make_world(3)
     empty = SplitAssignment(train_ids=[], test_ids=np.arange(5))
     with pytest.raises(ValueError, match="empty train mask"):
-        make_client("a", graphs[0], empty, "gcn", table.features,
+        make_client(graphs[0], empty, "gcn", table.features, table.labels,
                     **CLIENT_KW, seed=0)
 
 
 # --------------------------------------------------------------- aggregate
 
 
-def random_params(rng, arch="gcn", shape1=(4, 3), shape2=(3, 2)):
-    return ModelParams(arch, rng.standard_normal(shape1),
-                       rng.standard_normal(shape2))
+def random_params(rng, shape1=(4, 3), shape2=(3, 2)):
+    return ModelParams(rng.standard_normal(shape1), rng.standard_normal(shape2))
 
 
 def test_aggregate_single_update_is_bit_exact():
@@ -135,7 +148,6 @@ def test_aggregate_single_update_is_bit_exact():
     p = random_params(rng)
     out = aggregate([(p, 17)])
     assert np.array_equal(out.W1, p.W1) and np.array_equal(out.W2, p.W2)
-    assert out.arch == "gcn"
 
 
 def test_aggregate_identical_updates_are_bit_exact():
@@ -187,10 +199,11 @@ def test_aggregate_validates_inputs():
     b = random_params(rng, shape1=(5, 3))
     with pytest.raises(ValueError, match="shapes"):
         aggregate([(a, 1), (b, 1)])
-    c = random_params(rng)
-    c.arch = "sage"
-    with pytest.raises(ValueError, match="architectures"):
-        aggregate([(a, 1), (c, 1)])
+    # W1 has F rows for gcn and 2F for sage
+    gcn, sage = (init_params(arch, 4, seed=0) for arch in ("gcn", "sage"))
+    for updates in ([(gcn, 1), (sage, 1)], [(sage, 3), (gcn, 2)]):
+        with pytest.raises(ValueError, match="shapes do not match"):
+            aggregate(updates)
 
 
 # -------------------------------------------------------------- local steps
@@ -246,13 +259,10 @@ def test_federated_round_identical_clients_match_centralized():
     # two clients with the same graph, split and params: the average of
     # identical updates must equal plain centralized training, bitwise
     table, graphs, split = make_world(10, n_clients=1)
-    shared = init_params("gcn", table.feature_width, seed=0)
-    twin_a = make_client("a", graphs[0], split, "gcn", table.features,
-                         **CLIENT_KW, seed=0, params=shared.copy())
-    twin_b = make_client("b", graphs[0], split, "gcn", table.features,
-                         **CLIENT_KW, seed=0, params=shared.copy())
-    solo = make_client("s", graphs[0], split, "gcn", table.features,
-                       **CLIENT_KW, seed=0, params=shared.copy())
+    twin_a, twin_b, solo = (
+        make_client(graphs[0], split, "gcn", table.features, table.labels,
+                    **CLIENT_KW, seed=0) for _ in range(3))
+    shared = twin_a.params.copy()
     global_fed = shared.copy()
     global_solo = shared.copy()
     for round_index in range(5):
@@ -268,7 +278,7 @@ def test_federated_round_wraps_client_failures():
     clients, table, _, _ = build_clients("gcn", seed=11)
     # corrupt one client
     clients[1].propagated_features = clients[1].propagated_features[:, :2]
-    with pytest.raises(RuntimeError, match="client 'c1'"):
+    with pytest.raises(RuntimeError, match="client 'rel1'"):
         federated_round(clients, clients[0].params.copy(), round_seed=0,
                         steps=1)
     with pytest.raises(ValueError, match="at least one client"):
@@ -359,7 +369,7 @@ def reference_federation(clients, cfg, arm, seed):
            "gmean": gmean}
 
     def forward(client, params, seed):
-        if params.arch == "gcn":
+        if client.adjacency is not None:
             return gcn_forward(params, client.adjacency,
                                client.propagated_features)
         return sage_forward(params, client.graph, client.features,
@@ -418,8 +428,7 @@ def test_clients_never_share_forward_memory(arch):
     owned = []
     for client in clients:
         cache = client.cache
-        owned.append([cache.hidden, cache.grad_hidden, cache.logits,
-                      cache.probs])
+        owned.append([cache.hidden, cache.grad_hidden, cache.probs])
     for mine, theirs in itertools.combinations(owned, 2):
         for a, b in itertools.product(mine, theirs):
             assert not np.shares_memory(a, b)
@@ -438,8 +447,7 @@ def sparse_world(seed, n, n_clients=3, features=8, degree=10):
         edges = np.rec.fromarrays([ends[:, 0], ends[:, 1], np.ones(len(ends))],
                                   dtype=EDGE_DTYPE)
         graphs.append(ClientGraph(relation_name=f"rel{k}",
-                                  vertices=np.arange(n), edges=edges,
-                                  node_ref=table))
+                                  vertices=np.arange(n), edges=edges))
     ids = rng.permutation(n).tolist()
     split = SplitAssignment(train_ids=ids[:int(0.6 * n)],
                             test_ids=ids[int(0.6 * n):])
@@ -449,7 +457,7 @@ def sparse_world(seed, n, n_clients=3, features=8, degree=10):
 def test_steady_state_gcn_round_allocates_less_than_a_hidden_layer():
     n = 2000
     table, graphs, split = sparse_world(22, n)
-    clients = [make_client(f"c{k}", graph, split, "gcn", table.features,
+    clients = [make_client(graph, split, "gcn", table.features, table.labels,
                            **CLIENT_KW, seed=k) for k, graph in enumerate(graphs)]
     global_params = clients[0].params.copy()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ def test_gcn_forward_rejects_mismatched_width():
     params = init_params("gcn", x.shape[1] + 1, seed=0)
     with pytest.raises(ValueError, match="feature width"):
         gcn_forward(params, *gcn_inputs(graph, x))
-    with pytest.raises(ValueError, match="requires gcn"):
+    # sage params have 2F first-layer rows
+    with pytest.raises(ValueError, match="width 3 does not match W1 rows 6"):
         gcn_forward(init_params("sage", 3), *gcn_inputs(graph, x))
 
 
@@ -413,18 +415,19 @@ def test_sage_forward_seed_controls_sampling():
     l3, _ = sage_forward(params, g, x, fanout=3, seed=2)
     assert np.array_equal(l1, l2)
     assert not np.array_equal(l1, l3)
-    with pytest.raises(ValueError, match="requires sage"):
+    # gcn params have F first-layer rows
+    with pytest.raises(ValueError, match="width 6 does not match W1 rows 3"):
         sage_forward(init_params("gcn", 3), g, x, fanout=3)
 
 
 def test_forward_caches_its_softmax():
     graph, x, _ = random_setup(6)
-    _, gcn_cache = gcn_forward(init_params("gcn", x.shape[1], seed=6),
-                               *gcn_inputs(graph, x))
-    _, sage_cache = sage_forward(init_params("sage", x.shape[1], seed=6),
-                                 graph, x, fanout=3, seed=6)
-    for cache in (gcn_cache, sage_cache):
-        assert np.array_equal(cache.probs, softmax(cache.logits))
+    gcn = gcn_forward(init_params("gcn", x.shape[1], seed=6),
+                      *gcn_inputs(graph, x))
+    sage = sage_forward(init_params("sage", x.shape[1], seed=6),
+                        graph, x, fanout=3, seed=6)
+    for logits, cache in (gcn, sage):
+        assert np.array_equal(cache.probs, softmax(logits))
 
 
 def test_softmax_matches_scipy_and_handles_extremes():
@@ -463,18 +466,18 @@ def test_softmax_matches_two_pass_formula_bitwise(width):
     assert same_bits(softmax(equal), two_pass_softmax(equal))
 
 
-def boolean_index_loss_and_grads(params, cache, labels, mask):
+def boolean_index_loss_and_grads(arch, params, cache, labels, mask):
     """The loss and gradients through boolean-mask indexing, on the arrays
     a forward left in ``cache``."""
     probs = cache.probs
     picked = probs[mask, labels[mask]]
     loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-    grad_logits = np.zeros_like(cache.logits)
+    grad_logits = np.zeros_like(probs)
     grad_logits[mask] = probs[mask]
     grad_logits[mask, labels[mask]] -= 1.0
     grad_logits /= int(mask.sum())
     grad_head = (cache.adjacency.transpose_matmul(grad_logits)
-                 if params.arch == "gcn" else grad_logits)
+                 if arch == "gcn" else grad_logits)
     grad_pre = (grad_head @ params.W2.T) * (cache.inputs @ params.W1 > 0)
     return loss, cache.hidden.T @ grad_head, cache.inputs.T @ grad_pre
 
@@ -492,7 +495,7 @@ def test_loss_and_grads_match_boolean_index_formula_bitwise(arch):
         for mask in (rng.random(40) < 0.3, np.ones(40, bool),
                      np.arange(40) == seed):
             want_loss, want_w2, want_w1 = boolean_index_loss_and_grads(
-                params, cache, labels, mask)
+                arch, params, cache, labels, mask)
             loss, grads = loss_and_grads(params, cache, labels, mask)
             assert same_bits(np.array(loss), np.array(want_loss))
             assert same_bits(grads.W2, want_w2)
@@ -552,7 +555,7 @@ def fd_gradient(arch, graph, adj, x, labels, mask, params, seed, h=1e-6):
         loss, _ = loss_and_grads(p, cache, labels, mask)
         return loss
 
-    fd = ModelParams(arch, np.zeros_like(params.W1), np.zeros_like(params.W2))
+    fd = ModelParams(np.zeros_like(params.W1), np.zeros_like(params.W2))
     for name in ("W1", "W2"):
         w = getattr(params, name)
         g = getattr(fd, name)
@@ -587,7 +590,7 @@ def test_gradient_nonzero_only_when_informative():
                               np.ones(len(labels), bool))
     assert np.abs(grads.W1).max() > 0
     assert np.abs(grads.W2).max() > 0
-    assert grads.arch == "gcn"
+    assert (grads.W1.shape, grads.W2.shape) == (params.W1.shape, params.W2.shape)
 
 
 # ------------------------------------------------------------------- adam
@@ -613,7 +616,7 @@ def test_adam_step_matches_reference_bitwise():
     params = init_params("gcn", 4, seed=17, hidden=3)
     state = init_adam(params, lr=0.01)
     for _ in range(5):
-        grads = ModelParams("gcn", rng.standard_normal(params.W1.shape),
+        grads = ModelParams(rng.standard_normal(params.W1.shape),
                             rng.standard_normal(params.W2.shape))
         expected_w, expected_m, expected_v, expected_t = naive_adam(
             params, grads, state)
@@ -629,8 +632,8 @@ def test_adam_step_matches_reference_bitwise():
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
-    params = ModelParams("gcn", np.zeros((3, 2)), np.zeros((2, 2)))
-    grads = ModelParams("gcn", np.full((3, 2), 0.5), np.full((2, 2), -2.0))
+    params = ModelParams(np.zeros((3, 2)), np.zeros((2, 2)))
+    grads = ModelParams(np.full((3, 2), 0.5), np.full((2, 2), -2.0))
     new, state = adam_step(params, grads, init_adam(params, lr=0.005))
     # bias-corrected m_hat / sqrt(v_hat) is sign(g) on the first step
     assert np.allclose(new.W1, -0.005, rtol=1e-6)
@@ -640,7 +643,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
 
 def test_adam_step_rejects_shape_mismatch():
     params = init_params("gcn", 4, seed=0, hidden=3)
-    bad = ModelParams("gcn", np.zeros((5, 3)), np.zeros((3, 2)))
+    bad = ModelParams(np.zeros((5, 3)), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="shape"):
         adam_step(params, bad, init_adam(params, lr=0.005))
 
@@ -681,11 +684,15 @@ def test_training_descends_on_both_architectures():
 
 
 def test_params_bytes_layout():
-    params = ModelParams("gcn", np.zeros((2, 3)), np.zeros((3, 2)))
+    params = ModelParams(np.arange(6.0).reshape(2, 3), np.zeros((3, 2)))
     blob = params_to_bytes(params)
-    assert blob[:4] == b"GCN "
-    assert len(blob) == 4 + 4 + (8 + 48) + (8 + 48)
-    assert params_to_bytes(init_params("sage", 2, seed=0))[:4] == b"SAGE"
+    assert blob[:12] == struct.pack("<III", 2, 2, 3)
+    assert blob[12:60] == np.arange(6.0).tobytes()
+    assert blob[60:68] == struct.pack("<II", 3, 2)
+    assert len(blob) == 4 + (8 + 48) + (8 + 48)
+    sage = params_to_bytes(init_params("sage", 2, seed=0))
+    assert sage[:12] == struct.pack("<III", 2, 4, HIDDEN_UNITS)
+    assert len(sage) == 4 + (8 + 4 * HIDDEN_UNITS * 8) + (8 + HIDDEN_UNITS * 2 * 8)
 
 
 def test_params_copy_is_deep():

@@ -5,9 +5,9 @@ from twosfgl.config import ExperimentConfig, parse_config
 from twosfgl.data import load_dataset
 from twosfgl.fedavg import FederationConfig
 from twosfgl.fusion import FusionConfig
-from twosfgl.harness import (expand_arms, fusion_outputs, prepare_data,
-                             report_from_dir, run_arm, run_experiment,
-                             summarize, write_summary, write_table)
+from twosfgl.harness import (fusion_outputs, prepare_data, report_from_dir,
+                             run_arm, run_experiment, summarize, write_summary,
+                             write_table)
 from twosfgl.metrics import METRIC_NAMES, RoundHistory, window_average
 from twosfgl.synth import SyntheticSpec
 
@@ -29,42 +29,26 @@ def tree(out_dir):
                   for p in out_dir.rglob("*") if p.is_file())
 
 
-# -------------------------------------------------------------- expand_arms
-
-
-def test_expand_arms_resolves_local_shorthand():
-    assert expand_arms(("2sfgl", "local"), ["r1", "r2"]) == \
-        ["2sfgl", "local_r1", "local_r2"]
-    assert expand_arms(("local_r2", "fedavg_only"), ["r1", "r2"]) == \
-        ["local_r2", "fedavg_only"]
-    with pytest.raises(ValueError, match="unknown relation"):
-        expand_arms(("local_missing",), ["r1"])
-
-
-@pytest.mark.parametrize("arms", [("2sfgl", "local", "local_r1"),
-                                  ("2sfgl", "fedavg_only", "2sfgl"),
-                                  ("local", "local")])
-def test_expand_arms_rejects_an_arm_listed_twice(arms):
-    with pytest.raises(ValueError, match="'(2sfgl|local_r1)' is listed more"):
-        expand_arms(arms, ["r1", "r2"])
+# -------------------------------------------------------------------- arms
 
 
 def test_run_experiment_rejects_a_repeated_arm_before_writing_data(tmp_path):
-    cfg = tiny_config(arms=("2sfgl", "local", "local_rel0"))
     with pytest.raises(ValueError, match="'local_rel0' is listed more"):
-        run_experiment(cfg, out_dir=tmp_path / "out")
+        run_experiment(tiny_config(arms=("2sfgl", "local", "local_rel0")),
+                       out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
 def test_run_experiment_checks_arms_of_loaded_data_before_reading_it(tmp_path):
     # the data files do not exist: the arm error must come first
-    cfg = ExperimentConfig(node_path=str(tmp_path / "nodes.csv"),
-                           relation_paths={"b": str(tmp_path / "b.csv"),
-                                           "a": str(tmp_path / "a.csv")},
-                           arms=("local", "local_a"))
-    assert cfg.relation_names() == ["a", "b"]
+    paths = dict(node_path=str(tmp_path / "nodes.csv"),
+                 relation_paths={"b": str(tmp_path / "b.csv"),
+                                 "a": str(tmp_path / "a.csv")})
+    assert ExperimentConfig(**paths, arms=("local",)).arms == \
+        ("local_a", "local_b")
     with pytest.raises(ValueError, match="'local_a' is listed more"):
-        run_experiment(cfg, out_dir=tmp_path / "out")
+        run_experiment(ExperimentConfig(**paths, arms=("local", "local_a")),
+                       out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -76,8 +60,6 @@ def test_run_arm_rejects_bad_requests(tmp_path):
     dataset = prepare_data(cfg, 0, tmp_path)
     with pytest.raises(ValueError, match="needs fused graphs"):
         run_arm(cfg, dataset, "2sfgl", None, None, 0, fused=None)
-    with pytest.raises(ValueError, match="unknown arm"):
-        run_arm(cfg, dataset, "central", None, None, 0)
 
 
 def test_prepare_data_synth_roundtrips_through_csv(tmp_path):
@@ -183,6 +165,14 @@ def test_run_experiment_errors_name_seed_and_stage(tmp_path):
                             base_dir=tmp_path)
     with pytest.raises(RuntimeError, match="seed 0, stage data"):
         run_experiment(bad_data, out_dir=tmp_path / "out1")
+
+    (tmp_path / "negatives.csv").write_text("0,0,1.0\n1,0,2.0\n2,0,3.0\n")
+    (tmp_path / "r.csv").write_text("0,1\n1,2\n")
+    no_positives = parse_config("data.nodes = negatives.csv\n"
+                                "data.relation.r = r.csv\n", base_dir=tmp_path)
+    with pytest.raises(RuntimeError, match="seed 0, stage sample: "
+                       "balance_sample requires both classes"):
+        run_experiment(no_positives, out_dir=tmp_path / "out3")
 
     broken_train = tiny_config(arch="sage", arms=("fedavg_only",))
     broken_train.fanout = 0   # set past the load-time check, to fail in train
