@@ -14,9 +14,16 @@ Edges are undirected and stored once under the canonical ``(min, max)`` pair;
 duplicate rows are summed.  Self-loop rows are ignored (self-loops enter the
 model only as part of adjacency normalization downstream).  Public dataset
 releases must be exported to these CSVs before use; the loader reads only
-this contract.  It parses a file in one pass with numpy's C reader and falls
-back to a per-line parser, which names the first bad row, for any file that
-pass cannot take whole.
+this contract.  numpy's C reader is its one parser, so a number outside its
+syntax (an underscore, a non-ASCII digit) is refused.  A well-formed file is
+one reader pass over the path, then array checks on the parsed rows.  Python
+reads the data lines only to name the ``path:line`` of a row that fails a
+check, or when the reader refuses the file, as it does an indented comment,
+a whitespace-only line or a relation mixing 2- and 3-field rows: the lines,
+with a relation's 2-field rows given weight 1, are parsed again, and if they
+are refused too, the first line the reader cannot parse on its own is named.
+Of several bad rows, one the reader refuses is named first, else the first
+to fail a check.
 
 A vertex or id set has one form, an ascending, read-only int64 array without
 repeats (``id_array``): a graph's ``vertices``, a PSI result, a sample and
@@ -29,10 +36,10 @@ and dumped.  Every stage reads it through the cached
 normalized adjacency is one too, over the same vertices.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -225,100 +232,104 @@ class SplitAssignment:
             raise ValueError("train and test sets overlap")
 
 
-def _data_rows(path):
-    """Yield (line_number, [fields]) for non-comment, non-blank CSV lines."""
+def _data_lines(path):
+    """Yield (line number, text) for each data line of ``path``: the text
+    with its comment cut and its ends stripped; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
-                yield lineno, [f.strip() for f in line.split(",")]
+                yield lineno, line
 
 
-def _bulk_rows(path, dtype_of):
-    """Every data row of ``path`` parsed by numpy's C reader into the dtype
-    ``dtype_of(width)``, the width being the first data row's field count.
+def _first_fields(path) -> int:
+    """The field count of the first data line of ``path``, 0 without one."""
+    return next((line.count(",") + 1 for _, line in _data_lines(path)), 0)
 
-    Returns None when the file has no data row, ``dtype_of`` returns None or
-    some row does not parse; the per-line parser then reads the file and
-    names the first bad row.  Both parsers round each float correctly, so
-    they agree bit for bit.
+
+def _loadtxt(source, dtype):
+    """``source``, a path or a list of data lines, parsed by numpy's C
+    reader.  A source without data rows gives an empty array; any other
+    warning refuses the source as an error does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments="#",
+                          ndmin=1, encoding="utf-8")
+
+
+def _parse_lines(path, dtype, problem, pad=None):
+    """The data lines of ``path``, each rewritten by ``pad`` when given,
+    parsed by numpy's C reader into ``dtype``.
+
+    When the reader refuses them, the first line it cannot parse on its own
+    (found by bisection) is named: ``problem(fields)`` says what is wrong
+    with its field count, or returns None when the count is right and a
+    value is malformed.
     """
-    first = next(_data_rows(path), None)
-    dtype = None if first is None else dtype_of(len(first[1]))
-    if dtype is None:
-        return None
+    numbered = list(_data_lines(path))
+    lines = [pad(line) if pad else line for _, line in numbered]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(path, dtype=dtype, delimiter=",", comments="#",
-                              ndmin=1, encoding="utf-8")
+        return _loadtxt(lines, dtype)
     except (ValueError, Warning):
-        return None
+        pass
+    lo, hi = 0, len(lines)          # lines[:lo] parse and lines[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt(lines[:mid], dtype)
+            lo = mid
+        except (ValueError, Warning):
+            hi = mid
+    lineno, line = numbered[lo]
+    problem = problem(line.count(",") + 1) or f"malformed row {line!r}"
+    raise DatasetFormatError(f"{path}:{lineno}: {problem}")
+
+
+def _refuse_row(path, row: int, problem: str):
+    """Raise naming the file line of data row ``row`` of ``path``."""
+    lineno = next(islice(_data_lines(path), row, None))[0]
+    raise DatasetFormatError(f"{path}:{lineno}: {problem}")
 
 
 def load_node_table(path) -> NodeTable:
     """Load a node CSV (``id,label,f0,...``) into a NodeTable.
 
-    Ids must be exactly 0..N-1 (any row order); all rows must share one
-    feature width; labels must be 0 or 1; features must be finite.
+    Ids must be exactly 0..N-1 (any row order); all rows must share the
+    first row's feature width; labels must be 0 or 1; features must be
+    finite.
     """
-    table = _bulk_rows(path, _node_dtype)
-    if (table is None or not np.isin(table["label"], (0, 1)).all()
-            or not np.isfinite(table["features"]).all()
-            or not np.array_equal(np.sort(table["id"]), np.arange(len(table)))):
-        return _load_node_table_per_line(path)
-    features = np.empty_like(table["features"])
-    labels = np.empty_like(table["label"])
-    features[table["id"]] = table["features"]
-    labels[table["id"]] = table["label"]
-    return NodeTable(features=features, labels=labels)
-
-
-def _node_dtype(width: int):
-    if width < 3:
-        return None
-    return np.dtype([("id", np.int64), ("label", np.int64),
-                     ("features", np.float64, (width - 2,))])
-
-
-def _load_node_table_per_line(path) -> NodeTable:
-    """``load_node_table`` one line at a time, raising on the first bad row."""
-    rows = {}
-    width = None
-    for lineno, fields in _data_rows(path):
-        if len(fields) < 3:
-            raise DatasetFormatError(f"{path}:{lineno}: expected id,label,f0,... "
-                                     f"got {len(fields)} fields")
-        try:
-            nid = int(fields[0])
-            label = int(fields[1])
-            feats = [float(f) for f in fields[2:]]
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
-        if label not in (0, 1):
-            raise DatasetFormatError(f"{path}:{lineno}: non-binary label {label} "
-                                     f"for node id {nid}")
-        if not all(map(math.isfinite, feats)):
-            raise DatasetFormatError(f"{path}:{lineno}: non-finite feature "
-                                     f"for node id {nid}")
-        if width is None:
-            width = len(feats)
-        elif len(feats) != width:
-            raise DatasetFormatError(f"{path}:{lineno}: feature width {len(feats)} "
-                                     f"differs from {width}")
-        if nid in rows:
-            raise DatasetFormatError(f"{path}:{lineno}: duplicate node id {nid}")
-        rows[nid] = (label, feats)
-    if not rows:
+    width = _first_fields(path)
+    if not width:
         raise DatasetFormatError(f"{path}: no node rows")
-    n = len(rows)
-    missing = next((i for i in range(n) if i not in rows), None)
-    if missing is not None:
+    dtype = np.dtype([("id", np.int64), ("label", np.int64),
+                      ("features", np.float64, (max(width - 2, 1),))])
+    try:
+        table = _loadtxt(path, dtype)
+    except (ValueError, Warning):
+        table = _parse_lines(path, dtype, lambda fields: (
+            f"expected id,label,f0,... got {fields} fields" if fields < 3 else
+            f"feature width {fields - 2} differs from {width - 2}"
+            if fields != width else None))
+    ids, labels = table["id"], table["label"]
+    n = len(table)
+    order = np.argsort(ids, kind="stable")
+    repeated = np.zeros(n, dtype=bool)
+    repeated[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    binary = (labels == 0) | (labels == 1)
+    finite = np.isfinite(table["features"]).all(axis=1)
+    bad = np.flatnonzero(~binary | ~finite | repeated)
+    if len(bad):
+        i = bad[0]
+        _refuse_row(path, i, f"non-binary label {labels[i]} for node id {ids[i]}"
+                    if not binary[i] else
+                    f"non-finite feature for node id {ids[i]}" if not finite[i] else
+                    f"duplicate node id {ids[i]}")
+    if not np.array_equal(ids[order], np.arange(n)):
+        missing = np.setdiff1d(np.arange(n), ids)[0]
         raise DatasetFormatError(f"{path}: node ids are not contiguous 0..{n - 1}"
                                  f" (missing id {missing})")
-    features = np.array([rows[i][1] for i in range(n)], dtype=np.float64)
-    labels = np.array([rows[i][0] for i in range(n)], dtype=np.int64)
-    return NodeTable(features=features, labels=labels)
+    return NodeTable(features=table["features"][order], labels=labels[order])
 
 
 _RELATION_DTYPES = {
@@ -332,19 +343,32 @@ def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
 
     Duplicate rows (either orientation) are summed in file order; self-loop
     rows are ignored; endpoints must be valid node ids; weights must be
-    finite and nonnegative.
+    finite and nonnegative; a file without data rows is an edgeless graph.
+    A file that mixes 2- and 3-field rows is parsed again from its data
+    lines, each 2-field line given the weight 1.
     """
     n = nodes.num_nodes
-    rows = _bulk_rows(path, _RELATION_DTYPES.get)
-    if rows is not None and "weight" not in rows.dtype.names:
-        rows = np.rec.fromarrays([rows["u"], rows["v"], np.ones(len(rows))],
-                                 dtype=_RELATION_DTYPES[3])
-    if (rows is None or (rows["weight"] < 0).any()
-            or not np.isfinite(rows["weight"]).all()
-            or not ((0 <= rows["u"]) & (rows["u"] < n)
-                    & (0 <= rows["v"]) & (rows["v"] < n)).all()):
-        rows = _relation_rows_per_line(path, n)
-    u, v, w = rows["u"], rows["v"], rows["weight"]
+    dtype = _RELATION_DTYPES[2 if _first_fields(path) == 2 else 3]
+    try:
+        rows = _loadtxt(path, dtype)
+    except (ValueError, Warning):
+        rows = _parse_lines(
+            path, _RELATION_DTYPES[3],
+            lambda fields: None if fields in (2, 3) else
+            f"expected src,dst[,weight], got {fields} fields",
+            pad=lambda line: line + ",1" if line.count(",") == 1 else line)
+    u, v = rows["u"], rows["v"]
+    w = rows["weight"] if "weight" in rows.dtype.names else np.ones(len(rows))
+    inside_u, inside_v = (0 <= u) & (u < n), (0 <= v) & (v < n)
+    finite = np.isfinite(w)
+    bad = np.flatnonzero(~inside_u | ~inside_v | ~finite | (w < 0))
+    if len(bad):
+        i = bad[0]
+        end = v[i] if inside_u[i] else u[i]
+        _refuse_row(path, i, f"dangling endpoint id {end} (node table has {n} nodes)"
+                    if not (inside_u[i] and inside_v[i]) else
+                    f"non-finite weight {w[i]}" if not finite[i] else
+                    f"negative weight {w[i]}")
     keep = u != v
     lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
     # bincount adds each pair's weights in file order, starting from 0.0
@@ -352,32 +376,6 @@ def load_relation(path, name: str, nodes: NodeTable) -> ClientGraph:
     weights = np.bincount(group, weights=w[keep], minlength=len(keys))
     edges = np.rec.fromarrays([keys // n, keys % n, weights], dtype=EDGE_DTYPE)
     return ClientGraph(relation_name=name, vertices=np.arange(n), edges=edges)
-
-
-def _relation_rows_per_line(path, n: int) -> np.ndarray:
-    """The (u, v, weight) rows of a relation CSV read one line at a time,
-    raising on the first bad row; a 2-field row has weight 1.0."""
-    rows = []
-    for lineno, fields in _data_rows(path):
-        if len(fields) not in (2, 3):
-            raise DatasetFormatError(f"{path}:{lineno}: expected src,dst[,weight], "
-                                     f"got {len(fields)} fields")
-        try:
-            u = int(fields[0])
-            v = int(fields[1])
-            w = float(fields[2]) if len(fields) == 3 else 1.0
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
-        for endpoint in (u, v):
-            if not 0 <= endpoint < n:
-                raise DatasetFormatError(f"{path}:{lineno}: dangling endpoint id "
-                                         f"{endpoint} (node table has {n} nodes)")
-        if not math.isfinite(w):
-            raise DatasetFormatError(f"{path}:{lineno}: non-finite weight {w}")
-        if w < 0:
-            raise DatasetFormatError(f"{path}:{lineno}: negative weight {w}")
-        rows.append((u, v, w))
-    return np.array(rows, dtype=_RELATION_DTYPES[3])
 
 
 def load_dataset(node_path, relation_paths: dict) -> MultiRelationDataset:

@@ -56,6 +56,7 @@ __all__ = [
     "init_params",
     "normalized_adjacency",
     "gcn_forward",
+    "sample_neighbor_means",
     "sage_forward",
     "softmax",
     "loss_and_grads",

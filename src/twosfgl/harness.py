@@ -25,8 +25,8 @@ from .metrics import METRIC_NAMES, RoundHistory, window_average
 from .seeding import derive_seed
 from .synth import generate_synthetic
 
-__all__ = ["prepare_data", "run_arm", "run_experiment", "summarize",
-           "write_summary", "write_table", "report_from_dir"]
+__all__ = ["prepare_data", "fusion_outputs", "run_arm", "run_experiment",
+           "summarize", "write_summary", "write_table", "report_from_dir"]
 
 
 def prepare_data(cfg: ExperimentConfig, seed: int, out_dir: Path):
@@ -142,6 +142,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
                                      seed=derive_seed(seed, "sample"))
             split = stratified_split(sampled, labels, cfg.train_frac,
                                      seed=derive_seed(seed, "split"))
+            positives = int(labels[split.test_ids].sum())
+            if not 0 < positives < len(split.test_ids):
+                raise ValueError(f"the test split needs both classes, got "
+                                 f"{positives} positive of {len(split.test_ids)} nodes")
             features = zscore_features(dataset.nodes.features, split.train_ids)
         except Exception as exc:
             raise RuntimeError(f"seed {seed}, stage sample: {exc}") from exc

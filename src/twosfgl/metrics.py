@@ -132,12 +132,16 @@ class RoundHistory:
             header = fh.readline()
             if header.strip() != "round,arm,metric,value":
                 raise ValueError(f"{path}: unexpected history header {header!r}")
-            for line in fh:
-                line = line.strip()
+            for lineno, raw in enumerate(fh, start=2):
+                line = raw.strip()
                 if not line:
                     continue
-                round_str, arm, metric, value = line.split(",")
-                history.append(int(round_str), arm, metric, float(value))
+                try:
+                    round_str, arm, metric, value = line.split(",")
+                    history.append(int(round_str), arm, metric, float(value))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad history row {line!r} "
+                                     f"({exc})") from None
         return history
 
 

@@ -60,10 +60,6 @@ _MODP_2048_P = int(
     "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
     "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF", 16)
 
-# 62-bit safe prime for tests: p = 2q + 1 with q prime.
-_TEST_P = 4611686018427377339
-_TEST_Q = 2305843009213688669
-
 _HASH_DST = b"TWOSFGL-PSI-V01-hash-to-group-XMD:SHA-256"
 _SECRET_DST = b"TWOSFGL-PSI-V01-secret-XMD:SHA-256"
 _SECRET_BITS = 256
@@ -88,11 +84,6 @@ class PsiBackend:
     def __post_init__(self):
         if self.modulus != 2 * self.order + 1:
             raise ValueError("a ddh group needs a safe prime: modulus == 2 * order + 1")
-
-    @classmethod
-    def ddh_small(cls) -> "PsiBackend":
-        """62-bit test group: fast, functionally identical protocol."""
-        return cls(modulus=_TEST_P, order=_TEST_Q)
 
     @property
     def element_bytes(self) -> int:

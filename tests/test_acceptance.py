@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from edge_arrays import edge_array
+from psi_groups import ddh_small
 from twosfgl.cli import main as cli_main
 from twosfgl.config import ExperimentConfig
 from twosfgl.data import ClientGraph, NodeTable, SplitAssignment
@@ -23,7 +24,7 @@ from twosfgl.gnn import (gcn_forward, init_params,
 from twosfgl.harness import run_experiment
 from twosfgl.metrics import (EvalResult, RoundHistory, auc, gmean,
                              window_average)
-from twosfgl.psi import PsiBackend, encode_id, psi_ddh, psi_plain
+from twosfgl.psi import encode_id, psi_ddh, psi_plain
 from twosfgl.synth import SyntheticSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -77,7 +78,7 @@ def test_A1_protocol_arithmetic():
 
 
 def test_A2_psi_equivalence_and_privacy():
-    backend = PsiBackend.ddh_small()
+    backend = ddh_small()
     rng = np.random.default_rng(202)
     started = time.perf_counter()
     for trial in range(100):

@@ -132,7 +132,7 @@ def test_relation_roundtrip_exact(tmp_path):
     assert edge_dict(again.edges) == edge_dict(graph.edges)
 
 
-# ------------------------------------------------------- bulk parse, writers
+# ------------------------------------------------------------ parse, writers
 
 # repr-written floats, subnormals, signed zeros and integers written with
 # and without a fraction
@@ -141,47 +141,50 @@ AWKWARD_FLOATS = ["0.30000000000000004", "5e-324", "2.225073858507201e-308",
                   "0.1", "123456789.123456789", "7", "2.5e-17"]
 
 
-def per_line_only(monkeypatch):
-    monkeypatch.setattr(data_module, "_bulk_rows", lambda path, dtype_of: None)
-
-
-def test_bulk_node_parse_matches_per_line_bitwise(tmp_path, monkeypatch):
+def test_node_parse_matches_python_float_bitwise(tmp_path):
     rng = np.random.default_rng(8)
     n = 60
     values = rng.choice(AWKWARD_FLOATS, size=(n, 3)).tolist()
     values[0] = [repr(float(x)) for x in rng.standard_normal(3) * 1e-310]
-    lines = [f"{i},{int(rng.integers(0, 2))},{','.join(row)}"
-             for i, row in zip(rng.permutation(n), values)]
+    ids, labels = rng.permutation(n), rng.integers(0, 2, n)
+    lines = [f"{i},{label},{','.join(row)}"
+             for i, label, row in zip(ids, labels, values)]
     path = tmp_path / "nodes.csv"
     path.write_text("# id,label,f0,...\n" + "\n".join(lines) + "\n")
-    bulk = load_node_table(path)
-    per_line_only(monkeypatch)
-    reference = load_node_table(path)
-    assert bulk.features.tobytes() == reference.features.tobytes()
-    assert np.array_equal(bulk.labels, reference.labels)
+    nodes = load_node_table(path)
+    by_id = sorted(zip(ids.tolist(), values, labels.tolist()))
+    reference = np.array([[float(x) for x in row] for _, row, _ in by_id])
+    assert nodes.features.tobytes() == reference.tobytes()
+    assert nodes.labels.tolist() == [int(label) for _, _, label in by_id]
 
 
-def test_bulk_relation_parse_matches_per_line_bitwise(tmp_path, monkeypatch):
+def test_relation_parse_matches_python_float_bitwise(tmp_path):
     rng = np.random.default_rng(9)
     for fields in (2, 3):
-        rows = [f"{a},{b}" + (f",{w}" if fields == 3 else "")
-                for a, b, w in zip(rng.integers(0, 4, 90), rng.integers(0, 4, 90),
-                                   rng.choice(AWKWARD_FLOATS, 90))]
+        rows = [(f"{a}", f"{b}", w) for a, b, w in zip(
+            rng.integers(0, 4, 90), rng.integers(0, 4, 90),
+            rng.choice(AWKWARD_FLOATS, 90))]
         path = tmp_path / f"rel{fields}.csv"
-        path.write_text("# src,dst,weight\n" + "\n".join(rows) + "\n")
-        with monkeypatch.context() as patch:
-            bulk = load_relation(path, "rel", nodes4())
-            per_line_only(patch)
-            reference = load_relation(path, "rel", nodes4())
-        assert bulk.edges.tobytes() == reference.edges.tobytes()
+        path.write_text("# src,dst,weight\n" + "\n".join(
+            ",".join(row[:fields]) for row in rows) + "\n")
+        sums = {}
+        for a, b, w in rows:
+            a, b = int(a), int(b)
+            if a != b:
+                key = (min(a, b), max(a, b))
+                sums[key] = sums.get(key, 0.0) + (float(w) if fields == 3 else 1.0)
+        graph = load_relation(path, "rel", nodes4())
+        assert graph.edges.tobytes() == edge_array(sums).tobytes()
 
 
-def test_bulk_parse_is_taken_on_well_formed_files(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("per-line parser used")
+def test_well_formed_files_never_reach_the_line_pass(tmp_path, monkeypatch):
+    first_line = data_module._data_lines
 
-    monkeypatch.setattr(data_module, "_load_node_table_per_line", refuse)
-    monkeypatch.setattr(data_module, "_relation_rows_per_line", refuse)
+    def first_line_only(path):
+        yield next(first_line(path))
+        raise AssertionError("Python line pass used")
+
+    monkeypatch.setattr(data_module, "_data_lines", first_line_only)
     write_node_table(nodes4(), tmp_path / "nodes.csv")
     (tmp_path / "a.csv").write_text("# src,dst\n0,1\n 2 , 1 # note\n")
     (tmp_path / "b.csv").write_text("0,1,0.5\n\n1,0,0.25\n")
@@ -221,12 +224,24 @@ def test_node_error_after_well_formed_rows_names_its_line(tmp_path):
         load_node_table(path)
 
 
+def line_pass_only(monkeypatch):
+    """Refuse the whole-file read so the loaders parse the data lines."""
+    whole_file = data_module._loadtxt
+
+    def lines_only(source, dtype):
+        if not isinstance(source, list):
+            raise ValueError("whole-file read refused")
+        return whole_file(source, dtype)
+
+    monkeypatch.setattr(data_module, "_loadtxt", lines_only)
+
+
 @pytest.mark.parametrize("parser", ["bulk", "per_line"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_weight_is_refused_with_its_line(tmp_path, monkeypatch,
                                                     parser, value):
     if parser == "per_line":
-        per_line_only(monkeypatch)
+        line_pass_only(monkeypatch)
     path = tmp_path / "rel.csv"
     path.write_text("# src,dst,weight\n0,1,1.0\n1,2,0.5\n2,3," + value
                     + "\n0,3,2.0\n")
@@ -240,12 +255,61 @@ def test_non_finite_weight_is_refused_with_its_line(tmp_path, monkeypatch,
 def test_non_finite_feature_is_refused_with_its_line(tmp_path, monkeypatch,
                                                      parser, value):
     if parser == "per_line":
-        per_line_only(monkeypatch)
+        line_pass_only(monkeypatch)
     path = tmp_path / "nodes.csv"
     path.write_text("0,0,0.5,1.0\n1,1,0.25," + value + "\n2,0,1.5,2.0\n")
     with pytest.raises(DatasetFormatError,
                        match=r"nodes\.csv:2: non-finite feature for node id 1"):
         load_node_table(path)
+
+
+@pytest.mark.parametrize("text,where", [
+    ("0,0,1.0\n1,1,1_0\n", r"nodes\.csv:2: malformed row '1,1,1_0'"),
+    ("0,0,1.0\n1,1,١.5\n", r"nodes\.csv:2: malformed row"),
+    ("0,1,0.5\n# note\n0,1,1_0.5\n", r"rel\.csv:3: malformed row '0,1,1_0.5'"),
+])
+def test_numbers_outside_the_readers_syntax_are_refused(tmp_path, text, where):
+    name = "nodes.csv" if where.startswith("nodes") else "rel.csv"
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=where):
+        if name == "nodes.csv":
+            load_node_table(path)
+        else:
+            load_relation(path, "rel", nodes4())
+
+
+@pytest.mark.parametrize("name,text,where", [
+    # a row the reader refuses is named before any content check
+    ("nodes.csv", "0,0,0.5\n1,2,0.5\n2,0,0.5\nx,0,0.5\n",
+     r"nodes\.csv:4: malformed row"),
+    ("nodes.csv", "0,0,0.5\n1,2,0.5\n2,0,0.5,1.0\n",
+     r"nodes\.csv:3: feature width 2 differs from 1"),
+    # among rows that parse, the first bad row in file order
+    ("nodes.csv", "0,0,0.5\n0,1,0.5\n1,2,nan\n", r"nodes\.csv:2: duplicate node id 0"),
+    ("rel.csv", "0,1,0.5\n1,2,-1.0\n9,1,nan\n", r"rel\.csv:2: negative weight -1\.0"),
+    ("rel.csv", "0,1,0.5\n1,2,1.0\n1,9,nan\n",
+     r"rel\.csv:3: dangling endpoint id 9 \(node table has 4 nodes\)"),
+    # a mixed 2/3-field file is read again with weight 1 on its 2-field rows
+    ("rel.csv", "0,1,0.5\n1,2\n3,x\n", r"rel\.csv:3: malformed row '3,x'"),
+    ("rel.csv", "0,1\n1,2,0.5\n\n3,3,1,1\n", r"rel\.csv:4: expected src,dst"),
+    ("rel.csv", "0,1\n1,2,0.5\n1,4\n", r"rel\.csv:3: dangling endpoint id 4"),
+])
+def test_the_named_row_of_a_file_with_bad_rows(tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DatasetFormatError, match=where):
+        if name == "nodes.csv":
+            load_node_table(path)
+        else:
+            load_relation(path, "rel", nodes4())
+
+
+def test_relation_without_data_rows_is_edgeless(tmp_path):
+    path = tmp_path / "rel.csv"
+    path.write_text("# src,dst,weight\n\n")
+    graph = load_relation(path, "rel", nodes4())
+    assert len(graph.edges) == 0 and np.array_equal(graph.vertices, np.arange(4))
 
 
 # Per-row references of the writers: one %-format per row, ``%r`` for a

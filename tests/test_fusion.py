@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from edge_arrays import edge_array, edge_dict
+from psi_groups import ddh_small
 from twosfgl import fusion as fusion_module
 from twosfgl.data import EDGE_DTYPE, ClientGraph, incident_sums
 from twosfgl.fusion import (SHARE_CLAMP_DELTA, SHARE_DTYPE, FusionConfig,
                             apply_dp, edge_origins, fuse, khop_shares,
                             normalize_edges, received, update_edge,
                             virtual_fusion_round, write_shares, write_tags)
-from twosfgl.psi import PsiBackend
 
 TOP = 1.0 - SHARE_CLAMP_DELTA
 
@@ -655,7 +655,7 @@ def test_fusion_round_ddh_equals_plain():
     clients = three_clients()
     fused_plain, shares_plain = virtual_fusion_round(clients, cfg(seed=2))
     fused_ddh, shares_ddh = virtual_fusion_round(
-        clients, cfg(seed=2, psi=PsiBackend.ddh_small()))
+        clients, cfg(seed=2, psi=ddh_small()))
     for client, fp, fd in zip(clients, fused_plain, fused_ddh):
         assert np.array_equal(fp.edges, fd.edges)
         name = client.relation_name
@@ -694,7 +694,7 @@ def test_fusion_round_over_partial_vertex_overlap(hops, monkeypatch):
 
     monkeypatch.setattr(fusion_module, "_pair_intersection", recording)
     fused_by_psi, origins_by_psi = {}, {}
-    for name, backend in (("plain", None), ("ddh", PsiBackend.ddh_small())):
+    for name, backend in (("plain", None), ("ddh", ddh_small())):
         seen.clear()
         fused, shares = virtual_fusion_round(
             clients, cfg(seed=6, hops=hops, dp_epsilon=1.0, psi=backend))
@@ -734,7 +734,7 @@ def test_fusion_round_runs_psi_once_per_unordered_pair(monkeypatch):
 
     monkeypatch.setattr(fusion_module, "psi_ddh", counting_psi)
     _, shares = virtual_fusion_round(three_clients(),
-                                     cfg(seed=2, psi=PsiBackend.ddh_small()))
+                                     cfg(seed=2, psi=ddh_small()))
     assert calls == [("a", "b"), ("a", "c"), ("b", "c")]
     assert len(shares) == 6
 

@@ -174,6 +174,17 @@ def test_run_experiment_errors_name_seed_and_stage(tmp_path):
                        "balance_sample requires both classes"):
         run_experiment(no_positives, out_dir=tmp_path / "out3")
 
+    # 2 positives at train_frac 0.6 round to no positive test node
+    (tmp_path / "five.csv").write_text("0,1,1.0\n1,1,2.0\n2,0,3.0\n3,0,4.0\n"
+                                       "4,0,5.0\n")
+    (tmp_path / "r5.csv").write_text("0,1\n1,2\n2,3\n3,4\n")
+    one_class_test = parse_config("data.nodes = five.csv\n"
+                                  "data.relation.r = r5.csv\n"
+                                  "arms = fedavg_only\n", base_dir=tmp_path)
+    with pytest.raises(RuntimeError, match="seed 0, stage sample: the test split "
+                       "needs both classes, got 0 positive of 1 nodes"):
+        run_experiment(one_class_test, out_dir=tmp_path / "out4")
+
     broken_train = tiny_config(arch="sage", arms=("fedavg_only",))
     broken_train.fanout = 0   # set past the load-time check, to fail in train
     with pytest.raises(RuntimeError,

@@ -166,6 +166,20 @@ def test_history_header_checked(tmp_path):
         RoundHistory.from_csv(path)
 
 
+@pytest.mark.parametrize("row,detail", [
+    ("3,2sfgl,auc", "expected 4, got 3"),
+    ("1,2sfgl,auc,0.5,extra", "too many values"),
+    ("x,2sfgl,auc,0.5", "invalid literal for int"),
+    ("2,2sfgl,auc,high", "could not convert string to float"),
+])
+def test_history_bad_row_names_its_line(tmp_path, row, detail):
+    path = tmp_path / "history.csv"
+    path.write_text("round,arm,metric,value\n1,2sfgl,auc,0.5\n\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"history\.csv:4: bad history row '"
+                       + row + r"' \(.*" + detail):
+        RoundHistory.from_csv(path)
+
+
 def test_window_average_constant_returns_constant():
     h = RoundHistory()
     for r in range(1, 11):
