@@ -18,7 +18,7 @@ from twosfgl.data import (balance_sample, load_dataset, stratified_split,
                           zscore_features)
 from twosfgl.fedavg import FederationConfig, make_client, train_federation
 from twosfgl.fusion import FusionConfig, virtual_fusion_round
-from twosfgl.metrics import window_average
+from twosfgl.metrics import METRIC_NAMES, window_average
 from twosfgl.seeding import derive_seed
 from twosfgl.synth import SyntheticSpec, generate_synthetic
 
@@ -57,18 +57,17 @@ for arm, graphs in (("fedavg_only", raw_graphs), ("2sfgl", fused_graphs)):
         clients, FederationConfig(rounds=rounds), arm,
         seed=derive_seed(seed, "train"))
 
+# a history's values: one row per round, one column per metric
 print(f"\nround   {'raw AUC':>8}  {'fused AUC':>9}")
-lookup = {arm: {(r, m): v for r, _, m, v in h.records}
-          for arm, h in histories.items()}
+auc = METRIC_NAMES.index("auc")
 for r in range(10, rounds + 1, 10):
-    raw = lookup["fedavg_only"][(r, "auc")]
-    fused = lookup["2sfgl"][(r, "auc")]
+    raw = histories["fedavg_only"].values[r - 1, auc]
+    fused = histories["2sfgl"].values[r - 1, auc]
     print(f"{r:5d}   {raw:8.4f}  {fused:9.4f}")
 
 window = (40, 60)
-raw_avg = window_average(histories["fedavg_only"], *window)[
-    ("fedavg_only", "auc")]
-fused_avg = window_average(histories["2sfgl"], *window)[("2sfgl", "auc")]
+raw_avg = window_average(histories["fedavg_only"], *window)["auc"]
+fused_avg = window_average(histories["2sfgl"], *window)["auc"]
 print(f"\nmean AUC over rounds {window[0]}-{window[1]}: "
       f"raw {raw_avg:.4f}, fused {fused_avg:.4f} "
       f"(gap {fused_avg - raw_avg:+.4f})")

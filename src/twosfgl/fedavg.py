@@ -200,8 +200,8 @@ def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
 
 def train_federation(clients, cfg: FederationConfig, arm: str,
                      seed: int = 0) -> RoundHistory:
-    """Run the configured number of rounds and record global test metrics,
-    labelled ``arm`` in the history.
+    """Run the configured number of rounds and record the global test metrics
+    after each as one row of ``arm``'s history.
 
     All clients participate every round.  Per-client Adam state persists
     across rounds; only the weights are averaged.  Deterministic for a fixed
@@ -211,13 +211,12 @@ def train_federation(clients, cfg: FederationConfig, arm: str,
     if not clients:
         raise ValueError("train_federation requires at least one client")
     global_params = clients[0].params.copy()
-    history = RoundHistory()
+    values = np.empty((cfg.rounds, len(METRIC_NAMES)))
     for round_index in range(1, cfg.rounds + 1):
         round_seed = derive_seed(seed, "round", round_index)
         global_params, _ = federated_round(clients, global_params, round_seed,
                                            steps=cfg.local_steps)
         scores = evaluate_global(clients, global_params,
                                  seed=derive_seed(seed, "round-eval", round_index))
-        for name in METRIC_NAMES:
-            history.append(round_index, arm, name, scores[name])
-    return history
+        values[round_index - 1] = [scores[name] for name in METRIC_NAMES]
+    return RoundHistory(arm, values)

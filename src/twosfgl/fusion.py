@@ -291,15 +291,16 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> ClientGraph:
             dtype=EDGE_DTYPE))
 
 
-def edge_origins(local: ClientGraph, fused: ClientGraph, incoming) -> np.ndarray:
-    """Origin of each row of ``fused = fuse(local, incoming, ...)``: 'fused' if no
-    local edge, else 'both' if its pair got a share (even of 0), else 'local'."""
+def edge_origins(local: ClientGraph, fused: ClientGraph, *batches) -> np.ndarray:
+    """Origin of each row of ``fused``, fused from share ``batches``: 'fused' if
+    no local edge, else 'both' if its pair got a share (even of 0), else 'local'."""
     csr = local.neighbor_csr
     n = len(csr.nodes)
-    (src, dst), _ = _find(csr.nodes, np.stack([incoming.src, incoming.dst]))
+    sent = [np.minimum(*ends) * n + np.maximum(*ends) for ends, _ in
+            (_find(csr.nodes, np.stack([b.src, b.dst])) for b in batches)]
     (u, v), _ = _find(csr.nodes, np.stack([fused.edges.u, fused.edges.v]))
     keys = u * n + v
-    shared = _find(np.sort(np.minimum(src, dst) * n + np.maximum(src, dst)), keys)[1]
+    shared = _find(np.sort(np.concatenate(sent)), keys)[1]
     in_local = _find(csr.rows * n + csr.indices, keys)[1]
     return np.where(in_local, np.where(shared, "both", "local"), "fused")
 

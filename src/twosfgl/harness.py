@@ -14,13 +14,14 @@ seed, arm, and stage in the message.
 """
 
 import dataclasses
+import re
 from pathlib import Path
 
 from .config import ExperimentConfig
 from .data import (balance_sample, load_dataset, stratified_split,
                    write_relation, write_rows, zscore_features)
 from .fedavg import make_client, train_federation
-from .fusion import edge_origins, received, virtual_fusion_round, write_shares, write_tags
+from .fusion import edge_origins, virtual_fusion_round, write_shares, write_tags
 from .metrics import METRIC_NAMES, RoundHistory, window_average
 from .seeding import derive_seed
 from .synth import generate_synthetic
@@ -52,8 +53,10 @@ def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir,
     if audit:
         for local, graph in zip(graphs, fused):
             name = graph.relation_name
-            origins = edge_origins(local, graph, received(shares_by_pair, name))
-            write_tags(graph, origins, dump_dir / f"tags_{name}.csv")
+            sent = [shares for (_, to), shares in shares_by_pair.items()
+                    if to == name]
+            write_tags(graph, edge_origins(local, graph, *sent),
+                       dump_dir / f"tags_{name}.csv")
         for (a, b), shares in sorted(shares_by_pair.items()):
             write_shares(shares, dump_dir / f"shares_{a}_{b}.csv", a)
     return fused
@@ -80,23 +83,16 @@ def run_arm(cfg: ExperimentConfig, dataset, arm: str, split, features,
                             seed=derive_seed(seed, "train"))
 
 
-def summarize(histories: dict, cfg: ExperimentConfig) -> dict:
-    """Window-average each (arm, seed) history, then mean over seeds.
-
-    ``histories`` maps (arm, seed) -> RoundHistory; the result maps
-    (arm, metric) -> float.
+def summarize(histories, cfg: ExperimentConfig) -> dict:
+    """Window-average each of the (seed, RoundHistory) pairs, then mean each
+    arm's over its seeds, added in ascending seed order: (arm, metric) -> float.
     """
-    sums, counts = {}, {}
-    for (arm, _seed), history in histories.items():
-        window = window_average(history, cfg.window_lo, cfg.window_hi)
-        for (warm, metric), value in window.items():
-            if warm != arm:
-                raise ValueError(f"history for arm {arm!r} contains rows "
-                                 f"for {warm!r}")
-            key = (arm, metric)
-            sums[key] = sums.get(key, 0.0) + value
-            counts[key] = counts.get(key, 0) + 1
-    return {key: sums[key] / counts[key] for key in sums}
+    windows = {}
+    for _, history in sorted(histories, key=lambda pair: pair[0]):
+        windows.setdefault(history.arm, []).append(
+            window_average(history, cfg.window_lo, cfg.window_hi))
+    return {(arm, metric): sum(w[metric] for w in ws) / len(ws)
+            for arm, ws in windows.items() for metric in METRIC_NAMES}
 
 
 def write_summary(summary: dict, path) -> None:
@@ -130,7 +126,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run every (arm, seed) cell, write all artifacts, return the summary."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    histories = {}
+    histories = []
     for seed in cfg.seeds:
         try:
             dataset = prepare_data(cfg, seed, out)
@@ -167,30 +163,31 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
                 raise RuntimeError(
                     f"seed {seed}, arm {arm}, stage train: {exc}") from exc
             history.to_csv(out / f"history_{arm}_{seed}.csv")
-            histories[(arm, seed)] = history
+            histories.append((seed, history))
+    return _write_reports(histories, cfg, out)
 
+
+def _write_reports(histories, cfg: ExperimentConfig, out: Path) -> dict:
+    """Write the summary.csv and table.txt of (seed, RoundHistory) pairs."""
     summary = summarize(histories, cfg)
     write_summary(summary, out / "summary.csv")
-    write_table(summary, cfg, cfg.seeds, cfg.federation.rounds, out / "table.txt")
+    write_table(summary, cfg, sorted({seed for seed, _ in histories}),
+                max(len(history.values) for _, history in histories),
+                out / "table.txt")
     return summary
 
 
 def report_from_dir(out_dir, cfg: ExperimentConfig) -> dict:
-    """Rebuild summary.csv and table.txt from history files already on disk."""
+    """Rebuild summary.csv and table.txt from the ``history_<arm>_<seed>.csv``
+    files already on disk, whose rows must name the arm in their file name."""
     out = Path(out_dir)
     paths = sorted(out.glob("history_*.csv"))
     if not paths:
         raise FileNotFoundError(f"no history_*.csv files under {out}")
-    histories = {}
+    histories = []
     for path in paths:
-        stem = path.stem[len("history_"):]
-        arm, _, seed_text = stem.rpartition("_")
-        if not arm or not seed_text.removeprefix("-").isdigit():
+        name = re.fullmatch(r"history_(.+)_(0|-?[1-9][0-9]*)\.csv", path.name)
+        if name is None:
             raise ValueError(f"cannot parse arm/seed from {path.name!r}")
-        histories[(arm, int(seed_text))] = RoundHistory.from_csv(path)
-    summary = summarize(histories, cfg)
-    write_summary(summary, out / "summary.csv")
-    write_table(summary, cfg, sorted({seed for _, seed in histories}),
-                max(r[0] for h in histories.values() for r in h.records),
-                out / "table.txt")
-    return summary
+        histories.append((int(name[2]), RoundHistory.from_csv(path, name[1])))
+    return _write_reports(histories, cfg, out)

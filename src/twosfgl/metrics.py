@@ -4,9 +4,13 @@ All metrics take an EvalResult (class-1 scores, hard predictions at the 0.5
 threshold, true labels) restricted to an evaluation mask, and return a value
 in [0, 1].  AUC is the rank statistic with average ranks for ties, which
 equals pair counting exactly.
+
+One arm's training run is a ``RoundHistory``: a rounds x metrics float64
+array, row r - 1 holding round r and columns in ``METRIC_NAMES`` order, whose
+``from_csv`` is the one check of a history file.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -107,66 +111,63 @@ def auc(result: EvalResult) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RoundHistory:
-    """Per-round metric records for every arm of an experiment.
+    """One arm's test metrics after every round: ``values[r - 1, j]`` is
+    metric ``METRIC_NAMES[j]`` after round r."""
 
-    Rows are (round, arm, metric, value); rounds are 1-based.
-    """
-
-    records: list = field(default_factory=list)
-
-    def append(self, round_index: int, arm: str, metric: str, value: float) -> None:
-        self.records.append((round_index, arm, metric, value))
+    arm: str
+    values: np.ndarray
 
     def to_csv(self, path) -> None:
-        rows = self.records
+        rounds = len(self.values)
         write_rows(path, "round,arm,metric,value\n",
-                   [[r[0] for r in rows], [r[1] for r in rows],
-                    [r[2] for r in rows], [float(r[3]) for r in rows]])
+                   [np.repeat(np.arange(1, rounds + 1), len(METRIC_NAMES)),
+                    self.arm, np.tile(METRIC_NAMES, rounds),
+                    self.values.ravel()])
 
     @classmethod
-    def from_csv(cls, path) -> "RoundHistory":
-        history = cls()
+    def from_csv(cls, path, arm: str = None) -> "RoundHistory":
+        """Read back exactly the layout ``to_csv`` writes: ``round,arm,metric,
+        value`` rows for rounds 1..R in order, each round's metrics in
+        ``METRIC_NAMES`` order, every row naming ``arm`` (if None, the first
+        row's), values in [0, 1].  Blank lines are skipped; the first row out
+        of that layout is refused as ``path:line``."""
+        width, values = len(METRIC_NAMES), []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
             if header.strip() != "round,arm,metric,value":
                 raise ValueError(f"{path}: unexpected history header {header!r}")
             for lineno, raw in enumerate(fh, start=2):
-                line = raw.strip()
-                if not line:
+                if not (line := raw.strip()):
                     continue
+                k = len(values)
                 try:
-                    round_str, arm, metric, value = line.split(",")
-                    history.append(int(round_str), arm, metric, float(value))
+                    round_text, row_arm, metric, value = line.split(",")
+                    row = (int(round_text), row_arm, metric, float(value))
+                    arm = row_arm if arm is None else arm
+                    want = (k // width + 1, arm, METRIC_NAMES[k % width])
+                    if row[0] < want[0]:
+                        raise ValueError(f"repeats round {row[0]}")
+                    if row[:3] != want:
+                        raise ValueError("expected round {}, arm {}, {}".format(*want))
+                    if not 0.0 <= row[3] <= 1.0:       # NaN fails both
+                        raise ValueError("value outside [0, 1]")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad history row {line!r} "
                                      f"({exc})") from None
-        return history
+                values.append(row[3])
+        if not values or len(values) % width:
+            raise ValueError(f"{path}: history ends before round "
+                             f"{len(values) // width + 1} is complete")
+        return cls(arm, np.array(values).reshape(-1, width))
 
 
 def window_average(history: RoundHistory, lo: int, hi: int) -> dict:
-    """Mean of each (arm, metric) over rounds lo..hi inclusive.
-
-    Each (arm, metric) must hold every round of the window exactly once.
-    """
-    buckets = {}
-    for round_index, arm, metric, value in history.records:
-        if lo <= round_index <= hi:
-            by_round = buckets.setdefault((arm, metric), {})
-            if round_index in by_round:
-                raise ValueError(f"history for {arm}/{metric} repeats round "
-                                 f"{round_index}")
-            by_round[round_index] = value
-    if not buckets:
-        raise ValueError(f"history has no rounds in [{lo}, {hi}]")
-    expected = set(range(lo, hi + 1))
-    summary = {}
-    for key, by_round in sorted(buckets.items()):
-        missing = expected - set(by_round)
-        if missing:
-            raise ValueError(
-                f"history for {key[0]}/{key[1]} misses rounds "
-                f"{sorted(missing)[:3]}... in [{lo}, {hi}]")
-        summary[key] = float(np.mean([by_round[r] for r in sorted(by_round)]))
-    return summary
+    """``{metric: mean}`` of each metric over rounds lo..hi inclusive."""
+    rounds = len(history.values)
+    if not 1 <= lo <= hi <= rounds:
+        raise ValueError(f"the {history.arm} history holds rounds 1-{rounds}, "
+                         f"not all of [{lo}, {hi}]")
+    return {name: float(history.values[lo - 1:hi, j].mean())
+            for j, name in enumerate(METRIC_NAMES)}

@@ -22,8 +22,8 @@ from twosfgl.fusion import normalize_edges, update_edge
 from twosfgl.gnn import (gcn_forward, init_params,
                          loss_and_grads, normalized_adjacency, sage_forward)
 from twosfgl.harness import run_experiment
-from twosfgl.metrics import (EvalResult, RoundHistory, auc, gmean,
-                             window_average)
+from twosfgl.metrics import (METRIC_NAMES, EvalResult, RoundHistory, auc,
+                             gmean, window_average)
 from twosfgl.psi import encode_id, psi_ddh, psi_plain
 from twosfgl.synth import SyntheticSpec
 
@@ -286,10 +286,8 @@ def test_A6_metric_definitions():
             scores = rng.uniform(0.51, 1.0, size=n)   # everything flagged
         assert gmean(EvalResult.from_scores(scores, labels)) == 0.0
 
-    history = RoundHistory()
-    for r in range(1, 101):
-        history.append(r, "arm", "auc", 0.7359)
-    assert window_average(history, 60, 100)[("arm", "auc")] == 0.7359
+    history = RoundHistory("arm", np.full((100, len(METRIC_NAMES)), 0.7359))
+    assert window_average(history, 60, 100)["auc"] == 0.7359
 
 
 # ---------------------------------------------------------------------- A7

@@ -337,12 +337,9 @@ def test_train_federation_records_every_round_and_metric():
     clients, _, _, _ = build_clients("gcn", seed=14)
     history = train_federation(clients, FederationConfig(rounds=7), "x",
                                seed=3)
-    assert {arm for _, arm, _, _ in history.records} == {"x"}
-    assert sorted({r for r, _, _, _ in history.records}) == list(range(1, 8))
-    assert len(history.records) == 7 * len(METRIC_NAMES)
-    for _, _, metric, value in history.records:
-        assert metric in METRIC_NAMES
-        assert 0.0 <= value <= 1.0
+    assert history.arm == "x"
+    assert history.values.shape == (7, len(METRIC_NAMES))
+    assert np.all((history.values >= 0.0) & (history.values <= 1.0))
 
 
 # 3 clients, 4 rounds: a gcn evaluation also serves the next round's step;
@@ -376,7 +373,7 @@ def reference_federation(clients, cfg, arm, seed):
                             fanout=client.fanout, seed=seed)
 
     global_params = clients[0].params.copy()
-    history = RoundHistory()
+    values = np.empty((cfg.rounds, len(METRIC_NAMES)))
     for round_index in range(1, cfg.rounds + 1):
         round_seed = derive_seed(seed, "round", round_index)
         for client in clients:
@@ -401,10 +398,9 @@ def reference_federation(clients, cfg, arm, seed):
                 client.labels[client.test_mask])
             for name in METRIC_NAMES:
                 per_metric[name].append(fns[name](result))
-        for name in METRIC_NAMES:
-            history.append(round_index, arm, name,
-                           float(np.mean(per_metric[name])))
-    return history, global_params
+        values[round_index - 1] = [float(np.mean(per_metric[name]))
+                                   for name in METRIC_NAMES]
+    return RoundHistory(arm, values), global_params
 
 
 @pytest.mark.parametrize("arch", ["gcn", "sage"])
@@ -416,7 +412,8 @@ def test_train_federation_matches_fresh_forward_reference(arch, steps):
     final = aggregate([(c.params, c.sample_count) for c in clients])
     clients, _, _, _ = build_clients(arch, seed=20, n_clients=3)
     want_history, want_final = reference_federation(clients, cfg, "x", seed=6)
-    assert history.records == want_history.records
+    assert history.arm == want_history.arm
+    assert np.array_equal(history.values, want_history.values)
     assert np.array_equal(final.W1, want_final.W1)
     assert np.array_equal(final.W2, want_final.W2)
 
@@ -485,8 +482,8 @@ def test_train_federation_deterministic_after_rebuilding_clients():
             clients, _, _, _ = build_clients(arch, seed=15)
             history = train_federation(clients, FederationConfig(rounds=4),
                                        "x", seed=9)
-            runs.append(history.records)
-        assert runs[0] == runs[1], arch
+            runs.append(history.values)
+        assert np.array_equal(runs[0], runs[1]), arch
 
 
 def test_train_federation_seed_matters_only_for_sampling_arch():
@@ -495,24 +492,20 @@ def test_train_federation_seed_matters_only_for_sampling_arch():
     h1 = train_federation(clients, FederationConfig(rounds=3), "x", seed=1)
     clients, _, _, _ = build_clients("gcn", seed=16)
     h2 = train_federation(clients, FederationConfig(rounds=3), "x", seed=2)
-    assert h1.records == h2.records
+    assert np.array_equal(h1.values, h2.values)
     # sage samples neighbors per round: the seed shows up in the history
     clients, _, _, _ = build_clients("sage", seed=16)
     h3 = train_federation(clients, FederationConfig(rounds=3), "x", seed=1)
     clients, _, _, _ = build_clients("sage", seed=16)
     h4 = train_federation(clients, FederationConfig(rounds=3), "x", seed=2)
-    assert h3.records != h4.records
+    assert not np.array_equal(h3.values, h4.values)
 
 
 def test_train_federation_zero_local_steps_freezes_metrics():
     clients, _, _, _ = build_clients("gcn", seed=17)
     history = train_federation(
         clients, FederationConfig(rounds=3, local_steps=0), "x", seed=0)
-    by_metric = {}
-    for _, _, metric, value in history.records:
-        by_metric.setdefault(metric, set()).add(value)
-    for values in by_metric.values():
-        assert len(values) == 1
+    assert np.all(history.values == history.values[0])
 
 
 def test_train_federation_rejects_empty_client_list():
@@ -526,9 +519,7 @@ def test_federation_learns_separable_labels():
     clients, _, _, _ = build_clients("gcn", seed=19, n=30, p=0.06)
     history = train_federation(clients, FederationConfig(rounds=120),
                                "x", seed=0)
-    final_acc = [v for r, _, m, v in history.records
-                 if m == "accuracy" and r == 120][0]
-    first_acc = [v for r, _, m, v in history.records
-                 if m == "accuracy" and r == 1][0]
+    accuracy_column = history.values[:, METRIC_NAMES.index("accuracy")]
+    final_acc, first_acc = accuracy_column[119], accuracy_column[0]
     assert final_acc >= 0.8
     assert final_acc > first_acc

@@ -128,7 +128,7 @@ def test_run_experiment_summary_matches_history_files(tmp_path):
             for seed in (0, 1):
                 history = RoundHistory.from_csv(
                     tmp_path / f"history_{arm}_{seed}.csv")
-                values.append(window_average(history, 2, 4)[(arm, metric)])
+                values.append(window_average(history, 2, 4)[metric])
             expected = sum(values) / len(values)
             assert summary[(arm, metric)] == pytest.approx(expected,
                                                            abs=1e-15)
@@ -196,15 +196,10 @@ def test_run_experiment_errors_name_seed_and_stage(tmp_path):
 
 
 def fake_histories(arms, seeds, rounds=3):
-    histories = {}
-    for arm in arms:
-        for seed in seeds:
-            h = RoundHistory()
-            for r in range(1, rounds + 1):
-                for i, metric in enumerate(METRIC_NAMES):
-                    h.append(r, arm, metric, 0.1 * i + 0.01 * seed)
-                histories[(arm, seed)] = h
-    return histories
+    """(seed, history) pairs, metric i of a seed constant at 0.1 i + 0.01 seed."""
+    row = 0.1 * np.arange(len(METRIC_NAMES))
+    return [(seed, RoundHistory(arm, np.tile(row + 0.01 * seed, (rounds, 1))))
+            for arm in arms for seed in seeds]
 
 
 def test_summarize_means_over_seeds():
@@ -215,12 +210,15 @@ def test_summarize_means_over_seeds():
         assert summary[("x_arm", metric)] == pytest.approx(0.1 * i + 0.02)
 
 
-def test_summarize_rejects_foreign_rows():
-    cfg = tiny_config(rounds=3, window_lo=1, window_hi=3)
-    histories = fake_histories(["a"], [0])
-    histories[("b", 0)] = next(iter(histories.values()))
-    with pytest.raises(ValueError, match="contains rows"):
-        summarize(histories, cfg)
+def test_report_from_dir_rejects_a_mislabeled_file(tmp_path):
+    # the history of arm a, saved under arm b's name
+    (_, history), = fake_histories(["a"], [0])
+    history.to_csv(tmp_path / "history_b_0.csv")
+    cfg = tiny_config(arms=("fedavg_only",), rounds=3, window_lo=1, window_hi=3)
+    with pytest.raises(ValueError, match=r"history_b_0\.csv:2: bad history row "
+                       r"'1,a,macro_f1,0\.0' \(expected round 1, arm b, macro_f1\)"):
+        report_from_dir(tmp_path, cfg)
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_write_summary_and_table_formats(tmp_path):
@@ -275,14 +273,38 @@ def test_report_from_dir_wants_history_files(tmp_path):
         report_from_dir(tmp_path, tiny_config())
 
 
+@pytest.mark.parametrize("name", ["history_a_01.csv", "history_a_-0.csv",
+                                  "history_a_+1.csv", "history_a_\u0661.csv"])
+def test_report_from_dir_refuses_a_seed_not_written_as_run_writes_it(tmp_path,
+                                                                      name):
+    # each would read as a seed another file name may hold too
+    (_, history), = fake_histories(["a"], [1])
+    history.to_csv(tmp_path / name)
+    with pytest.raises(ValueError, match="cannot parse arm/seed"):
+        report_from_dir(tmp_path, tiny_config())
+
+
+def test_report_reproduces_run_for_unsorted_seeds(tmp_path):
+    cfg = tiny_config(seeds=(11, 2, 10))
+    run_experiment(cfg, out_dir=tmp_path)
+    summary_bytes = (tmp_path / "summary.csv").read_bytes()
+    table_bytes = (tmp_path / "table.txt").read_bytes()
+    report_from_dir(tmp_path, cfg)
+    assert (tmp_path / "summary.csv").read_bytes() == summary_bytes
+    assert (tmp_path / "table.txt").read_bytes() == table_bytes
+    assert table_bytes.decode().splitlines()[0].endswith("  seeds=2,10,11")
+
+
 def test_report_from_dir_rejects_a_repeated_round(tmp_path):
-    # rounds 1 and 2 at 0.5 plus a second round-2 row at 0.9 once averaged
-    # to 0.7, the last row silently replacing the first
-    history = RoundHistory()
-    for round_index, value in ((1, 0.5), (2, 0.5), (2, 0.9)):
-        history.append(round_index, "fedavg_only", "auc", value)
-    history.to_csv(tmp_path / "history_fedavg_only_0.csv")
+    # rounds 1 and 2 at 0.5 plus a second round 2 at 0.9 once averaged to
+    # 0.7, the last rows silently replacing the first
+    path = tmp_path / "history_fedavg_only_0.csv"
+    RoundHistory("fedavg_only", np.full((2, len(METRIC_NAMES)), 0.5)).to_csv(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines(f"2,fedavg_only,{m},0.9\n" for m in METRIC_NAMES)
     cfg = tiny_config(arms=("fedavg_only",), rounds=2, window_lo=1, window_hi=2)
-    with pytest.raises(ValueError, match="fedavg_only/auc repeats round 2"):
+    with pytest.raises(ValueError, match=r"history_fedavg_only_0\.csv:10: bad "
+                       r"history row '2,fedavg_only,macro_f1,0\.9' "
+                       r"\(repeats round 2\)"):
         report_from_dir(tmp_path, cfg)
     assert not (tmp_path / "summary.csv").exists()

@@ -149,14 +149,13 @@ def test_metric_names_cover_report_columns():
 
 
 def test_history_round_trip_exact(tmp_path):
-    h = RoundHistory()
-    h.append(1, "2sfgl", "auc", 0.1 + 0.2)
-    h.append(2, "2sfgl", "auc", 1e-17)
-    h.append(1, "fedavg_only", "gmean", 0.75)
+    h = RoundHistory("2sfgl", np.array([[0.1 + 0.2, 1e-17, 0.75, 0.0],
+                                        [-0.0, 1.0, 5e-324, 2 / 3]]))
     path = tmp_path / "history.csv"
     h.to_csv(path)
     again = RoundHistory.from_csv(path)
-    assert again.records == h.records
+    assert again.arm == h.arm
+    assert again.values.tobytes() == h.values.tobytes()
 
 
 def test_history_header_checked(tmp_path):
@@ -174,46 +173,80 @@ def test_history_header_checked(tmp_path):
 ])
 def test_history_bad_row_names_its_line(tmp_path, row, detail):
     path = tmp_path / "history.csv"
-    path.write_text("round,arm,metric,value\n1,2sfgl,auc,0.5\n\n" + row + "\n")
+    path.write_text("round,arm,metric,value\n1,2sfgl,macro_f1,0.5\n\n" + row + "\n")
     with pytest.raises(ValueError, match=r"history\.csv:4: bad history row '"
                        + row + r"' \(.*" + detail):
         RoundHistory.from_csv(path)
 
 
+def history_lines(rounds=3, arm="2sfgl"):
+    """The data lines ``to_csv`` writes for ``rounds`` rounds of 0.5."""
+    return [f"{r},{arm},{m},0.5" for r in range(1, rounds + 1)
+            for m in METRIC_NAMES]
+
+
+def without(lines, fragment):
+    return [line for line in lines if fragment not in line]
+
+
+def replaced(lines, index, line):
+    return lines[:index] + [line] + lines[index + 1:]
+
+
+# (data lines, line number named or None for the end, detail); line 2 is
+# the first data line
+@pytest.mark.parametrize("lines,lineno,detail", [
+    (replaced(history_lines(), 5, "2,2sfgl,auc,nan"), 7, r"value outside \[0, 1\]"),
+    (replaced(history_lines(), 5, "2,2sfgl,auc,7.5"), 7, r"value outside \[0, 1\]"),
+    (replaced(history_lines(), 5, "2,2sfgl,auc,-0.25"), 7, r"value outside \[0, 1\]"),
+    (without(history_lines(), ",auc,"), 3, "expected round 1, arm 2sfgl, auc"),
+    (without(history_lines(), "2,2sfgl"), 6, "expected round 2, arm 2sfgl, macro_f1"),
+    (history_lines(2) + history_lines(2)[4:], 10, "repeats round 2"),
+    (replaced(history_lines(), 5, "2,other,auc,0.5"), 7,
+     "expected round 2, arm 2sfgl, auc"),
+    (history_lines()[::-1], 2, "expected round 1, arm 2sfgl, macro_f1"),
+    (history_lines()[:-1], None, "history ends before round 3 is complete"),
+    ([], None, "history ends before round 1 is complete"),
+], ids=["nan", "above_one", "negative", "missing_metric", "missing_round",
+        "repeated_round", "second_arm", "reversed", "truncated", "empty"])
+def test_history_out_of_layout_is_refused_with_its_line(tmp_path, lines, lineno,
+                                                         detail):
+    path = tmp_path / "history.csv"
+    path.write_text("round,arm,metric,value\n" + "".join(l + "\n" for l in lines))
+    where = "" if lineno is None else f":{lineno}"
+    with pytest.raises(ValueError, match=rf"history\.csv{where}: .*{detail}"):
+        RoundHistory.from_csv(path)
+
+
 def test_window_average_constant_returns_constant():
-    h = RoundHistory()
-    for r in range(1, 11):
-        h.append(r, "arm", "auc", 0.625)
-    assert window_average(h, 3, 8) == {("arm", "auc"): 0.625}
+    h = RoundHistory("arm", np.full((10, len(METRIC_NAMES)), 0.625))
+    assert window_average(h, 3, 8) == {m: 0.625 for m in METRIC_NAMES}
 
 
 def test_window_average_hand_case():
-    h = RoundHistory()
-    for r, v in [(1, 0.0), (2, 0.2), (3, 0.4), (4, 0.6)]:
-        h.append(r, "arm", "auc", v)
-    assert window_average(h, 2, 4)[("arm", "auc")] == pytest.approx(0.4)
+    values = np.zeros((4, len(METRIC_NAMES)))
+    values[:, METRIC_NAMES.index("auc")] = [0.0, 0.2, 0.4, 0.6]
+    h = RoundHistory("arm", values)
+    assert window_average(h, 2, 4)["auc"] == pytest.approx(0.4)
 
 
 def test_window_average_missing_round_rejected():
-    h = RoundHistory()
-    for r in (1, 2, 4):
-        h.append(r, "arm", "auc", 0.5)
-    with pytest.raises(ValueError, match="arm/auc"):
+    # rounds 1-3 held, the window asks for round 4 too
+    h = RoundHistory("arm", np.full((3, len(METRIC_NAMES)), 0.5))
+    with pytest.raises(ValueError, match=r"arm history holds rounds 1-3, "
+                       r"not all of \[1, 4\]"):
         window_average(h, 1, 4)
 
 
 def test_window_average_empty_window_rejected():
-    h = RoundHistory()
-    h.append(1, "arm", "auc", 0.5)
-    with pytest.raises(ValueError, match="no rounds"):
+    h = RoundHistory("arm", np.full((1, len(METRIC_NAMES)), 0.5))
+    with pytest.raises(ValueError, match=r"not all of \[5, 9\]"):
         window_average(h, 5, 9)
 
 
-def test_window_average_separates_arms():
-    h = RoundHistory()
-    for r in (1, 2):
-        h.append(r, "a", "auc", 0.25)
-        h.append(r, "b", "auc", 0.75)
-    out = window_average(h, 1, 2)
-    assert out[("a", "auc")] == 0.25
-    assert out[("b", "auc")] == 0.75
+def test_window_average_is_the_mean_of_the_listed_values_bitwise():
+    rng = np.random.default_rng(3)
+    values = rng.random((50, len(METRIC_NAMES)))
+    out = window_average(RoundHistory("arm", values), 7, 43)
+    for j, metric in enumerate(METRIC_NAMES):
+        assert out[metric] == float(np.mean(list(values[6:43, j])))

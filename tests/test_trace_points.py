@@ -50,6 +50,10 @@ def test_traced_smoke_run_reaches_the_training_points(tmp_path):
     for name in ("fedavg.local_steps", "gnn.backward", "gnn.adam"):
         assert spans[name] == 9 * 40, name
     assert spans["fedavg.eval"] == 5 * 40
+    # every evaluation scores each of its clients on the 4 metrics
+    assert spans["metrics.score"] == 9 * 40 * 4
+    # 5 history files, the summary and the table
+    assert spans["harness.history_write"] == 5 + 2
 
 
 def test_traced_sage_smoke_run_reaches_the_sampling_points(tmp_path):
