@@ -223,6 +223,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("psi, loaded", [("plain", False), ("ddh", True)])
+def test_only_ddh_psi_loads_cryptography(psi, loaded, tmp_path):
+    # OpenSSL's modexp is needed by the DDH protocol alone
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("synth.nodes = 10\nsynth.relations = 2\nsynth.inter_p = 0.2\n"
+                   f"fusion.psi = {psi}\n", encoding="utf-8")
+    loaded_now = "print(any(m.split('.')[0] == 'cryptography' for m in sys.modules))"
+    probe = (f"import sys; from twosfgl import cli, harness; {loaded_now}; "
+             f"cli.main(['fuse', '--config', {str(cfg)!r}, "
+             f"'--out', {str(tmp_path / 'out')!r}]); {loaded_now}")
+    out = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True,
+                         capture_output=True, text=True, timeout=120)
+    lines = out.stdout.splitlines()  # the flags around fuse's file list
+    assert [lines[0], lines[-1]] == ["False", str(loaded)]
+
+
 @pytest.mark.parametrize("command, config", [
     ("run", SMOKE.read_text(encoding="utf-8")),
     ("fuse", "synth.nodes = 10\nsynth.relations = 2\nsynth.inter_p = 0.2\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -25,10 +26,9 @@ def test_plain_is_set_intersection():
     assert_id_array(psi_plain(range(5), [5, 4, 3]), [3, 4])
 
 
-def test_ddh_matches_plain_on_random_sets():
+def assert_ddh_matches_plain(backend, trials):
     rng = np.random.default_rng(23)
-    backend = small()
-    for trial in range(25):
+    for trial in range(trials):
         universe = rng.choice(10**6, size=60, replace=False)
         a = universe[: rng.integers(0, 40)]
         b = universe[20: 20 + rng.integers(0, 40)]
@@ -38,6 +38,31 @@ def test_ddh_matches_plain_on_random_sets():
         res = psi_ddh(np.concatenate([a, a[:3]]), b, backend, seed=trial)
         assert_id_array(res.intersection_a, expected)
         assert_id_array(res.intersection_b, expected)
+
+
+def test_ddh_matches_plain_on_random_sets():
+    assert_ddh_matches_plain(small(), trials=25)
+
+
+def test_ddh_in_the_2048_bit_group_matches_plain_on_random_sets():
+    # the OpenSSL path; the small group's fake blinds with pow
+    assert_ddh_matches_plain(PsiBackend(), trials=4)
+
+
+def test_ddh_2048_bit_transcript_is_pinned():
+    res = psi_ddh(range(0, 200, 3), range(0, 200, 2), PsiBackend(), seed=11)
+    assert hashlib.sha256(res.transcript.payload_bytes()).hexdigest() == \
+        "1e9506ca502b25a8fd2a10da3d3d9cc6fecfa1f28258430edfc7dd382dd97b89"
+    assert_id_array(res.intersection_a, list(range(0, 200, 6)))
+
+
+def test_exponentiator_matches_pow_at_the_secret_range_ends():
+    backend = PsiBackend()
+    p = backend.modulus
+    elements = [backend.hash_to_group(ident) for ident in (0, 1, 2**40)]
+    for secret in (1, 2, 2**256 - 1, backend.order - 1):
+        assert backend.exponentiator(secret)(elements) == \
+            [pow(e, secret, p) for e in elements]
 
 
 def test_ddh_disjoint_and_identical_sets():
@@ -73,8 +98,11 @@ def test_ddh_explicit_secrets():
     assert_id_array(res.intersection_a, [2])
     with pytest.raises(ValueError, match="secrets"):
         psi_ddh([1], [1], small(), secret_a=0, secret_b=5)
-    with pytest.raises(ValueError, match="secrets"):
-        psi_ddh([1], [1], small(), secret_a=5, secret_b=small().order)
+    # refused before OpenSSL sees the secret: there a secret of ``order``
+    # panics with a BaseException
+    for backend in (small(), PsiBackend()):
+        with pytest.raises(ValueError, match="secrets"):
+            psi_ddh([1], [1], backend, secret_a=5, secret_b=backend.order)
 
 
 def test_ddh_requires_ddh_backend():
@@ -166,6 +194,15 @@ def test_check_received_aborts_on_subgroup_violation():
     good = backend.hash_to_group(5)
     with pytest.raises(PsiProtocolError, match="prime-order subgroup"):
         _check_received(backend, [good, backend.modulus - 1], "peer list")
+
+
+def test_check_received_aborts_on_the_identity():
+    # 1 passes the subgroup test, but OpenSSL refuses it as a peer value
+    for backend in (small(), PsiBackend()):
+        assert backend.in_subgroup(1)
+        good = backend.hash_to_group(5)
+        with pytest.raises(PsiProtocolError, match="identity element"):
+            _check_received(backend, [good, 1], "peer list")
 
 
 def test_check_received_aborts_on_duplicates():
