@@ -63,8 +63,8 @@ clients = [
     graph("messages", [(1, 2, 3.0), (2, 3, 1.0)]),
     graph("devices", [(3, 4, 2.0)]),
 ]
-config = FusionConfig(lam=0.5, hops=2, dp_epsilon=math.inf, seed=0)
-fused, traffic = virtual_fusion_round(clients, config)
+config = FusionConfig(lam=0.5, hops=2, dp_epsilon=math.inf)
+fused, traffic = virtual_fusion_round(clients, config, seed=0)
 
 print("\nafter one fusion round:")
 for before, after in zip(clients, fused):

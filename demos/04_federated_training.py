@@ -17,7 +17,7 @@ from twosfgl.config import ExperimentConfig
 from twosfgl.data import (balance_sample, load_dataset, stratified_split,
                           zscore_features)
 from twosfgl.fedavg import FederationConfig, make_client, train_federation
-from twosfgl.fusion import FusionConfig, virtual_fusion_round
+from twosfgl.fusion import virtual_fusion_round
 from twosfgl.metrics import METRIC_NAMES, window_average
 from twosfgl.seeding import derive_seed
 from twosfgl.synth import SyntheticSpec, generate_synthetic
@@ -28,7 +28,7 @@ spec = SyntheticSpec(nodes=400, relations=3, intra_p=0.08, inter_p=0.008,
                      class_sep=0.5, coverage=0.6)
 node_path, relation_paths = generate_synthetic(spec, seed, out_dir)
 dataset = load_dataset(node_path, relation_paths)
-# sampling, split and model settings at their experiment defaults
+# sampling, split, fusion and model settings at their experiment defaults
 defaults = ExperimentConfig(synth=spec)
 
 # Same sampled nodes, split, and feature scaling for both runs, so the
@@ -43,8 +43,8 @@ print(f"{len(sampled)} nodes sampled, {len(split.train_ids)} train / "
       f"{len(split.test_ids)} test")
 
 raw_graphs = [dataset.relations[k] for k in sorted(dataset.relations)]
-fused_graphs, _ = virtual_fusion_round(
-    raw_graphs, FusionConfig(seed=derive_seed(seed, "fusion")))
+fused_graphs, _ = virtual_fusion_round(raw_graphs, defaults.fusion,
+                                       seed=derive_seed(seed, "fusion"))
 
 rounds = 60
 histories = {}

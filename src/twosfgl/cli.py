@@ -4,13 +4,14 @@ Subcommands mirror the pipeline stages::
 
     twosfgl gen    --config c.cfg --out data/        write synthetic CSVs
     twosfgl fuse   --config c.cfg --out fused/       stage 1 only
-    twosfgl train  --config c.cfg --out runs/        stage 2 only (raw graphs)
-    twosfgl run    --config c.cfg                    both stages, all arms
-    twosfgl report --config c.cfg --out runs/        re-summarize history files
+    twosfgl run    --config c.cfg                    every configured arm
+    twosfgl report --config c.cfg --out runs/        re-summarize a run
 
-``--seed`` replaces the config's seed list with a single seed and ``--arch``
-overrides the architecture.  Any failure prints a diagnostic naming the seed,
-arm, and stage, and exits nonzero.
+The config describes the run: ``run`` trains each (seed, arm) cell of it and
+``report`` reads exactly those cells' history files back.  Stage 2 alone is
+``run`` with arms that leave out ``2sfgl``.  ``--seed`` replaces the config's
+seed list with a single seed and ``--out`` its output directory.  Any failure
+prints a diagnostic naming the seed, arm, and stage, and exits nonzero.
 """
 
 import argparse
@@ -34,16 +35,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, helptext in [
             ("gen", "generate synthetic dataset CSVs"),
             ("fuse", "run privacy-preserving graph fusion and dump the result"),
-            ("train", "federated training on the raw graphs (no fusion)"),
             ("run", "full experiment: fusion + training, every arm and seed"),
-            ("report", "recompute summary.csv/table.txt from history files")]:
+            ("report", "recompute summary.csv/table.txt from the run's histories")]:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed list with one seed")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--arch", choices=("gcn", "sage"), default=None,
-                         help="override the model architecture")
     return parser
 
 
@@ -52,16 +50,8 @@ def _effective_config(args):
     updates = {}
     if args.seed is not None:
         updates["seeds"] = (args.seed,)
-    if args.arch is not None:
-        updates["arch"] = args.arch
     if args.out is not None:
         updates["out_dir"] = args.out
-    if args.command == "train":
-        updates["arms"] = tuple(a for a in cfg.arms if a != "2sfgl")
-        if not updates["arms"]:
-            raise ConfigError("train covers only non-fused arms; every "
-                              "configured arm is '2sfgl' (use 'run' for the "
-                              "full pipeline)")
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -92,23 +82,19 @@ def _cmd_fuse(cfg) -> int:
     return 0
 
 
-def _cmd_run(cfg) -> int:
-    """``run`` and ``train``; for ``train`` the config has lost the 2sfgl arm."""
-    run_experiment(cfg)
-    print((Path(cfg.out_dir) / "table.txt").read_text(encoding="utf-8"), end="")
-    return 0
-
-
-def _cmd_report(cfg) -> int:
-    report_from_dir(cfg.out_dir, cfg)
+def _cmd_table(cfg, write) -> int:
+    """``run`` and ``report``: ``write`` leaves summary.csv and table.txt in
+    the output directory, and the table is printed."""
+    write(cfg=cfg, out_dir=cfg.out_dir)
     print((Path(cfg.out_dir) / "table.txt").read_text(encoding="utf-8"), end="")
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"gen": _cmd_gen, "fuse": _cmd_fuse, "train": _cmd_run,
-                "run": _cmd_run, "report": _cmd_report}
+    handlers = {"gen": _cmd_gen, "fuse": _cmd_fuse,
+                "run": lambda cfg: _cmd_table(cfg, run_experiment),
+                "report": lambda cfg: _cmd_table(cfg, report_from_dir)}
     try:
         cfg = _effective_config(args)
         return handlers[args.command](cfg)

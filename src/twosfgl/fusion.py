@@ -65,7 +65,6 @@ class FusionConfig:
     lam: float = 0.5
     hops: int = 1
     dp_epsilon: float = math.inf
-    seed: int = 0
     psi: PsiBackend | None = None
 
     def __post_init__(self):
@@ -305,26 +304,28 @@ def edge_origins(local: ClientGraph, fused: ClientGraph, *batches) -> np.ndarray
     return np.where(in_local, np.where(shared, "both", "local"), "fused")
 
 
-def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig) -> tuple:
+def _pair_intersection(a: ClientGraph, b: ClientGraph, cfg: FusionConfig,
+                       seed: int) -> tuple:
     """Both sides' id arrays of the common vertices, from one PSI run."""
     if cfg.psi is None:
         common = psi_plain(a.vertices, b.vertices)
         return common, common
     result = psi_ddh(
         a.vertices, b.vertices, cfg.psi,
-        seed=derive_seed(cfg.seed, "psi", a.relation_name, b.relation_name),
+        seed=derive_seed(seed, "psi", a.relation_name, b.relation_name),
         name_a=a.relation_name, name_b=b.relation_name)
     return result.intersection_a, result.intersection_b
 
 
-def virtual_fusion_round(clients, cfg: FusionConfig):
+def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
     """One full fusion round across every ordered client pair.
 
     Each unordered pair of clients runs PSI once; each sender then emits
     normalized (and, when configured, multi-hop) shares over its view of the
     intersection with each receiver, perturbs them, and transmits.  Each
     receiver fuses everything it got.  Output order matches the input client
-    order.  Also returns each ordered pair's share batch for audit.
+    order.  Also returns each ordered pair's share batch for audit.  The PSI
+    secrets and the DP noise of each pair descend from ``seed``.
     """
     clients = list(clients)
     if len(clients) < 2:
@@ -339,14 +340,14 @@ def virtual_fusion_round(clients, cfg: FusionConfig):
         try:
             if pair not in commons:
                 commons[pair], commons[pair[::-1]] = _pair_intersection(
-                    sender, receiver, cfg)
+                    sender, receiver, cfg, seed)
             common = commons[pair]
             shares = normalize_edges(sender, common)
             if cfg.hops >= 2:
                 shares = np.concatenate([shares, khop_shares(
                     sender, common, cfg.hops)]).view(np.recarray)
             shares = apply_dp(shares, cfg.dp_epsilon,
-                              seed=derive_seed(cfg.seed, "dp", *pair))
+                              seed=derive_seed(seed, "dp", *pair))
         except Exception as exc:
             raise RuntimeError(f"fusion pair {pair[0]} -> {pair[1]}: {exc}") from exc
         shares_by_pair[pair] = shares

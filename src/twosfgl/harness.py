@@ -11,10 +11,13 @@ and a set of arms trained per seed:
 Every random choice descends from the experiment seed, so rerunning a config
 reproduces every output file byte for byte.  Failures are re-raised with the
 seed, arm, and stage in the message.
+
+The config names the run: ``run_experiment`` writes one history file per
+(seed, arm) cell of ``cfg.seeds`` x ``cfg.arms``, and ``report_from_dir``
+reads exactly those cells back, so a report describes the configured run and
+no other file in its directory.
 """
 
-import dataclasses
-import re
 from pathlib import Path
 
 from .config import ExperimentConfig
@@ -44,8 +47,8 @@ def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir,
     """Run one fusion round and dump the fused graphs and, with ``audit``,
     each fused edge's origin tag and every share batch sent."""
     graphs = [dataset.relations[name] for name in sorted(dataset.relations)]
-    fusion_cfg = dataclasses.replace(cfg.fusion, seed=derive_seed(seed, "fusion"))
-    fused, shares_by_pair = virtual_fusion_round(graphs, fusion_cfg)
+    fused, shares_by_pair = virtual_fusion_round(
+        graphs, cfg.fusion, seed=derive_seed(seed, "fusion"))
     dump_dir = Path(dump_dir)
     dump_dir.mkdir(parents=True, exist_ok=True)
     for graph in fused:
@@ -83,16 +86,17 @@ def run_arm(cfg: ExperimentConfig, dataset, arm: str, split, features,
                             seed=derive_seed(seed, "train"))
 
 
-def summarize(histories, cfg: ExperimentConfig) -> dict:
-    """Window-average each of the (seed, RoundHistory) pairs, then mean each
-    arm's over its seeds, added in ascending seed order: (arm, metric) -> float.
-    """
-    windows = {}
-    for _, history in sorted(histories, key=lambda pair: pair[0]):
-        windows.setdefault(history.arm, []).append(
-            window_average(history, cfg.window_lo, cfg.window_hi))
-    return {(arm, metric): sum(w[metric] for w in ws) / len(ws)
-            for arm, ws in windows.items() for metric in METRIC_NAMES}
+def summarize(histories: dict, cfg: ExperimentConfig) -> dict:
+    """Window-average the history of each (arm, seed) cell of ``cfg`` in
+    ``histories``, then mean each arm's over its seeds, added in ascending
+    seed order: (arm, metric) -> float."""
+    summary = {}
+    for arm in cfg.arms:
+        windows = [window_average(histories[arm, seed], cfg.window_lo,
+                                  cfg.window_hi) for seed in sorted(cfg.seeds)]
+        for metric in METRIC_NAMES:
+            summary[arm, metric] = sum(w[metric] for w in windows) / len(windows)
+    return summary
 
 
 def write_summary(summary: dict, path) -> None:
@@ -105,17 +109,17 @@ def write_summary(summary: dict, path) -> None:
                 [float(summary[key]) for key in keys]])
 
 
-def write_table(summary: dict, cfg: ExperimentConfig, seeds, rounds, path) -> None:
+def write_table(summary: dict, cfg: ExperimentConfig, path) -> None:
     """Human-readable companion to summary.csv (fixed 4-decimal cells), headed
-    by the seeds whose histories were summarized and the last round held."""
+    by the config's architecture, rounds, window and seeds (ascending)."""
     arms = sorted({arm for arm, _ in summary})
     header = ["arm"] + list(METRIC_NAMES)
     rows = [[arm] + [f"{summary[(arm, m)]:.4f}" for m in METRIC_NAMES]
             for arm in arms]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    lines = [f"arch={cfg.arch}  rounds={rounds}  "
+    lines = [f"arch={cfg.arch}  rounds={cfg.federation.rounds}  "
              f"window={cfg.window_lo}-{cfg.window_hi}  "
-             f"seeds={','.join(str(s) for s in seeds)}"]
+             f"seeds={','.join(str(s) for s in sorted(cfg.seeds))}"]
     lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
@@ -126,7 +130,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run every (arm, seed) cell, write all artifacts, return the summary."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    histories = []
+    histories = {}
     for seed in cfg.seeds:
         try:
             dataset = prepare_data(cfg, seed, out)
@@ -163,31 +167,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
                 raise RuntimeError(
                     f"seed {seed}, arm {arm}, stage train: {exc}") from exc
             history.to_csv(out / f"history_{arm}_{seed}.csv")
-            histories.append((seed, history))
+            histories[arm, seed] = history
     return _write_reports(histories, cfg, out)
 
 
-def _write_reports(histories, cfg: ExperimentConfig, out: Path) -> dict:
-    """Write the summary.csv and table.txt of (seed, RoundHistory) pairs."""
+def _write_reports(histories: dict, cfg: ExperimentConfig, out: Path) -> dict:
+    """Write the summary.csv and table.txt of the (arm, seed) -> RoundHistory
+    map of every cell of ``cfg``."""
     summary = summarize(histories, cfg)
     write_summary(summary, out / "summary.csv")
-    write_table(summary, cfg, sorted({seed for seed, _ in histories}),
-                max(len(history.values) for _, history in histories),
-                out / "table.txt")
+    write_table(summary, cfg, out / "table.txt")
     return summary
 
 
 def report_from_dir(out_dir, cfg: ExperimentConfig) -> dict:
     """Rebuild summary.csv and table.txt from the ``history_<arm>_<seed>.csv``
-    files already on disk, whose rows must name the arm in their file name."""
+    file of each (seed, arm) cell of ``cfg``, as ``run_experiment`` wrote
+    them.  Other files are not read.  A missing file, or one that does not
+    hold its arm's ``federation.rounds`` rounds, is refused, naming it,
+    before anything is written."""
     out = Path(out_dir)
-    paths = sorted(out.glob("history_*.csv"))
-    if not paths:
-        raise FileNotFoundError(f"no history_*.csv files under {out}")
-    histories = []
-    for path in paths:
-        name = re.fullmatch(r"history_(.+)_(0|-?[1-9][0-9]*)\.csv", path.name)
-        if name is None:
-            raise ValueError(f"cannot parse arm/seed from {path.name!r}")
-        histories.append((int(name[2]), RoundHistory.from_csv(path, name[1])))
+    histories = {(arm, seed): RoundHistory.from_csv(
+                     out / f"history_{arm}_{seed}.csv", arm, cfg.federation.rounds)
+                 for seed in cfg.seeds for arm in cfg.arms}
     return _write_reports(histories, cfg, out)

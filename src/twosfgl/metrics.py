@@ -127,12 +127,13 @@ class RoundHistory:
                     self.values.ravel()])
 
     @classmethod
-    def from_csv(cls, path, arm: str = None) -> "RoundHistory":
-        """Read back exactly the layout ``to_csv`` writes: ``round,arm,metric,
-        value`` rows for rounds 1..R in order, each round's metrics in
-        ``METRIC_NAMES`` order, every row naming ``arm`` (if None, the first
-        row's), values in [0, 1].  Blank lines are skipped; the first row out
-        of that layout is refused as ``path:line``."""
+    def from_csv(cls, path, arm: str, rounds: int) -> "RoundHistory":
+        """Read back exactly the layout ``to_csv`` writes for ``arm`` over
+        ``rounds`` rounds: ``round,arm,metric,value`` rows for rounds
+        1..rounds in order, each round's metrics in ``METRIC_NAMES`` order,
+        every row naming ``arm``, values in [0, 1].  Blank lines are skipped;
+        the first row out of that layout is refused as ``path:line``, and a
+        file holding more or fewer rows as ``path``."""
         width, values = len(METRIC_NAMES), []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
@@ -145,7 +146,6 @@ class RoundHistory:
                 try:
                     round_text, row_arm, metric, value = line.split(",")
                     row = (int(round_text), row_arm, metric, float(value))
-                    arm = row_arm if arm is None else arm
                     want = (k // width + 1, arm, METRIC_NAMES[k % width])
                     if row[0] < want[0]:
                         raise ValueError(f"repeats round {row[0]}")
@@ -157,9 +157,9 @@ class RoundHistory:
                     raise ValueError(f"{path}:{lineno}: bad history row {line!r} "
                                      f"({exc})") from None
                 values.append(row[3])
-        if not values or len(values) % width:
-            raise ValueError(f"{path}: history ends before round "
-                             f"{len(values) // width + 1} is complete")
+        if len(values) != rounds * width:
+            raise ValueError(f"{path}: history does not hold exactly {rounds} "
+                             f"rounds ({len(values)} of {rounds * width} rows)")
         return cls(arm, np.array(values).reshape(-1, width))
 
 

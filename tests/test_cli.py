@@ -33,6 +33,11 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def reports(out):
+    return {name: (out / name).read_bytes()
+            for name in ("summary.csv", "table.txt")}
+
+
 def test_gen_single_seed_writes_into_out(cfg_path, tmp_path, capsys):
     out = tmp_path / "data"
     assert run_cli("gen", "--config", cfg_path, "--out", out) == 0
@@ -105,22 +110,6 @@ def test_run_full_pipeline_prints_table(cfg_path, tmp_path, capsys):
     assert (out / "history_2sfgl_0.csv").is_file()
 
 
-def test_train_skips_fusion_and_fused_arm(cfg_path, tmp_path, capsys):
-    out = tmp_path / "runs"
-    assert run_cli("train", "--config", cfg_path, "--out", out) == 0
-    stdout = capsys.readouterr().out
-    assert "fedavg_only" in stdout and "2sfgl" not in stdout
-    assert not list(out.glob("fusion_seed*"))
-    assert not list(out.glob("history_2sfgl_*"))
-
-
-def test_train_with_only_fused_arm_fails(tmp_path, capsys):
-    cfg = tmp_path / "only.cfg"
-    cfg.write_text(TINY + "arms = 2sfgl\n", encoding="utf-8")
-    assert run_cli("train", "--config", cfg) == 1
-    assert "twosfgl train: error:" in capsys.readouterr().err
-
-
 def test_report_recomputes_from_histories(cfg_path, tmp_path, capsys):
     out = tmp_path / "runs"
     assert run_cli("run", "--config", cfg_path, "--out", out) == 0
@@ -138,12 +127,41 @@ def test_report_reads_a_negative_seed(cfg_path, tmp_path):
     assert run_cli("run", "--config", cfg_path, "--out", out,
                    "--seed", -1) == 0
     assert (out / "history_2sfgl_-1.csv").is_file()
-    before = {name: (out / name).read_bytes()
-              for name in ("summary.csv", "table.txt")}
+    before = reports(out)
     (out / "table.txt").unlink()
-    assert run_cli("report", "--config", cfg_path, "--out", out) == 0
-    assert {name: (out / name).read_bytes() for name in before} == before
+    assert run_cli("report", "--config", cfg_path, "--out", out,
+                   "--seed", -1) == 0
+    assert reports(out) == before
     assert b"seeds=-1\n" in before["table.txt"]
+
+
+def test_report_summarizes_exactly_the_config_seeds(cfg_path, tmp_path,
+                                                     capsys):
+    # two one-seed runs into one directory: each report covers the seeds of
+    # its config, whatever other histories the directory holds
+    out = tmp_path / "runs"
+    for seed in (0, 1):
+        assert run_cli("run", "--config", cfg_path, "--out", out,
+                       "--seed", seed) == 0
+    second_run = reports(out)
+    assert run_cli("report", "--config", cfg_path, "--out", out,
+                   "--seed", 1) == 0
+    assert reports(out) == second_run
+
+    both = tmp_path / "both.cfg"
+    both.write_text(TINY + "seeds = 0, 1\n", encoding="utf-8")
+    assert run_cli("report", "--config", both, "--out", out) == 0
+    reported = reports(out)
+    assert reported["table.txt"].splitlines()[0].endswith(b"  seeds=0,1")
+    assert run_cli("run", "--config", both, "--out", tmp_path / "both") == 0
+    assert reports(tmp_path / "both") == reported
+
+    three = tmp_path / "three.cfg"
+    three.write_text(TINY + "seeds = 0, 1, 2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", "--config", three, "--out", out) == 1
+    assert "history_2sfgl_2.csv" in capsys.readouterr().err
+    assert reports(out) == reported
 
 
 @pytest.mark.parametrize("command", ["gen", "fuse"])
@@ -156,23 +174,28 @@ def test_commands_without_training_still_check_arms(command, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_report_table_gives_the_rounds_the_histories_hold(tmp_path):
+def test_report_refuses_histories_of_another_round_count(tmp_path, capsys):
     smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
     out = tmp_path / "runs"
     assert run_cli("run", "--config", smoke, "--out", out) == 0
-    assert "  rounds=40  " in (out / "table.txt").read_text()
+    written = reports(out)
+    assert b"  rounds=40  " in written["table.txt"]
     longer = tmp_path / "longer.cfg"
     longer.write_text(smoke.read_text(encoding="utf-8").replace(
         "federation.rounds = 40", "federation.rounds = 60"), encoding="utf-8")
-    assert run_cli("report", "--config", longer, "--out", out) == 0
-    header = (out / "table.txt").read_text().splitlines()[0]
-    assert "  rounds=40  " in header
+    capsys.readouterr()
+    assert run_cli("report", "--config", longer, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "history_2sfgl_0.csv: history does not hold exactly 60 rounds" in err
+    assert reports(out) == written
 
 
-def test_seed_and_arch_overrides(cfg_path, tmp_path, capsys):
+def test_seed_and_arch_overrides(tmp_path, capsys):
+    # --seed replaces the config's seeds; the architecture is the config's
+    cfg = tmp_path / "sage.cfg"
+    cfg.write_text(TINY + "arch = sage\n", encoding="utf-8")
     out = tmp_path / "runs"
-    assert run_cli("run", "--config", cfg_path, "--out", out,
-                   "--seed", 7, "--arch", "sage") == 0
+    assert run_cli("run", "--config", cfg, "--out", out, "--seed", 7) == 0
     stdout = capsys.readouterr().out
     assert "arch=sage" in stdout and "seeds=7" in stdout
     assert (out / "history_2sfgl_7.csv").is_file()
@@ -194,6 +217,17 @@ def test_cli_requires_subcommand_and_config(capsys):
         main([])
     with pytest.raises(SystemExit):
         main(["run"])
+    capsys.readouterr()
+
+
+def test_cli_has_no_train_command_or_arch_option(cfg_path, capsys):
+    # a run is what its config says: stage 2 alone is a config without the
+    # 2sfgl arm, and the architecture is the config's arch key
+    for argv in (["train", "--config", cfg_path],
+                 ["run", "--config", cfg_path, "--arch", "sage"]):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv)
+        assert exit_.value.code == 2
     capsys.readouterr()
 
 
@@ -261,7 +295,7 @@ def test_commands_run_without_scipy(command, config, tmp_path):
     assert outputs["blocked"] == outputs["plain"]
 
 
-@pytest.mark.parametrize("command", ["gen", "fuse", "train", "run", "report"])
+@pytest.mark.parametrize("command", ["gen", "fuse", "run", "report"])
 def test_smoke_commands_pass_under_dev_mode_with_warnings_as_errors(
         command, tmp_path):
     # -X dev reports unclosed files and other resource warnings, and -W error

@@ -179,9 +179,8 @@ def test_fusion_config_inherits_experiment_settings():
     cfg = parse_config("synth.nodes = 40\nfusion.lambda = 0.3\n"
                        "fusion.hops = 2\nfusion.dp_epsilon = 2.0\n"
                        "fusion.psi = ddh\n")
-    fus = cfg.fusion
-    assert (fus.lam, fus.hops, fus.dp_epsilon, fus.psi, fus.seed) == \
-        (0.3, 2, 2.0, PsiBackend(), 0)
+    assert cfg.fusion == FusionConfig(lam=0.3, hops=2, dp_epsilon=2.0,
+                                      psi=PsiBackend())
     assert parse_config("synth.nodes = 40\n").fusion.psi is None
     assert parse_config("synth.nodes = 40\nfusion.psi = plain\n").fusion.psi is None
 

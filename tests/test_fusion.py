@@ -612,7 +612,7 @@ def three_clients():
 
 def test_fusion_round_share_traffic_and_output_order():
     clients = three_clients()
-    fused, shares = virtual_fusion_round(clients, cfg(seed=1))
+    fused, shares = virtual_fusion_round(clients, cfg(), seed=1)
     assert [g.relation_name for g in fused] == ["a", "b", "c"]
     assert set(shares) == {(x, y) for x in "abc" for y in "abc" if x != y}
     # a's vertex sums: 0 -> 1.0, 1 -> 3.0, 2 -> 2.0
@@ -625,13 +625,13 @@ def test_fusion_round_share_traffic_and_output_order():
     assert received(shares, "b").tobytes() == np.concatenate(
         [shares[("a", "b")], shares[("c", "b")]]).tobytes()
     for client, graph in zip(clients, fused):
-        want = fuse(client, received(shares, client.relation_name), cfg(seed=1))
+        want = fuse(client, received(shares, client.relation_name), cfg())
         assert graph.edges.tobytes() == want.edges.tobytes()
 
 
 def test_fusion_round_fused_edge_value_hand_check():
     clients = three_clients()
-    fused, shares = virtual_fusion_round(clients, cfg(seed=1))
+    fused, shares = virtual_fusion_round(clients, cfg(), seed=1)
     c_fused = fused[2]
     # client c receives (2,3) only from b: N(2->3) = 1/4, N(3->2) = 1.0-
     # c's sums: 3 -> 2.0, 2 -> 0.0 (unit base)
@@ -653,9 +653,9 @@ def test_fusion_round_needs_two_clients_and_unique_names():
 
 def test_fusion_round_ddh_equals_plain():
     clients = three_clients()
-    fused_plain, shares_plain = virtual_fusion_round(clients, cfg(seed=2))
+    fused_plain, shares_plain = virtual_fusion_round(clients, cfg(), seed=2)
     fused_ddh, shares_ddh = virtual_fusion_round(
-        clients, cfg(seed=2, psi=ddh_small()))
+        clients, cfg(psi=ddh_small()), seed=2)
     for client, fp, fd in zip(clients, fused_plain, fused_ddh):
         assert np.array_equal(fp.edges, fd.edges)
         name = client.relation_name
@@ -687,9 +687,9 @@ def test_fusion_round_over_partial_vertex_overlap(hops, monkeypatch):
     seen = {}
     real_intersection = fusion_module._pair_intersection
 
-    def recording(a, b, fusion_cfg):
+    def recording(a, b, fusion_cfg, seed):
         seen[(a.relation_name, b.relation_name)] = got = real_intersection(
-            a, b, fusion_cfg)
+            a, b, fusion_cfg, seed)
         return got
 
     monkeypatch.setattr(fusion_module, "_pair_intersection", recording)
@@ -697,7 +697,7 @@ def test_fusion_round_over_partial_vertex_overlap(hops, monkeypatch):
     for name, backend in (("plain", None), ("ddh", ddh_small())):
         seen.clear()
         fused, shares = virtual_fusion_round(
-            clients, cfg(seed=6, hops=hops, dp_epsilon=1.0, psi=backend))
+            clients, cfg(hops=hops, dp_epsilon=1.0, psi=backend), seed=6)
         fused_by_psi[name] = fused
         origins_by_psi[name] = [
             edge_origins(c, g, received(shares, c.relation_name))
@@ -734,16 +734,16 @@ def test_fusion_round_runs_psi_once_per_unordered_pair(monkeypatch):
 
     monkeypatch.setattr(fusion_module, "psi_ddh", counting_psi)
     _, shares = virtual_fusion_round(three_clients(),
-                                     cfg(seed=2, psi=ddh_small()))
+                                     cfg(psi=ddh_small()), seed=2)
     assert calls == [("a", "b"), ("a", "c"), ("b", "c")]
     assert len(shares) == 6
 
 
 def test_fusion_round_deterministic_with_noise():
     clients = three_clients()
-    f1, _ = virtual_fusion_round(clients, cfg(seed=3, dp_epsilon=2.0))
-    f2, _ = virtual_fusion_round(clients, cfg(seed=3, dp_epsilon=2.0))
-    f3, _ = virtual_fusion_round(clients, cfg(seed=4, dp_epsilon=2.0))
+    f1, _ = virtual_fusion_round(clients, cfg(dp_epsilon=2.0), seed=3)
+    f2, _ = virtual_fusion_round(clients, cfg(dp_epsilon=2.0), seed=3)
+    f3, _ = virtual_fusion_round(clients, cfg(dp_epsilon=2.0), seed=4)
     assert [edge_dict(g.edges) for g in f1] == [edge_dict(g.edges) for g in f2]
     assert [edge_dict(g.edges) for g in f1] != [edge_dict(g.edges) for g in f3]
 
@@ -754,7 +754,7 @@ def test_fusion_round_share_batches_are_record_arrays():
     for hops in (1, 2, 3):
         for epsilon in (math.inf, 1.0):
             _, shares = virtual_fusion_round(
-                clients, cfg(seed=5, hops=hops, dp_epsilon=epsilon))
+                clients, cfg(hops=hops, dp_epsilon=epsilon), seed=5)
             for pair, sent in shares.items():
                 assert isinstance(sent, np.recarray), pair
                 assert sent.dtype == SHARE_DTYPE
@@ -784,7 +784,7 @@ def test_fusion_round_noise_leaves_pairs_and_drops_only_zeroed_edges():
     # were all clamped to 0
     rng = np.random.default_rng(46)
     clients = [random_graph(rng, 12, p=0.3, name=name) for name in "abc"]
-    runs = [virtual_fusion_round(clients, cfg(seed=6, hops=2, dp_epsilon=eps))
+    runs = [virtual_fusion_round(clients, cfg(hops=2, dp_epsilon=eps), seed=6)
             for eps in (math.inf, 1.0, 0.1)]
     (clean, clean_shares), noisy_runs = runs[0], runs[1:]
     for fused, shares in noisy_runs:
@@ -800,8 +800,8 @@ def test_fusion_round_noise_leaves_pairs_and_drops_only_zeroed_edges():
 
 def test_fusion_round_khop_adds_shares():
     clients = three_clients()
-    _, shares1 = virtual_fusion_round(clients, cfg(seed=1, hops=1))
-    _, shares2 = virtual_fusion_round(clients, cfg(seed=1, hops=2))
+    _, shares1 = virtual_fusion_round(clients, cfg(hops=1), seed=1)
+    _, shares2 = virtual_fusion_round(clients, cfg(hops=2), seed=1)
     # a has a 2-hop path 0-1-2; pair (0,2) only appears with hops=2
     pairs1 = {(s.src, s.dst) for s in shares1[("a", "b")]}
     pairs2 = {(s.src, s.dst) for s in shares2[("a", "b")]}

@@ -153,7 +153,7 @@ def test_history_round_trip_exact(tmp_path):
                                         [-0.0, 1.0, 5e-324, 2 / 3]]))
     path = tmp_path / "history.csv"
     h.to_csv(path)
-    again = RoundHistory.from_csv(path)
+    again = RoundHistory.from_csv(path, "2sfgl", 2)
     assert again.arm == h.arm
     assert again.values.tobytes() == h.values.tobytes()
 
@@ -162,7 +162,7 @@ def test_history_header_checked(tmp_path):
     path = tmp_path / "history.csv"
     path.write_text("wrong,header,row,here\n")
     with pytest.raises(ValueError, match="unexpected history header"):
-        RoundHistory.from_csv(path)
+        RoundHistory.from_csv(path, "2sfgl", 1)
 
 
 @pytest.mark.parametrize("row,detail", [
@@ -176,7 +176,7 @@ def test_history_bad_row_names_its_line(tmp_path, row, detail):
     path.write_text("round,arm,metric,value\n1,2sfgl,macro_f1,0.5\n\n" + row + "\n")
     with pytest.raises(ValueError, match=r"history\.csv:4: bad history row '"
                        + row + r"' \(.*" + detail):
-        RoundHistory.from_csv(path)
+        RoundHistory.from_csv(path, "2sfgl", 2)
 
 
 def history_lines(rounds=3, arm="2sfgl"):
@@ -205,17 +205,20 @@ def replaced(lines, index, line):
     (replaced(history_lines(), 5, "2,other,auc,0.5"), 7,
      "expected round 2, arm 2sfgl, auc"),
     (history_lines()[::-1], 2, "expected round 1, arm 2sfgl, macro_f1"),
-    (history_lines()[:-1], None, "history ends before round 3 is complete"),
-    ([], None, "history ends before round 1 is complete"),
+    (history_lines()[:-1], None,
+     r"does not hold exactly 3 rounds \(11 of 12 rows\)"),
+    ([], None, r"does not hold exactly 3 rounds \(0 of 12 rows\)"),
+    (history_lines(4), None, r"does not hold exactly 3 rounds \(16 of 12 rows\)"),
 ], ids=["nan", "above_one", "negative", "missing_metric", "missing_round",
-        "repeated_round", "second_arm", "reversed", "truncated", "empty"])
+        "repeated_round", "second_arm", "reversed", "truncated", "empty",
+        "extra_round"])
 def test_history_out_of_layout_is_refused_with_its_line(tmp_path, lines, lineno,
                                                          detail):
     path = tmp_path / "history.csv"
     path.write_text("round,arm,metric,value\n" + "".join(l + "\n" for l in lines))
     where = "" if lineno is None else f":{lineno}"
     with pytest.raises(ValueError, match=rf"history\.csv{where}: .*{detail}"):
-        RoundHistory.from_csv(path)
+        RoundHistory.from_csv(path, "2sfgl", 3)
 
 
 def test_window_average_constant_returns_constant():

@@ -15,9 +15,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SMOKE = ROOT / "configs" / "smoke.cfg"
 
 
-def traced_child(tmp_path, command, config, *extra_args) -> dict:
+def traced_child(tmp_path, command, config) -> dict:
     """The record of one traced ``twosfgl`` command run by the benchmark
     child: its spans and counts."""
     result_path = tmp_path / "result.json"
@@ -25,8 +26,7 @@ def traced_child(tmp_path, command, config, *extra_args) -> dict:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"),
          "--result", str(result_path), "--trace", "1", "--",
-         command, "--config", str(config), "--out", str(tmp_path / "out"),
-         *extra_args],
+         command, "--config", str(config), "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(result_path.read_text(encoding="utf-8"))
@@ -34,10 +34,9 @@ def traced_child(tmp_path, command, config, *extra_args) -> dict:
     return doc
 
 
-def traced_smoke_spans(tmp_path, *extra_args) -> collections.Counter:
+def traced_smoke_spans(tmp_path, config=SMOKE) -> collections.Counter:
     """Span counts of one traced ``twosfgl run`` on the smoke config."""
-    doc = traced_child(tmp_path, "run", ROOT / "configs" / "smoke.cfg",
-                       *extra_args)
+    doc = traced_child(tmp_path, "run", config)
     return collections.Counter(name for name, *_ in doc["spans"])
 
 
@@ -57,7 +56,10 @@ def test_traced_smoke_run_reaches_the_training_points(tmp_path):
 
 
 def test_traced_sage_smoke_run_reaches_the_sampling_points(tmp_path):
-    spans = traced_smoke_spans(tmp_path, "--arch", "sage")
+    config = tmp_path / "sage.cfg"
+    config.write_text(SMOKE.read_text(encoding="utf-8").replace(
+        "arch = gcn", "arch = sage"), encoding="utf-8")
+    spans = traced_smoke_spans(tmp_path, config)
     # SAGE reuses no forward: each of the 9 clients samples and runs one
     # forward per training step and one per evaluation, over 40 rounds
     assert spans["gnn.forward"] == 9 * 40 * 2
@@ -74,7 +76,7 @@ def data_rows(paths) -> int:
 
 def test_traced_khop_fuse_reaches_the_fusion_points(tmp_path):
     config = tmp_path / "khop.cfg"
-    config.write_text((ROOT / "configs" / "smoke.cfg").read_text(encoding="utf-8")
+    config.write_text(SMOKE.read_text(encoding="utf-8")
                       + "fusion.hops = 2\nfusion.dp_epsilon = 1\n",
                       encoding="utf-8")
     doc = traced_child(tmp_path, "fuse", config)
