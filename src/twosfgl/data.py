@@ -32,8 +32,11 @@ graph: a record array of ``EDGE_DTYPE`` (``u``, ``v``, ``weight``), ``u < v``,
 rows strictly ascending by ``(u, v)``; it is what is loaded, validated, fused
 and dumped.  Every stage reads it through the cached
 ``ClientGraph.neighbor_csr``, a ``GraphCSR`` whose id map is the graph's own
-``vertices``.  ``GraphCSR`` is the one sparse matrix type: the GCN's
-normalized adjacency is one too, over the same vertices.
+``vertices`` and whose ``positions`` table is that map's inverse: a vertex
+id is resolved by one table lookup.  Vertex ids are node-table ids, so they
+are nonnegative and the table is as long as the largest of them.
+``GraphCSR`` is the one sparse matrix type: the GCN's normalized adjacency
+is one too, over the same vertices.
 """
 
 import warnings
@@ -105,24 +108,39 @@ class NodeTable:
 def id_array(ids) -> np.ndarray:
     """``ids`` in the one form of a vertex or id set: an ascending, read-only
     int64 array without repeats.  A read-only array already in that form is
-    returned as it is; anything else is sorted and deduplicated into a new
-    array."""
+    returned as it is; anything else is flattened, sorted and deduplicated
+    into a new array, as ``np.unique`` would (which, under numpy 2.4, imports
+    ``numpy.ma`` on its first call)."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1 and not ids.flags.writeable and (ids[1:] > ids[:-1]).all():
         return ids
-    ids = np.unique(ids)
+    ids = np.sort(ids, axis=None)
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    ids = ids[first]
     ids.flags.writeable = False
     return ids
+
+
+def _position_table(nodes: np.ndarray) -> np.ndarray:
+    """The inverse of the id array ``nodes``: entry i is the position of id i
+    in ``nodes``, -1 for an id in a gap.  It covers ids 0..max, then holds
+    one more -1, which ``GraphCSR.find`` reads for every larger id."""
+    table = np.full(nodes[-1] + 2 if len(nodes) else 1, -1, dtype=np.int64)
+    table[nodes] = np.arange(len(nodes))
+    return table
 
 
 class GraphCSR:
     """A square sparse matrix over a vertex set in CSR layout: a graph's
     neighbor index, or the normalized adjacency built from it.
 
-    ``nodes[p]`` is the vertex id at position p.  Row p holds the column
-    positions ``indices[indptr[p]:indptr[p + 1]]``, ascending, with their
-    ``weights``; ``rows`` is each entry's row, computed once.  A graph's
-    index holds each edge once in each endpoint's row, zero weights kept.
+    ``nodes[p]`` is the vertex id at position p, and ``positions``, its
+    inverse, is built on first use: ``positions[nodes[p]] == p``.  Row p
+    holds the column positions ``indices[indptr[p]:indptr[p + 1]]``,
+    ascending, with their ``weights``; ``rows`` is each entry's row,
+    computed once.  A graph's index holds each edge once in each endpoint's
+    row, zero weights kept.
 
     The products are bit for bit those of scipy's CSR kernels: each output
     of ``A @ x`` adds its terms ``weight * x`` in stored entry order from
@@ -140,6 +158,19 @@ class GraphCSR:
     @property
     def nnz(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Position of each id 0..max vertex id, -1 for an id in a gap."""
+        return _position_table(self.nodes)
+
+    def find(self, ids):
+        """(position, found) of each vertex id in ``ids``, by table lookup.
+        An id below 0, above the largest vertex id or in a gap is not found,
+        and its position means nothing."""
+        ids = np.asarray(ids)
+        pos = self.positions.take(ids, mode="clip")
+        return pos, (pos >= 0) & (ids >= 0)
 
     def _product(self, x, out_index, in_index) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -165,7 +196,8 @@ class ClientGraph:
     """One party's view: a vertex set and its weighted undirected edges;
     node features and labels stay in the dataset's ``NodeTable``.
 
-    ``vertices`` is an id array (``id_array`` normalizes the input).
+    ``vertices`` is an id array (``id_array`` normalizes the input) of
+    nonnegative ids, the node-table ids of the graph's nodes.
     ``edges`` is a read-only record array of ``EDGE_DTYPE``, one row per
     edge, with ``u < v``, rows strictly ascending by ``(u, v)``, endpoints
     in ``vertices`` and finite nonnegative weights.  Instances are immutable
@@ -178,6 +210,8 @@ class ClientGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", id_array(self.vertices))
+        if len(self.vertices) and self.vertices[0] < 0:
+            raise ValueError(f"negative vertex id {self.vertices[0]}")
         edges = np.asarray(self.edges, dtype=EDGE_DTYPE).view(np.recarray)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
@@ -201,13 +235,16 @@ class ClientGraph:
         """The graph's one derived index, built on first use and cached.  Its
         id map is ``vertices``, the row order of every matrix built from it."""
         nodes = self.vertices
-        ends = np.searchsorted(nodes, np.stack([self.edges.u, self.edges.v], axis=1))
+        positions = _position_table(nodes)
+        ends = positions[np.stack([self.edges.u, self.edges.v], axis=1)]
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
         order = np.lexsort((cols, rows))
         indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
-        return GraphCSR(nodes, indptr, cols[order],
-                        np.tile(self.edges.weight, 2)[order])
+        csr = GraphCSR(nodes, indptr, cols[order],
+                       np.tile(self.edges.weight, 2)[order])
+        csr.positions = positions       # the table of this id map, built once
+        return csr
 
 
 @dataclass

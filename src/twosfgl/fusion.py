@@ -8,9 +8,12 @@ edge weight on its own scale through a thresholded update and augments its
 local graph, never losing local evidence (max rule).  A fused graph is a
 plain ``ClientGraph``; ``edge_origins`` derives its edges' audit tags.
 
-Every step is array code over a graph's cached CSR (``neighbor_csr``).  One
-sender's shares to one receiver are one ``np.recarray`` of ``SHARE_DTYPE``, the
-wire and audit format from emission through noise, fusion and dump.
+Every step is array code over a graph's cached CSR (``neighbor_csr``), whose
+``positions`` table turns vertex ids into CSR positions; ``_find`` searches
+only sorted pair-key arrays.  One sender's shares to one receiver are one
+read-only ``np.recarray`` of ``SHARE_DTYPE``, the wire and audit format from
+emission through noise, fusion and dump.  A sender whose intersections with
+two receivers are equal emits its pre-noise batch once, for both.
 """
 
 import itertools
@@ -84,11 +87,12 @@ def _sender_view(graph: ClientGraph, common):
     """The graph's CSR, which of its positions are in the id set ``common``,
     and each entry's weight over its row's incident sum (0 for a zero
     weight, whose row sum may be 0 too)."""
-    common = id_array(common)
     csr = graph.neighbor_csr
-    is_common = np.isin(csr.nodes, common)
-    if is_common.sum() != len(common):
+    at, found = csr.find(id_array(common))
+    if not found.all():
         raise ValueError("common vertices must be a subset of the graph's vertices")
+    is_common = np.zeros(len(csr.nodes), dtype=bool)
+    is_common[at] = True
     steps = np.divide(csr.weights, incident_sums(graph)[csr.rows],
                       out=np.zeros_like(csr.weights), where=csr.weights > 0)
     return csr, is_common, steps
@@ -244,7 +248,7 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> ClientGraph:
     """
     csr = local.neighbor_csr
     n = len(csr.nodes)
-    (src, dst), known = _find(csr.nodes, np.stack([incoming.src, incoming.dst]))
+    (src, dst), known = csr.find(np.stack([incoming.src, incoming.dst]))
     unknown = ~known.all(axis=0)
     bad = np.flatnonzero(unknown | (src == dst))
     if len(bad):
@@ -296,8 +300,8 @@ def edge_origins(local: ClientGraph, fused: ClientGraph, *batches) -> np.ndarray
     csr = local.neighbor_csr
     n = len(csr.nodes)
     sent = [np.minimum(*ends) * n + np.maximum(*ends) for ends, _ in
-            (_find(csr.nodes, np.stack([b.src, b.dst])) for b in batches)]
-    (u, v), _ = _find(csr.nodes, np.stack([fused.edges.u, fused.edges.v]))
+            (csr.find(np.stack([b.src, b.dst])) for b in batches)]
+    u, v = csr.positions[np.stack([fused.edges.u, fused.edges.v])]
     keys = u * n + v
     shared = _find(np.sort(np.concatenate(sent)), keys)[1]
     in_local = _find(csr.rows * n + csr.indices, keys)[1]
@@ -322,10 +326,14 @@ def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
 
     Each unordered pair of clients runs PSI once; each sender then emits
     normalized (and, when configured, multi-hop) shares over its view of the
-    intersection with each receiver, perturbs them, and transmits.  Each
-    receiver fuses everything it got.  Output order matches the input client
-    order.  Also returns each ordered pair's share batch for audit.  The PSI
-    secrets and the DP noise of each pair descend from ``seed``.
+    intersection with each receiver, perturbs them, and transmits.  A
+    sender's pairs come one after another, so when its intersection with the
+    next receiver equals the last one, the last pre-noise batch is reused:
+    only that one batch is held.  Each receiver fuses everything it got.
+    Output order matches the input client order.  Also returns each ordered
+    pair's share batch, read-only, for audit; at ``dp_epsilon = inf`` two
+    pairs may hold the same array.  The PSI secrets and the DP noise of each
+    pair descend from ``seed``.
     """
     clients = list(clients)
     if len(clients) < 2:
@@ -335,6 +343,7 @@ def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
         raise ValueError("client relation names must be unique")
 
     shares_by_pair, commons = {}, {}
+    last = None             # (sender, common ids, pre-noise batch) of the last pair
     for sender, receiver in itertools.permutations(clients, 2):
         pair = (sender.relation_name, receiver.relation_name)
         try:
@@ -342,12 +351,15 @@ def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
                 commons[pair], commons[pair[::-1]] = _pair_intersection(
                     sender, receiver, cfg, seed)
             common = commons[pair]
-            shares = normalize_edges(sender, common)
-            if cfg.hops >= 2:
-                shares = np.concatenate([shares, khop_shares(
-                    sender, common, cfg.hops)]).view(np.recarray)
-            shares = apply_dp(shares, cfg.dp_epsilon,
+            if not (last and last[0] is sender and np.array_equal(last[1], common)):
+                shares = normalize_edges(sender, common)
+                if cfg.hops >= 2:
+                    shares = np.concatenate([shares, khop_shares(
+                        sender, common, cfg.hops)]).view(np.recarray)
+                last = sender, common, shares
+            shares = apply_dp(last[2], cfg.dp_epsilon,
                               seed=derive_seed(seed, "dp", *pair))
+            shares.flags.writeable = False
         except Exception as exc:
             raise RuntimeError(f"fusion pair {pair[0]} -> {pair[1]}: {exc}") from exc
         shares_by_pair[pair] = shares

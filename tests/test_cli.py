@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -316,3 +317,62 @@ def test_smoke_commands_pass_under_dev_mode_with_warnings_as_errors(
     expected = {"gen": "nodes.csv",
                 "fuse": "shares_rel0_rel1.csv"}.get(command, "summary.csv")
     assert (out / expected).is_file()
+
+
+# sha256 of every CSV that `fuse` writes on configs/smoke.cfg.  A7 compares
+# reruns of one tree; these digests hold the bytes across changes to the
+# fusion code, which must not move them.
+SMOKE_INPUT_DIGESTS = {
+    "data/seed0/nodes.csv": "5f578944121057a35e36e5d1108f2f275e386f497ec4ac7dd98dcce0ca917d02",
+    "data/seed0/rel0.csv": "9de40f9a0493c720f29cfc79cafeeeeab6a3b1c0e1b6bc3a13f6e82f9c4ebd04",
+    "data/seed0/rel1.csv": "93d807433116c8c98131a07ad0b4019b220ebcb46f64d23079fd956f785189eb",
+    "data/seed0/rel2.csv": "7397dff691a77cfcc2d358bc7e6fda72f5cc349f485bd6e0b7dc6ed8dc6bd0c6",
+}
+SMOKE_FUSE_DIGESTS = {
+    "hops 2, epsilon 1": {
+        "fused_rel0.csv": "9e355721b84ada4cbb0759ca478630120ff45f6600c75614c57d2cc113ab5902",
+        "fused_rel1.csv": "c180ffb2a5797da38dcbf9c6f3052d979aead648ab325bb788f50a6ce9dd28ab",
+        "fused_rel2.csv": "b0de233fc4beef0157a71a9fac6874abfcc6a1f0bfa79269e2abc9a31e788c04",
+        "shares_rel0_rel1.csv": "3b143d50e9fa1f5649825ffe335c09dc3a550c724b3b998f725c37743677fd99",
+        "shares_rel0_rel2.csv": "49d16518d880a2ca1f67b4a0e5870145f45ee90aa43126478d4bc3e71e9570a4",
+        "shares_rel1_rel0.csv": "d55f0b802c310d63841385abb63af13a3e797a7052991b72628085544c204659",
+        "shares_rel1_rel2.csv": "e3feb31354817b334969c353f48c13745e1df3f288982b364d5c616de8ba73c9",
+        "shares_rel2_rel0.csv": "50e96b8baae83d6666e1f583be54158d50b597fb8bc25f0260ba6e4b3305d63c",
+        "shares_rel2_rel1.csv": "afda41dbd9716c68cbf63284f480fff9e81540c598febf04d3f0a691b176421e",
+        "tags_rel0.csv": "56d8eff366e697776e4a3b7e96ac2f9b66370489df1484c8b969bc276a1bf01b",
+        "tags_rel1.csv": "e5139c8b287b11071f3a67cd065cd9b32d2faa99fc1260b80c955167480fe5d7",
+        "tags_rel2.csv": "50cb0af14103c9baf6951c11dd163c69c001e682d381e936f05afb27efba40be",
+    },
+    # at epsilon inf a sender's two batches are one batch, written twice
+    "hops 1, epsilon inf": {
+        "fused_rel0.csv": "a290a6ed89924ded7f6f645c1bd17c641025ee1d5884713539a1a1f70248924f",
+        "fused_rel1.csv": "18a2ebf03b496e3dec82e5bc721102c75d9d7083850d62c3de4d89a511ac9348",
+        "fused_rel2.csv": "318b871f69a6eddc66fb77e76f87706978c8beed566a270739c54c4b89d8e4c7",
+        "shares_rel0_rel1.csv": "7723dd2df32fe7868681701e63abd2e19ab4d887ddc207563702acbac9afc37f",
+        "shares_rel0_rel2.csv": "7723dd2df32fe7868681701e63abd2e19ab4d887ddc207563702acbac9afc37f",
+        "shares_rel1_rel0.csv": "155213122f7500f4ba59af8c448665b1289b925ff3b19d68825f32dcf436b887",
+        "shares_rel1_rel2.csv": "155213122f7500f4ba59af8c448665b1289b925ff3b19d68825f32dcf436b887",
+        "shares_rel2_rel0.csv": "4cf3f1536b42c528b633697bae8226fc734fbb78a123241561c0e6f43bd98f77",
+        "shares_rel2_rel1.csv": "4cf3f1536b42c528b633697bae8226fc734fbb78a123241561c0e6f43bd98f77",
+        "tags_rel0.csv": "3343baee3085826c9096595daeafc67940e35a16fb6b78eb6192bb3c6a510e9b",
+        "tags_rel1.csv": "b81e89aadaa783f0f6bde19ce6b2e3005fc936558a8219830a6c6c1b4a7c91a2",
+        "tags_rel2.csv": "a2542a4e6793f9a6ebc8eda3ee185434b087b732c96932aba27fb15cbdfb2429",
+    },
+}
+
+
+@pytest.mark.parametrize("setting", list(SMOKE_FUSE_DIGESTS))
+def test_fuse_on_the_smoke_config_writes_the_pinned_bytes(setting, tmp_path,
+                                                          capsys):
+    hops, epsilon = (part.split()[1] for part in setting.split(", "))
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text(SMOKE.read_text(encoding="utf-8")
+                   + f"fusion.hops = {hops}\nfusion.dp_epsilon = {epsilon}\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("fuse", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    digests = {f.relative_to(out).as_posix():
+               hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in out.rglob("*.csv")}
+    assert digests == {**SMOKE_INPUT_DIGESTS, **SMOKE_FUSE_DIGESTS[setting]}

@@ -403,6 +403,10 @@ def test_client_graph_validation():
         make_graph({(0, 5): 1.0}, 3)
     with pytest.raises(ValueError, match="negative weight"):
         make_graph({(0, 1): -0.5}, 3)
+    # vertex ids are node-table ids, so the position table starts at id 0
+    with pytest.raises(ValueError, match="negative vertex id -3"):
+        ClientGraph(relation_name="g", vertices=[4, -3, 0, -1],
+                    edges=edge_array({}))
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -509,6 +513,49 @@ def test_vertices_are_one_read_only_id_array():
     assert data_module.id_array([]).dtype == np.int64
     with pytest.raises(ValueError, match="outside the vertex set"):
         ClientGraph(relation_name="g", vertices=[2, 9, 9], edges=edges)
+
+
+@pytest.mark.parametrize("given", [
+    [], [7], [3, 3, 1, 3, 2, 1], [-5, 7, -5, 0, -1, 2**62, -2**62],
+    [0, 1, 2, 5, 9], [0, 1, 1, 5, 9], [[4, 2], [2, -9]], 6,
+])
+def test_id_array_sorts_and_deduplicates_as_np_unique(given):
+    for writeable in (True, False):
+        ids = np.array(given, dtype=np.int64)
+        ids.flags.writeable = writeable
+        got = data_module.id_array(ids)
+        want = np.unique(ids)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        # a read-only id array is taken as it is, and nothing else is
+        assert (got is ids) == (not writeable and ids.ndim == 1
+                                and np.array_equal(ids, want))
+
+
+def test_position_table_finds_vertex_ids_as_a_binary_search_does():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        csr = random_sparse_graph(rng).neighbor_csr     # ids with gaps, < 40
+        nodes, top = csr.nodes, int(csr.nodes[-1])
+        assert np.array_equal(csr.positions[nodes], np.arange(len(nodes)))
+        gaps = np.setdiff1d(np.arange(top), nodes)
+        assert (csr.positions[gaps] == -1).all()
+        queries = np.concatenate([
+            nodes, gaps, [-1, -top, top + 1, top + 2, 10**12],
+            [np.iinfo(np.int64).min, np.iinfo(np.int64).max]])
+        rng.shuffle(queries)
+        pos, found = csr.find(queries)
+        assert found.tolist() == np.isin(queries, nodes).tolist()
+        assert np.array_equal(pos[found], np.searchsorted(nodes, queries[found]))
+        # a query array of any shape, as fuse passes (src, dst) rows
+        pos2, found2 = csr.find(np.stack([queries, queries[::-1]]))
+        assert np.array_equal(found2, [found, found[::-1]])
+        assert np.array_equal(pos2[found2], np.concatenate(
+            [pos[found], pos[::-1][found[::-1]]]))
+    empty = ClientGraph(relation_name="g", vertices=[], edges=edge_array({}))
+    _, found = empty.neighbor_csr.find([0, 1, -1])
+    assert not found.any()
 
 
 # ------------------------------------------------------------------ sampling

@@ -12,6 +12,8 @@ from twosfgl.fusion import (SHARE_CLAMP_DELTA, SHARE_DTYPE, FusionConfig,
                             apply_dp, edge_origins, fuse, khop_shares,
                             normalize_edges, received, update_edge,
                             virtual_fusion_round, write_shares, write_tags)
+from twosfgl.psi import psi_plain
+from twosfgl.seeding import derive_seed
 
 TOP = 1.0 - SHARE_CLAMP_DELTA
 
@@ -565,6 +567,24 @@ def test_fuse_rejects_protocol_violations():
         fuse(local, batch([(0, 9, 0.1)]), cfg())
     with pytest.raises(ValueError, match="self-referential"):
         fuse(local, batch([(1, 1, 0.1)]), cfg())
+    # vertex ids with gaps, the largest 9: an id below 0, above 9 or in a
+    # gap is unknown, and the first bad share is named
+    local = ClientGraph(relation_name="g", vertices=[2, 5, 9],
+                        edges=edge_array({(2, 9): 1.0}))
+    for src, dst in [(2, -1), (-7, 5), (-1, -1), (9, 10), (11, 2),
+                     (5, 2**62), (5, 4), (3, 9), (0, 2)]:
+        with pytest.raises(ValueError) as info:
+            fuse(local, batch([(2, 5, 0.2), (src, dst, 0.1), (5, 5, 0.1)]),
+                 cfg())
+        assert str(info.value) == (
+            f"protocol violation: share ({src}, {dst}) references a vertex "
+            "unknown to client 'g'")
+    for at in (2, 5, 9):
+        with pytest.raises(ValueError) as info:
+            fuse(local, batch([(2, 5, 0.2), (at, at, 0.1), (5, 4, 0.1)]), cfg())
+        assert str(info.value) == f"protocol violation: self-referential share ({at})"
+    fused = fuse(local, batch([(9, 5, 0.2), (2, 5, 0.1)]), cfg())
+    assert list(edge_dict(fused.edges)) == [(2, 5), (2, 9), (5, 9)]
 
 
 def test_fuse_without_incoming_is_identity_with_local_tags():
@@ -739,6 +759,72 @@ def test_fusion_round_runs_psi_once_per_unordered_pair(monkeypatch):
     assert len(shares) == 6
 
 
+def counting_emissions(monkeypatch):
+    """The senders of every ``normalize_edges`` call the round makes."""
+    senders = []
+    real_normalize = fusion_module.normalize_edges
+
+    def counting(graph, common):
+        senders.append(graph.relation_name)
+        return real_normalize(graph, common)
+
+    monkeypatch.setattr(fusion_module, "normalize_edges", counting)
+    return senders
+
+
+def pre_noise(sender, common, hops):
+    shares = normalize_edges(sender, common)
+    if hops >= 2:
+        shares = np.concatenate([shares, khop_shares(sender, common, hops)])
+    return shares.view(np.recarray)
+
+
+@pytest.mark.parametrize("hops", [1, 2])
+def test_fusion_round_emits_each_pair_over_its_own_intersection(hops,
+                                                                monkeypatch):
+    # partial overlap: a sender's intersections with its two receivers
+    # differ, so it emits one batch per receiver, over that intersection
+    clients = overlapping_clients(np.random.default_rng(72))
+    by_name = {c.relation_name: c for c in clients}
+    for sender in clients:
+        a, b = (psi_plain(sender.vertices, c.vertices)
+                for c in clients if c is not sender)
+        assert not np.array_equal(a, b)
+    senders = counting_emissions(monkeypatch)
+    _, shares = virtual_fusion_round(clients, cfg(hops=hops), seed=6)
+    assert senders == ["a", "a", "b", "b", "c", "c"]
+    for (a, b), sent in shares.items():
+        common = psi_plain(by_name[a].vertices, by_name[b].vertices)
+        want = pre_noise(by_name[a], common, hops)
+        assert len(sent) and sent.tobytes() == want.tobytes(), (a, b)
+
+
+def test_fusion_round_emits_once_per_sender_over_equal_intersections(
+        monkeypatch):
+    # full overlap: each sender's one batch goes to both its receivers, and
+    # each pair draws its own noise for it
+    rng = np.random.default_rng(47)
+    clients = [random_graph(rng, 10, p=0.3, name=name) for name in "abc"]
+    senders = counting_emissions(monkeypatch)
+    for hops in (1, 2):
+        senders.clear()
+        _, clean = virtual_fusion_round(clients, cfg(hops=hops), seed=6)
+        assert senders == ["a", "b", "c"]
+        _, noisy = virtual_fusion_round(
+            clients, cfg(hops=hops, dp_epsilon=1.0), seed=6)
+        for sender in clients:
+            name = sender.relation_name
+            want = pre_noise(sender, sender.vertices, hops)
+            pairs = [(name, c.relation_name) for c in clients if c is not sender]
+            for pair in pairs:
+                assert clean[pair].tobytes() == want.tobytes()
+                assert noisy[pair].tobytes() == apply_dp(
+                    want, 1.0, seed=derive_seed(6, "dp", *pair)).tobytes()
+            first, second = pairs
+            assert np.array_equal(clean[first], clean[second])
+            assert not np.array_equal(noisy[first].value, noisy[second].value)
+
+
 def test_fusion_round_deterministic_with_noise():
     clients = three_clients()
     f1, _ = virtual_fusion_round(clients, cfg(dp_epsilon=2.0), seed=3)
@@ -761,6 +847,11 @@ def test_fusion_round_share_batches_are_record_arrays():
                 assert sent.dtype.names == SHARE_DTYPE.names
                 rows = [(s.src, s.dst, s.hops, s.value) for s in sent]
                 assert len(rows) == len(sent) > 0
+                # at epsilon inf one sender's batches may be one array
+                with pytest.raises(ValueError, match="read-only"):
+                    sent.value[0] = 0.5
+                with pytest.raises(ValueError, match="read-only"):
+                    sent.src[:] = 0
             assert max(int(sent.hops.max()) for sent in shares.values()) == hops
 
 

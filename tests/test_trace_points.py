@@ -81,8 +81,11 @@ def test_traced_khop_fuse_reaches_the_fusion_points(tmp_path):
                       encoding="utf-8")
     doc = traced_child(tmp_path, "fuse", config)
     spans = collections.Counter(name for name, *_ in doc["spans"])
-    # 3 clients: 6 ordered pairs send shares, each of 3 receivers fuses once
-    for name, count in [("fusion.normalize", 6), ("fusion.khop", 6),
+    # 3 clients at full overlap: each sender's intersections with its two
+    # receivers are equal, so it emits one pre-noise batch (normalized and
+    # k-hop shares) for both; each of the 6 ordered pairs draws its own
+    # noise, and each of the 3 receivers fuses once
+    for name, count in [("fusion.normalize", 3), ("fusion.khop", 3),
                         ("fusion.dp", 6), ("fusion.fuse", 3),
                         ("fusion.round", 1), ("harness.fusion_outputs", 1)]:
         assert spans[name] == count, name
