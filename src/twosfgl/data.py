@@ -30,13 +30,14 @@ repeats (``id_array``): a graph's ``vertices``, a PSI result, a sample and
 each side of a split.  ``ClientGraph.edges`` is the one stored form of a
 graph: a record array of ``EDGE_DTYPE`` (``u``, ``v``, ``weight``), ``u < v``,
 rows strictly ascending by ``(u, v)``; it is what is loaded, validated, fused
-and dumped.  Every stage reads it through the cached
-``ClientGraph.neighbor_csr``, a ``GraphCSR`` whose id map is the graph's own
-``vertices`` and whose ``positions`` table is that map's inverse: a vertex
-id is resolved by one table lookup.  Vertex ids are node-table ids, so they
-are nonnegative and the table is as long as the largest of them.
+and dumped.  A graph owns its one id map: ``vertices`` takes a position to
+its id, and the cached ``positions`` table, that map's inverse, takes an id
+back, so ``ClientGraph.find`` resolves vertex ids by one table lookup.
+Vertex ids are node-table ids, so they are nonnegative and the table is as
+long as the largest of them.  Every stage reads the edges through the
+cached ``ClientGraph.neighbor_csr``, a ``GraphCSR`` over those positions.
 ``GraphCSR`` is the one sparse matrix type: the GCN's normalized adjacency
-is one too, over the same vertices.
+is one too, over the same positions.
 """
 
 import warnings
@@ -115,29 +116,25 @@ def id_array(ids) -> np.ndarray:
     if ids.ndim == 1 and not ids.flags.writeable and (ids[1:] > ids[:-1]).all():
         return ids
     ids = np.sort(ids, axis=None)
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    ids = ids[first]
+    ids = ids[_first_of_runs(ids)]
     ids.flags.writeable = False
     return ids
 
 
-def _position_table(nodes: np.ndarray) -> np.ndarray:
-    """The inverse of the id array ``nodes``: entry i is the position of id i
-    in ``nodes``, -1 for an id in a gap.  It covers ids 0..max, then holds
-    one more -1, which ``GraphCSR.find`` reads for every larger id."""
-    table = np.full(nodes[-1] + 2 if len(nodes) else 1, -1, dtype=np.int64)
-    table[nodes] = np.arange(len(nodes))
-    return table
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in a sorted array."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.flatnonzero(first)
 
 
 class GraphCSR:
-    """A square sparse matrix over a vertex set in CSR layout: a graph's
-    neighbor index, or the normalized adjacency built from it.
+    """A square sparse matrix over positions 0..n-1 in CSR layout, n being
+    ``len(indptr) - 1``: a graph's neighbor index, or the normalized
+    adjacency built from it.  What vertex a position stands for is the
+    graph's business (``ClientGraph.vertices``).
 
-    ``nodes[p]`` is the vertex id at position p, and ``positions``, its
-    inverse, is built on first use: ``positions[nodes[p]] == p``.  Row p
-    holds the column positions ``indices[indptr[p]:indptr[p + 1]]``,
+    Row p holds the column positions ``indices[indptr[p]:indptr[p + 1]]``,
     ascending, with their ``weights``; ``rows`` is each entry's row,
     computed once.  A graph's index holds each edge once in each endpoint's
     row, zero weights kept.
@@ -150,31 +147,17 @@ class GraphCSR:
     array wider than nnz is built.
     """
 
-    def __init__(self, nodes, indptr, indices, weights):
-        self.nodes, self.indptr = nodes, indptr
-        self.indices, self.weights = indices, weights
-        self.rows = np.repeat(np.arange(len(nodes)), np.diff(indptr))
+    def __init__(self, indptr, indices, weights):
+        self.indptr, self.indices, self.weights = indptr, indices, weights
+        self.rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
     @property
     def nnz(self) -> int:
         return len(self.weights)
 
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """Position of each id 0..max vertex id, -1 for an id in a gap."""
-        return _position_table(self.nodes)
-
-    def find(self, ids):
-        """(position, found) of each vertex id in ``ids``, by table lookup.
-        An id below 0, above the largest vertex id or in a gap is not found,
-        and its position means nothing."""
-        ids = np.asarray(ids)
-        pos = self.positions.take(ids, mode="clip")
-        return pos, (pos >= 0) & (ids >= 0)
-
     def _product(self, x, out_index, in_index) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        n = len(self.nodes)
+        n = len(self.indptr) - 1
         out = np.empty((n, x.shape[1]))
         terms = np.empty(self.nnz)
         for col in range(x.shape[1]):
@@ -197,11 +180,14 @@ class ClientGraph:
     node features and labels stay in the dataset's ``NodeTable``.
 
     ``vertices`` is an id array (``id_array`` normalizes the input) of
-    nonnegative ids, the node-table ids of the graph's nodes.
-    ``edges`` is a read-only record array of ``EDGE_DTYPE``, one row per
-    edge, with ``u < v``, rows strictly ascending by ``(u, v)``, endpoints
-    in ``vertices`` and finite nonnegative weights.  Instances are immutable
-    and safe to share across workers; array code reads ``neighbor_csr``.
+    nonnegative ids, the node-table ids of the graph's nodes: ``vertices[p]``
+    is the id at position p.  ``positions``, its inverse
+    (``positions[vertices[p]] == p``), is built once, when the edges are
+    checked, and ``find`` resolves ids through it.  ``edges`` is a read-only
+    record array of ``EDGE_DTYPE``, one row per edge, with ``u < v``, rows
+    strictly ascending by ``(u, v)``, endpoints in ``vertices`` and finite
+    nonnegative weights.  Instances are immutable and safe to share across
+    workers; array code reads ``neighbor_csr``.
     """
 
     relation_name: str
@@ -216,7 +202,7 @@ class ClientGraph:
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         u, v, w = edges.u, edges.v, edges.weight
-        inside = np.isin(u, self.vertices) & np.isin(v, self.vertices)
+        inside = self.find(np.stack([u, v]))[1].all(axis=0)
         ascending = np.ones(len(edges), dtype=bool)
         ascending[1:] = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
         finite = np.isfinite(w)
@@ -231,20 +217,34 @@ class ClientGraph:
             raise ValueError(f"edge ({u[i]}, {v[i]}) {problem}")
 
     @cached_property
+    def positions(self) -> np.ndarray:
+        """Position of each id 0..max vertex id, -1 for an id in a gap.  One
+        more -1 follows, which ``find`` reads for every larger id."""
+        table = np.full(self.vertices[-1] + 2 if len(self.vertices) else 1, -1,
+                        dtype=np.int64)
+        table[self.vertices] = np.arange(len(self.vertices))
+        return table
+
+    def find(self, ids):
+        """(position, found) of each vertex id in ``ids``, by table lookup.
+        An id below 0, above the largest vertex id or in a gap is not found,
+        and its position means nothing."""
+        ids = np.asarray(ids)
+        pos = self.positions.take(ids, mode="clip")
+        return pos, (pos >= 0) & (ids >= 0)
+
+    @cached_property
     def neighbor_csr(self) -> GraphCSR:
         """The graph's one derived index, built on first use and cached.  Its
-        id map is ``vertices``, the row order of every matrix built from it."""
-        nodes = self.vertices
-        positions = _position_table(nodes)
-        ends = positions[np.stack([self.edges.u, self.edges.v], axis=1)]
+        positions are those of ``vertices``, the row order of every matrix
+        built from it."""
+        n = len(self.vertices)
+        ends = self.positions[np.stack([self.edges.u, self.edges.v], axis=1)]
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
         order = np.lexsort((cols, rows))
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
-        csr = GraphCSR(nodes, indptr, cols[order],
-                       np.tile(self.edges.weight, 2)[order])
-        csr.positions = positions       # the table of this id map, built once
-        return csr
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return GraphCSR(indptr, cols[order], np.tile(self.edges.weight, 2)[order])
 
 
 @dataclass
@@ -541,7 +541,8 @@ def incident_sums(graph: ClientGraph) -> np.ndarray:
     vertices get 0.0.  Each row is summed in ascending neighbor order.
     """
     csr = graph.neighbor_csr
-    return np.bincount(csr.rows, weights=csr.weights, minlength=len(csr.nodes))
+    return np.bincount(csr.rows, weights=csr.weights,
+                       minlength=len(graph.vertices))
 
 
 def zscore_features(features: np.ndarray, train_ids) -> np.ndarray:

@@ -89,9 +89,11 @@ def make_client(graph: ClientGraph, split: SplitAssignment, arch: str,
     labels = np.asarray(labels, dtype=np.int64)[nodes]
 
     def node_mask(ids):
-        mask = np.isin(nodes, ids)
-        if mask.sum() != len(ids):
+        at, found = graph.find(ids)
+        if not found.all():
             raise ValueError(f"client {client_id!r}: split ids outside the graph")
+        mask = np.zeros(len(nodes), dtype=bool)
+        mask[at] = True
         return mask
 
     train_mask = node_mask(split.train_ids)

@@ -8,12 +8,15 @@ edge weight on its own scale through a thresholded update and augments its
 local graph, never losing local evidence (max rule).  A fused graph is a
 plain ``ClientGraph``; ``edge_origins`` derives its edges' audit tags.
 
-Every step is array code over a graph's cached CSR (``neighbor_csr``), whose
-``positions`` table turns vertex ids into CSR positions; ``_find`` searches
-only sorted pair-key arrays.  One sender's shares to one receiver are one
-read-only ``np.recarray`` of ``SHARE_DTYPE``, the wire and audit format from
-emission through noise, fusion and dump.  A sender whose intersections with
-two receivers are equal emits its pre-noise batch once, for both.
+Every step is array code over a graph's cached CSR (``neighbor_csr``), and
+``ClientGraph.find`` turns vertex ids into CSR positions; ``_find`` searches
+only sorted pair-key arrays.  Where entries for one vertex pair must become
+one, they are merged one way: a stable ``argsort`` by pair key, then each
+run's largest value by ``np.maximum.reduceat``.  One sender's shares to one
+receiver are one read-only ``np.recarray`` of ``SHARE_DTYPE``, the wire and
+audit format from emission through noise, fusion and dump.  A sender whose
+intersections with two receivers are equal emits its pre-noise batch once,
+for both.
 """
 
 import itertools
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EDGE_DTYPE, ClientGraph, id_array, incident_sums, write_rows
+from .data import (EDGE_DTYPE, ClientGraph, _first_of_runs, id_array,
+                   incident_sums, write_rows)
 from .psi import PsiBackend, psi_ddh, psi_plain
 from .seeding import derive_seed
 
@@ -88,10 +92,10 @@ def _sender_view(graph: ClientGraph, common):
     and each entry's weight over its row's incident sum (0 for a zero
     weight, whose row sum may be 0 too)."""
     csr = graph.neighbor_csr
-    at, found = csr.find(id_array(common))
+    at, found = graph.find(id_array(common))
     if not found.all():
         raise ValueError("common vertices must be a subset of the graph's vertices")
-    is_common = np.zeros(len(csr.nodes), dtype=bool)
+    is_common = np.zeros(len(graph.vertices), dtype=bool)
     is_common[at] = True
     steps = np.divide(csr.weights, incident_sums(graph)[csr.rows],
                       out=np.zeros_like(csr.weights), where=csr.weights > 0)
@@ -106,28 +110,12 @@ def _find(sorted_keys: np.ndarray, query: np.ndarray):
     return pos, found
 
 
-def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
-    """Index of the first entry of each run of equal values in a sorted array."""
-    first = np.ones(len(sorted_keys), dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return np.flatnonzero(first)
-
-
-def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where ``b``'s entries fall in the ascending union of two ascending
-    arrays with no value in common: a mask over the union."""
-    from_b = np.zeros(len(a) + len(b), dtype=bool)
-    from_b[np.searchsorted(a, b) + np.arange(len(b))] = True
-    return from_b
-
-
-def _place(from_b: np.ndarray, a: np.ndarray, b) -> np.ndarray:
-    """``a``'s entries, in order, where ``from_b`` is False and ``b``'s where
-    it is True."""
-    out = np.empty(len(from_b), dtype=a.dtype)
-    out[from_b] = b
-    out[~from_b] = a
-    return out
+def _largest_per_key(keys: np.ndarray, values: np.ndarray):
+    """The distinct ``keys``, ascending, and each one's largest value."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = _first_of_runs(keys)
+    return keys[first], np.maximum.reduceat(values[order], first)
 
 
 def _shares(graph: ClientGraph, src, dst, values, hops) -> np.recarray:
@@ -176,7 +164,7 @@ def khop_shares(graph: ClientGraph, common, k: int) -> np.recarray:
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     csr, is_common, steps = _sender_view(graph, common)
-    n = len(csr.nodes)
+    n = len(graph.vertices)
     taken = csr.rows * n + csr.indices       # pair keys with a shorter path
     src = np.flatnonzero(is_common)
     walk, end, product = _extend(csr, steps, src, np.ones(len(src)))
@@ -189,14 +177,10 @@ def khop_shares(graph: ClientGraph, common, k: int) -> np.recarray:
         # walks that are no simple path (i-m-i, i-m-i-x, i-m-x-m, i-m-x-i)
         # end at i or at a direct neighbor of i, so these filters drop them
         new = (end != src) & is_common[end] & ~_find(taken, pair)[1]
-        # best product per pair: sort by pair, then product descending, and
-        # keep the first of each run
-        order = np.flatnonzero(new)[np.lexsort((-product[new], pair[new]))]
-        first = order[_first_of_runs(pair[order])]
-        keys = pair[first]
-        found.append((keys, product[first], np.full(len(keys), hops)))
+        keys, best = _largest_per_key(pair[new], product[new])
+        found.append((keys, best, np.full(len(keys), hops)))
         if hops < k:
-            taken = _place(_merge(taken, keys), taken, keys)
+            taken = np.sort(np.concatenate([taken, keys]))
     keys, best, hops = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((keys, hops, keys // n))
     keys = keys[order]
@@ -247,8 +231,8 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> ClientGraph:
     candidates adds no edge.  Rows come in (u, v) order.
     """
     csr = local.neighbor_csr
-    n = len(csr.nodes)
-    (src, dst), known = csr.find(np.stack([incoming.src, incoming.dst]))
+    n = len(local.vertices)
+    (src, dst), known = local.find(np.stack([incoming.src, incoming.dst]))
     unknown = ~known.all(axis=0)
     bad = np.flatnonzero(unknown | (src == dst))
     if len(bad):
@@ -272,25 +256,18 @@ def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> ClientGraph:
     candidate = np.maximum(
         update_edge(means[np.where(has_forward, forward, backward)], sums[u], cfg.lam),
         update_edge(means[np.where(has_backward, backward, forward)], sums[v], cfg.lam))
-    entries = csr.rows * n + csr.indices
-    at, in_local = _find(entries, pairs)
-    local_weight = np.zeros(len(pairs))
-    local_weight[in_local] = csr.weights[at[in_local]]
-
-    keep = in_local | (candidate > 0)
-    # a pair's fused row replaces its local edge; the other local edges stay
-    only_local = csr.rows < csr.indices     # each local edge once, in row order
-    only_local[at[in_local]] = False
-    fused_keys, local_keys = pairs[keep], entries[only_local]
-    from_local = _merge(fused_keys, local_keys)
-    keys = _place(from_local, fused_keys, local_keys)
+    # each local edge once, then each pair with a positive candidate; a pair
+    # keeps its largest weight
+    upper = csr.rows < csr.indices
+    sent = candidate > 0
+    keys, weights = _largest_per_key(
+        np.concatenate([csr.rows[upper] * n + csr.indices[upper], pairs[sent]]),
+        np.concatenate([csr.weights[upper], candidate[sent]]))
     return ClientGraph(
         relation_name=local.relation_name,
         vertices=local.vertices,
         edges=np.rec.fromarrays(
-            [csr.nodes[keys // n], csr.nodes[keys % n],
-             _place(from_local, np.maximum(local_weight, candidate)[keep],
-                    csr.weights[only_local])],
+            [local.vertices[keys // n], local.vertices[keys % n], weights],
             dtype=EDGE_DTYPE))
 
 
@@ -298,10 +275,10 @@ def edge_origins(local: ClientGraph, fused: ClientGraph, *batches) -> np.ndarray
     """Origin of each row of ``fused``, fused from share ``batches``: 'fused' if
     no local edge, else 'both' if its pair got a share (even of 0), else 'local'."""
     csr = local.neighbor_csr
-    n = len(csr.nodes)
+    n = len(local.vertices)
     sent = [np.minimum(*ends) * n + np.maximum(*ends) for ends, _ in
-            (csr.find(np.stack([b.src, b.dst])) for b in batches)]
-    u, v = csr.positions[np.stack([fused.edges.u, fused.edges.v])]
+            (local.find(np.stack([b.src, b.dst])) for b in batches)]
+    (u, v), _ = local.find(np.stack([fused.edges.u, fused.edges.v]))
     keys = u * n + v
     shared = _find(np.sort(np.concatenate(sent)), keys)[1]
     in_local = _find(csr.rows * n + csr.indices, keys)[1]

@@ -18,9 +18,9 @@ Two one-hidden-layer binary node classifiers over 64-bit floats:
   are kept (a uniform draw without replacement), and each row adds up its
   picked neighbor rows in CSR entry order, from 0.0, before the division.
 
-A_hat is a ``data.GraphCSR`` over the graph's vertices, the type of the
-graph's own index, so its products are that type's bit-exact ones.  It holds
-the CSR entries plus the diagonal, sorted by (row, column), each valued
+A_hat is a ``data.GraphCSR`` over the graph's vertex positions, the type of
+the graph's own index, so its products are that type's bit-exact ones.  It
+holds the CSR entries plus the diagonal, sorted by (row, column), each valued
 (d[row] * w) * d[col] with d = 1 / sqrt(row sums); entries exactly 0
 (zero-weight edges) are dropped.
 
@@ -147,7 +147,7 @@ def normalized_adjacency(graph: ClientGraph) -> GraphCSR:
     isolated vertices or zero-weight edges.
     """
     csr = graph.neighbor_csr
-    n = len(csr.nodes)
+    n = len(graph.vertices)
     loops = np.arange(n)
     # each self-loop goes after the row's entries below the diagonal; the
     # zero-weight entries stay for the degree sums, whose order fixes the
@@ -162,7 +162,7 @@ def normalized_adjacency(graph: ClientGraph) -> GraphCSR:
     values = (d_half[rows] * weights) * d_half[cols]
     kept = values != 0.0
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=n))))
-    return GraphCSR(csr.nodes, indptr, cols[kept], values[kept])
+    return GraphCSR(indptr, cols[kept], values[kept])
 
 
 def _fill(params: ModelParams, inputs: np.ndarray,

@@ -407,6 +407,11 @@ def test_client_graph_validation():
     with pytest.raises(ValueError, match="negative vertex id -3"):
         ClientGraph(relation_name="g", vertices=[4, -3, 0, -1],
                     edges=edge_array({}))
+    # an endpoint in a gap of the vertex set, or above its largest id
+    for pair in ((0, 3), (2, 5), (4, 10**12)):
+        with pytest.raises(ValueError, match="outside the vertex set"):
+            ClientGraph(relation_name="g", vertices=[0, 2, 4],
+                        edges=edge_array({pair: 1.0}))
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -457,8 +462,7 @@ def test_neighbor_csr_rows_sorted_and_complete():
     g = ClientGraph(relation_name="g", vertices=[9, 2, 5, 7],
                     edges=edge_array({(2, 9): 1.0, (2, 5): 0.0}))
     csr = g.neighbor_csr
-    assert csr.nodes is g.vertices
-    assert csr.nodes.tolist() == [2, 5, 7, 9]
+    assert g.vertices.tolist() == [2, 5, 7, 9]
     assert csr.indptr.tolist() == [0, 2, 3, 3, 4]       # 7 is isolated
     assert csr.indices.tolist() == [1, 3, 0, 0]
     assert csr.weights.tolist() == [0.0, 1.0, 0.0, 1.0]  # zero weight kept
@@ -468,14 +472,13 @@ def test_neighbor_csr_rows_sorted_and_complete():
     for _ in range(10):
         g = random_sparse_graph(rng)
         csr = g.neighbor_csr
-        assert csr.nodes is g.vertices
-        assert len(csr.nodes) == 9 and (np.diff(csr.nodes) > 0).all()
-        for p, v in enumerate(csr.nodes.tolist()):
+        assert len(csr.indptr) == 10 and (np.diff(g.vertices) > 0).all()
+        for p, v in enumerate(g.vertices.tolist()):
             row = slice(csr.indptr[p], csr.indptr[p + 1])
             expected = sorted((b if a == v else a, w)
                               for (a, b), w in edge_dict(g.edges).items()
                               if v in (a, b))
-            assert list(zip(csr.nodes[csr.indices[row]].tolist(),
+            assert list(zip(g.vertices[csr.indices[row]].tolist(),
                             csr.weights[row].tolist())) == expected
 
 
@@ -485,7 +488,7 @@ def test_incident_sums_are_csr_row_sums():
         g = random_sparse_graph(rng)
         sums = incident_sums(g)
         assert sums.shape == (len(g.vertices),)
-        for v, total in zip(g.neighbor_csr.nodes.tolist(), sums.tolist()):
+        for v, total in zip(g.vertices.tolist(), sums.tolist()):
             weights = sorted((b if a == v else a, w)
                              for (a, b), w in edge_dict(g.edges).items()
                              if v in (a, b))
@@ -503,7 +506,6 @@ def test_vertices_are_one_read_only_id_array():
         assert not g.vertices.flags.writeable
         with pytest.raises(ValueError):
             g.vertices[0] = 3
-        assert g.neighbor_csr.nodes is g.vertices
     # an id array is taken as it is, so a fused graph keeps the local array
     again = ClientGraph(relation_name="h", vertices=g.vertices, edges=edges)
     assert again.vertices is g.vertices
@@ -536,25 +538,26 @@ def test_id_array_sorts_and_deduplicates_as_np_unique(given):
 def test_position_table_finds_vertex_ids_as_a_binary_search_does():
     rng = np.random.default_rng(13)
     for _ in range(10):
-        csr = random_sparse_graph(rng).neighbor_csr     # ids with gaps, < 40
-        nodes, top = csr.nodes, int(csr.nodes[-1])
-        assert np.array_equal(csr.positions[nodes], np.arange(len(nodes)))
+        g = random_sparse_graph(rng)                    # ids with gaps, < 40
+        nodes, top = g.vertices, int(g.vertices[-1])
+        assert np.array_equal(g.positions[nodes], np.arange(len(nodes)))
         gaps = np.setdiff1d(np.arange(top), nodes)
-        assert (csr.positions[gaps] == -1).all()
+        assert (g.positions[gaps] == -1).all()
+        assert g.positions is g.positions               # built once
         queries = np.concatenate([
             nodes, gaps, [-1, -top, top + 1, top + 2, 10**12],
             [np.iinfo(np.int64).min, np.iinfo(np.int64).max]])
         rng.shuffle(queries)
-        pos, found = csr.find(queries)
+        pos, found = g.find(queries)
         assert found.tolist() == np.isin(queries, nodes).tolist()
         assert np.array_equal(pos[found], np.searchsorted(nodes, queries[found]))
         # a query array of any shape, as fuse passes (src, dst) rows
-        pos2, found2 = csr.find(np.stack([queries, queries[::-1]]))
+        pos2, found2 = g.find(np.stack([queries, queries[::-1]]))
         assert np.array_equal(found2, [found, found[::-1]])
         assert np.array_equal(pos2[found2], np.concatenate(
             [pos[found], pos[::-1][found[::-1]]]))
     empty = ClientGraph(relation_name="g", vertices=[], edges=edge_array({}))
-    _, found = empty.neighbor_csr.find([0, 1, -1])
+    _, found = empty.find([0, 1, -1])
     assert not found.any()
 
 

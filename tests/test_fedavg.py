@@ -85,6 +85,19 @@ def test_make_client_aligns_passed_labels_to_graph_vertices():
         assert np.array_equal(client.features, table.features[vertices])
         assert client.train_mask.tolist() == [True, False, True, False, True]
         assert client.test_mask.tolist() == [False, True, False, True, False]
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        vertices = np.sort(rng.choice(20, size=9, replace=False))
+        graph = ClientGraph(relation_name="part", vertices=vertices,
+                            edges=edge_array({}))
+        ids = rng.permutation(vertices)
+        split = SplitAssignment(train_ids=ids[:5], test_ids=ids[5:7])
+        client = make_client(graph, split, "sage", table.features, labels,
+                             **CLIENT_KW, seed=0)
+        assert np.array_equal(client.train_mask,
+                              np.isin(graph.vertices, split.train_ids))
+        assert np.array_equal(client.test_mask,
+                              np.isin(graph.vertices, split.test_ids))
 
 
 def test_make_client_caches_propagated_features_for_gcn():
@@ -102,6 +115,13 @@ def test_make_client_rejects_split_ids_outside_the_graph():
     with pytest.raises(ValueError, match="client 'part': split ids outside"):
         make_client(part, split, "gcn", table.features, table.labels,
                     **CLIENT_KW, seed=0)
+    # an id in a gap of a partial vertex set, below or above it
+    gapped = ClientGraph(relation_name="part", vertices=[2, 4, 7, 11, 16],
+                         edges=edge_array({(2, 7): 1.0}))
+    for train, test in (([2, 7], [4, 5]), ([2, 7], [1, 4]), ([2, 17], [4])):
+        with pytest.raises(ValueError, match="client 'part': split ids outside"):
+            make_client(gapped, SplitAssignment(train_ids=train, test_ids=test),
+                        "gcn", table.features, table.labels, **CLIENT_KW, seed=0)
 
 
 def test_make_client_sage_has_no_adjacency():

@@ -609,15 +609,19 @@ def test_fuse_returns_sorted_edge_array_with_aligned_provenance():
 
 
 def test_fuse_zero_candidate_adds_no_edge_and_keeps_local_zero_edge():
-    local = make_graph({(0, 1): 0.0, (1, 2): 1.0, (3, 4): 0.0}, 5)
+    local = make_graph({(0, 1): 0.0, (1, 2): 1.0, (2, 4): -0.0, (3, 4): 0.0}, 5)
     incoming = batch([(0, 1, 0.0), (2, 3, 0.0), (3, 2, 0.0),
-                      (0, 2, 0.0), (2, 0, 0.4)])
+                      (0, 2, 0.0), (2, 0, 0.4), (4, 2, 0.0)])
     fused = fuse(local, incoming, cfg())
     # (2, 3) had only zero shares; (0, 2) has one positive orientation
     assert edge_dict(fused.edges, edge_origins(local, fused, incoming)) == {
-        (0, 1): "both", (0, 2): "fused", (1, 2): "local", (3, 4): "local"}
+        (0, 1): "both", (0, 2): "fused", (1, 2): "local", (2, 4): "both",
+        (3, 4): "local"}
     assert edge_dict(fused.edges)[(0, 1)] == 0.0
     assert edge_dict(fused.edges)[(3, 4)] == 0.0
+    # a zero candidate enters no max, so a local weight keeps its own bits,
+    # -0.0 included (np.maximum(-0.0, 0.0) is 0.0)
+    assert np.signbit(edge_dict(fused.edges)[(2, 4)])
 
 
 # ------------------------------------------------------------- fusion round
@@ -955,7 +959,7 @@ def test_write_tags_matches_per_line_format_across_chunks(tmp_path, monkeypatch)
 
 def unique_khop_shares(graph, common, k):
     csr, is_common, steps = fusion_module._sender_view(graph, common)
-    n = len(csr.nodes)
+    n = len(graph.vertices)
     taken = csr.rows * n + csr.indices
     src = np.flatnonzero(is_common)
     walk, end, product = fusion_module._extend(csr, steps, src, np.ones(len(src)))
@@ -980,8 +984,8 @@ def unique_khop_shares(graph, common, k):
 def unique_fuse(local, incoming, lam):
     """(edges, origins) of ``fuse``."""
     csr = local.neighbor_csr
-    n = len(csr.nodes)
-    (src, dst), _ = fusion_module._find(csr.nodes,
+    n = len(local.vertices)
+    (src, dst), _ = fusion_module._find(local.vertices,
                                         np.stack([incoming.src, incoming.dst]))
     oriented, group = np.unique(src * n + dst, return_inverse=True)
     means = np.bincount(group, weights=incoming.value) / np.bincount(group)
@@ -1007,7 +1011,7 @@ def unique_fuse(local, incoming, lam):
     origins = np.concatenate([np.where(in_local, "both", "fused")[keep],
                               np.full(len(local.edges), "local")])
     edges = np.rec.fromarrays(
-        [csr.nodes[keys // n], csr.nodes[keys % n], weight[first]],
+        [local.vertices[keys // n], local.vertices[keys % n], weight[first]],
         dtype=EDGE_DTYPE)
     return edges, origins[first]
 
@@ -1024,6 +1028,7 @@ def random_graph_on(rng, ids, p, name):
 
 def test_sort_based_set_operations_match_the_unique_formulas():
     rng = np.random.default_rng(61)
+    fusions = []
     for trial in range(12):
         ids = sorted(int(i) for i in rng.choice(300, size=40, replace=False))
         local, *senders = (random_graph_on(rng, ids, 0.12, name)
@@ -1041,10 +1046,34 @@ def test_sort_based_set_operations_match_the_unique_formulas():
                 1.0, seed=trial))
         incoming = np.concatenate(sent).view(np.recarray)
         assert (incoming.value == 0).any() and (incoming.value > 0).any()
+        fusions.append((local, incoming))
+
+    # two 2-hop paths of product 1/4 to (0, 3) and two 3-hop paths of
+    # product 1/8 to (4, 7); 0 and 5 lie in different components
+    ties = make_graph({(0, 1): 1.0, (0, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0,
+                       (4, 5): 1.0, (5, 6): 1.0, (6, 7): 1.0, (4, 8): 1.0,
+                       (8, 9): 1.0, (7, 9): 1.0}, 10)
+    for common, k, want_rows in (
+            ([0, 3, 4, 7], 3, [(0, 3, 2, 0.25), (3, 0, 2, 0.25),
+                               (4, 7, 3, 0.125), (7, 4, 3, 0.125)]),
+            ([4, 7], 3, [(4, 7, 3, 0.125), (7, 4, 3, 0.125)]),  # hop 2 is empty
+            ([4, 7], 2, []),
+            ([0, 1], 3, []),                                     # adjacent
+            ([0, 5], 3, [])):                                    # unreachable
+        got = khop_shares(ties, common, k)
+        assert got.tolist() == want_rows, (common, k)
+        assert got.tobytes() == unique_khop_shares(ties, common, k).tobytes()
+
+    local = make_graph({(0, 1): 2.0, (0, 2): 0.0, (2, 3): 1.5}, 5)
+    fusions += [(local, batch([])),
+                (local, batch([(0, 1, 0.0)])),  # a local edge's only share is 0
+                (local, batch([(1, 0, 0.0), (0, 2, 0.0), (3, 4, 0.0),
+                               (4, 2, 0.3)]))]
+    for local, incoming in fusions:
         for lam in (0.3, 0.5):
             fused = fuse(local, incoming, cfg(lam=lam))
             edges, origins = unique_fuse(local, incoming, lam)
-            assert fused.edges.tobytes() == edges.tobytes(), trial
+            assert fused.edges.tobytes() == edges.tobytes()
             got = edge_origins(local, fused, incoming)
             assert got.dtype == origins.dtype
             assert got.tolist() == origins.tolist()
