@@ -13,8 +13,7 @@ import math
 
 from twosfgl.data import ClientGraph
 from twosfgl.fusion import (FusionConfig, apply_dp, edge_origins,
-                            normalize_edges, received, update_edge,
-                            virtual_fusion_round)
+                            normalize_edges, update_edge, virtual_fusion_round)
 
 
 def graph(name, edges, n=6):
@@ -73,8 +72,9 @@ for before, after in zip(clients, fused):
           f"{len(after.edges)} edges, gained {sorted(gained)}")
 
 # Where each fused edge came from follows from the local graph and the
-# shares the party received.
+# share batches the party received, one per sender.
 devices = fused[2]
-origins = edge_origins(clients[2], devices, received(traffic, "devices"))
+inbox = [traffic[sender, "devices"] for sender in ("payments", "messages")]
+origins = edge_origins(clients[2], devices, inbox)
 for (u, v, w), origin in zip(devices.edges.tolist(), origins.tolist()):
     print(f"  devices {(u, v)}: weight {w:.3f} ({origin})")

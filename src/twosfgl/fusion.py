@@ -3,10 +3,11 @@
 For every ordered pair of clients (sender, receiver) the sender normalizes
 each edge between common vertices by the source vertex's incident weight sum,
 optionally adds implied multi-hop shares, perturbs everything with Laplace
-noise, and transmits.  The receiver converts each normalized value back to an
-edge weight on its own scale through a thresholded update and augments its
-local graph, never losing local evidence (max rule).  A fused graph is a
-plain ``ClientGraph``; ``edge_origins`` derives its edges' audit tags.
+noise, and transmits.  Each receiver takes the batches sent to it, in sender
+order, converts each normalized value back to an edge weight on its own scale
+through a thresholded update and augments its local graph, never losing local
+evidence (max rule).  A fused graph is a plain ``ClientGraph``;
+``edge_origins`` derives its edges' audit tags.
 
 Every step is array code over a graph's cached CSR (``neighbor_csr``), and
 ``ClientGraph.find`` turns vertex ids into CSR positions; ``_find`` searches
@@ -16,7 +17,10 @@ run's largest value by ``np.maximum.reduceat``.  One sender's shares to one
 receiver are one read-only ``np.recarray`` of ``SHARE_DTYPE``, the wire and
 audit format from emission through noise, fusion and dump.  A sender whose
 intersections with two receivers are equal emits its pre-noise batch once,
-for both.
+for both.  A receiver reads its batches where they lie, column by column,
+and never concatenates them, and ``fuse`` drops each temporary at its last
+use: a round holds the batches it returns, the fused graphs and one
+receiver's working set.
 """
 
 import itertools
@@ -40,7 +44,6 @@ __all__ = [
     "update_edge",
     "fuse",
     "edge_origins",
-    "received",
     "virtual_fusion_round",
     "write_shares",
     "write_tags",
@@ -84,7 +87,8 @@ class FusionConfig:
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, 0.0, 1.0 - SHARE_CLAMP_DELTA)
+    """Clamp ``values`` to [0, 1 - delta] in place."""
+    return np.clip(values, 0.0, 1.0 - SHARE_CLAMP_DELTA, out=values)
 
 
 def _sender_view(graph: ClientGraph, common):
@@ -201,8 +205,9 @@ def apply_dp(shares: np.recarray, epsilon: float, seed: int = 0) -> np.recarray:
     if math.isinf(epsilon):
         return shares
     noisy = shares.copy()
-    noise = np.random.default_rng(seed).laplace(0.0, 1.0 / epsilon, size=len(noisy))
-    noisy.value = _clamp(noisy.value + noise)
+    values = np.random.default_rng(seed).laplace(0.0, 1.0 / epsilon, size=len(noisy))
+    values += shares.value
+    noisy.value = _clamp(values)
     return noisy
 
 
@@ -219,68 +224,136 @@ def update_edge(n_value, local_incident_sum, lam: float):
     return ratio / (1.0 - ratio) * base
 
 
-def fuse(local: ClientGraph, incoming, cfg: FusionConfig) -> ClientGraph:
-    """Augment the local graph with the weights implied by a share batch.
+def _share_keys(local: ClientGraph, batches) -> np.ndarray:
+    """The ``src * n + dst`` key of every share in ``batches``, over the
+    receiver's n positions, in sender then row order.  Each end column is
+    resolved once; a share naming a vertex the receiver lacks, or one
+    vertex twice, is refused."""
+    n = len(local.vertices)
+    keys = np.empty(sum(len(shares) for shares in batches), dtype=np.int64)
+    start = 0
+    for shares in batches:
+        src, known = local.find(shares.src)
+        dst, dst_known = local.find(shares.dst)
+        known &= dst_known
+        bad = np.flatnonzero(~known | (src == dst))
+        if len(bad):
+            share = shares[bad[0]]
+            if not known[bad[0]]:
+                raise ValueError(
+                    f"protocol violation: share ({share.src}, {share.dst}) references "
+                    f"a vertex unknown to client {local.relation_name!r}")
+            raise ValueError(f"protocol violation: self-referential share ({share.src})")
+        at = keys[start:start + len(shares)]
+        np.multiply(src, n, out=at)
+        at += dst
+        start += len(shares)
+    return keys
+
+
+def _pair_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Turn each ``src * n + dst`` key into its pair's ``min * n + max``,
+    in place."""
+    src, dst = np.divmod(keys, n)
+    np.minimum(src, dst, out=keys)
+    np.maximum(src, dst, out=dst)
+    keys *= n
+    keys += dst
+    return keys
+
+
+def _orientation_means(local: ClientGraph, batches):
+    """Each distinct ``src * n + dst`` key of the shares in ``batches``,
+    ascending, and the mean of its shares' values, summed in sender then
+    row order from 0.0."""
+    keys = _share_keys(local, batches)
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = _first_of_runs(keys)
+    oriented, counts = keys[first], np.diff(first, append=len(keys))
+    del keys, first
+    group = np.empty_like(order)            # each share's index in oriented
+    group[order] = np.repeat(np.arange(len(oriented)), counts)
+    del order
+    total = np.zeros(len(oriented))
+    start = 0
+    for shares in batches:
+        np.add.at(total, group[start:start + len(shares)], shares.value)
+        start += len(shares)
+    return oriented, total / counts
+
+
+def _positive_candidates(local: ClientGraph, oriented, means, lam: float):
+    """Each unordered pair of the ``oriented`` keys whose candidate weight is
+    positive, ascending, and that weight: the larger of the two endpoints'
+    ``update_edge`` of its orientation's mean, where an orientation nobody
+    sent borrows the other's."""
+    n = len(local.vertices)
+    pairs = _pair_keys(oriented.copy(), n)
+    pairs.sort()
+    pairs = pairs[_first_of_runs(pairs)]
+    u, v = np.divmod(pairs, n)
+    forward, has_forward = _find(oriented, pairs)
+    backward, has_backward = _find(oriented, v * n + u)
+    # an orientation nobody sent borrows the other's mean; each pair was
+    # sent one way at least, so the second borrow reads no borrowed entry
+    forward[~has_forward] = backward[~has_forward]
+    backward[~has_backward] = forward[~has_backward]
+    del has_forward, has_backward
+    sums = incident_sums(local)
+    candidate = update_edge(means[forward], sums[u], lam)
+    del forward, u
+    np.maximum(candidate, update_edge(means[backward], sums[v], lam), out=candidate)
+    sent = candidate > 0
+    return pairs[sent], candidate[sent]
+
+
+def fuse(local: ClientGraph, batches, cfg: FusionConfig) -> ClientGraph:
+    """Augment the local graph with the weights implied by the share
+    ``batches`` it received, a sequence in sender order (one batch is a
+    one-item list).  Only their ``src``, ``dst`` and ``value`` columns are
+    read, where they lie: the batches are never concatenated.
 
     Shares for the same unordered pair are averaged per orientation (src
-    side) first.  Each endpoint then yields a candidate weight via
-    update_edge with the receiver's own incident sum of that endpoint; an
-    orientation nobody sent borrows the other side's average.  The fused
-    weight is the max of the local weight and both candidates, so local
-    evidence is never destroyed; a pair with no local edge and two zero
-    candidates adds no edge.  Rows come in (u, v) order.
+    side) first, summed in sender then row order.  Each endpoint then
+    yields a candidate weight via update_edge with the receiver's own
+    incident sum of that endpoint; an orientation nobody sent borrows the
+    other side's average.  The fused weight is the max of the local weight
+    and both candidates, so local evidence is never destroyed; a pair with
+    no local edge and two zero candidates adds no edge.  Rows come in
+    (u, v) order.
     """
     csr = local.neighbor_csr
     n = len(local.vertices)
-    (src, dst), known = local.find(np.stack([incoming.src, incoming.dst]))
-    unknown = ~known.all(axis=0)
-    bad = np.flatnonzero(unknown | (src == dst))
-    if len(bad):
-        share = incoming[bad[0]]
-        if unknown[bad[0]]:
-            raise ValueError(
-                f"protocol violation: share ({share.src}, {share.dst}) references "
-                f"a vertex unknown to client {local.relation_name!r}")
-        raise ValueError(f"protocol violation: self-referential share ({share.src})")
-
-    # mean per orientation, each summed in list order
-    oriented, group = np.unique(src * n + dst, return_inverse=True)
-    means = np.bincount(group, weights=incoming.value) / np.bincount(group)
-    heads, tails = oriented // n, oriented % n
-    pairs = np.sort(np.minimum(heads, tails) * n + np.maximum(heads, tails))
-    pairs = pairs[_first_of_runs(pairs)]
-    u, v = pairs // n, pairs % n
-    forward, has_forward = _find(oriented, pairs)
-    backward, has_backward = _find(oriented, v * n + u)
-    sums = incident_sums(local)
-    candidate = np.maximum(
-        update_edge(means[np.where(has_forward, forward, backward)], sums[u], cfg.lam),
-        update_edge(means[np.where(has_backward, backward, forward)], sums[v], cfg.lam))
+    pairs, candidate = _positive_candidates(
+        local, *_orientation_means(local, batches), cfg.lam)
     # each local edge once, then each pair with a positive candidate; a pair
     # keeps its largest weight
     upper = csr.rows < csr.indices
-    sent = candidate > 0
     keys, weights = _largest_per_key(
-        np.concatenate([csr.rows[upper] * n + csr.indices[upper], pairs[sent]]),
-        np.concatenate([csr.weights[upper], candidate[sent]]))
+        np.concatenate([csr.rows[upper] * n + csr.indices[upper], pairs]),
+        np.concatenate([csr.weights[upper], candidate]))
+    del pairs, candidate
+    u, v = np.divmod(keys, n)
     return ClientGraph(
         relation_name=local.relation_name,
         vertices=local.vertices,
-        edges=np.rec.fromarrays(
-            [local.vertices[keys // n], local.vertices[keys % n], weights],
-            dtype=EDGE_DTYPE))
+        edges=np.rec.fromarrays([local.vertices[u], local.vertices[v], weights],
+                                dtype=EDGE_DTYPE))
 
 
-def edge_origins(local: ClientGraph, fused: ClientGraph, *batches) -> np.ndarray:
-    """Origin of each row of ``fused``, fused from share ``batches``: 'fused' if
-    no local edge, else 'both' if its pair got a share (even of 0), else 'local'."""
+def edge_origins(local: ClientGraph, fused: ClientGraph, batches) -> np.ndarray:
+    """Origin of each row of ``fused``, fused from the share ``batches``: 'fused'
+    if no local edge, else 'both' if its pair got a share (even of 0), else
+    'local'."""
     csr = local.neighbor_csr
     n = len(local.vertices)
-    sent = [np.minimum(*ends) * n + np.maximum(*ends) for ends, _ in
-            (local.find(np.stack([b.src, b.dst])) for b in batches)]
-    (u, v), _ = local.find(np.stack([fused.edges.u, fused.edges.v]))
-    keys = u * n + v
-    shared = _find(np.sort(np.concatenate(sent)), keys)[1]
+    sent = _pair_keys(_share_keys(local, batches), n)
+    sent.sort()
+    keys, _ = local.find(fused.edges.u)
+    keys *= n
+    keys += local.find(fused.edges.v)[0]
+    shared = _find(sent, keys)[1]
     in_local = _find(csr.rows * n + csr.indices, keys)[1]
     return np.where(in_local, np.where(shared, "both", "local"), "fused")
 
@@ -306,7 +379,8 @@ def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
     intersection with each receiver, perturbs them, and transmits.  A
     sender's pairs come one after another, so when its intersection with the
     next receiver equals the last one, the last pre-noise batch is reused:
-    only that one batch is held.  Each receiver fuses everything it got.
+    only that one batch is held.  Each receiver then fuses the batches sent
+    to it, in sender order, where they lie (see ``fuse``).
     Output order matches the input client order.  Also returns each ordered
     pair's share batch, read-only, for audit; at ``dp_epsilon = inf`` two
     pairs may hold the same array.  The PSI secrets and the DP noise of each
@@ -344,16 +418,11 @@ def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
     fused = []
     for client, name in zip(clients, names):
         try:
-            fused.append(fuse(client, received(shares_by_pair, name), cfg))
+            fused.append(fuse(client, [shares for (_, to), shares
+                                       in shares_by_pair.items() if to == name], cfg))
         except Exception as exc:
             raise RuntimeError(f"fusing client {name!r}: {exc}") from exc
     return fused, shares_by_pair
-
-
-def received(shares_by_pair: dict, receiver: str) -> np.recarray:
-    """Every batch sent to ``receiver``, concatenated in sender (dict) order."""
-    return np.concatenate([shares for (_, to), shares in shares_by_pair.items()
-                           if to == receiver]).view(np.recarray)
 
 
 def write_shares(shares: np.recarray, path, sender: str) -> None:

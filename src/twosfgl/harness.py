@@ -18,6 +18,7 @@ reads exactly those cells back, so a report describes the configured run and
 no other file in its directory.
 """
 
+import shutil
 from pathlib import Path
 
 from .config import ExperimentConfig
@@ -45,7 +46,9 @@ def prepare_data(cfg: ExperimentConfig, seed: int, out_dir: Path):
 def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir,
                    audit: bool = True):
     """Run one fusion round and dump the fused graphs and, with ``audit``,
-    each fused edge's origin tag and every share batch sent."""
+    each fused edge's origin tag and every share batch sent.  A batch that
+    one sender sent to two receivers (at ``fusion.dp_epsilon = inf``) is
+    formatted once, and its second file is a copy of the first."""
     graphs = [dataset.relations[name] for name in sorted(dataset.relations)]
     fused, shares_by_pair = virtual_fusion_round(
         graphs, cfg.fusion, seed=derive_seed(seed, "fusion"))
@@ -58,10 +61,16 @@ def fusion_outputs(cfg: ExperimentConfig, dataset, seed: int, dump_dir,
             name = graph.relation_name
             sent = [shares for (_, to), shares in shares_by_pair.items()
                     if to == name]
-            write_tags(graph, edge_origins(local, graph, *sent),
+            write_tags(graph, edge_origins(local, graph, sent),
                        dump_dir / f"tags_{name}.csv")
+        written = {}        # (sender, id of batch) -> the file it went to
         for (a, b), shares in sorted(shares_by_pair.items()):
-            write_shares(shares, dump_dir / f"shares_{a}_{b}.csv", a)
+            path = dump_dir / f"shares_{a}_{b}.csv"
+            if (a, id(shares)) in written:
+                shutil.copyfile(written[a, id(shares)], path)
+            else:
+                write_shares(shares, path, a)
+                written[a, id(shares)] = path
     return fused
 
 

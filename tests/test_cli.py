@@ -8,6 +8,7 @@ import pytest
 
 import twosfgl
 from twosfgl import fusion as fusion_module
+from twosfgl import harness
 from twosfgl.cli import main
 
 TINY = """
@@ -343,7 +344,8 @@ SMOKE_FUSE_DIGESTS = {
         "tags_rel1.csv": "e5139c8b287b11071f3a67cd065cd9b32d2faa99fc1260b80c955167480fe5d7",
         "tags_rel2.csv": "50cb0af14103c9baf6951c11dd163c69c001e682d381e936f05afb27efba40be",
     },
-    # at epsilon inf a sender's two batches are one batch, written twice
+    # at epsilon inf a sender's two batches are one batch: it is formatted
+    # once, and its second file is a copy
     "hops 1, epsilon inf": {
         "fused_rel0.csv": "a290a6ed89924ded7f6f645c1bd17c641025ee1d5884713539a1a1f70248924f",
         "fused_rel1.csv": "18a2ebf03b496e3dec82e5bc721102c75d9d7083850d62c3de4d89a511ac9348",
@@ -377,15 +379,25 @@ SMOKE_FUSE_DIGESTS = {
 
 @pytest.mark.parametrize("setting", list(SMOKE_FUSE_DIGESTS))
 def test_fuse_on_the_smoke_config_writes_the_pinned_bytes(setting, tmp_path,
-                                                          capsys):
+                                                          capsys, monkeypatch):
     hops, epsilon = (part.split()[1] for part in setting.split(", "))
     cfg = tmp_path / "smoke.cfg"
     cfg.write_text(SMOKE.read_text(encoding="utf-8")
                    + f"fusion.hops = {hops}\nfusion.dp_epsilon = {epsilon}\n",
                    encoding="utf-8")
+    formatted = []
+    real_write_shares = harness.write_shares
+
+    def counting(shares, path, sender):
+        formatted.append(path.name)
+        real_write_shares(shares, path, sender)
+
+    monkeypatch.setattr(harness, "write_shares", counting)
     out = tmp_path / "out"
     assert run_cli("fuse", "--config", cfg, "--out", out) == 0
     capsys.readouterr()
+    # one array per sender at epsilon inf, one per pair under noise
+    assert len(formatted) == (3 if epsilon == "inf" else 6)
     digests = {f.relative_to(out).as_posix():
                hashlib.sha256(f.read_bytes()).hexdigest()
                for f in out.rglob("*.csv")}

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -7,11 +9,13 @@ import pytest
 from edge_arrays import edge_array, edge_dict
 from psi_groups import ddh_small
 from twosfgl import fusion as fusion_module
+from twosfgl.config import load_config
 from twosfgl.data import EDGE_DTYPE, ClientGraph, incident_sums
 from twosfgl.fusion import (SHARE_CLAMP_DELTA, SHARE_DTYPE, FusionConfig,
                             apply_dp, edge_origins, fuse, khop_shares,
-                            normalize_edges, received, update_edge,
+                            normalize_edges, update_edge,
                             virtual_fusion_round, write_shares, write_tags)
+from twosfgl.harness import prepare_data
 from twosfgl.psi import psi_plain
 from twosfgl.seeding import derive_seed
 
@@ -50,6 +54,11 @@ def batch(rows):
     return np.array([(src, dst, hops[0] if hops else 1, value)
                      for src, dst, value, *hops in rows],
                     dtype=SHARE_DTYPE).view(np.recarray)
+
+
+def inbox(shares_by_pair, receiver):
+    """The batches ``receiver`` got in a round, in sender order."""
+    return [sent for (_, to), sent in shares_by_pair.items() if to == receiver]
 
 
 def random_common(rng, graph):
@@ -468,9 +477,9 @@ def cfg(lam=0.5, **kw):
 def test_fuse_materializes_remote_edge_single_orientation():
     local = make_graph({(0, 1): 4.0}, 4)
     incoming = batch([(2, 3, 0.2)])
-    fused = fuse(local, incoming, cfg())
+    fused = fuse(local, [incoming], cfg())
     edges = edge_dict(fused.edges)
-    tags = edge_dict(fused.edges, edge_origins(local, fused, incoming))
+    tags = edge_dict(fused.edges, edge_origins(local, fused, [incoming]))
     # both endpoints have no local edges -> unit base; borrowed orientation
     assert edges[(2, 3)] == pytest.approx(0.2 / 0.8)
     assert tags[(2, 3)] == "fused"
@@ -481,26 +490,31 @@ def test_fuse_materializes_remote_edge_single_orientation():
 def test_fuse_averages_per_orientation_and_takes_max():
     local = make_graph({(0, 1): 4.0}, 2)
     incoming = batch([(0, 1, 0.4), (0, 1, 0.2), (1, 0, 0.6)])
-    fused = fuse(local, incoming, cfg())
+    fused = fuse(local, [incoming], cfg())
     # orientation 0->1 averages to 0.3 -> (0.3/0.7)*4; 1->0 is 0.6 -> capped 4.0
     # max(local 4.0, 12/7, 4.0) = 4.0
     assert edge_dict(fused.edges) == {(0, 1): 4.0}
-    assert edge_origins(local, fused, incoming).tolist() == ["both"]
+    assert edge_origins(local, fused, [incoming]).tolist() == ["both"]
 
 
 def test_fuse_averages_three_senders_in_list_order():
     local = make_graph({(0, 1): 0.5, (1, 2): 1.5}, 3)
-    incoming = batch((0, 1, v) for v in (0.1, 0.2, 0.6))
-    fused = fuse(local, incoming, cfg())
-    mean = (0.1 + 0.2 + 0.6) / 3
-    # src 0: (mean/(1-mean))*0.5; borrowed src 1: (mean/(1-mean))*2.0 wins
-    assert edge_dict(fused.edges) == {(0, 1): (mean / (1.0 - mean)) * 2.0,
-                                      (1, 2): 1.5}
-    assert edge_origins(local, fused, incoming).tolist() == ["both", "local"]
+    # summed in sender then row order from 0.0 however the shares are
+    # batched: (0.1 + 0.1) + 0.4 is not 0.1 + (0.1 + 0.4)
+    mean = (0.1 + 0.1 + 0.4) / 3
+    for batches in ([batch([(0, 1, 0.1), (0, 1, 0.1), (0, 1, 0.4)])],
+                    [batch([(0, 1, 0.1)]), batch([(0, 1, 0.1), (0, 1, 0.4)])],
+                    [batch([(0, 1, v)]) for v in (0.1, 0.1, 0.4)]):
+        fused = fuse(local, batches, cfg())
+        # src 0: (mean/(1-mean))*0.5; borrowed src 1: (mean/(1-mean))*2.0 wins
+        assert edge_dict(fused.edges) == {(0, 1): (mean / (1.0 - mean)) * 2.0,
+                                          (1, 2): 1.5}
+        assert edge_origins(local, fused, batches).tolist() == ["both", "local"]
 
 
 def test_fuse_matches_loop_reference_bitwise():
-    rng = np.random.default_rng(44)
+    # fusing the batches of a random split equals fusing their concatenation
+    rng, splits = np.random.default_rng(44), np.random.default_rng(45)
     for _ in range(20):
         local = random_sparse_graph(rng, 10)
         ids = sorted(local.vertices)
@@ -511,23 +525,25 @@ def test_fuse_matches_loop_reference_bitwise():
             (ids[a], ids[b], v)
             for a, b, v in zip(rng.integers(0, 10, 40), rng.integers(0, 10, 40),
                                values) if a != b)
+        batches = np.split(incoming, np.sort(
+            splits.integers(0, len(incoming) + 1, size=splits.integers(0, 4))))
         for lam in (0.3, 0.5, 0.8):
-            fused = fuse(local, incoming, cfg(lam=lam))
+            fused = fuse(local, batches, cfg(lam=lam))
             edges, origins = loop_fuse(local, incoming, lam)
             assert edge_dict(fused.edges) == edges
             assert list(edge_dict(fused.edges)) == sorted(edges)
             assert edge_dict(fused.edges,
-                             edge_origins(local, fused, incoming)) == origins
+                             edge_origins(local, fused, batches)) == origins
 
 
 def test_fuse_remote_evidence_can_raise_local_weight():
     local = make_graph({(0, 1): 0.5, (1, 2): 1.5}, 3)
     incoming = batch([(0, 1, 0.4)])
-    fused = fuse(local, incoming, cfg())
+    fused = fuse(local, [incoming], cfg())
     # src 0: (0.4/0.6)*0.5 = 1/3; borrowed src 1: (0.4/0.6)*2.0 = 4/3
     assert edge_dict(fused.edges)[(0, 1)] == pytest.approx(4.0 / 3.0)
     assert edge_dict(fused.edges,
-                     edge_origins(local, fused, incoming))[(0, 1)] == "both"
+                     edge_origins(local, fused, [incoming]))[(0, 1)] == "both"
 
 
 def test_fuse_never_reduces_local_evidence():
@@ -536,7 +552,7 @@ def test_fuse_never_reduces_local_evidence():
         local = random_graph(rng, 6, p=0.5)
         incoming = batch((a, b, rng.uniform(0, 0.95))
                          for a, b in rng.integers(0, 6, size=(12, 2)) if a != b)
-        fused = fuse(local, incoming, cfg())
+        fused = fuse(local, [incoming], cfg())
         local_edges, fused_edges = edge_dict(local.edges), edge_dict(fused.edges)
         for key, w in local_edges.items():
             assert fused_edges[key] >= w
@@ -552,7 +568,7 @@ def test_fuse_cap_bounds_fused_weight():
         sums = incident_sums(local)
         incoming = batch((a, b, rng.uniform(0, 0.999999))
                          for a, b in rng.integers(0, 6, size=(15, 2)) if a != b)
-        fused = fuse(local, incoming, cfg(lam=lam))
+        fused = fuse(local, [incoming], cfg(lam=lam))
         cap_ratio = lam / (1 - lam)
         local_edges = edge_dict(local.edges)
         for (u, v), w in edge_dict(fused.edges).items():
@@ -564,34 +580,41 @@ def test_fuse_cap_bounds_fused_weight():
 def test_fuse_rejects_protocol_violations():
     local = make_graph({}, 3)
     with pytest.raises(ValueError, match="unknown to client"):
-        fuse(local, batch([(0, 9, 0.1)]), cfg())
+        fuse(local, [batch([(0, 9, 0.1)])], cfg())
     with pytest.raises(ValueError, match="self-referential"):
-        fuse(local, batch([(1, 1, 0.1)]), cfg())
+        fuse(local, [batch([(1, 1, 0.1)])], cfg())
     # vertex ids with gaps, the largest 9: an id below 0, above 9 or in a
-    # gap is unknown, and the first bad share is named
+    # gap is unknown, and the first bad share is named, whether it lies in
+    # the only batch or in the second of two
     local = ClientGraph(relation_name="g", vertices=[2, 5, 9],
                         edges=edge_array({(2, 9): 1.0}))
+
+    def inboxes(rows):
+        return [[batch(rows)], [batch([(9, 2, 0.3)]), batch(rows)]]
+
     for src, dst in [(2, -1), (-7, 5), (-1, -1), (9, 10), (11, 2),
                      (5, 2**62), (5, 4), (3, 9), (0, 2)]:
-        with pytest.raises(ValueError) as info:
-            fuse(local, batch([(2, 5, 0.2), (src, dst, 0.1), (5, 5, 0.1)]),
-                 cfg())
-        assert str(info.value) == (
-            f"protocol violation: share ({src}, {dst}) references a vertex "
-            "unknown to client 'g'")
+        for batches in inboxes([(2, 5, 0.2), (src, dst, 0.1), (5, 5, 0.1)]):
+            with pytest.raises(ValueError) as info:
+                fuse(local, batches, cfg())
+            assert str(info.value) == (
+                f"protocol violation: share ({src}, {dst}) references a vertex "
+                "unknown to client 'g'")
     for at in (2, 5, 9):
-        with pytest.raises(ValueError) as info:
-            fuse(local, batch([(2, 5, 0.2), (at, at, 0.1), (5, 4, 0.1)]), cfg())
-        assert str(info.value) == f"protocol violation: self-referential share ({at})"
-    fused = fuse(local, batch([(9, 5, 0.2), (2, 5, 0.1)]), cfg())
+        for batches in inboxes([(2, 5, 0.2), (at, at, 0.1), (5, 4, 0.1)]):
+            with pytest.raises(ValueError) as info:
+                fuse(local, batches, cfg())
+            assert str(info.value) == (
+                f"protocol violation: self-referential share ({at})")
+    fused = fuse(local, [batch([(9, 5, 0.2), (2, 5, 0.1)])], cfg())
     assert list(edge_dict(fused.edges)) == [(2, 5), (2, 9), (5, 9)]
 
 
 def test_fuse_without_incoming_is_identity_with_local_tags():
     local = make_graph({(0, 1): 2.0, (1, 2): 3.0}, 3)
-    fused = fuse(local, batch([]), cfg())
+    fused = fuse(local, [batch([])], cfg())
     assert edge_dict(fused.edges) == edge_dict(local.edges)
-    assert edge_origins(local, fused, batch([])).tolist() == ["local", "local"]
+    assert edge_origins(local, fused, [batch([])]).tolist() == ["local", "local"]
     assert fused.relation_name == local.relation_name
     assert fused.vertices is local.vertices
 
@@ -599,12 +622,12 @@ def test_fuse_without_incoming_is_identity_with_local_tags():
 def test_fuse_returns_sorted_edge_array_with_aligned_provenance():
     local = make_graph({(0, 3): 1.0, (1, 2): 2.0}, 5)
     incoming = batch([(4, 2, 0.3), (2, 1, 0.5), (0, 4, 0.1)])
-    fused = fuse(local, incoming, cfg())
+    fused = fuse(local, [incoming], cfg())
     assert type(fused) is ClientGraph
     assert isinstance(fused.edges, np.recarray)
     assert fused.edges.dtype == EDGE_DTYPE
     assert list(edge_dict(fused.edges)) == [(0, 3), (0, 4), (1, 2), (2, 4)]
-    assert edge_origins(local, fused, incoming).tolist() == [
+    assert edge_origins(local, fused, [incoming]).tolist() == [
         "local", "fused", "both", "fused"]
 
 
@@ -612,9 +635,9 @@ def test_fuse_zero_candidate_adds_no_edge_and_keeps_local_zero_edge():
     local = make_graph({(0, 1): 0.0, (1, 2): 1.0, (2, 4): -0.0, (3, 4): 0.0}, 5)
     incoming = batch([(0, 1, 0.0), (2, 3, 0.0), (3, 2, 0.0),
                       (0, 2, 0.0), (2, 0, 0.4), (4, 2, 0.0)])
-    fused = fuse(local, incoming, cfg())
+    fused = fuse(local, [incoming], cfg())
     # (2, 3) had only zero shares; (0, 2) has one positive orientation
-    assert edge_dict(fused.edges, edge_origins(local, fused, incoming)) == {
+    assert edge_dict(fused.edges, edge_origins(local, fused, [incoming])) == {
         (0, 1): "both", (0, 2): "fused", (1, 2): "local", (2, 4): "both",
         (3, 4): "local"}
     assert edge_dict(fused.edges)[(0, 1)] == 0.0
@@ -645,12 +668,34 @@ def test_fusion_round_share_traffic_and_output_order():
     assert sent[(1, 0)] == pytest.approx(1.0 / 3.0)
     assert sent[(1, 2)] == pytest.approx(2.0 / 3.0)
     assert sent[(2, 1)] == TOP  # 2.0/2.0 clamped
-    # each receiver fuses its batches concatenated in sender order
-    assert received(shares, "b").tobytes() == np.concatenate(
-        [shares[("a", "b")], shares[("c", "b")]]).tobytes()
+    # each receiver fuses the batches it got, in sender order
+    assert [id(sent) for sent in inbox(shares, "b")] == [
+        id(shares[("a", "b")]), id(shares[("c", "b")])]
     for client, graph in zip(clients, fused):
-        want = fuse(client, received(shares, client.relation_name), cfg())
+        want = fuse(client, inbox(shares, client.relation_name), cfg())
         assert graph.edges.tobytes() == want.edges.tobytes()
+
+
+def test_fuse_peaks_below_twice_the_bytes_of_its_inbox(tmp_path):
+    # the smoke config's third receiver gets two batches; fused where they
+    # lie they peak near 1.25 times their bytes, where concatenating them
+    # and stacking their ends first peaked near 4 times
+    smoke = load_config(Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg")
+    dataset = prepare_data(smoke, 0, tmp_path)
+    clients = [dataset.relations[name] for name in sorted(dataset.relations)]
+    fused, shares = virtual_fusion_round(clients, smoke.fusion)
+    receiver = clients[2]
+    batches = inbox(shares, receiver.relation_name)
+    assert len(batches) == 2
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        again = fuse(receiver, batches, smoke.fusion)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert again.edges.tobytes() == fused[2].edges.tobytes()
+    assert peak < 2 * sum(sent.nbytes for sent in batches)
 
 
 def test_fusion_round_fused_edge_value_hand_check():
@@ -662,7 +707,7 @@ def test_fusion_round_fused_edge_value_hand_check():
     # candidates: src 2: (0.25/0.75)*1 = 1/3; src 3: capped 1.0 * 2.0 = 2.0
     edges = edge_dict(c_fused.edges)
     assert edges[(2, 3)] == pytest.approx(2.0)
-    origins = edge_origins(clients[2], c_fused, received(shares, "c"))
+    origins = edge_origins(clients[2], c_fused, inbox(shares, "c"))
     assert edge_dict(c_fused.edges, origins)[(2, 3)] == "fused"
     assert edges[(3, 4)] == 2.0  # local evidence kept
 
@@ -684,8 +729,8 @@ def test_fusion_round_ddh_equals_plain():
         assert np.array_equal(fp.edges, fd.edges)
         name = client.relation_name
         assert np.array_equal(
-            edge_origins(client, fp, received(shares_plain, name)),
-            edge_origins(client, fd, received(shares_ddh, name)))
+            edge_origins(client, fp, inbox(shares_plain, name)),
+            edge_origins(client, fd, inbox(shares_ddh, name)))
 
 
 def overlapping_clients(rng):
@@ -724,7 +769,7 @@ def test_fusion_round_over_partial_vertex_overlap(hops, monkeypatch):
             clients, cfg(hops=hops, dp_epsilon=1.0, psi=backend), seed=6)
         fused_by_psi[name] = fused
         origins_by_psi[name] = [
-            edge_origins(c, g, received(shares, c.relation_name))
+            edge_origins(c, g, inbox(shares, c.relation_name))
             for c, g in zip(clients, fused)]
         assert sorted(seen) == [("a", "b"), ("a", "c"), ("b", "c")]
         for (a, b), sides in seen.items():
@@ -941,8 +986,8 @@ def test_write_tags_matches_per_line_format_across_chunks(tmp_path, monkeypatch)
     incoming = batch((ids[a], ids[b], v) for a, b, v in zip(
         rng.integers(0, 12, 30), rng.integers(0, 12, 30),
         rng.uniform(0, TOP, 30)) if a != b)
-    fused = fuse(local, incoming, cfg())
-    origins = edge_origins(local, fused, incoming)
+    fused = fuse(local, [incoming], cfg())
+    origins = edge_origins(local, fused, [incoming])
     assert {"local", "both", "fused"} <= set(origins.tolist())
     want = "# src,dst,origin\n" + "".join(
         f"{u},{v},{tag}\n" for (u, v, _), tag in zip(fused.edges.tolist(),
@@ -1044,9 +1089,9 @@ def test_sort_based_set_operations_match_the_unique_formulas():
             sent.append(apply_dp(np.concatenate(
                 [normalize_edges(sender, common), got]).view(np.recarray),
                 1.0, seed=trial))
-        incoming = np.concatenate(sent).view(np.recarray)
-        assert (incoming.value == 0).any() and (incoming.value > 0).any()
-        fusions.append((local, incoming))
+        values = np.concatenate([shares.value for shares in sent])
+        assert (values == 0).any() and (values > 0).any()
+        fusions.append((local, sent))
 
     # two 2-hop paths of product 1/4 to (0, 3) and two 3-hop paths of
     # product 1/8 to (4, 7); 0 and 5 lie in different components
@@ -1064,16 +1109,25 @@ def test_sort_based_set_operations_match_the_unique_formulas():
         assert got.tolist() == want_rows, (common, k)
         assert got.tobytes() == unique_khop_shares(ties, common, k).tobytes()
 
+    # fusing a list of batches equals fusing their concatenation
     local = make_graph({(0, 1): 2.0, (0, 2): 0.0, (2, 3): 1.5}, 5)
-    fusions += [(local, batch([])),
-                (local, batch([(0, 1, 0.0)])),  # a local edge's only share is 0
-                (local, batch([(1, 0, 0.0), (0, 2, 0.0), (3, 4, 0.0),
-                               (4, 2, 0.3)]))]
-    for local, incoming in fusions:
+    fusions += [(local, [batch([])]),           # the only batch is empty
+                (local, [batch([(0, 1, 0.0)])]),  # a local edge's only share is 0
+                (local, [batch([(1, 0, 0.0), (0, 2, 0.0), (3, 4, 0.0),
+                                (4, 2, 0.3)])]),
+                # two senders send one pair, local or not, in opposite
+                # orientations
+                (local, [batch([(0, 1, 0.3), (3, 4, 0.2)]),
+                         batch([(4, 3, 0.5), (1, 0, 0.6)])]),
+                # an empty batch between two others
+                (local, [batch([(4, 2, 0.3), (1, 3, 0.1)]), batch([]),
+                         batch([(2, 4, 0.1), (0, 3, 0.0), (1, 3, 0.4)])])]
+    for local, batches in fusions:
+        incoming = np.concatenate(batches).view(np.recarray)
         for lam in (0.3, 0.5):
-            fused = fuse(local, incoming, cfg(lam=lam))
+            fused = fuse(local, batches, cfg(lam=lam))
             edges, origins = unique_fuse(local, incoming, lam)
             assert fused.edges.tobytes() == edges.tobytes()
-            got = edge_origins(local, fused, incoming)
+            got = edge_origins(local, fused, batches)
             assert got.dtype == origins.dtype
             assert got.tolist() == origins.tolist()
