@@ -13,11 +13,11 @@ graphs and once on the fused ones, and prints the test AUC trajectory.
 import tempfile
 from pathlib import Path
 
-from twosfgl.config import ExperimentConfig
 from twosfgl.data import (balance_sample, load_dataset, stratified_split,
                           zscore_features)
 from twosfgl.fedavg import FederationConfig, make_client, train_federation
-from twosfgl.fusion import virtual_fusion_round
+from twosfgl.fusion import FusionConfig, virtual_fusion_round
+from twosfgl.harness import RATIO_HIGH, RATIO_LOW, TRAIN_FRAC
 from twosfgl.metrics import METRIC_NAMES, window_average
 from twosfgl.seeding import derive_seed
 from twosfgl.synth import SyntheticSpec, generate_synthetic
@@ -28,31 +28,28 @@ spec = SyntheticSpec(nodes=400, relations=3, intra_p=0.08, inter_p=0.008,
                      class_sep=0.5, coverage=0.6)
 node_path, relation_paths = generate_synthetic(spec, seed, out_dir)
 dataset = load_dataset(node_path, relation_paths)
-# sampling, split, fusion and model settings at their experiment defaults
-defaults = ExperimentConfig(synth=spec)
 
 # Same sampled nodes, split, and feature scaling for both runs, so the
-# only difference is the graph each client trains on.
+# only difference is the graph each client trains on.  Sampling and split
+# use the experiment's fixed settings.
 labels = dataset.nodes.labels
-sampled = balance_sample(labels, defaults.ratio_low, defaults.ratio_high,
+sampled = balance_sample(labels, RATIO_LOW, RATIO_HIGH,
                          seed=derive_seed(seed, "sample"))
-split = stratified_split(sampled, labels, defaults.train_frac,
+split = stratified_split(sampled, labels, TRAIN_FRAC,
                          seed=derive_seed(seed, "split"))
 features = zscore_features(dataset.nodes.features, split.train_ids)
 print(f"{len(sampled)} nodes sampled, {len(split.train_ids)} train / "
       f"{len(split.test_ids)} test")
 
 raw_graphs = [dataset.relations[k] for k in sorted(dataset.relations)]
-fused_graphs, _ = virtual_fusion_round(raw_graphs, defaults.fusion,
+fused_graphs, _ = virtual_fusion_round(raw_graphs, FusionConfig(),
                                        seed=derive_seed(seed, "fusion"))
 
 rounds = 60
 histories = {}
 for arm, graphs in (("fedavg_only", raw_graphs), ("2sfgl", fused_graphs)):
     clients = [make_client(g, split, "gcn", features, labels,
-                           seed=derive_seed(seed, "model"),
-                           fanout=defaults.fanout, lr=defaults.lr)
-               for g in graphs]
+                           seed=derive_seed(seed, "model")) for g in graphs]
     histories[arm] = train_federation(
         clients, FederationConfig(rounds=rounds), arm,
         seed=derive_seed(seed, "train"))

@@ -74,6 +74,9 @@ def _cmd_fuse(cfg) -> int:
         dest = out if len(cfg.seeds) == 1 else out / f"seed{seed}"
         try:
             dataset = prepare_data(cfg, seed, dest)
+        except Exception as exc:
+            raise RuntimeError(f"seed {seed}, stage data: {exc}") from exc
+        try:
             fusion_outputs(cfg, dataset, seed, dump_dir=dest)
         except Exception as exc:
             raise RuntimeError(f"seed {seed}, stage fusion: {exc}") from exc

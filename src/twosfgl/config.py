@@ -43,11 +43,6 @@ class ExperimentConfig:
     relation_paths: dict = field(default_factory=dict)
     fusion: FusionConfig = FusionConfig()
     federation: FederationConfig = FederationConfig()
-    ratio_low: float = 0.5
-    ratio_high: float = 2.0
-    train_frac: float = 0.6
-    fanout: int = 5
-    lr: float = 0.005
     window_lo: int = 60
     window_hi: int = 100
 
@@ -79,19 +74,6 @@ class ExperimentConfig:
             raise ConfigError("synth.* and data.* are mutually exclusive")
         if self.node_path is not None and not self.relation_paths:
             raise ConfigError("data.nodes given but no data.relation.<name> keys")
-        if not 0 < self.train_frac < 1:
-            raise ConfigError("split.train_frac must lie in (0, 1), got "
-                              f"{self.train_frac}")
-        # ratio_high = 0 would drop every positive, which no metric survives
-        if not 0 <= self.ratio_low <= self.ratio_high or self.ratio_high == 0:
-            raise ConfigError("sample ratios must satisfy 0 <= ratio_low <= "
-                              f"ratio_high, ratio_high > 0, got {self.ratio_low}"
-                              f" and {self.ratio_high}")
-        if not 0 < self.lr < math.inf:
-            raise ConfigError("model.lr must be positive and finite, got "
-                              f"{self.lr}")
-        if self.fanout < 1:
-            raise ConfigError(f"model.fanout must be >= 1, got {self.fanout}")
         if not 1 <= self.window_lo <= self.window_hi:
             raise ConfigError("report window must satisfy 1 <= lo <= hi")
         if self.window_hi > self.federation.rounds:
@@ -120,12 +102,6 @@ _SCHEMA = {
     "fusion.hops": ("fusion", "hops", int),
     "fusion.dp_epsilon": ("fusion", "dp_epsilon", float),
     "federation.rounds": ("federation", "rounds", int),
-    "federation.local_steps": ("federation", "local_steps", int),
-    "sample.ratio_low": ("top", "ratio_low", float),
-    "sample.ratio_high": ("top", "ratio_high", float),
-    "split.train_frac": ("top", "train_frac", float),
-    "model.fanout": ("top", "fanout", int),
-    "model.lr": ("top", "lr", float),
     "report.window_lo": ("top", "window_lo", int),
     "report.window_hi": ("top", "window_hi", int),
     "synth.nodes": ("synth", "nodes", int),

@@ -1,10 +1,11 @@
 """Stage 2: synchronous federated averaging over per-client GNNs.
 
-Each round the server broadcasts the global weights, every client runs its
-local full-batch optimizer step(s) on its own graph and train mask, and the
-server takes the sample-count-weighted average of the returned weights.
-Adam moment state stays on the client and is never averaged.  One round
-corresponds to one training epoch.
+Each round the server broadcasts the global weights, every client runs one
+local full-batch Adam step on its own graph and train mask, and the server
+takes the sample-count-weighted average of the returned weights.  Adam moment
+state stays on the client and is never averaged.  One round corresponds to
+one training epoch.  The model settings are fixed: ``FANOUT`` neighbors per
+node for SAGE sampling and Adam learning rate ``LEARNING_RATE``.
 
 Each client owns one ``gnn.ForwardCache``, which its forwards and backwards
 write into, so no two clients share memory.  ``_client_forward`` is the one
@@ -39,6 +40,10 @@ __all__ = [
     "train_federation",
 ]
 
+FANOUT = 5              # sage: neighbors sampled per node
+LEARNING_RATE = 0.005   # Adam step size
+
+
 @dataclass
 class ClientState:
     """One participant: its graph view, masks, weights, and optimizer."""
@@ -48,7 +53,6 @@ class ClientState:
     params: ModelParams
     adam: AdamState
     sample_count: int
-    fanout: int                          # sage: neighbors sampled per node
     features: np.ndarray = None          # rows aligned with node order
     labels: np.ndarray = None
     train_mask: np.ndarray = None
@@ -60,22 +64,18 @@ class ClientState:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """Knobs of the training stage: FedAvg rounds, and local optimizer steps
-    per client per round."""
+    """Knobs of the training stage: the number of FedAvg rounds."""
 
     rounds: int = 100
-    local_steps: int = 1
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.local_steps < 0:
-            raise ValueError("local_steps must be >= 0")
 
 
 def make_client(graph: ClientGraph, split: SplitAssignment, arch: str,
-                features: np.ndarray, labels: np.ndarray, seed: int,
-                fanout: int, lr: float) -> ClientState:
+                features: np.ndarray, labels: np.ndarray,
+                seed: int) -> ClientState:
     """Assemble a ClientState named after ``graph.relation_name``, with
     arrays aligned to the graph's node order (``graph.vertices``).
 
@@ -107,10 +107,10 @@ def make_client(graph: ClientGraph, split: SplitAssignment, arch: str,
         ax = adjacency @ feats
     return ClientState(
         client_id=client_id, graph=graph, params=params,
-        adam=init_adam(params, lr=lr), sample_count=int(train_mask.sum()),
-        features=feats, labels=labels, train_mask=train_mask,
-        test_mask=test_mask, adjacency=adjacency, propagated_features=ax,
-        fanout=fanout,
+        adam=init_adam(params, lr=LEARNING_RATE),
+        sample_count=int(train_mask.sum()), features=feats, labels=labels,
+        train_mask=train_mask, test_mask=test_mask, adjacency=adjacency,
+        propagated_features=ax,
         cache=ForwardCache.empty(len(nodes), params.W1.shape[1]))
 
 
@@ -146,7 +146,7 @@ def _client_forward(client: ClientState, params: ModelParams,
     cache = client.cache
     if client.adjacency is None:
         sage_forward(params, client.graph, client.features,
-                     fanout=client.fanout, seed=seed, cache=cache)
+                     fanout=FANOUT, seed=seed, cache=cache)
     elif cache.params is not params:
         gcn_forward(params, client.adjacency, client.propagated_features,
                     cache=cache)
@@ -154,30 +154,27 @@ def _client_forward(client: ClientState, params: ModelParams,
 
 
 def local_steps(client: ClientState, global_params: ModelParams,
-                round_seed: int, steps: int) -> float:
-    """Adopt the global weights, run the local optimizer steps, return the
-    last train loss (nan when steps == 0)."""
+                round_seed: int) -> float:
+    """Adopt the global weights, run one local Adam step, return its train
+    loss."""
     client.params = global_params
-    loss = float("nan")
-    for step in range(steps):
-        cache = _client_forward(
-            client, client.params,
-            seed=derive_seed(round_seed, client.client_id, step))
-        loss, grads = loss_and_grads(client.params, cache, client.labels,
-                                     client.train_mask)
-        client.params, client.adam = adam_step(client.params, grads, client.adam)
+    cache = _client_forward(client, global_params,
+                            seed=derive_seed(round_seed, client.client_id, 0))
+    loss, grads = loss_and_grads(global_params, cache, client.labels,
+                                 client.train_mask)
+    client.params, client.adam = adam_step(global_params, grads, client.adam)
     return loss
 
 
-def federated_round(clients, global_params: ModelParams, round_seed: int,
-                    steps: int):
-    """Broadcast, local steps, aggregate.  Returns (new global, train losses)."""
+def federated_round(clients, global_params: ModelParams, round_seed: int):
+    """Broadcast, one local step per client, aggregate.  Returns (new global,
+    train losses)."""
     if not clients:
         raise ValueError("federated_round requires at least one client")
     losses = []
     for client in clients:
         try:
-            losses.append(local_steps(client, global_params, round_seed, steps))
+            losses.append(local_steps(client, global_params, round_seed))
         except Exception as exc:
             raise RuntimeError(f"client {client.client_id!r}: {exc}") from exc
     new_global = aggregate([(c.params, c.sample_count) for c in clients])
@@ -216,8 +213,7 @@ def train_federation(clients, cfg: FederationConfig, arm: str,
     values = np.empty((cfg.rounds, len(METRIC_NAMES)))
     for round_index in range(1, cfg.rounds + 1):
         round_seed = derive_seed(seed, "round", round_index)
-        global_params, _ = federated_round(clients, global_params, round_seed,
-                                           steps=cfg.local_steps)
+        global_params, _ = federated_round(clients, global_params, round_seed)
         scores = evaluate_global(clients, global_params,
                                  seed=derive_seed(seed, "round-eval", round_index))
         values[round_index - 1] = [scores[name] for name in METRIC_NAMES]

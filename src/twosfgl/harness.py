@@ -1,7 +1,7 @@
 """End-to-end experiment driver.
 
-One experiment = a dataset (synthetic or loaded), a sampling/split policy,
-and a set of arms trained per seed:
+One experiment = a dataset (synthetic or loaded), a fixed sampling/split
+policy, and a set of arms trained per seed:
 
 * ``2sfgl``       — virtual fusion first, then federated training on the
                     fused graphs;
@@ -32,6 +32,11 @@ from .synth import generate_synthetic
 
 __all__ = ["prepare_data", "fusion_outputs", "run_arm", "run_experiment",
            "summarize", "write_summary", "write_table", "report_from_dir"]
+
+# the sampled nodes' positive/negative ratio lies in [RATIO_LOW, RATIO_HIGH]
+RATIO_LOW = 0.5
+RATIO_HIGH = 2.0
+TRAIN_FRAC = 0.6        # share of the sampled nodes in the train split
 
 
 def prepare_data(cfg: ExperimentConfig, seed: int, out_dir: Path):
@@ -89,8 +94,7 @@ def run_arm(cfg: ExperimentConfig, dataset, arm: str, split, features,
 
     model_seed = derive_seed(seed, "model")
     clients = [make_client(g, split, cfg.arch, features, dataset.nodes.labels,
-                           seed=model_seed, fanout=cfg.fanout, lr=cfg.lr)
-               for g in graphs]
+                           seed=model_seed) for g in graphs]
     return train_federation(clients, cfg.federation, arm,
                             seed=derive_seed(seed, "train"))
 
@@ -147,9 +151,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             raise RuntimeError(f"seed {seed}, stage data: {exc}") from exc
         labels = dataset.nodes.labels
         try:
-            sampled = balance_sample(labels, cfg.ratio_low, cfg.ratio_high,
+            sampled = balance_sample(labels, RATIO_LOW, RATIO_HIGH,
                                      seed=derive_seed(seed, "sample"))
-            split = stratified_split(sampled, labels, cfg.train_frac,
+            split = stratified_split(sampled, labels, TRAIN_FRAC,
                                      seed=derive_seed(seed, "split"))
             positives = int(labels[split.test_ids].sum())
             if not 0 < positives < len(split.test_ids):

@@ -113,11 +113,12 @@ class PsiBackend:
         list of e^secret mod p, in order.
 
         OpenSSL computes each power as a Diffie-Hellman exchange with peer
-        value e; the party's key is built once, here.  Callers check first
-        that ``secret`` lies in [1, order - 1] and that each element is a
-        subgroup element other than 1: OpenSSL refuses 0, 1, p - 1 and p as
-        peer values, and a secret of ``order`` makes it panic with an error
-        that ``except Exception`` does not catch.
+        value e; the party's key is built once, here.  ``secret`` must lie
+        in [1, order - 1], as ``random_secret``'s output does, and callers
+        check first that each element is a subgroup element other than 1:
+        OpenSSL refuses 0, 1, p - 1 and p as peer values, and a secret of
+        ``order`` makes it panic with an error that ``except Exception``
+        does not catch.
         """
         from cryptography.hazmat.primitives.asymmetric import dh
 
@@ -225,9 +226,7 @@ def _check_received(backend: PsiBackend, elements, what: str) -> None:
             f"group order {backend.order} is too small for this id set)")
 
 
-def psi_ddh(ids_a, ids_b, backend: PsiBackend,
-            secret_a: int | None = None, secret_b: int | None = None,
-            seed: int | None = None,
+def psi_ddh(ids_a, ids_b, backend: PsiBackend, seed: int | None = None,
             name_a: str = "A", name_b: str = "B") -> PsiResult:
     """Run the two-round blind-exponentiation intersection protocol.
 
@@ -237,15 +236,13 @@ def psi_ddh(ids_a, ids_b, backend: PsiBackend,
     computed from the peer's list.
 
     Both in-memory parties are simulated here; every message is appended to
-    the transcript exactly as it would cross the wire.
+    the transcript exactly as it would cross the wire.  Each party's secret
+    is ``backend.random_secret``'s: derived from ``seed`` and the party's
+    name, or drawn from OS randomness when ``seed`` is None.
     """
-    if secret_a is None:
-        secret_a = backend.random_secret(None if seed is None else derive_seed(seed, name_a))
-    if secret_b is None:
-        secret_b = backend.random_secret(None if seed is None else derive_seed(seed, name_b))
-    for s in (secret_a, secret_b):
-        if not 1 <= s < backend.order:
-            raise ValueError("secrets must lie in [1, order - 1]")
+    secret_a, secret_b = (
+        backend.random_secret(None if seed is None else derive_seed(seed, name))
+        for name in (name_a, name_b))
 
     power_a = backend.exponentiator(secret_a)
     power_b = backend.exponentiator(secret_b)

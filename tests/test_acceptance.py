@@ -28,8 +28,6 @@ from twosfgl.psi import encode_id, psi_ddh, psi_plain
 from twosfgl.synth import SyntheticSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-# the experiment's default model settings (ExperimentConfig.fanout, .lr)
-CLIENT_KW = dict(fanout=5, lr=0.005)
 
 
 # ---------------------------------------------------------------------- A1
@@ -178,16 +176,13 @@ def test_A3_gradients_and_fedavg_identities():
     graph = ClientGraph(relation_name="g", vertices=np.arange(12),
                         edges=edge_array(edges))
     split = SplitAssignment(train_ids=np.arange(8), test_ids=np.arange(8, 12))
-    twins = [make_client(graph, split, "gcn", x, table.labels, **CLIENT_KW,
-                         seed=5) for _ in range(3)]
-    solo = [make_client(graph, split, "gcn", x, table.labels, **CLIENT_KW,
-                        seed=5)]
+    twins = [make_client(graph, split, "gcn", x, table.labels, seed=5)
+             for _ in range(3)]
+    solo = [make_client(graph, split, "gcn", x, table.labels, seed=5)]
     g_twin, g_solo = twins[0].params.copy(), twins[0].params.copy()
     for round_index in range(4):
-        g_twin, _ = federated_round(twins, g_twin,
-                                    round_seed=round_index, steps=1)
-        g_solo, _ = federated_round(solo, g_solo,
-                                    round_seed=round_index, steps=1)
+        g_twin, _ = federated_round(twins, g_twin, round_seed=round_index)
+        g_solo, _ = federated_round(solo, g_solo, round_seed=round_index)
         assert np.array_equal(g_twin.W1, g_solo.W1)
         assert np.array_equal(g_twin.W2, g_solo.W2)
 

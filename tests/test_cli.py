@@ -8,7 +8,7 @@ import pytest
 
 import twosfgl
 from twosfgl import fusion as fusion_module
-from twosfgl import harness
+from twosfgl import cli, harness
 from twosfgl.cli import main
 
 TINY = """
@@ -100,6 +100,28 @@ def test_fuse_with_ddh_psi_writes_the_plain_csvs(tmp_path, monkeypatch):
     assert groups == [2048]
     assert len(outputs["plain"]) >= 7
     assert outputs["ddh"] == outputs["plain"]
+
+
+def test_fuse_names_the_stage_that_failed(cfg_path, tmp_path, capsys,
+                                          monkeypatch):
+    # a bad input file fails the data stage, as it does under run
+    (tmp_path / "nodes.csv").write_text("0,0,1.0\n1,7,2.0\n")
+    (tmp_path / "r.csv").write_text("0,1\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("data.nodes = nodes.csv\ndata.relation.r = r.csv\n")
+    for command in ("fuse", "run"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"twosfgl {command}: error: seed 0, stage data: " in err
+        assert "non-binary label 7 for node id 1" in err
+
+    def broken_fusion(*args, **kwargs):
+        raise ValueError("no round ran")
+
+    monkeypatch.setattr(cli, "fusion_outputs", broken_fusion)
+    assert run_cli("fuse", "--config", cfg_path, "--out", tmp_path / "f") == 1
+    assert "seed 0, stage fusion: no round ran" in capsys.readouterr().err
 
 
 def test_run_full_pipeline_prints_table(cfg_path, tmp_path, capsys):

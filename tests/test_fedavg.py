@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -16,9 +15,6 @@ from twosfgl.gnn import (HIDDEN_UNITS, ModelParams, adam_step, gcn_forward,
 from twosfgl.metrics import (METRIC_NAMES, EvalResult, RoundHistory, accuracy,
                              auc, gmean, macro_f1)
 from twosfgl.seeding import derive_seed
-
-# the experiment's default model settings (ExperimentConfig.fanout, .lr)
-CLIENT_KW = dict(fanout=5, lr=0.005)
 
 
 def make_world(seed, n=20, n_clients=2, features=4, p=0.3):
@@ -47,7 +43,7 @@ def build_clients(arch, seed=0, n_clients=2, **kw):
     table, graphs, split = make_world(seed, n_clients=n_clients, **kw)
     return [
         make_client(graphs[k], split, arch, table.features, table.labels,
-                    **CLIENT_KW, seed=derive_seed(seed, "client", k))
+                    seed=derive_seed(seed, "client", k))
         for k in range(n_clients)
     ], table, graphs, split
 
@@ -58,7 +54,7 @@ def build_clients(arch, seed=0, n_clients=2, **kw):
 def test_make_client_aligns_arrays_with_node_order():
     table, graphs, split = make_world(1)
     client = make_client(graphs[0], split, "gcn", table.features,
-                         table.labels, **CLIENT_KW, seed=0)
+                         table.labels, seed=0)
     assert client.client_id == "rel0"
     assert np.array_equal(client.features, table.features)  # ids are 0..n-1
     assert np.array_equal(client.labels, table.labels)
@@ -79,8 +75,7 @@ def test_make_client_aligns_passed_labels_to_graph_vertices():
     split = SplitAssignment(train_ids=[3, 8, 17], test_ids=[5, 13])
     labels = np.arange(20) % 2
     for arch in ("gcn", "sage"):
-        client = make_client(part, split, arch, table.features, labels,
-                             **CLIENT_KW, seed=0)
+        client = make_client(part, split, arch, table.features, labels, seed=0)
         assert client.labels.tolist() == [1, 1, 0, 1, 1]
         assert np.array_equal(client.features, table.features[vertices])
         assert client.train_mask.tolist() == [True, False, True, False, True]
@@ -93,7 +88,7 @@ def test_make_client_aligns_passed_labels_to_graph_vertices():
         ids = rng.permutation(vertices)
         split = SplitAssignment(train_ids=ids[:5], test_ids=ids[5:7])
         client = make_client(graph, split, "sage", table.features, labels,
-                             **CLIENT_KW, seed=0)
+                             seed=0)
         assert np.array_equal(client.train_mask,
                               np.isin(graph.vertices, split.train_ids))
         assert np.array_equal(client.test_mask,
@@ -103,7 +98,7 @@ def test_make_client_aligns_passed_labels_to_graph_vertices():
 def test_make_client_caches_propagated_features_for_gcn():
     table, graphs, split = make_world(1)
     client = make_client(graphs[0], split, "gcn", table.features,
-                         table.labels, **CLIENT_KW, seed=0)
+                         table.labels, seed=0)
     assert np.array_equal(client.propagated_features,
                           client.adjacency @ client.features)
 
@@ -113,21 +108,20 @@ def test_make_client_rejects_split_ids_outside_the_graph():
     part = ClientGraph(relation_name="part", vertices=np.arange(10),
                        edges=edge_array({}))
     with pytest.raises(ValueError, match="client 'part': split ids outside"):
-        make_client(part, split, "gcn", table.features, table.labels,
-                    **CLIENT_KW, seed=0)
+        make_client(part, split, "gcn", table.features, table.labels, seed=0)
     # an id in a gap of a partial vertex set, below or above it
     gapped = ClientGraph(relation_name="part", vertices=[2, 4, 7, 11, 16],
                          edges=edge_array({(2, 7): 1.0}))
     for train, test in (([2, 7], [4, 5]), ([2, 7], [1, 4]), ([2, 17], [4])):
         with pytest.raises(ValueError, match="client 'part': split ids outside"):
             make_client(gapped, SplitAssignment(train_ids=train, test_ids=test),
-                        "gcn", table.features, table.labels, **CLIENT_KW, seed=0)
+                        "gcn", table.features, table.labels, seed=0)
 
 
 def test_make_client_sage_has_no_adjacency():
     table, graphs, split = make_world(1)
     client = make_client(graphs[0], split, "sage", table.features,
-                         table.labels, **CLIENT_KW, seed=0)
+                         table.labels, seed=0)
     assert client.adjacency is None
     assert client.propagated_features is None
     assert client.params.W1.shape[0] == 2 * table.feature_width
@@ -136,11 +130,11 @@ def test_make_client_sage_has_no_adjacency():
 def test_make_client_seeded_init():
     table, graphs, split = make_world(2)
     a = make_client(graphs[0], split, "gcn", table.features, table.labels,
-                    **CLIENT_KW, seed=5)
+                    seed=5)
     b = make_client(graphs[1], split, "gcn", table.features, table.labels,
-                    **CLIENT_KW, seed=5)
+                    seed=5)
     c = make_client(graphs[0], split, "gcn", table.features, table.labels,
-                    **CLIENT_KW, seed=6)
+                    seed=6)
     assert np.array_equal(a.params.W1, b.params.W1)
     assert not np.array_equal(a.params.W1, c.params.W1)
     want = init_params("gcn", table.feature_width, seed=derive_seed(5, "init"))
@@ -153,7 +147,7 @@ def test_make_client_rejects_empty_train_mask():
     empty = SplitAssignment(train_ids=[], test_ids=np.arange(5))
     with pytest.raises(ValueError, match="empty train mask"):
         make_client(graphs[0], empty, "gcn", table.features, table.labels,
-                    **CLIENT_KW, seed=0)
+                    seed=0)
 
 
 # --------------------------------------------------------------- aggregate
@@ -229,36 +223,23 @@ def test_aggregate_validates_inputs():
 # -------------------------------------------------------------- local steps
 
 
-def test_local_steps_zero_adopts_weights_and_returns_nan():
-    clients, table, _, _ = build_clients("gcn", seed=7)
-    fresh = init_params("gcn", table.feature_width, seed=50)
-    loss = local_steps(clients[0], fresh, round_seed=1, steps=0)
-    assert math.isnan(loss)
-    assert clients[0].params is fresh
-
-
 def test_local_steps_match_manual_adam_loop():
     for arch in ("gcn", "sage"):
         clients, table, graphs, _ = build_clients(arch, seed=8, n_clients=1)
         client = clients[0]
         start = client.params.copy()
-        manual_params = start.copy()
-        manual_adam = client.adam
         round_seed = 123
-        for step in range(3):
-            if arch == "gcn":
-                _, cache = gcn_forward(manual_params, client.adjacency,
-                                       client.adjacency @ client.features)
-            else:
-                _, cache = sage_forward(
-                    manual_params, client.graph, client.features,
-                    fanout=client.fanout,
-                    seed=derive_seed(round_seed, client.client_id, step))
-            want_loss, grads = loss_and_grads(manual_params, cache,
-                                              client.labels, client.train_mask)
-            manual_params, manual_adam = adam_step(manual_params, grads,
-                                                   manual_adam)
-        got_loss = local_steps(client, start, round_seed, steps=3)
+        if arch == "gcn":
+            _, cache = gcn_forward(start, client.adjacency,
+                                   client.adjacency @ client.features)
+        else:
+            _, cache = sage_forward(
+                start, client.graph, client.features, fanout=fedavg.FANOUT,
+                seed=derive_seed(round_seed, client.client_id, 0))
+        want_loss, grads = loss_and_grads(start, cache, client.labels,
+                                          client.train_mask)
+        manual_params, _ = adam_step(start, grads, client.adam)
+        got_loss = local_steps(client, start, round_seed)
         assert np.array_equal(client.params.W1, manual_params.W1)
         assert np.array_equal(client.params.W2, manual_params.W2)
         assert got_loss == want_loss
@@ -270,7 +251,7 @@ def test_local_steps_match_manual_adam_loop():
 def test_federated_round_single_client_equals_local_training():
     clients, table, _, _ = build_clients("gcn", seed=9, n_clients=1)
     start = clients[0].params.copy()
-    new_global, losses = federated_round(clients, start, round_seed=5, steps=1)
+    new_global, losses = federated_round(clients, start, round_seed=5)
     assert np.array_equal(new_global.W1, clients[0].params.W1)
     assert len(losses) == 1 and np.isfinite(losses[0])
 
@@ -281,15 +262,15 @@ def test_federated_round_identical_clients_match_centralized():
     table, graphs, split = make_world(10, n_clients=1)
     twin_a, twin_b, solo = (
         make_client(graphs[0], split, "gcn", table.features, table.labels,
-                    **CLIENT_KW, seed=0) for _ in range(3))
+                    seed=0) for _ in range(3))
     shared = twin_a.params.copy()
     global_fed = shared.copy()
     global_solo = shared.copy()
     for round_index in range(5):
         global_fed, _ = federated_round([twin_a, twin_b], global_fed,
-                                        round_seed=round_index, steps=1)
+                                        round_seed=round_index)
         global_solo, _ = federated_round([solo], global_solo,
-                                         round_seed=round_index, steps=1)
+                                         round_seed=round_index)
         assert np.array_equal(global_fed.W1, global_solo.W1)
         assert np.array_equal(global_fed.W2, global_solo.W2)
 
@@ -299,22 +280,18 @@ def test_federated_round_wraps_client_failures():
     # corrupt one client
     clients[1].propagated_features = clients[1].propagated_features[:, :2]
     with pytest.raises(RuntimeError, match="client 'rel1'"):
-        federated_round(clients, clients[0].params.copy(), round_seed=0,
-                        steps=1)
+        federated_round(clients, clients[0].params.copy(), round_seed=0)
     with pytest.raises(ValueError, match="at least one client"):
-        federated_round([], init_params("gcn", 4), round_seed=0, steps=1)
+        federated_round([], init_params("gcn", 4), round_seed=0)
 
 
 def test_federation_config_validation():
     assert FederationConfig().rounds == 100
-    assert FederationConfig().local_steps == 1
     # the arm is a history label, passed to train_federation
     with pytest.raises(TypeError):
         FederationConfig(arm="2sfgl")
     with pytest.raises(ValueError):
         FederationConfig(rounds=0)
-    with pytest.raises(ValueError):
-        FederationConfig(local_steps=-1)
 
 
 # ----------------------------------------------------------- evaluate_global
@@ -343,8 +320,8 @@ def test_local_steps_ignore_an_evaluation_of_other_params():
     fresh, table, _, _ = build_clients("gcn", seed=13)
     evaluate_global(evaluated, evaluated[0].params.copy())
     other = init_params("gcn", table.feature_width, seed=77)
-    got = local_steps(evaluated[0], other, round_seed=4, steps=2)
-    want = local_steps(fresh[0], other, round_seed=4, steps=2)
+    got = local_steps(evaluated[0], other, round_seed=4)
+    want = local_steps(fresh[0], other, round_seed=4)
     assert got == want
     assert np.array_equal(evaluated[0].params.W1, fresh[0].params.W1)
     assert np.array_equal(evaluated[0].params.W2, fresh[0].params.W2)
@@ -380,7 +357,7 @@ def test_train_federation_forward_count(monkeypatch, arch, expected):
 
 def reference_federation(clients, cfg, arm, seed):
     """train_federation with a fresh forward, into freshly allocated
-    arrays, for every training step and every evaluation; returns (history,
+    arrays, for every local step and every evaluation; returns (history,
     final global params)."""
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc,
            "gmean": gmean}
@@ -390,22 +367,19 @@ def reference_federation(clients, cfg, arm, seed):
             return gcn_forward(params, client.adjacency,
                                client.propagated_features)
         return sage_forward(params, client.graph, client.features,
-                            fanout=client.fanout, seed=seed)
+                            fanout=fedavg.FANOUT, seed=seed)
 
     global_params = clients[0].params.copy()
     values = np.empty((cfg.rounds, len(METRIC_NAMES)))
     for round_index in range(1, cfg.rounds + 1):
         round_seed = derive_seed(seed, "round", round_index)
         for client in clients:
-            client.params = global_params
-            for step in range(cfg.local_steps):
-                _, cache = forward(
-                    client, client.params,
-                    derive_seed(round_seed, client.client_id, step))
-                _, grads = loss_and_grads(client.params, cache, client.labels,
-                                          client.train_mask)
-                client.params, client.adam = adam_step(client.params, grads,
-                                                       client.adam)
+            _, cache = forward(client, global_params,
+                               derive_seed(round_seed, client.client_id, 0))
+            _, grads = loss_and_grads(global_params, cache, client.labels,
+                                      client.train_mask)
+            client.params, client.adam = adam_step(global_params, grads,
+                                                   client.adam)
         global_params = aggregate([(c.params, c.sample_count)
                                    for c in clients])
         eval_seed = derive_seed(seed, "round-eval", round_index)
@@ -424,9 +398,8 @@ def reference_federation(clients, cfg, arm, seed):
 
 
 @pytest.mark.parametrize("arch", ["gcn", "sage"])
-@pytest.mark.parametrize("steps", [1, 3])
-def test_train_federation_matches_fresh_forward_reference(arch, steps):
-    cfg = FederationConfig(rounds=5, local_steps=steps)
+def test_train_federation_matches_fresh_forward_reference(arch):
+    cfg = FederationConfig(rounds=5)
     clients, _, _, _ = build_clients(arch, seed=20, n_clients=3)
     history = train_federation(clients, cfg, "x", seed=6)
     final = aggregate([(c.params, c.sample_count) for c in clients])
@@ -475,12 +448,11 @@ def test_steady_state_gcn_round_allocates_less_than_a_hidden_layer():
     n = 2000
     table, graphs, split = sparse_world(22, n)
     clients = [make_client(graph, split, "gcn", table.features, table.labels,
-                           **CLIENT_KW, seed=k) for k, graph in enumerate(graphs)]
+                           seed=k) for k, graph in enumerate(graphs)]
     global_params = clients[0].params.copy()
 
     def one_round(round_index, params):
-        params, _ = federated_round(clients, params,
-                                    round_seed=round_index, steps=1)
+        params, _ = federated_round(clients, params, round_seed=round_index)
         evaluate_global(clients, params, seed=round_index)
         return params
 
@@ -519,13 +491,6 @@ def test_train_federation_seed_matters_only_for_sampling_arch():
     clients, _, _, _ = build_clients("sage", seed=16)
     h4 = train_federation(clients, FederationConfig(rounds=3), "x", seed=2)
     assert not np.array_equal(h3.values, h4.values)
-
-
-def test_train_federation_zero_local_steps_freezes_metrics():
-    clients, _, _, _ = build_clients("gcn", seed=17)
-    history = train_federation(
-        clients, FederationConfig(rounds=3, local_steps=0), "x", seed=0)
-    assert np.all(history.values == history.values[0])
 
 
 def test_train_federation_rejects_empty_client_list():

@@ -4,6 +4,7 @@ import pytest
 from twosfgl.config import ExperimentConfig, parse_config
 from twosfgl.data import load_dataset
 from twosfgl.fedavg import FederationConfig
+from twosfgl import harness
 from twosfgl.fusion import FusionConfig
 from twosfgl.harness import (fusion_outputs, prepare_data, report_from_dir,
                              run_arm, run_experiment, summarize, write_summary,
@@ -159,7 +160,7 @@ def test_run_experiment_sage_arch_runs(tmp_path):
     assert ("2sfgl", "auc") in summary
 
 
-def test_run_experiment_errors_name_seed_and_stage(tmp_path):
+def test_run_experiment_errors_name_seed_and_stage(tmp_path, monkeypatch):
     bad_data = parse_config("data.nodes = missing.csv\n"
                             "data.relation.x = also_missing.csv\n",
                             base_dir=tmp_path)
@@ -185,11 +186,14 @@ def test_run_experiment_errors_name_seed_and_stage(tmp_path):
                        "needs both classes, got 0 positive of 1 nodes"):
         run_experiment(one_class_test, out_dir=tmp_path / "out4")
 
-    broken_train = tiny_config(arch="sage", arms=("fedavg_only",))
-    broken_train.fanout = 0   # set past the load-time check, to fail in train
-    with pytest.raises(RuntimeError,
-                       match="seed 0, arm fedavg_only, stage train"):
-        run_experiment(broken_train, out_dir=tmp_path / "out2")
+    def broken_train(*args, **kwargs):
+        raise ValueError("no round ran")
+
+    monkeypatch.setattr(harness, "train_federation", broken_train)
+    with pytest.raises(RuntimeError, match="seed 0, arm fedavg_only, stage "
+                       "train: no round ran"):
+        run_experiment(tiny_config(arms=("fedavg_only",)),
+                       out_dir=tmp_path / "out2")
 
 
 # ---------------------------------------------------------------- summaries

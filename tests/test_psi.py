@@ -93,18 +93,6 @@ def test_ddh_unseeded_secrets_still_correct():
     assert_id_array(res.intersection_a, [2, 3])
 
 
-def test_ddh_explicit_secrets():
-    res = psi_ddh([1, 2], [2, 9], small(), secret_a=12345, secret_b=67890)
-    assert_id_array(res.intersection_a, [2])
-    with pytest.raises(ValueError, match="secrets"):
-        psi_ddh([1], [1], small(), secret_a=0, secret_b=5)
-    # refused before OpenSSL sees the secret: there a secret of ``order``
-    # panics with a BaseException
-    for backend in (small(), PsiBackend()):
-        with pytest.raises(ValueError, match="secrets"):
-            psi_ddh([1], [1], backend, secret_a=5, secret_b=backend.order)
-
-
 def test_ddh_requires_ddh_backend():
     # no silent fallback to the 62-bit test group
     with pytest.raises(TypeError, match="backend"):
