@@ -130,9 +130,9 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
 
 class GraphCSR:
     """A square sparse matrix over positions 0..n-1 in CSR layout, n being
-    ``len(indptr) - 1``: a graph's neighbor index, or the normalized
-    adjacency built from it.  What vertex a position stands for is the
-    graph's business (``ClientGraph.vertices``).
+    ``len(indptr) - 1``: a graph's neighbor index, the normalized
+    adjacency built from it, or a SAGE neighbor sample.  What vertex a
+    position stands for is the graph's business (``ClientGraph.vertices``).
 
     Row p holds the column positions ``indices[indptr[p]:indptr[p + 1]]``,
     ascending, with their ``weights``; ``rows`` is each entry's row,

@@ -2,7 +2,7 @@
 
 For every ordered pair of clients (sender, receiver) the sender normalizes
 each edge between common vertices by the source vertex's incident weight sum,
-optionally adds implied multi-hop shares, perturbs everything with Laplace
+optionally adds implied 2-hop shares, perturbs everything with Laplace
 noise, and transmits.  Each receiver takes the batches sent to it, in sender
 order, converts each normalized value back to an edge weight on its own scale
 through a thresholded update and augments its local graph, never losing local
@@ -53,7 +53,7 @@ __all__ = [
 SHARE_CLAMP_DELTA = 1e-6
 
 # One share per row: the src-dst edge weight over src's incident sum (orientation
-# matters), clamped to [0, 1 - delta]; hops is 1 direct, 2 or 3 for implied paths.
+# matters), clamped to [0, 1 - delta]; hops is 1 direct, 2 for an implied 2-hop path.
 SHARE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64),
                         ("hops", np.int64), ("value", np.float64)])
 
@@ -63,9 +63,10 @@ class FusionConfig:
     """Knobs of the fusion stage.
 
     ``lam`` caps how much remote evidence can inflate a fused edge;
-    ``dp_epsilon`` adds Laplace(1/epsilon) noise to share values only (``inf``
-    turns it off): the (src, dst) pairs travel in the clear, so the sent pairs
-    are the same at every epsilon and the fused edge set loses only the pairs
+    ``hops = 2`` adds 2-hop path shares to the direct ones; ``dp_epsilon``
+    adds Laplace(1/epsilon) noise to share values only (``inf`` turns it
+    off): the (src, dst) pairs travel in the clear, so the sent pairs are
+    the same at every epsilon and the fused edge set loses only the pairs
     whose shares were all clamped to 0, and one edge changes every share at
     both its endpoints, so this is not edge-level epsilon-DP; ``psi`` is the
     DDH group that intersects each pair's vertex sets, or None for the plain
@@ -80,8 +81,8 @@ class FusionConfig:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie strictly between 0 and 1")
-        if self.hops not in (1, 2, 3):
-            raise ValueError("hops must be 1, 2, or 3")
+        if self.hops not in (1, 2):
+            raise ValueError("hops must be 1 or 2")
         if not (self.dp_epsilon > 0):
             raise ValueError("dp_epsilon must be positive (math.inf disables noise)")
 
@@ -155,40 +156,26 @@ def _extend(csr, steps, at, value):
     return walk[keep], csr.indices[entry[keep]], product[keep]
 
 
-def khop_shares(graph: ClientGraph, common, k: int) -> np.recarray:
-    """Implied shares for common pairs connected only through short paths.
+def khop_shares(graph: ClientGraph, common) -> np.recarray:
+    """Implied shares for common pairs connected only through 2-hop paths.
 
-    For common i, j with no direct edge but some path of length h <= k
-    (h = shortest such length, intermediate vertices unrestricted), the share
-    value is the maximum over length-h paths of the product of per-hop
-    normalized values.  Emitted in addition to the 1-hop shares, sorted by
-    (src, hops, dst).  A zero-weight edge carries no path, yet its endpoints
-    count as directly connected.
+    For common i, j with no direct edge but some path i-m-j (m any vertex),
+    the share value is the maximum over such m of the product of the two
+    per-hop normalized values.  Emitted in addition to the 1-hop shares,
+    sorted by (src, dst).  A zero-weight edge carries no path, yet its
+    endpoints count as directly connected.
     """
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
     csr, is_common, steps = _sender_view(graph, common)
     n = len(graph.vertices)
-    taken = csr.rows * n + csr.indices       # pair keys with a shorter path
-    src = np.flatnonzero(is_common)
-    walk, end, product = _extend(csr, steps, src, np.ones(len(src)))
-    src = src[walk]
-    found = []
-    for hops in range(2, k + 1):
-        walk, end, product = _extend(csr, steps, end, product)
-        src = src[walk]
-        pair = src * n + end
-        # walks that are no simple path (i-m-i, i-m-i-x, i-m-x-m, i-m-x-i)
-        # end at i or at a direct neighbor of i, so these filters drop them
-        new = (end != src) & is_common[end] & ~_find(taken, pair)[1]
-        keys, best = _largest_per_key(pair[new], product[new])
-        found.append((keys, best, np.full(len(keys), hops)))
-        if hops < k:
-            taken = np.sort(np.concatenate([taken, keys]))
-    keys, best, hops = (np.concatenate(part) for part in zip(*found))
-    order = np.lexsort((keys, hops, keys // n))
-    keys = keys[order]
-    return _shares(graph, keys // n, keys % n, best[order], hops[order])
+    first = is_common[csr.rows] & (steps > 0)
+    walk, end, product = _extend(csr, steps, csr.indices[first], steps[first])
+    src = csr.rows[first][walk]
+    pair = src * n + end
+    # a walk i-m-i is no path and ends at i; a direct neighbor of i has a
+    # 1-hop share or a zero-weight edge
+    new = (end != src) & is_common[end] & ~_find(csr.rows * n + csr.indices, pair)[1]
+    keys, best = _largest_per_key(pair[new], product[new])
+    return _shares(graph, keys // n, keys % n, best, 2)
 
 
 def apply_dp(shares: np.recarray, epsilon: float, seed: int = 0) -> np.recarray:
@@ -200,7 +187,7 @@ def apply_dp(shares: np.recarray, epsilon: float, seed: int = 0) -> np.recarray:
     ``epsilon = inf`` returns the batch itself.  Noisy values are clamped
     back to [0, 1 - delta]; the noise is drawn in row order from ``seed``.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if math.isinf(epsilon):
         return shares
@@ -227,8 +214,8 @@ def update_edge(n_value, local_incident_sum, lam: float):
 def _share_keys(local: ClientGraph, batches) -> np.ndarray:
     """The ``src * n + dst`` key of every share in ``batches``, over the
     receiver's n positions, in sender then row order.  Each end column is
-    resolved once; a share naming a vertex the receiver lacks, or one
-    vertex twice, is refused."""
+    resolved once; a share naming a vertex the receiver lacks or one vertex
+    twice, or valued outside [0, 1 - delta] (NaN included), is refused."""
     n = len(local.vertices)
     keys = np.empty(sum(len(shares) for shares in batches), dtype=np.int64)
     start = 0
@@ -236,14 +223,20 @@ def _share_keys(local: ClientGraph, batches) -> np.ndarray:
         src, known = local.find(shares.src)
         dst, dst_known = local.find(shares.dst)
         known &= dst_known
-        bad = np.flatnonzero(~known | (src == dst))
+        in_range = (shares.value >= 0.0) & (shares.value <= 1.0 - SHARE_CLAMP_DELTA)
+        bad = np.flatnonzero(~known | (src == dst) | ~in_range)
         if len(bad):
             share = shares[bad[0]]
             if not known[bad[0]]:
                 raise ValueError(
                     f"protocol violation: share ({share.src}, {share.dst}) references "
                     f"a vertex unknown to client {local.relation_name!r}")
-            raise ValueError(f"protocol violation: self-referential share ({share.src})")
+            if share.src == share.dst:
+                raise ValueError(
+                    f"protocol violation: self-referential share ({share.src})")
+            raise ValueError(
+                f"protocol violation: share ({share.src}, {share.dst}) has value "
+                f"{share.value}, outside [0, 1 - {SHARE_CLAMP_DELTA}]")
         at = keys[start:start + len(shares)]
         np.multiply(src, n, out=at)
         at += dst
@@ -375,7 +368,7 @@ def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
     """One full fusion round across every ordered client pair.
 
     Each unordered pair of clients runs PSI once; each sender then emits
-    normalized (and, when configured, multi-hop) shares over its view of the
+    normalized (and, at ``hops = 2``, 2-hop) shares over its view of the
     intersection with each receiver, perturbs them, and transmits.  A
     sender's pairs come one after another, so when its intersection with the
     next receiver equals the last one, the last pre-noise batch is reused:
@@ -404,9 +397,9 @@ def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
             common = commons[pair]
             if not (last and last[0] is sender and np.array_equal(last[1], common)):
                 shares = normalize_edges(sender, common)
-                if cfg.hops >= 2:
-                    shares = np.concatenate([shares, khop_shares(
-                        sender, common, cfg.hops)]).view(np.recarray)
+                if cfg.hops == 2:
+                    shares = np.concatenate(
+                        [shares, khop_shares(sender, common)]).view(np.recarray)
                 last = sender, common, shares
             shares = apply_dp(last[2], cfg.dp_epsilon,
                               seed=derive_seed(seed, "dp", *pair))

@@ -16,7 +16,8 @@ Two one-hidden-layer binary node classifiers over 64-bit floats:
   then a linear head.  Sampling works on the graph's cached CSR: one uniform
   key per (node, neighbor) entry, the ``fanout`` smallest keys of each row
   are kept (a uniform draw without replacement), and each row adds up its
-  picked neighbor rows in CSR entry order, from 0.0, before the division.
+  picked neighbor rows in CSR entry order, from 0.0, before the division:
+  one ``data.GraphCSR`` product with unit weights over the picked entries.
 
 A_hat is a ``data.GraphCSR`` over the graph's vertex positions, the type of
 the graph's own index, so its products are that type's bit-exact ones.  It
@@ -230,12 +231,13 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
     by_key = order[np.argsort(row_of, kind="stable")]
     picked = np.zeros(nnz, dtype=bool)
     picked[by_key[np.arange(nnz) - indptr[rows] < fanout]] = True
-    # each row adds its picked feature rows in CSR entry order, from 0.0,
-    # one feature column per bincount
-    picked_rows, picked_cols = rows[picked], indices[picked]
-    sums = np.stack([np.bincount(picked_rows, weights=column.take(picked_cols),
-                                 minlength=n) for column in features.T], axis=1)
-    return sums / np.maximum(np.minimum(degree, fanout), 1)[:, None]
+    # each row adds its picked feature rows in CSR entry order, from 0.0:
+    # the product with unit weights over the picked entries
+    count = np.minimum(degree, fanout)
+    cols = indices[picked]
+    sampled = GraphCSR(np.concatenate([[0], np.cumsum(count)]), cols,
+                       np.ones(len(cols)))
+    return (sampled @ features) / np.maximum(count, 1)[:, None]
 
 
 def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,

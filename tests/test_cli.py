@@ -382,20 +382,6 @@ SMOKE_FUSE_DIGESTS = {
         "tags_rel1.csv": "b81e89aadaa783f0f6bde19ce6b2e3005fc936558a8219830a6c6c1b4a7c91a2",
         "tags_rel2.csv": "a2542a4e6793f9a6ebc8eda3ee185434b087b732c96932aba27fb15cbdfb2429",
     },
-    "hops 3, epsilon 1": {
-        "fused_rel0.csv": "529271af68f0e7b5b0dae2db058cb44292f2a36e0112e08e9a12c13f88d94343",
-        "fused_rel1.csv": "ca940b9db73ded0e2e2284c4ff8bc4e135ad50c4b35cfd4cf1274784a1d8c6b7",
-        "fused_rel2.csv": "111558496c4b6e0a0681ce253adba3b0d0d68dd7e8519b710181145fcd91a6c1",
-        "shares_rel0_rel1.csv": "da1f664875e7e1ba5403cbcab5bc8149e7cf26e45b9fbd632b6e2c83fbf774e1",
-        "shares_rel0_rel2.csv": "c0479958a70a2d8f18d59d69e58b732f5dce8b3a3c6002497427034ce618d768",
-        "shares_rel1_rel0.csv": "81ac83969ff0309feff8eb6a6f1e5b1028c63778428b45dded9b76ea9052b54d",
-        "shares_rel1_rel2.csv": "039b9f9f35ccd0317ebb0bb4480b84f9a48f3d58df0f58feb68690cafaaf24d6",
-        "shares_rel2_rel0.csv": "73fdf612c8826773b0dc08b7663498c0ec59c51e60087bac75f6437339006c3f",
-        "shares_rel2_rel1.csv": "5acb9130ff8b4838097102e452693439fc1b65f43c6724e2c85b8ded46d09fd0",
-        "tags_rel0.csv": "2da14c5540e7a30cb5ab0e7e3eb0f877969ebb73aeec7d6018a3c268195af6c5",
-        "tags_rel1.csv": "661cc131c571a4c553e72730a9247f88876e658b25da5002bfbbb4cadb8b1fad",
-        "tags_rel2.csv": "8490b34787f69765452c682bdea4ca91bad2e1d5edcbf87a052230d5e7e78465",
-    },
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -93,6 +94,7 @@ def test_data_paths_resolve_against_base_dir(tmp_path):
     ("synth.nodes = 9\n", "synth.*"),
     ("fusion.psi = dhh\nsynth.nodes = 40\n", "fusion.*: psi must be"),
     ("fusion.hops = 4\nsynth.nodes = 40\n", "fusion.*: hops must be"),
+    ("fusion.hops = 3\nsynth.nodes = 40\n", "fusion.*: hops must be 1 or 2"),
     ("fusion.lambda = 2\nsynth.nodes = 40\n", "fusion.*: lam must"),
     ("fusion.dp_epsilon = 0\nsynth.nodes = 40\n", "fusion.*: dp_epsilon must"),
     ("federation.rounds = 0\nsynth.nodes = 40\n",
@@ -280,3 +282,22 @@ def test_readme_settings_table_names_exactly_the_accepted_keys():
     assert not is_accepted("model.lr")
     assert readme_table_keys() == accepted
     assert len(accepted) == 21
+
+
+def benchmark_workloads() -> dict:
+    """``WORKLOADS`` of ``perfbench/workloads.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_every_benchmark_step_config_parses(seed):
+    # a removed key or setting that a benchmark step still uses fails here
+    steps = [step for workload in benchmark_workloads().values()
+             for step in workload.steps]
+    assert steps
+    for step in steps:
+        assert parse_config(step.config(seed)).seeds == (seed,), step.name

@@ -95,12 +95,12 @@ def loop_normalize_edges(graph, common):
             for i in sorted(common) for j, w in nbrs[i] if j in common and w > 0]
 
 
-def loop_khop_shares(graph, common, k):
+def loop_khop_shares(graph, common):
     nbrs, sums = loop_neighbors(graph), loop_sums(graph)
     shares = []
     for i in sorted(common):
         direct = {j for j, _ in nbrs[i]}
-        best2 = {}
+        best = {}
         for m, w1 in nbrs[i]:
             if w1 <= 0:
                 continue
@@ -109,27 +109,9 @@ def loop_khop_shares(graph, common, k):
                 if j == i or j in direct or j not in common or w2 <= 0:
                     continue
                 prod = n1 * (w2 / sums[m])
-                if prod > best2.get(j, 0.0):
-                    best2[j] = prod
-        shares += [(i, j, clamp(best2[j]), 2) for j in sorted(best2)]
-        if k == 3:
-            best3 = {}
-            for m, w1 in nbrs[i]:
-                if w1 <= 0:
-                    continue
-                n1 = w1 / sums[i]
-                for m2, w2 in nbrs[m]:
-                    if m2 == i or w2 <= 0:
-                        continue
-                    n2 = n1 * (w2 / sums[m])
-                    for j, w3 in nbrs[m2]:
-                        if (j == i or j == m or j in direct or j in best2
-                                or j not in common or w3 <= 0):
-                            continue
-                        prod = n2 * (w3 / sums[m2])
-                        if prod > best3.get(j, 0.0):
-                            best3[j] = prod
-            shares += [(i, j, clamp(best3[j]), 3) for j in sorted(best3)]
+                if prod > best.get(j, 0.0):
+                    best[j] = prod
+        shares += [(i, j, clamp(best[j]), 2) for j in sorted(best)]
     return shares
 
 
@@ -265,7 +247,7 @@ def test_update_edge_monotone_in_share():
 # -------------------------------------------------------------- k-hop shares
 
 
-def oracle_khop(graph, common, k):
+def oracle_khop(graph, common):
     """Independent path enumeration via networkx simple paths."""
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
@@ -282,48 +264,33 @@ def oracle_khop(graph, common, k):
         neighbor_sets[v].add(u)
     expected = []
     for i in sorted(common):
-        best = {2: {}, 3: {}}
+        best = {}
         for j in g.nodes:
             if j == i or j not in common or j in neighbor_sets[i]:
                 continue
-            for path in nx.all_simple_paths(g, i, j, cutoff=k):
-                h = len(path) - 1
-                if h < 2:
+            for path in nx.all_simple_paths(g, i, j, cutoff=2):
+                if len(path) < 3:
                     continue
                 prod = 1.0
                 for a, b in zip(path, path[1:]):
                     prod *= g[a][b]["weight"] / sums[a]
-                if prod > best[h].get(j, 0.0):
-                    best[h][j] = prod
-        for j in sorted(best[2]):
-            expected.append((i, j, 2, min(best[2][j], TOP)))
-        if k == 3:
-            for j in sorted(best[3]):
-                if j not in best[2]:
-                    expected.append((i, j, 3, min(best[3][j], TOP)))
+                if prod > best.get(j, 0.0):
+                    best[j] = prod
+        expected += [(i, j, 2, min(best[j], TOP)) for j in sorted(best)]
     return expected
 
 
 def test_khop_hand_case_two_hops():
     g = make_graph({(0, 1): 1.5, (1, 2): 0.5}, 3)
-    shares = khop_shares(g, [0, 2], 2)
+    shares = khop_shares(g, [0, 2])
     assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 2, 2), (2, 0, 2)]
     assert shares[0].value == pytest.approx((1.5 / 1.5) * (0.5 / 2.0))
     assert shares[1].value == pytest.approx((0.5 / 0.5) * (1.5 / 2.0))
 
 
-def test_khop_hand_case_three_hops():
-    g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0}, 4)
-    assert len(khop_shares(g, [0, 3], 2)) == 0
-    shares = khop_shares(g, [0, 3], 3)
-    assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 3, 3), (3, 0, 3)]
-    # path 0-1-2-3: (1/1) * (1/2) * (1/2)
-    assert shares[0].value == pytest.approx(0.25)
-
-
 def test_khop_takes_max_over_paths():
     g = make_graph({(0, 1): 1.0, (1, 3): 1.0, (0, 2): 1.0, (2, 3): 4.0}, 4)
-    shares = khop_shares(g, [0, 3], 2)
+    shares = khop_shares(g, [0, 3])
     by_pair = {(s.src, s.dst): s.value for s in shares}
     # via 1: (1/2)*(1/2) = 0.25; via 2: (1/2)*(4/5) = 0.4
     assert by_pair[(0, 3)] == pytest.approx(0.4)
@@ -331,17 +298,9 @@ def test_khop_takes_max_over_paths():
 
 def test_khop_skips_direct_edges_and_noncommon():
     g = make_graph({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}, 3)
-    assert len(khop_shares(g, [0, 1, 2], 2)) == 0  # triangle: all pairs direct
+    assert len(khop_shares(g, [0, 1, 2])) == 0  # triangle: all pairs direct
     g2 = make_graph({(0, 1): 1.0, (1, 2): 1.0}, 3)
-    assert len(khop_shares(g2, [0, 1], 2)) == 0    # 2 not common
-
-
-def test_khop_two_hops_preempt_three_hops():
-    # 0-1-4 (two hops) and 0-2-3-4 (three hops): only the 2-hop share emits
-    g = make_graph({(0, 1): 1.0, (1, 4): 1.0, (0, 2): 1.0, (2, 3): 1.0,
-                    (3, 4): 1.0}, 5)
-    shares = khop_shares(g, [0, 4], 3)
-    assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 4, 2), (4, 0, 2)]
+    assert len(khop_shares(g2, [0, 1])) == 0    # 2 not common
 
 
 def test_khop_matches_path_enumeration_oracle():
@@ -349,14 +308,12 @@ def test_khop_matches_path_enumeration_oracle():
     for trial in range(20):
         g = random_sparse_graph(rng, 8, p=0.35)
         common = random_common(rng, g)
-        for k in (2, 3):
-            got = [(s.src, s.dst, s.hops, s.value)
-                   for s in khop_shares(g, common, k)]
-            expected = oracle_khop(g, common, k)
-            assert [(a, b, h) for a, b, h, _ in got] == \
-                [(a, b, h) for a, b, h, _ in expected], f"trial {trial} k={k}"
-            for (_, _, _, va), (_, _, _, vb) in zip(got, expected):
-                assert va == pytest.approx(vb, abs=1e-13)
+        got = [(s.src, s.dst, s.hops, s.value) for s in khop_shares(g, common)]
+        expected = oracle_khop(g, common)
+        assert [(a, b, h) for a, b, h, _ in got] == \
+            [(a, b, h) for a, b, h, _ in expected], f"trial {trial}"
+        for (_, _, _, va), (_, _, _, vb) in zip(got, expected):
+            assert va == pytest.approx(vb, abs=1e-13)
 
 
 def test_khop_matches_loop_reference_bitwise():
@@ -364,23 +321,16 @@ def test_khop_matches_loop_reference_bitwise():
     for _ in range(15):
         g = random_sparse_graph(rng, 14, p=0.3)
         common = random_common(rng, g)
-        for k in (2, 3):
-            assert as_tuples(khop_shares(g, common, k)) == \
-                loop_khop_shares(g, common, k), k
+        assert as_tuples(khop_shares(g, common)) == loop_khop_shares(g, common)
 
 
 def test_khop_zero_weight_edge_blocks_share_but_carries_no_path():
-    # 0-1 has weight 0: the pair counts as direct, and 0-1-3 is no path, so
-    # 0 and 3 meet only through 0-2-1-3
+    # 0-1 has weight 0: the pair counts as direct, so 0-2-1 adds no share,
+    # and 0-1-3 is no path, so 0 and 3 get none; 2 and 3 meet through 1
     g = make_graph({(0, 1): 0.0, (0, 2): 1.0, (1, 2): 1.0, (1, 3): 1.0}, 4)
-    shares = khop_shares(g, [0, 1, 3], 3)
-    assert [(s.src, s.dst, s.hops) for s in shares] == [(0, 3, 3), (3, 0, 3)]
-    assert [s.value for s in shares] == [0.25, 0.25]
-
-
-def test_khop_k_validated():
-    with pytest.raises(ValueError):
-        khop_shares(make_graph({}, 2), [0, 1], 1)
+    shares = khop_shares(g, [0, 1, 2, 3])
+    assert [(s.src, s.dst, s.hops) for s in shares] == [(2, 3, 2), (3, 2, 2)]
+    assert [s.value for s in shares] == [0.25, 0.5]
 
 
 # ------------------------------------------------------------------ dp noise
@@ -444,6 +394,8 @@ def test_apply_dp_rejects_bad_epsilon():
         apply_dp(batch([]), 0.0)
     with pytest.raises(ValueError):
         apply_dp(batch([]), -1.0)
+    with pytest.raises(ValueError):
+        apply_dp(batch([(0, 1, 0.5)]), math.nan)
 
 
 def test_apply_dp_empty_batch():
@@ -459,8 +411,9 @@ def test_fusion_config_validation():
         FusionConfig(lam=0.0)
     with pytest.raises(ValueError):
         FusionConfig(lam=1.0)
-    with pytest.raises(ValueError):
-        FusionConfig(hops=4)
+    for hops in (0, 3, 4):
+        with pytest.raises(ValueError, match="hops must be 1 or 2"):
+            FusionConfig(hops=hops)
     with pytest.raises(ValueError):
         FusionConfig(dp_epsilon=0.0)
     assert FusionConfig().dp_epsilon == math.inf
@@ -608,6 +561,33 @@ def test_fuse_rejects_protocol_violations():
                 f"protocol violation: self-referential share ({at})")
     fused = fuse(local, [batch([(9, 5, 0.2), (2, 5, 0.1)])], cfg())
     assert list(edge_dict(fused.edges)) == [(2, 5), (2, 9), (5, 9)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -3.0, 5.0,
+                                   np.nextafter(TOP, 2)])
+def test_fuse_refuses_share_values_outside_the_wire_range(value):
+    # unrefused, nan, inf and 5.0 would add an edge of weight 1.0 between
+    # the isolated 2 and 3, and -3.0 would be dropped without a word
+    local = make_graph({(0, 1): 1.0}, 4)
+    for batches in ([batch([(2, 3, value)])],
+                    [batch([(0, 1, 0.2)]), batch([(1, 2, 0.1), (2, 3, value)])]):
+        for call in (lambda: fuse(local, batches, FusionConfig()),
+                     lambda: edge_origins(local, local, batches)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == (
+                f"protocol violation: share (2, 3) has value {value}, "
+                f"outside [0, 1 - {SHARE_CLAMP_DELTA}]")
+
+
+def test_fuse_accepts_the_ends_of_the_wire_range():
+    local = make_graph({(0, 1): 1.0}, 4)
+    for value, want in ((0.0, {}), (TOP, {(2, 3): 1.0})):
+        batches = [batch([(2, 3, value)])]
+        fused = fuse(local, batches, FusionConfig())
+        assert edge_dict(fused.edges) == {(0, 1): 1.0, **want}
+        assert edge_origins(local, fused, batches).tolist() == \
+            ["local"] + ["fused"] * len(want)
 
 
 def test_fuse_without_incoming_is_identity_with_local_tags():
@@ -823,8 +803,8 @@ def counting_emissions(monkeypatch):
 
 def pre_noise(sender, common, hops):
     shares = normalize_edges(sender, common)
-    if hops >= 2:
-        shares = np.concatenate([shares, khop_shares(sender, common, hops)])
+    if hops == 2:
+        shares = np.concatenate([shares, khop_shares(sender, common)])
     return shares.view(np.recarray)
 
 
@@ -886,7 +866,7 @@ def test_fusion_round_deterministic_with_noise():
 def test_fusion_round_share_batches_are_record_arrays():
     rng = np.random.default_rng(45)
     clients = [random_graph(rng, 9, p=0.25, name=name) for name in "abc"]
-    for hops in (1, 2, 3):
+    for hops in (1, 2):
         for epsilon in (math.inf, 1.0):
             _, shares = virtual_fusion_round(
                 clients, cfg(hops=hops, dp_epsilon=epsilon), seed=5)
@@ -1000,30 +980,23 @@ def test_write_tags_matches_per_line_format_across_chunks(tmp_path, monkeypatch)
 
 # -------------------------------------------- set operations against np.unique
 # References: khop_shares and fuse as they were written with numpy's
-# np.unique and np.union1d, before the sort-based merges.
+# np.unique, before the sort-based merges.
 
-def unique_khop_shares(graph, common, k):
+def unique_khop_shares(graph, common):
     csr, is_common, steps = fusion_module._sender_view(graph, common)
     n = len(graph.vertices)
-    taken = csr.rows * n + csr.indices
     src = np.flatnonzero(is_common)
     walk, end, product = fusion_module._extend(csr, steps, src, np.ones(len(src)))
     src = src[walk]
-    found = []
-    for hops in range(2, k + 1):
-        walk, end, product = fusion_module._extend(csr, steps, end, product)
-        src = src[walk]
-        pair = src * n + end
-        new = (end != src) & is_common[end] & ~fusion_module._find(taken, pair)[1]
-        order = np.flatnonzero(new)[np.lexsort((-product[new], pair[new]))]
-        keys, first = np.unique(pair[order], return_index=True)
-        found.append((keys, product[order][first], np.full(len(keys), hops)))
-        taken = np.union1d(taken, keys)
-    keys, best, hops = (np.concatenate(part) for part in zip(*found))
-    order = np.lexsort((keys, hops, keys // n))
-    keys = keys[order]
-    return fusion_module._shares(graph, keys // n, keys % n, best[order],
-                                 hops[order])
+    walk, end, product = fusion_module._extend(csr, steps, end, product)
+    src = src[walk]
+    pair = src * n + end
+    new = (end != src) & is_common[end] & ~fusion_module._find(
+        csr.rows * n + csr.indices, pair)[1]
+    order = np.flatnonzero(new)[np.lexsort((-product[new], pair[new]))]
+    keys, first = np.unique(pair[order], return_index=True)
+    return fusion_module._shares(graph, keys // n, keys % n,
+                                 product[order][first], 2)
 
 
 def unique_fuse(local, incoming, lam):
@@ -1081,11 +1054,10 @@ def test_sort_based_set_operations_match_the_unique_formulas():
         sent = []
         for sender in senders:
             common = random_common(rng, sender)
-            for k in (2, 3):
-                got = khop_shares(sender, common, k)
-                want = unique_khop_shares(sender, common, k)
-                assert got.dtype == want.dtype and len(got)
-                assert got.tobytes() == want.tobytes(), (trial, k)
+            got = khop_shares(sender, common)
+            want = unique_khop_shares(sender, common)
+            assert got.dtype == want.dtype and len(got)
+            assert got.tobytes() == want.tobytes(), trial
             sent.append(apply_dp(np.concatenate(
                 [normalize_edges(sender, common), got]).view(np.recarray),
                 1.0, seed=trial))
@@ -1093,21 +1065,19 @@ def test_sort_based_set_operations_match_the_unique_formulas():
         assert (values == 0).any() and (values > 0).any()
         fusions.append((local, sent))
 
-    # two 2-hop paths of product 1/4 to (0, 3) and two 3-hop paths of
-    # product 1/8 to (4, 7); 0 and 5 lie in different components
+    # two 2-hop paths of product 1/4 to (0, 3); 4 and 7 are 3 hops apart,
+    # and 0 and 5 lie in different components
     ties = make_graph({(0, 1): 1.0, (0, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0,
                        (4, 5): 1.0, (5, 6): 1.0, (6, 7): 1.0, (4, 8): 1.0,
                        (8, 9): 1.0, (7, 9): 1.0}, 10)
-    for common, k, want_rows in (
-            ([0, 3, 4, 7], 3, [(0, 3, 2, 0.25), (3, 0, 2, 0.25),
-                               (4, 7, 3, 0.125), (7, 4, 3, 0.125)]),
-            ([4, 7], 3, [(4, 7, 3, 0.125), (7, 4, 3, 0.125)]),  # hop 2 is empty
-            ([4, 7], 2, []),
-            ([0, 1], 3, []),                                     # adjacent
-            ([0, 5], 3, [])):                                    # unreachable
-        got = khop_shares(ties, common, k)
-        assert got.tolist() == want_rows, (common, k)
-        assert got.tobytes() == unique_khop_shares(ties, common, k).tobytes()
+    for common, want_rows in (
+            ([0, 3, 4, 7], [(0, 3, 2, 0.25), (3, 0, 2, 0.25)]),
+            ([4, 7], []),
+            ([0, 1], []),                                        # adjacent
+            ([0, 5], [])):                                       # unreachable
+        got = khop_shares(ties, common)
+        assert got.tolist() == want_rows, common
+        assert got.tobytes() == unique_khop_shares(ties, common).tobytes()
 
     # fusing a list of batches equals fusing their concatenation
     local = make_graph({(0, 1): 2.0, (0, 2): 0.0, (2, 3): 1.5}, 5)
