@@ -77,10 +77,10 @@ def _cmd_fuse(cfg) -> int:
         except Exception as exc:
             raise RuntimeError(f"seed {seed}, stage data: {exc}") from exc
         try:
-            fusion_outputs(cfg, dataset, seed, dump_dir=dest)
+            fused = fusion_outputs(cfg, dataset, seed, dump_dir=dest)
         except Exception as exc:
             raise RuntimeError(f"seed {seed}, stage fusion: {exc}") from exc
-        for path in sorted(dest.glob("fused_*.csv")):
+        for path in sorted(dest / f"fused_{graph.relation_name}.csv" for graph in fused):
             print(path)
     return 0
 

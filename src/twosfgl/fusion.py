@@ -11,9 +11,12 @@ evidence (max rule).  A fused graph is a plain ``ClientGraph``;
 
 Every step is array code over a graph's cached CSR (``neighbor_csr``), and
 ``ClientGraph.find`` turns vertex ids into CSR positions; ``_find`` searches
-only sorted pair-key arrays.  Where entries for one vertex pair must become
-one, they are merged one way: a stable ``argsort`` by pair key, then each
-run's largest value by ``np.maximum.reduceat``.  One sender's shares to one
+only sorted pair-key arrays.  A receiver groups the shares it got by
+unordered pair once: ``_share_pairs`` gives each share its pair key and
+orientation, and one sort of those keys gives each share its (pair,
+orientation) slot.  Where entries for one vertex pair must become one edge,
+they are merged one way: a stable ``argsort`` by pair key, then each run's
+largest value by ``np.maximum.reduceat``.  One sender's shares to one
 receiver are one read-only ``np.recarray`` of ``SHARE_DTYPE``, the wire and
 audit format from emission through noise, fusion and dump.  A sender whose
 intersections with two receivers are equal emits its pre-noise batch once,
@@ -211,13 +214,16 @@ def update_edge(n_value, local_incident_sum, lam: float):
     return ratio / (1.0 - ratio) * base
 
 
-def _share_keys(local: ClientGraph, batches) -> np.ndarray:
-    """The ``src * n + dst`` key of every share in ``batches``, over the
-    receiver's n positions, in sender then row order.  Each end column is
-    resolved once; a share naming a vertex the receiver lacks or one vertex
-    twice, or valued outside [0, 1 - delta] (NaN included), is refused."""
+def _share_pairs(local: ClientGraph, batches):
+    """The ``min * n + max`` key of every share's unordered pair over the
+    receiver's n positions, in sender then row order, and whether each share
+    runs from its pair's larger end.  Each end column is resolved once; a
+    share naming a vertex the receiver lacks or one vertex twice, or valued
+    outside [0, 1 - delta] (NaN included), is refused."""
     n = len(local.vertices)
-    keys = np.empty(sum(len(shares) for shares in batches), dtype=np.int64)
+    size = sum(len(shares) for shares in batches)
+    keys = np.empty(size, dtype=np.int64)
+    from_larger = np.empty(size, dtype=bool)
     start = 0
     for shares in batches:
         src, known = local.find(shares.src)
@@ -237,68 +243,14 @@ def _share_keys(local: ClientGraph, batches) -> np.ndarray:
             raise ValueError(
                 f"protocol violation: share ({share.src}, {share.dst}) has value "
                 f"{share.value}, outside [0, 1 - {SHARE_CLAMP_DELTA}]")
-        at = keys[start:start + len(shares)]
-        np.multiply(src, n, out=at)
-        at += dst
-        start += len(shares)
-    return keys
-
-
-def _pair_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """Turn each ``src * n + dst`` key into its pair's ``min * n + max``,
-    in place."""
-    src, dst = np.divmod(keys, n)
-    np.minimum(src, dst, out=keys)
-    np.maximum(src, dst, out=dst)
-    keys *= n
-    keys += dst
-    return keys
-
-
-def _orientation_means(local: ClientGraph, batches):
-    """Each distinct ``src * n + dst`` key of the shares in ``batches``,
-    ascending, and the mean of its shares' values, summed in sender then
-    row order from 0.0."""
-    keys = _share_keys(local, batches)
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = _first_of_runs(keys)
-    oriented, counts = keys[first], np.diff(first, append=len(keys))
-    del keys, first
-    group = np.empty_like(order)            # each share's index in oriented
-    group[order] = np.repeat(np.arange(len(oriented)), counts)
-    del order
-    total = np.zeros(len(oriented))
-    start = 0
-    for shares in batches:
-        np.add.at(total, group[start:start + len(shares)], shares.value)
-        start += len(shares)
-    return oriented, total / counts
-
-
-def _positive_candidates(local: ClientGraph, oriented, means, lam: float):
-    """Each unordered pair of the ``oriented`` keys whose candidate weight is
-    positive, ascending, and that weight: the larger of the two endpoints'
-    ``update_edge`` of its orientation's mean, where an orientation nobody
-    sent borrows the other's."""
-    n = len(local.vertices)
-    pairs = _pair_keys(oriented.copy(), n)
-    pairs.sort()
-    pairs = pairs[_first_of_runs(pairs)]
-    u, v = np.divmod(pairs, n)
-    forward, has_forward = _find(oriented, pairs)
-    backward, has_backward = _find(oriented, v * n + u)
-    # an orientation nobody sent borrows the other's mean; each pair was
-    # sent one way at least, so the second borrow reads no borrowed entry
-    forward[~has_forward] = backward[~has_forward]
-    backward[~has_backward] = forward[~has_backward]
-    del has_forward, has_backward
-    sums = incident_sums(local)
-    candidate = update_edge(means[forward], sums[u], lam)
-    del forward, u
-    np.maximum(candidate, update_edge(means[backward], sums[v], lam), out=candidate)
-    sent = candidate > 0
-    return pairs[sent], candidate[sent]
+        stop = start + len(shares)
+        np.greater(src, dst, out=from_larger[start:stop])
+        at = keys[start:stop]
+        np.minimum(src, dst, out=at)
+        at *= n
+        at += np.maximum(src, dst, out=src)
+        start = stop
+    return keys, from_larger
 
 
 def fuse(local: ClientGraph, batches, cfg: FusionConfig) -> ClientGraph:
@@ -307,19 +259,57 @@ def fuse(local: ClientGraph, batches, cfg: FusionConfig) -> ClientGraph:
     one-item list).  Only their ``src``, ``dst`` and ``value`` columns are
     read, where they lie: the batches are never concatenated.
 
-    Shares for the same unordered pair are averaged per orientation (src
-    side) first, summed in sender then row order.  Each endpoint then
-    yields a candidate weight via update_edge with the receiver's own
-    incident sum of that endpoint; an orientation nobody sent borrows the
-    other side's average.  The fused weight is the max of the local weight
-    and both candidates, so local evidence is never destroyed; a pair with
-    no local edge and two zero candidates adds no edge.  Rows come in
+    Shares are grouped by unordered pair {u, v}, u < v, with one sort, and
+    averaged per orientation: the u -> v shares and the v -> u shares, each
+    summed in sender then row order from 0.0.  Each endpoint then yields a
+    candidate weight via update_edge of its orientation's average with the
+    receiver's own incident sum of that endpoint; an orientation nobody sent
+    borrows the other's average.  The fused weight is the max of the local
+    weight and both candidates, so local evidence is never destroyed; a pair
+    with no local edge and two zero candidates adds no edge.  Rows come in
     (u, v) order.
     """
     csr = local.neighbor_csr
     n = len(local.vertices)
-    pairs, candidate = _positive_candidates(
-        local, *_orientation_means(local, batches), cfg.lam)
+    keys, from_larger = _share_pairs(local, batches)
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = _first_of_runs(keys)
+    pairs = keys[first]
+    # each share's slot: 2 * its pair's index, plus 1 if it runs v -> u; the
+    # sorted keys' buffer counts pair starts, then goes back to share order
+    keys.fill(0)
+    keys[first[1:]] = 2
+    del first
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(keys, out=keys)
+    del keys, order
+    slot += from_larger
+    del from_larger
+    total = np.zeros(2 * len(pairs))
+    start = 0
+    for shares in batches:
+        np.add.at(total, slot[start:start + len(shares)], shares.value)
+        start += len(shares)
+    count = np.bincount(slot, minlength=len(total))
+    del slot
+    sent = count > 0
+    mean = np.divide(total, count, out=total, where=sent).reshape(-1, 2)
+    del total, count
+    # an orientation nobody sent borrows the other's mean; each pair was
+    # sent one way at least
+    sent = sent.reshape(-1, 2)
+    mean[~sent] = mean[:, ::-1][~sent]
+    del sent
+    u, v = np.divmod(pairs, n)
+    sums = incident_sums(local)
+    candidate = update_edge(mean[:, 0], sums[u], cfg.lam)
+    del u
+    np.maximum(candidate, update_edge(mean[:, 1], sums[v], cfg.lam), out=candidate)
+    del mean, v
+    positive = candidate > 0
+    pairs, candidate = pairs[positive], candidate[positive]
+    del positive
     # each local edge once, then each pair with a positive candidate; a pair
     # keeps its largest weight
     upper = csr.rows < csr.indices
@@ -341,7 +331,7 @@ def edge_origins(local: ClientGraph, fused: ClientGraph, batches) -> np.ndarray:
     'local'."""
     csr = local.neighbor_csr
     n = len(local.vertices)
-    sent = _pair_keys(_share_keys(local, batches), n)
+    sent = _share_pairs(local, batches)[0]
     sent.sort()
     keys, _ = local.find(fused.edges.u)
     keys *= n

@@ -79,6 +79,20 @@ def test_fuse_dumps_fused_graphs_and_shares(cfg_path, tmp_path, capsys):
             "shares_rel0_rel1.csv", "shares_rel1_rel0.csv"} <= names
 
 
+def test_fuse_prints_only_the_graphs_it_fused(cfg_path, tmp_path, capsys):
+    # an earlier run's fused_rel2.csv and fused_rel3.csv stay, unprinted
+    out = tmp_path / "fused"
+    four = tmp_path / "four.cfg"
+    four.write_text(TINY.replace("synth.relations = 2", "synth.relations = 4"),
+                    encoding="utf-8")
+    assert run_cli("fuse", "--config", four, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("fuse", "--config", cfg_path, "--out", out) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        str(out / "fused_rel0.csv"), str(out / "fused_rel1.csv")]
+    assert (out / "fused_rel3.csv").is_file()
+
+
 def test_fuse_with_ddh_psi_writes_the_plain_csvs(tmp_path, monkeypatch):
     real_psi = fusion_module.psi_ddh
     groups = []
