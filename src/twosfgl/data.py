@@ -35,9 +35,11 @@ its id, and the cached ``positions`` table, that map's inverse, takes an id
 back, so ``ClientGraph.find`` resolves vertex ids by one table lookup.
 Vertex ids are node-table ids, so they are nonnegative and the table is as
 long as the largest of them.  Every stage reads the edges through the
-cached ``ClientGraph.neighbor_csr``, a ``GraphCSR`` over those positions.
-``GraphCSR`` is the one sparse matrix type: the GCN's normalized adjacency
-is one too, over the same positions.
+cached ``ClientGraph.neighbor_csr``, a ``GraphCSR`` over those positions,
+except the GCN's normalized adjacency: it reads ``transient_csr``, which
+leaves no index cached on a graph that had none.  ``GraphCSR`` is the one
+sparse matrix type: the normalized adjacency is one too, over the same
+positions.
 """
 
 import warnings
@@ -238,13 +240,26 @@ class ClientGraph:
         """The graph's one derived index, built on first use and cached.  Its
         positions are those of ``vertices``, the row order of every matrix
         built from it."""
+        return self.transient_csr()
+
+    def transient_csr(self) -> GraphCSR:
+        """``neighbor_csr`` if it is cached, else the same index built anew
+        and not cached: for a reader that needs the index once and keeps
+        only what it derives, as the GCN's normalized adjacency does."""
+        if "neighbor_csr" in self.__dict__:
+            return self.neighbor_csr
         n = len(self.vertices)
         ends = self.positions[np.stack([self.edges.u, self.edges.v], axis=1)]
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
+        del ends
         order = np.lexsort((cols, rows))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return GraphCSR(indptr, cols[order], np.tile(self.edges.weight, 2)[order])
+        del rows
+        cols = cols[order]
+        weights = np.tile(self.edges.weight, 2)[order]
+        del order
+        return GraphCSR(indptr, cols, weights)
 
 
 @dataclass
@@ -456,22 +471,33 @@ def write_rows(path, header: str, columns) -> None:
 def _text_table(column: np.ndarray, n: int):
     """The texts of an entry's distinct values as the rows of a byte matrix,
     each padded with NULs and ended by a "," in the last byte, and the row of
-    each of the entry's values, broadcast to ``n`` rows."""
+    each of the entry's values, in the narrowest unsigned type that holds
+    it, broadcast to ``n`` rows.  Floats are formatted ``WRITE_CHUNK_ROWS``
+    distinct values at a time, straight into the matrix."""
     if column.dtype.kind == "f":
         bits = column.astype(np.float64, copy=False).view(np.uint64)
         keys, index = np.unique(bits, return_inverse=True)
-        texts = list(map(repr, keys.view(np.float64).tolist()))
+        keys = keys.view(np.float64)
         width = 25                      # a float's repr has at most 24 characters
+        table = np.empty((len(keys), width), dtype=np.uint8)
+        for start in range(0, len(keys), WRITE_CHUNK_ROWS):
+            chunk = keys[start:start + WRITE_CHUNK_ROWS].tolist()
+            table[start:start + len(chunk)] = _byte_rows(list(map(repr, chunk)), width)
     else:
         keys, index = np.unique(column, return_inverse=True)
         texts = list(map(str, keys.tolist()))
         if "\0" in "".join(texts):
             raise ValueError("a CSV field holds a NUL")
-        width = max(map(len, texts), default=0) + 1
-    table = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+        table = _byte_rows(texts, max(map(len, texts), default=0) + 1)
     table[:, -1] = ord(",")
+    index = index.astype(np.min_scalar_type(max(len(table) - 1, 0)))
     return table, np.broadcast_to(index.reshape(column.shape),
                                   (n, *column.shape[1:]))
+
+
+def _byte_rows(texts, width: int) -> np.ndarray:
+    """``texts`` as the rows of a byte matrix ``width`` wide, NUL-padded."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
 def write_node_table(nodes: NodeTable, path) -> None:

@@ -8,13 +8,18 @@ one training epoch.  The model settings are fixed: ``FANOUT`` neighbors per
 node for SAGE sampling and Adam learning rate ``LEARNING_RATE``.
 
 Each client owns one ``gnn.ForwardCache``, which its forwards and backwards
-write into, so no two clients share memory.  ``_client_forward`` is the one
-place that decides whether a forward must run.  A GCN forward draws nothing
-from the seed, so a cache that already holds a forward of the very params
+write into, so no two clients share memory; a backward consumes the forward
+it reads.  ``_client_forward`` is the one place that decides whether a
+forward must run.  A GCN forward draws nothing from a seed, so its seed is
+never derived, and a cache that still holds a forward of the very params
 object asked for is returned as it is: the evaluation forward after round r
 is round r + 1's first training forward, which adopts the evaluated params.
 A SAGE forward always runs, since evaluation and training sample neighbors
 with different seeds.
+
+A GCN client keeps its normalized adjacency Â but not the graph index it
+was built from: ``normalized_adjacency`` reads the index the graph has
+cached, or builds one for itself and drops it.
 """
 
 from dataclasses import dataclass
@@ -140,13 +145,14 @@ def aggregate(updates) -> ModelParams:
 
 
 def _client_forward(client: ClientState, params: ModelParams,
-                    seed: int) -> ForwardCache:
+                    *seed_labels) -> ForwardCache:
     """The client's cache, holding its forward of ``params``; a GCN cache
-    that already holds that very params object is not filled again."""
+    that already holds that very params object is not filled again.  A SAGE
+    forward samples with ``derive_seed(*seed_labels)``."""
     cache = client.cache
     if client.adjacency is None:
-        sage_forward(params, client.graph, client.features,
-                     fanout=FANOUT, seed=seed, cache=cache)
+        sage_forward(params, client.graph, client.features, fanout=FANOUT,
+                     seed=derive_seed(*seed_labels), cache=cache)
     elif cache.params is not params:
         gcn_forward(params, client.adjacency, client.propagated_features,
                     cache=cache)
@@ -159,7 +165,7 @@ def local_steps(client: ClientState, global_params: ModelParams,
     loss."""
     client.params = global_params
     cache = _client_forward(client, global_params,
-                            seed=derive_seed(round_seed, client.client_id, 0))
+                            round_seed, client.client_id, 0)
     loss, grads = loss_and_grads(global_params, cache, client.labels,
                                  client.train_mask)
     client.params, client.adam = adam_step(global_params, grads, client.adam)
@@ -187,8 +193,7 @@ def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
     per_metric = {name: [] for name in METRIC_NAMES}
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc, "gmean": gmean}
     for client in clients:
-        cache = _client_forward(
-            client, params, seed=derive_seed(seed, "eval", client.client_id))
+        cache = _client_forward(client, params, seed, "eval", client.client_id)
         scores = cache.probs[:, 1]
         result = EvalResult.from_scores(
             scores[client.test_mask], client.labels[client.test_mask])

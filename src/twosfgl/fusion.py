@@ -207,11 +207,16 @@ def update_edge(n_value, local_incident_sum, lam: float):
     Below the threshold: N / (1 - N) times the local incident sum; at or
     above it the ratio is capped at lam / (1 - lam).  A receiver vertex with
     no local edges uses 1.0 in place of its (zero) incident sum so remote
-    structure can still materialize at unit scale.  Takes scalars or arrays.
+    structure can still materialize at unit scale.  Takes scalars or arrays,
+    and computes in place in one output array.
     """
-    base = np.where(local_incident_sum > 0, local_incident_sum, 1.0)
-    ratio = np.fmin(n_value, lam)
-    return ratio / (1.0 - ratio) * base
+    weight = np.fmin(n_value, lam, out=np.empty(
+        np.broadcast(n_value, local_incident_sum).shape))
+    weight /= 1.0 - weight
+    # where the sum is 0 the base is 1.0, and a product with 1.0 is exact
+    np.multiply(weight, local_incident_sum, out=weight,
+                where=local_incident_sum > 0)
+    return weight[()]
 
 
 def _share_pairs(local: ClientGraph, batches):

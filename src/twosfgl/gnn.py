@@ -4,9 +4,10 @@ Two one-hidden-layer binary node classifiers over 64-bit floats:
 
 * GCN:  logits = A_hat . (relu(A_hat X W1) . W2), where A_hat is the
   symmetrically normalized adjacency (self-loops added, D^-1/2 A D^-1/2),
-  built from the graph's cached CSR plus the identity.  A_hat X does not
-  depend on the weights, so callers compute it once per graph and pass it
-  in place of X.  The second propagation multiplies A_hat by the narrow
+  built from the graph's CSR plus the identity; the CSR is the graph's
+  cached one, or, on a graph with none cached, one built for A_hat alone
+  and dropped.  A_hat X does not depend on the weights, so callers compute
+  it once per graph and pass it in place of X.  The second propagation multiplies A_hat by the narrow
   side, the N x 2 product hidden . W2, not by the N x 64 hidden layer
   (the order of Kipf & Welling 2017).  The backward pass likewise
   propagates the N x 2 logit gradient once, through A_hat^T, and both
@@ -28,13 +29,14 @@ holds the CSR entries plus the diagonal, sorted by (row, column), each valued
 A model is only its two weight matrices: W1's rows (F for GCN, 2F for SAGE)
 tell the two apart, and a backward uses A_hat^T when its cache holds one.
 
-A ``ForwardCache`` is the forward state of one client: the N x hidden
-arrays its forwards and backwards write into (the hidden layer, relu applied
-in place, and the hidden-layer gradient), allocated once, plus what the
-last forward left for backward, including the params object it ran with.
-So a training step allocates nothing of that size, and a cache stays valid
-until the next forward into it.  A forward called without a cache allocates
-a fresh one.
+A ``ForwardCache`` is the forward state of one client: one N x hidden
+array, allocated once, plus what the last forward left for backward,
+including the params object it ran with.  A forward writes the hidden layer
+into that array, relu applied in place.  A backward consumes its forward: it
+reads the hidden layer, then writes the hidden-layer gradient over it and
+marks the cache empty, so the next backward needs a new forward.  So a
+training step allocates nothing of that size.  A forward called without a
+cache allocates a fresh one.
 
 The loss is mean softmax cross-entropy over a node mask; gradients are
 analytic and verified against finite differences in the test suite.  The
@@ -102,16 +104,17 @@ class AdamState:
 
 @dataclass
 class ForwardCache:
-    """One client's forward state, sufficient for backward.
+    """One client's forward state, sufficient for one backward.
 
-    The two N x hidden arrays are allocated once and overwritten by every
-    forward (and, for ``grad_hidden``, every backward) into this cache; the
-    other fields describe the last forward, ``params`` being the very object
-    it ran with (None before the first).
+    The N x hidden array is allocated once.  Every forward into this cache
+    writes its relu output there, and the backward of that forward writes
+    the relu-masked hidden-layer gradient over it.  The other fields describe
+    the last forward, ``params`` being the very object it ran with: None
+    before the first forward and after a backward, when the cache holds no
+    forward.
     """
 
-    hidden: np.ndarray                # relu output
-    grad_hidden: np.ndarray           # hidden-layer gradient, relu-masked
+    hidden: np.ndarray                # relu output, then its gradient
     params: ModelParams | None = None
     adjacency: GraphCSR | None = None   # gcn only
     inputs: np.ndarray | None = None  # gcn: A_hat . X;  sage: [X || H_N]
@@ -119,7 +122,7 @@ class ForwardCache:
 
     @classmethod
     def empty(cls, rows: int, width: int) -> "ForwardCache":
-        return cls(*(np.empty((rows, width)) for _ in range(2)))
+        return cls(np.empty((rows, width)))
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -145,9 +148,10 @@ def normalized_adjacency(graph: ClientGraph) -> GraphCSR:
 
     Rows/columns follow ``graph.vertices``.  Every diagonal degree
     entry is at least 1 (the self-loop), so the result is finite even for
-    isolated vertices or zero-weight edges.
+    isolated vertices or zero-weight edges.  Reads ``graph.transient_csr``,
+    so a graph whose index was not cached is left without one.
     """
-    csr = graph.neighbor_csr
+    csr = graph.transient_csr()
     n = len(graph.vertices)
     loops = np.arange(n)
     # each self-loop goes after the row's entries below the diagonal; the
@@ -158,11 +162,17 @@ def normalized_adjacency(graph: ClientGraph) -> GraphCSR:
     cols = np.insert(csr.indices, at, loops)
     weights = np.insert(csr.weights, at, 1.0)
     indptr = csr.indptr + np.arange(n + 1)
+    del csr, at                       # an index built for A_hat alone is freed
     rows = np.repeat(loops, np.diff(indptr))
     d_half = 1.0 / np.sqrt(np.add.reduceat(weights, indptr[:-1]))
-    values = (d_half[rows] * weights) * d_half[cols]
+    # (d_half[rows] * weights) * d_half[cols], in place
+    values = d_half[rows]
+    values *= weights
+    del weights
+    values *= d_half[cols]
     kept = values != 0.0
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=n))))
+    del rows
     return GraphCSR(indptr, cols[kept], values[kept])
 
 
@@ -268,10 +278,14 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
                    labels: np.ndarray, mask: np.ndarray):
     """Mean softmax cross-entropy over masked nodes, with analytic grads.
 
-    ``mask`` is a boolean vector over the cache's node rows.  The N x hidden
-    gradient goes into the cache's ``grad_hidden``.  Returns (loss, grads) with
+    ``cache`` must hold a forward of ``params``, and the backward consumes
+    it: the N x hidden gradient is written over the cache's hidden layer,
+    and the cache is left holding no forward (``params`` None).  ``mask`` is
+    a boolean vector over the cache's node rows.  Returns (loss, grads) with
     grads shaped like the params.
     """
+    if cache.params is not params:
+        raise ValueError("the cache holds no forward of these params")
     mask = np.asarray(mask, dtype=bool)
     rows = np.flatnonzero(mask)
     n_masked = len(rows)
@@ -290,9 +304,12 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     # gradient w.r.t. the unpropagated logits hidden @ W2 (N x 2)
     grad_head = (cache.adjacency.transpose_matmul(grad_logits)
                  if cache.adjacency is not None else grad_logits)
-    grad_w2 = cache.hidden.T @ grad_head
-    grad_pre = np.matmul(grad_head, params.W2.T, out=cache.grad_hidden)
-    grad_pre *= cache.hidden > 0      # relu(x) > 0 exactly where x > 0
+    hidden = cache.hidden
+    grad_w2 = hidden.T @ grad_head
+    active = hidden > 0               # relu(x) > 0 exactly where x > 0
+    cache.params = None
+    grad_pre = np.matmul(grad_head, params.W2.T, out=hidden)
+    grad_pre *= active
     grad_w1 = cache.inputs.T @ grad_pre
     return loss, ModelParams(W1=grad_w1, W2=grad_w2)
 

@@ -361,6 +361,19 @@ def test_write_rows_writes_synth_blocks_and_empty_arrays(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "# src,dst,weight\n"
 
 
+@pytest.mark.parametrize("n, index_type", [(256, np.uint8), (257, np.uint16),
+                                            (65537, np.uint32)])
+def test_write_rows_indexes_distinct_values_in_the_narrowest_type(
+        tmp_path, n, index_type):
+    floats = np.arange(n) / 7.0
+    ints = np.arange(n) * -3
+    assert data_module._text_table(floats, n)[1].dtype == index_type
+    assert data_module._text_table(ints, n)[1].dtype == index_type
+    write_rows(tmp_path / "rows.csv", "# h\n", [floats[::-1], ints])
+    assert (tmp_path / "rows.csv").read_text() == "# h\n" + percent_rows(
+        "%r,%d\n", zip(floats[::-1].tolist(), ints.tolist()))
+
+
 def test_write_rows_refuses_nul_and_non_ascii_text(tmp_path):
     for bad in ("a\0b", "caf\u00e9"):
         with pytest.raises(ValueError):

@@ -103,6 +103,24 @@ def test_make_client_caches_propagated_features_for_gcn():
                           client.adjacency @ client.features)
 
 
+def test_make_client_gcn_leaves_no_index_cached_on_its_graph():
+    table, graphs, split = make_world(1, n_clients=2)
+    cached = graphs[1].neighbor_csr
+    for graph in graphs:
+        make_client(graph, split, "gcn", table.features, table.labels, seed=0)
+    assert "neighbor_csr" not in vars(graphs[0])
+    assert graphs[1].neighbor_csr is cached
+    # Â is the same whether or not the index was cached
+    fresh = ClientGraph(graphs[1].relation_name, graphs[1].vertices,
+                        graphs[1].edges)
+    want = make_client(fresh, split, "gcn", table.features, table.labels,
+                       seed=0).adjacency
+    got = make_client(graphs[1], split, "gcn", table.features, table.labels,
+                      seed=0).adjacency
+    for name in ("indptr", "indices", "weights"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_make_client_rejects_split_ids_outside_the_graph():
     table, graphs, split = make_world(1)
     part = ClientGraph(relation_name="part", vertices=np.arange(10),
@@ -315,6 +333,25 @@ def test_evaluate_global_matches_per_client_metric_mean():
         assert got[name] == pytest.approx(float(np.mean(expected)), abs=1e-15)
 
 
+@pytest.mark.parametrize("arch", ["gcn", "sage"])
+def test_local_step_empties_the_cache_and_a_forward_refills_it(arch):
+    clients, _, _, _ = build_clients(arch, seed=13)
+    client = clients[0]
+    params = client.params.copy()
+    local_steps(client, params, round_seed=4)
+    assert client.cache.params is None
+    cache = fedavg._client_forward(client, params, 4, "eval", client.client_id)
+    assert cache is client.cache and cache.params is params
+    if arch == "gcn":
+        logits, _ = gcn_forward(params, client.adjacency,
+                                client.propagated_features)
+    else:
+        logits, _ = sage_forward(params, client.graph, client.features,
+                                 fanout=fedavg.FANOUT,
+                                 seed=derive_seed(4, "eval", client.client_id))
+    assert np.array_equal(cache.probs, softmax(logits))
+
+
 def test_local_steps_ignore_an_evaluation_of_other_params():
     evaluated, _, _, _ = build_clients("gcn", seed=13)
     fresh, table, _, _ = build_clients("gcn", seed=13)
@@ -418,7 +455,7 @@ def test_clients_never_share_forward_memory(arch):
     owned = []
     for client in clients:
         cache = client.cache
-        owned.append([cache.hidden, cache.grad_hidden, cache.probs])
+        owned.append([cache.hidden, cache.probs])
     for mine, theirs in itertools.combinations(owned, 2):
         for a, b in itertools.product(mine, theirs):
             assert not np.shares_memory(a, b)
@@ -465,6 +502,26 @@ def test_steady_state_gcn_round_allocates_less_than_a_hidden_layer():
     finally:
         tracemalloc.stop()
     assert peak < n * HIDDEN_UNITS * 8, peak
+
+
+def test_gcn_federation_round_keeps_one_hidden_layer_array_per_client():
+    n = 2000
+    table, graphs, split = sparse_world(23, n)
+    hidden_bytes = n * HIDDEN_UNITS * 8
+    tracemalloc.start()
+    try:
+        clients = [make_client(graph, split, "gcn", table.features,
+                               table.labels, seed=k)
+                   for k, graph in enumerate(graphs)]
+        params, _ = federated_round(clients, clients[0].params.copy(),
+                                    round_seed=0)
+        evaluate_global(clients, params)
+        # every other array the clients hold is far smaller at this size
+        held = [trace.size for trace in tracemalloc.take_snapshot().traces
+                if trace.size >= hidden_bytes]
+    finally:
+        tracemalloc.stop()
+    assert held == [hidden_bytes] * len(clients)
 
 
 def test_train_federation_deterministic_after_rebuilding_clients():

@@ -222,6 +222,37 @@ def test_update_edge_matches_oracle_exactly():
                     oracle_update(float(n_value), local_sum, lam)
 
 
+def formula_update(n_value, local_sum, lam):
+    """update_edge as the separate-array formula it replaces."""
+    base = np.where(local_sum > 0, local_sum, 1.0)
+    ratio = np.fmin(n_value, lam)
+    return ratio / (1.0 - ratio) * base
+
+
+def test_update_edge_matches_separate_array_formula_bitwise():
+    rng = np.random.default_rng(31)
+    lam = 0.5
+    # below, at and above lam, the ends of the share range and a zero sum
+    n_value = np.concatenate([rng.uniform(0.0, 1.0, 500),
+                              [0.0, lam, np.nextafter(lam, 0.0),
+                               np.nextafter(lam, 1.0), TOP]])
+    sums = rng.uniform(0.0, 20.0, len(n_value))
+    sums[::7] = 0.0
+    got = update_edge(n_value, sums, lam)
+    assert got.dtype == np.float64 and got.shape == n_value.shape
+    assert np.array_equal(got.view(np.uint64),
+                          formula_update(n_value, sums, lam).view(np.uint64))
+    for n, local in zip(n_value[-5:].tolist(), [0.0, 1.5, 0.0, 2.5, 3.7]):
+        got, want = update_edge(n, local, lam), formula_update(n, local, lam)
+        assert type(got) is type(want) is np.float64
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+    # a scalar against an array, either way round
+    assert np.array_equal(update_edge(0.3, sums, lam),
+                          formula_update(0.3, sums, lam))
+    assert np.array_equal(update_edge(n_value, 2.0, lam),
+                          formula_update(n_value, 2.0, lam))
+
+
 def test_update_edge_threshold_boundary():
     # exactly at lam the cap branch applies
     assert update_edge(0.5, 2.0, 0.5) == 2.0

@@ -486,13 +486,14 @@ def test_loss_and_grads_match_boolean_index_formula_bitwise(arch):
     for seed in range(5):
         graph, x, labels = random_setup(seed, n=40, features=5, p=0.2)
         params = init_params(arch, x.shape[1], seed=seed, hidden=8)
-        if arch == "gcn":
-            _, cache = gcn_forward(params, *gcn_inputs(graph, x))
-        else:
-            _, cache = sage_forward(params, graph, x, fanout=3, seed=seed)
         rng = np.random.default_rng(seed)
         for mask in (rng.random(40) < 0.3, np.ones(40, bool),
                      np.arange(40) == seed):
+            # a backward consumes its forward, so each one gets a fresh one
+            if arch == "gcn":
+                _, cache = gcn_forward(params, *gcn_inputs(graph, x))
+            else:
+                _, cache = sage_forward(params, graph, x, fanout=3, seed=seed)
             want_loss, want_w2, want_w1 = boolean_index_loss_and_grads(
                 arch, params, cache, labels, mask)
             loss, grads = loss_and_grads(params, cache, labels, mask)
@@ -507,6 +508,33 @@ def test_loss_and_grads_match_boolean_index_formula_bitwise(arch):
 def masked_xent(logits, labels, mask):
     probs = scipy.special.softmax(logits, axis=1)
     return float(-np.log(probs[mask, labels[mask]]).mean())
+
+
+@pytest.mark.parametrize("arch", ["gcn", "sage"])
+def test_backward_consumes_its_forward(arch):
+    graph, x, labels = random_setup(12, n=30, features=4)
+    params = init_params(arch, x.shape[1], seed=12, hidden=8)
+    mask = np.ones(len(labels), bool)
+    if arch == "gcn":
+        _, cache = gcn_forward(params, *gcn_inputs(graph, x))
+    else:
+        _, cache = sage_forward(params, graph, x, fanout=3, seed=12)
+    hidden = cache.hidden
+    _, grads = loss_and_grads(params, cache, labels, mask)
+    assert cache.params is None
+    # the hidden-layer gradient went over the hidden layer, in place
+    assert cache.hidden is hidden
+    assert same_bits(grads.W1, cache.inputs.T @ hidden)
+    with pytest.raises(ValueError, match="no forward"):
+        loss_and_grads(params, cache, labels, mask)
+    # a cache refilled with other params holds no forward of these
+    other = init_params(arch, x.shape[1], seed=13, hidden=8)
+    if arch == "gcn":
+        gcn_forward(other, cache.adjacency, cache.inputs, cache=cache)
+    else:
+        sage_forward(other, graph, x, fanout=3, seed=12, cache=cache)
+    with pytest.raises(ValueError, match="no forward"):
+        loss_and_grads(params, cache, labels, mask)
 
 
 def test_loss_matches_direct_computation():
