@@ -144,9 +144,10 @@ class GraphCSR:
     The products are bit for bit those of scipy's CSR kernels: each output
     of ``A @ x`` adds its terms ``weight * x`` in stored entry order from
     0.0, and ``transpose_matmul`` swaps rows and columns.  They go one
-    column of ``x`` at a time, the column's nnz terms gathered into one
-    scratch array and summed per output row by ``np.bincount``, so no index
-    array wider than nnz is built.
+    column of ``x`` at a time, the column's nnz terms gathered straight into
+    one scratch array (``mode="clip"``, which numpy does not buffer) and
+    summed per output row by ``np.bincount``, so no index array wider than
+    nnz is built.
     """
 
     def __init__(self, indptr, indices, weights):
@@ -163,7 +164,7 @@ class GraphCSR:
         out = np.empty((n, x.shape[1]))
         terms = np.empty(self.nnz)
         for col in range(x.shape[1]):
-            np.take(x[:, col], in_index, out=terms)
+            np.take(x[:, col], in_index, out=terms, mode="clip")
             np.multiply(self.weights, terms, out=terms)
             out[:, col] = np.bincount(out_index, weights=terms, minlength=n)
         return out
@@ -230,10 +231,14 @@ class ClientGraph:
     def find(self, ids):
         """(position, found) of each vertex id in ``ids``, by table lookup.
         An id below 0, above the largest vertex id or in a gap is not found,
-        and its position means nothing."""
-        ids = np.asarray(ids)
+        and its position means nothing.  ``ids`` are read once, into one
+        contiguous intp array, whatever their stride or integer width."""
+        ids = np.asarray(ids).astype(np.intp, order="C", casting="same_kind",
+                                     copy=False)
         pos = self.positions.take(ids, mode="clip")
-        return pos, (pos >= 0) & (ids >= 0)
+        found = pos >= 0
+        found &= ids >= 0
+        return pos, found
 
     @cached_property
     def neighbor_csr(self) -> GraphCSR:
@@ -475,9 +480,7 @@ def _text_table(column: np.ndarray, n: int):
     it, broadcast to ``n`` rows.  Floats are formatted ``WRITE_CHUNK_ROWS``
     distinct values at a time, straight into the matrix."""
     if column.dtype.kind == "f":
-        bits = column.astype(np.float64, copy=False).view(np.uint64)
-        keys, index = np.unique(bits, return_inverse=True)
-        keys = keys.view(np.float64)
+        keys, index = _unique_bits(column.astype(np.float64, copy=False))
         width = 25                      # a float's repr has at most 24 characters
         table = np.empty((len(keys), width), dtype=np.uint8)
         for start in range(0, len(keys), WRITE_CHUNK_ROWS):
@@ -489,10 +492,37 @@ def _text_table(column: np.ndarray, n: int):
         if "\0" in "".join(texts):
             raise ValueError("a CSV field holds a NUL")
         table = _byte_rows(texts, max(map(len, texts), default=0) + 1)
+        index = index.astype(_index_type(len(table)))
     table[:, -1] = ord(",")
-    index = index.astype(np.min_scalar_type(max(len(table) - 1, 0)))
     return table, np.broadcast_to(index.reshape(column.shape),
                                   (n, *column.shape[1:]))
+
+
+def _index_type(distinct: int):
+    """The narrowest unsigned type that holds an index below ``distinct``."""
+    return np.min_scalar_type(max(distinct - 1, 0))
+
+
+def _unique_bits(values: np.ndarray):
+    """The distinct floats of ``values``, ascending by bit pattern, and the
+    flat index of each value among them in ``_index_type``: what
+    ``np.unique(bits, return_inverse=True)`` gives, from one sort of the
+    bits and without its int64 intermediates."""
+    bits = values.view(np.uint64).reshape(-1)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    new = np.ones(len(bits), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    keys = ordered[new].view(np.float64)
+    del ordered
+    # each sorted value's index is the count of runs begun before it and
+    # after the first; it goes back to the values' own order
+    new[:1] = False
+    runs = np.cumsum(new, dtype=_index_type(len(keys)))
+    del new
+    index = np.empty_like(runs)
+    index[order] = runs
+    return keys, index
 
 
 def _byte_rows(texts, width: int) -> np.ndarray:

@@ -18,12 +18,16 @@ orientation) slot.  Where entries for one vertex pair must become one edge,
 they are merged one way: a stable ``argsort`` by pair key, then each run's
 largest value by ``np.maximum.reduceat``.  One sender's shares to one
 receiver are one read-only ``np.recarray`` of ``SHARE_DTYPE``, the wire and
-audit format from emission through noise, fusion and dump.  A sender whose
-intersections with two receivers are equal emits its pre-noise batch once,
-for both.  A receiver reads its batches where they lie, column by column,
-and never concatenates them, and ``fuse`` drops each temporary at its last
-use: a round holds the batches it returns, the fused graphs and one
-receiver's working set.
+audit format from emission through noise, fusion and dump: a packed 17-byte
+record of int32 ids, an int8 hop count and a float64 value.  A sender
+refuses a graph whose largest vertex id does not fit int32, so no id wraps.
+A sender whose intersections with two receivers are equal emits its
+pre-noise batch once, for both.  A receiver reads its batches where they
+lie and never concatenates them; a record's columns are strided and its
+value unaligned, so each pass reads a batch's column once, into a
+contiguous array.  ``fuse`` drops each temporary at its last use: a round
+holds the batches it returns, the fused graphs and one receiver's working
+set.
 """
 
 import itertools
@@ -57,8 +61,12 @@ SHARE_CLAMP_DELTA = 1e-6
 
 # One share per row: the src-dst edge weight over src's incident sum (orientation
 # matters), clamped to [0, 1 - delta]; hops is 1 direct, 2 for an implied 2-hop path.
-SHARE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64),
-                        ("hops", np.int64), ("value", np.float64)])
+# A packed 17-byte record: int32 ids (``_shares`` refuses a larger vertex id),
+# an int8 hop count and a float64 value.  A column is a strided view, the value
+# column an unaligned one, so a receiver copies each column it reads once.
+SHARE_DTYPE = np.dtype([("src", np.int32), ("dst", np.int32),
+                        ("hops", np.int8), ("value", np.float64)])
+_MAX_SHARE_ID = np.iinfo(SHARE_DTYPE["src"]).max
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,11 @@ def _largest_per_key(keys: np.ndarray, values: np.ndarray):
 
 
 def _shares(graph: ClientGraph, src, dst, values, hops) -> np.recarray:
-    """A share batch with one row per CSR position pair, values clamped."""
+    """A share batch with one row per CSR position pair, values clamped.  A
+    graph with a vertex id that no int32 holds is refused, so no id wraps."""
+    if len(graph.vertices) and graph.vertices[-1] > _MAX_SHARE_ID:
+        raise ValueError(f"vertex id {graph.vertices[-1]} does not fit a share's "
+                         f"int32 id (largest {_MAX_SHARE_ID})")
     return np.rec.fromarrays([graph.vertices[src], graph.vertices[dst],
                               np.broadcast_to(hops, len(src)), _clamp(values)],
                              dtype=SHARE_DTYPE)
@@ -234,8 +246,15 @@ def _share_pairs(local: ClientGraph, batches):
         src, known = local.find(shares.src)
         dst, dst_known = local.find(shares.dst)
         known &= dst_known
-        in_range = (shares.value >= 0.0) & (shares.value <= 1.0 - SHARE_CLAMP_DELTA)
-        bad = np.flatnonzero(~known | (src == dst) | ~in_range)
+        del dst_known
+        ok = src != dst
+        ok &= known
+        value = np.ascontiguousarray(shares.value)
+        ok &= value >= 0.0
+        ok &= value <= 1.0 - SHARE_CLAMP_DELTA
+        del value
+        bad = np.flatnonzero(~ok)
+        del ok
         if len(bad):
             share = shares[bad[0]]
             if not known[bad[0]]:
@@ -294,7 +313,8 @@ def fuse(local: ClientGraph, batches, cfg: FusionConfig) -> ClientGraph:
     total = np.zeros(2 * len(pairs))
     start = 0
     for shares in batches:
-        np.add.at(total, slot[start:start + len(shares)], shares.value)
+        np.add.at(total, slot[start:start + len(shares)],
+                  np.ascontiguousarray(shares.value))
         start += len(shares)
     count = np.bincount(slot, minlength=len(total))
     del slot
@@ -381,6 +401,11 @@ def virtual_fusion_round(clients, cfg: FusionConfig, seed: int = 0):
     if len(set(names)) != len(names):
         raise ValueError("client relation names must be unique")
 
+    # every client's index outlives the round; building them all before the
+    # first batch keeps the heap that the freed batches leave reusable by
+    # training (at 16k nodes a run peaked 54 MB higher without it)
+    for client in clients:
+        client.neighbor_csr
     shares_by_pair, commons = {}, {}
     last = None             # (sender, common ids, pre-noise batch) of the last pair
     for sender, receiver in itertools.permutations(clients, 2):

@@ -577,7 +577,7 @@ def test_fuse_rejects_protocol_violations():
         return [[batch(rows)], [batch([(9, 2, 0.3)]), batch(rows)]]
 
     for src, dst in [(2, -1), (-7, 5), (-1, -1), (9, 10), (11, 2),
-                     (5, 2**62), (5, 4), (3, 9), (0, 2)]:
+                     (5, 2**31 - 1), (5, 4), (3, 9), (0, 2)]:
         for batches in inboxes([(2, 5, 0.2), (src, dst, 0.1), (5, 5, 0.1)]):
             with pytest.raises(ValueError) as info:
                 fuse(local, batches, cfg())
@@ -687,30 +687,39 @@ def test_fusion_round_share_traffic_and_output_order():
         assert graph.edges.tobytes() == want.edges.tobytes()
 
 
-def test_fuse_peaks_below_twice_the_bytes_of_its_inbox(tmp_path):
-    # the smoke config's third receiver gets two batches; fused where they
-    # lie they peak near 1.25 times their bytes at hops 1, where
-    # concatenating them and stacking their ends first peaked near 4 times,
-    # and near 0.96 times at hops 2 under noise, where grouping each share
-    # by ordered key before its unordered pair peaked near 1.33 times
+def test_fuse_peaks_below_what_concatenating_its_inbox_takes(tmp_path):
+    # the smoke config's third receiver gets two batches of 17-byte shares.
+    # Fused where they lie they peak near 2.27 times their bytes at hops 1
+    # and near 1.76 times at hops 2 under noise; a fuse that concatenated
+    # them first peaked near 3.30 and 3.13 times.  The bounds, 2.8 and 2.2
+    # times, are 47.6 and 37.4 bytes a share, below the 64 and 38.4 of the
+    # bounds on 32-byte shares (2.0 and 1.2 times their bytes)
     smoke = load_config(Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg")
     dataset = prepare_data(smoke, 0, tmp_path)
     clients = [dataset.relations[name] for name in sorted(dataset.relations)]
     receiver = clients[2]
-    for fusion, bound in [(smoke.fusion, 2.0),
-                          (FusionConfig(hops=2, dp_epsilon=1.0), 1.2)]:
-        fused, shares = virtual_fusion_round(clients, fusion)
-        batches = inbox(shares, receiver.relation_name)
-        assert len(batches) == 2
+
+    def peak_of(batches, fusion):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            again = fuse(receiver, batches, fusion)
-            peak = tracemalloc.get_traced_memory()[1] - start
+            fused = fuse(receiver, batches(), fusion)
+            return fused, tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
+
+    for fusion, bound in [(smoke.fusion, 2.8),
+                          (FusionConfig(hops=2, dp_epsilon=1.0), 2.2)]:
+        fused, shares = virtual_fusion_round(clients, fusion)
+        batches = inbox(shares, receiver.relation_name)
+        assert len(batches) == 2
+        limit = bound * sum(sent.nbytes for sent in batches)
+        again, peak = peak_of(lambda: batches, fusion)
         assert again.edges.tobytes() == fused[2].edges.tobytes()
-        assert peak < bound * sum(sent.nbytes for sent in batches)
+        assert peak < limit
+        _, peak = peak_of(lambda: [np.concatenate(batches).view(np.recarray)],
+                          fusion)
+        assert peak > limit
 
 
 def test_fusion_round_fused_edge_value_hand_check():
@@ -899,6 +908,7 @@ def test_fusion_round_deterministic_with_noise():
 
 
 def test_fusion_round_share_batches_are_record_arrays():
+    assert SHARE_DTYPE.itemsize == 17
     rng = np.random.default_rng(45)
     clients = [random_graph(rng, 9, p=0.25, name=name) for name in "abc"]
     for hops in (1, 2):
@@ -909,6 +919,7 @@ def test_fusion_round_share_batches_are_record_arrays():
                 assert isinstance(sent, np.recarray), pair
                 assert sent.dtype == SHARE_DTYPE
                 assert sent.dtype.names == SHARE_DTYPE.names
+                assert sent.nbytes == 17 * len(sent)
                 rows = [(s.src, s.dst, s.hops, s.value) for s in sent]
                 assert len(rows) == len(sent) > 0
                 # at epsilon inf one sender's batches may be one array
@@ -917,6 +928,28 @@ def test_fusion_round_share_batches_are_record_arrays():
                 with pytest.raises(ValueError, match="read-only"):
                     sent.src[:] = 0
             assert max(int(sent.hops.max()) for sent in shares.values()) == hops
+
+
+def test_emitting_shares_refuses_a_vertex_id_beyond_int32():
+    # a position table up to id 2**31 would take 16 GiB, so each graph is
+    # built and indexed over ids 0..3, and its largest id is then renamed:
+    # only the id map that a share is written from changes
+    edges = {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 1.0}
+    for top, refused in [(2**31 - 1, False), (2**31, True), (2**40, True)]:
+        graph = make_graph(edges, 4)
+        graph.neighbor_csr
+        object.__setattr__(graph, "vertices", np.array([0, 1, 2, top]))
+        for emit in (normalize_edges, khop_shares):
+            if refused:
+                with pytest.raises(ValueError) as info:
+                    emit(graph, [0, 1, 2, 3])
+                assert str(info.value) == (
+                    f"vertex id {top} does not fit a share's int32 id "
+                    f"(largest {2**31 - 1})")
+            else:
+                shares = emit(graph, [0, 1, 2, 3])
+                assert top in shares.src.tolist() + shares.dst.tolist()
+                assert min(shares.src.min(), shares.dst.min()) >= 0
 
 
 def zeroed_pairs(receiver, shares):

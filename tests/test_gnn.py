@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ def test_adjacency_products_match_scipy_bitwise(width):
         x *= 10.0 ** np.random.default_rng(seed + 1).uniform(-6, 6, x.shape)
         assert np.array_equal(adj @ x, ref @ x)
         assert np.array_equal(adj.transpose_matmul(x), ref.T @ x)
+
+
+def test_products_peak_below_one_and_a_half_terms_arrays_plus_output():
+    # a product holds one nnz-length array of terms beside its output; a
+    # gather into it that numpy buffered would hold a second one
+    adj = normalized_adjacency(random_setup(0, n=300, p=0.1)[0])
+    x = np.random.default_rng(1).standard_normal((300, 2))
+    for product in (adj.__matmul__, adj.transpose_matmul):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = product(x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * adj.nnz * 8 + out.nbytes
 
 
 def test_adjacency_toarray_matches_dense_oracle_and_drops_only_zeros():
