@@ -39,7 +39,8 @@ cached ``ClientGraph.neighbor_csr``, a ``GraphCSR`` over those positions,
 except the GCN's normalized adjacency: it reads ``transient_csr``, which
 leaves no index cached on a graph that had none.  ``GraphCSR`` is the one
 sparse matrix type: the normalized adjacency is one too, over the same
-positions.
+positions.  Both are symmetric bit for bit, so its one product needs no
+row array.
 """
 
 import warnings
@@ -132,49 +133,45 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
 
 class GraphCSR:
     """A square sparse matrix over positions 0..n-1 in CSR layout, n being
-    ``len(indptr) - 1``: a graph's neighbor index, the normalized
-    adjacency built from it, or a SAGE neighbor sample.  What vertex a
-    position stands for is the graph's business (``ClientGraph.vertices``).
+    ``len(indptr) - 1``: a graph's neighbor index, or the normalized
+    adjacency built from it.  What vertex a position stands for is the
+    graph's business (``ClientGraph.vertices``).
 
     Row p holds the column positions ``indices[indptr[p]:indptr[p + 1]]``,
-    ascending, with their ``weights``; ``rows`` is each entry's row,
-    computed once.  A graph's index holds each edge once in each endpoint's
-    row, zero weights kept.
-
-    The products are bit for bit those of scipy's CSR kernels: each output
-    of ``A @ x`` adds its terms ``weight * x`` in stored entry order from
-    0.0, and ``transpose_matmul`` swaps rows and columns.  They go one
-    column of ``x`` at a time, the column's nnz terms gathered straight into
-    one scratch array (``mode="clip"``, which numpy does not buffer) and
-    summed per output row by ``np.bincount``, so no index array wider than
-    nnz is built.
+    ascending, with their ``weights``; ``rows``, each entry's row, is built
+    on first read.  The matrix is symmetric bit for bit: a graph's index
+    holds each edge, with its one weight, in both endpoints' rows, zero
+    weights kept, and ``gnn.normalized_adjacency`` makes its values so.
+    So ``A @ x`` walks columns, one column of ``x`` at a time: each row's
+    x value repeated over its entries, times their weights, summed per
+    column index by ``np.bincount``.  Each output adds its terms in
+    ascending row order from 0.0, scipy's CSR product bit for bit.
     """
 
     def __init__(self, indptr, indices, weights):
         self.indptr, self.indices, self.weights = indptr, indices, weights
-        self.rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
     @property
     def nnz(self) -> int:
         return len(self.weights)
 
-    def _product(self, x, out_index, in_index) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        n = len(self.indptr) - 1
-        out = np.empty((n, x.shape[1]))
-        terms = np.empty(self.nnz)
-        for col in range(x.shape[1]):
-            np.take(x[:, col], in_index, out=terms, mode="clip")
-            np.multiply(self.weights, terms, out=terms)
-            out[:, col] = np.bincount(out_index, weights=terms, minlength=n)
-        return out
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
     def __matmul__(self, x) -> np.ndarray:
-        return self._product(x, self.rows, self.indices)
-
-    def transpose_matmul(self, x) -> np.ndarray:
-        """``A^T @ x`` without building the transpose."""
-        return self._product(x, self.indices, self.rows)
+        x = np.asarray(x, dtype=np.float64)
+        n = len(self.indptr) - 1
+        if x.shape[0] != n:
+            raise ValueError(f"x has {x.shape[0]} rows, not {n}")
+        degree = np.diff(self.indptr)
+        out = np.empty((n, x.shape[1]))
+        for col in range(x.shape[1]):
+            terms = np.repeat(x[:, col], degree)
+            terms *= self.weights
+            out[:, col] = np.bincount(self.indices, weights=terms, minlength=n)
+            del terms                 # before the next column's are made
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,24 +10,24 @@ Two one-hidden-layer binary node classifiers over 64-bit floats:
   it once per graph and pass it in place of X.  The second propagation multiplies A_hat by the narrow
   side, the N x 2 product hidden . W2, not by the N x 64 hidden layer
   (the order of Kipf & Welling 2017).  The backward pass likewise
-  propagates the N x 2 logit gradient once, through A_hat^T, and both
-  weight gradients reuse it.
+  propagates the N x 2 logit gradient once, through A_hat, which is its
+  own transpose, and both weight gradients reuse it.
 * SAGE: each node concatenates its own features with the mean of at most
   ``fanout`` sampled neighbor features, passes through a relu hidden layer,
   then a linear head.  Sampling works on the graph's cached CSR: one uniform
   key per (node, neighbor) entry, the ``fanout`` smallest keys of each row
   are kept (a uniform draw without replacement), and each row adds up its
   picked neighbor rows in CSR entry order, from 0.0, before the division:
-  one ``data.GraphCSR`` product with unit weights over the picked entries.
+  one ``np.bincount`` per feature column over the picked entries.
 
 A_hat is a ``data.GraphCSR`` over the graph's vertex positions, the type of
-the graph's own index, so its products are that type's bit-exact ones.  It
-holds the CSR entries plus the diagonal, sorted by (row, column), each valued
-(d[row] * w) * d[col] with d = 1 / sqrt(row sums); entries exactly 0
-(zero-weight edges) are dropped.
+the graph's own index.  It holds the CSR entries plus the diagonal, sorted
+by (row, column), each valued (d[row] * d[col]) * w with d = 1 / sqrt(row
+sums), so it is symmetric bit for bit; entries exactly 0 (zero-weight
+edges) are dropped.
 
 A model is only its two weight matrices: W1's rows (F for GCN, 2F for SAGE)
-tell the two apart, and a backward uses A_hat^T when its cache holds one.
+tell the two apart, and a backward uses A_hat when its cache holds one.
 
 A ``ForwardCache`` is the forward state of one client: one N x hidden
 array, allocated once, plus what the last forward left for backward,
@@ -163,16 +163,16 @@ def normalized_adjacency(graph: ClientGraph) -> GraphCSR:
     weights = np.insert(csr.weights, at, 1.0)
     indptr = csr.indptr + np.arange(n + 1)
     del csr, at                       # an index built for A_hat alone is freed
-    rows = np.repeat(loops, np.diff(indptr))
     d_half = 1.0 / np.sqrt(np.add.reduceat(weights, indptr[:-1]))
-    # (d_half[rows] * weights) * d_half[cols], in place
-    values = d_half[rows]
+    # (d_half[row] * d_half[col]) * weight, in place: the degree product
+    # commutes, so entries (u, v) and (v, u) get the same bits
+    values = np.repeat(d_half, np.diff(indptr))
+    values *= d_half[cols]
     values *= weights
     del weights
-    values *= d_half[cols]
     kept = values != 0.0
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=n))))
-    del rows
+    # every row holds its self-loop, so its last entry ends it
+    indptr = np.concatenate(([0], np.cumsum(kept)[indptr[1:] - 1]))
     return GraphCSR(indptr, cols[kept], values[kept])
 
 
@@ -241,13 +241,13 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
     by_key = order[np.argsort(row_of, kind="stable")]
     picked = np.zeros(nnz, dtype=bool)
     picked[by_key[np.arange(nnz) - indptr[rows] < fanout]] = True
-    # each row adds its picked feature rows in CSR entry order, from 0.0:
-    # the product with unit weights over the picked entries
-    count = np.minimum(degree, fanout)
-    cols = indices[picked]
-    sampled = GraphCSR(np.concatenate([[0], np.cumsum(count)]), cols,
-                       np.ones(len(cols)))
-    return (sampled @ features) / np.maximum(count, 1)[:, None]
+    # each row adds its picked feature rows in CSR entry order, from 0.0
+    picked_rows, picked_cols = rows[picked], indices[picked]
+    sums = np.empty((n, features.shape[1]))
+    for col, column in enumerate(features.T):
+        sums[:, col] = np.bincount(picked_rows, weights=column.take(picked_cols),
+                                   minlength=n)
+    return sums / np.maximum(np.minimum(degree, fanout), 1)[:, None]
 
 
 def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,
@@ -302,7 +302,7 @@ def loss_and_grads(params: ModelParams, cache: ForwardCache,
     grad_logits /= n_masked
 
     # gradient w.r.t. the unpropagated logits hidden @ W2 (N x 2)
-    grad_head = (cache.adjacency.transpose_matmul(grad_logits)
+    grad_head = (cache.adjacency @ grad_logits
                  if cache.adjacency is not None else grad_logits)
     hidden = cache.hidden
     grad_w2 = hidden.T @ grad_head

@@ -41,9 +41,10 @@ def gcn_inputs(graph, x):
 
 
 def dense(matrix):
-    """A GraphCSR as a dense array."""
-    out = np.zeros((len(matrix.indptr) - 1,) * 2)
-    out[matrix.rows, matrix.indices] = matrix.weights
+    """A GraphCSR as a dense array, read without its ``rows``."""
+    n = len(matrix.indptr) - 1
+    out = np.zeros((n, n))
+    out[np.repeat(np.arange(n), np.diff(matrix.indptr)), matrix.indices] = matrix.weights
     return out
 
 
@@ -82,7 +83,7 @@ def test_normalized_adjacency_matches_dense_oracle():
         m = dense(normalized_adjacency(g))
         assert np.allclose(m, dense_normalized_adjacency(g),
                            rtol=1e-14, atol=1e-15)
-        assert np.allclose(m, m.T, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(m, m.T)
 
 
 def test_normalized_adjacency_spectral_radius_at_most_one():
@@ -94,7 +95,10 @@ def test_normalized_adjacency_spectral_radius_at_most_one():
 
 
 def loop_normalized_adjacency(graph):
-    """Reference: COO triplets from the edge dict, self-loops appended."""
+    """Reference: scipy's CSR of A + I from the edge dict's COO triplets,
+    self-loops appended, with scipy's row sums for the degrees; each entry
+    then takes the value (d_u * d_v) * w, one at a time, and the exact
+    zeros are dropped."""
     nodes = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
@@ -107,8 +111,14 @@ def loop_normalized_adjacency(graph):
     cols.extend(range(n))
     vals.extend([1.0] * n)
     a_tilde = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    d_half = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
-    return (d_half @ a_tilde @ d_half).tocsr()
+    a_tilde.sort_indices()
+    d_half = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
+    for u in range(n):
+        for k in range(a_tilde.indptr[u], a_tilde.indptr[u + 1]):
+            v = a_tilde.indices[k]
+            a_tilde.data[k] = (d_half[u] * d_half[v]) * a_tilde.data[k]
+    a_tilde.eliminate_zeros()
+    return a_tilde
 
 
 def test_normalized_adjacency_matches_loop_reference_bitwise():
@@ -154,8 +164,41 @@ def test_adjacency_products_match_scipy_bitwise(width):
         adj, ref = normalized_adjacency(g), loop_normalized_adjacency(g)
         x = np.random.default_rng(seed).standard_normal((len(g.vertices), width))
         x *= 10.0 ** np.random.default_rng(seed + 1).uniform(-6, 6, x.shape)
-        assert np.array_equal(adj @ x, ref @ x)
-        assert np.array_equal(adj.transpose_matmul(x), ref.T @ x)
+        got = adj @ x
+        # A_hat is its own transpose, so one product serves the backward
+        assert np.array_equal(got, ref @ x)
+        assert np.array_equal(got, ref.T @ x)
+
+
+def test_normalized_adjacency_is_symmetric_bitwise():
+    # non-unit weights: with unit weights (d_u * w) * d_v rounds the same
+    # both ways, and the asymmetry of that order would not show
+    graphs = [product_test_graph(seed) for seed in range(4)]
+    graphs += [random_setup(seed, n=n)[0] for seed in range(6) for n in (9, 40)]
+    for g in graphs:
+        assert (g.edges.weight != 1.0).all()
+        m = dense(normalized_adjacency(g))
+        assert np.array_equal(m, m.T)
+
+
+def test_product_refuses_x_with_the_wrong_row_count():
+    graph, x, _ = random_setup(2, n=5)
+    adj = normalized_adjacency(graph)
+    for rows in (3, 7):
+        with pytest.raises(ValueError, match=f"x has {rows} rows, not 5"):
+            adj @ np.ones((rows, 2))
+    params = init_params("gcn", 3, seed=0)
+    with pytest.raises(ValueError, match="x has 3 rows, not 5"):
+        gcn_forward(params, adj, x[:3])
+
+
+def test_normalized_adjacency_never_builds_its_rows():
+    graph, x, labels = random_setup(4, n=20)
+    params = init_params("gcn", x.shape[1], seed=0)
+    adj, propagated = gcn_inputs(graph, x)
+    _, cache = gcn_forward(params, adj, propagated)
+    loss_and_grads(params, cache, labels, np.ones(20, dtype=bool))
+    assert "rows" not in vars(adj)
 
 
 def test_products_peak_below_one_and_a_half_terms_arrays_plus_output():
@@ -163,15 +206,14 @@ def test_products_peak_below_one_and_a_half_terms_arrays_plus_output():
     # gather into it that numpy buffered would hold a second one
     adj = normalized_adjacency(random_setup(0, n=300, p=0.1)[0])
     x = np.random.default_rng(1).standard_normal((300, 2))
-    for product in (adj.__matmul__, adj.transpose_matmul):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            out = product(x)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * adj.nnz * 8 + out.nbytes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = adj @ x
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * adj.nnz * 8 + out.nbytes
 
 
 def test_adjacency_toarray_matches_dense_oracle_and_drops_only_zeros():
@@ -492,8 +534,7 @@ def boolean_index_loss_and_grads(arch, params, cache, labels, mask):
     grad_logits[mask] = probs[mask]
     grad_logits[mask, labels[mask]] -= 1.0
     grad_logits /= int(mask.sum())
-    grad_head = (cache.adjacency.transpose_matmul(grad_logits)
-                 if arch == "gcn" else grad_logits)
+    grad_head = cache.adjacency @ grad_logits if arch == "gcn" else grad_logits
     grad_pre = (grad_head @ params.W2.T) * (cache.inputs @ params.W1 > 0)
     return loss, cache.hidden.T @ grad_head, cache.inputs.T @ grad_pre
 

@@ -31,16 +31,24 @@ def test_all_lists_exactly_the_public_functions_and_classes():
 def test_every_private_function_and_class_is_used_by_the_package():
     defined, used = {}, set()
     for path in sorted(Path(twosfgl.__file__).parent.glob("*.py")):
-        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+        # module statements, and the statements of every class body, each
+        # on its own, so a private method is checked like a function
+        statements = list(ast.parse(path.read_text(encoding="utf-8")).body)
+        while statements:
+            statement = statements.pop()
             own = None
             if (isinstance(statement, (ast.FunctionDef, ast.ClassDef))
                     and statement.name.startswith("_")
                     and not statement.name.startswith("__")):
                 own = statement.name
                 defined[own] = path.name
+            read = [statement]
+            if isinstance(statement, ast.ClassDef):
+                statements.extend(statement.body)
+                read = statement.decorator_list + statement.bases + statement.keywords
             # a name counts where code reads it, outside its own definition
             used |= {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(statement)
+                     for part in read for node in ast.walk(part)
                      if isinstance(node, (ast.Name, ast.Attribute))} - {own}
     assert {name: module for name, module in defined.items()
             if name not in used} == {}
