@@ -78,8 +78,13 @@ def test_normalized_adjacency_isolated_node_row():
 
 def test_normalized_adjacency_matches_dense_oracle():
     rng = np.random.default_rng(4)
-    for seed in range(8):
-        g, _, _ = random_setup(seed, n=int(rng.integers(2, 10)))
+    graphs = [random_setup(seed, n=int(rng.integers(2, 10)))[0] for seed in range(8)]
+    graphs += [random_setup(seed, n=n)[0] for seed in range(6) for n in (9, 40)]
+    graphs += [product_test_graph(seed) for seed in range(4)]
+    for g in graphs:
+        # non-unit weights: with unit weights (d_u * w) * d_v rounds the same
+        # both ways, and an asymmetric rounding order would not show
+        assert (g.edges.weight != 1.0).all()
         m = dense(normalized_adjacency(g))
         assert np.allclose(m, dense_normalized_adjacency(g),
                            rtol=1e-14, atol=1e-15)
@@ -168,17 +173,6 @@ def test_adjacency_products_match_scipy_bitwise(width):
         # A_hat is its own transpose, so one product serves the backward
         assert np.array_equal(got, ref @ x)
         assert np.array_equal(got, ref.T @ x)
-
-
-def test_normalized_adjacency_is_symmetric_bitwise():
-    # non-unit weights: with unit weights (d_u * w) * d_v rounds the same
-    # both ways, and the asymmetry of that order would not show
-    graphs = [product_test_graph(seed) for seed in range(4)]
-    graphs += [random_setup(seed, n=n)[0] for seed in range(6) for n in (9, 40)]
-    for g in graphs:
-        assert (g.edges.weight != 1.0).all()
-        m = dense(normalized_adjacency(g))
-        assert np.array_equal(m, m.T)
 
 
 def test_product_refuses_x_with_the_wrong_row_count():

@@ -32,23 +32,25 @@ def test_every_private_function_and_class_is_used_by_the_package():
     defined, used = {}, set()
     for path in sorted(Path(twosfgl.__file__).parent.glob("*.py")):
         # module statements, and the statements of every class body, each
-        # on its own, so a private method is checked like a function
-        statements = list(ast.parse(path.read_text(encoding="utf-8")).body)
+        # on its own with the names of the classes around it, so a private
+        # method is checked like a function
+        statements = [(statement, {None})
+                      for statement in ast.parse(path.read_text(encoding="utf-8")).body]
         while statements:
-            statement = statements.pop()
-            own = None
+            statement, owners = statements.pop()
             if (isinstance(statement, (ast.FunctionDef, ast.ClassDef))
                     and statement.name.startswith("_")
                     and not statement.name.startswith("__")):
-                own = statement.name
-                defined[own] = path.name
+                owners = owners | {statement.name}
+                defined[statement.name] = path.name
             read = [statement]
             if isinstance(statement, ast.ClassDef):
-                statements.extend(statement.body)
+                statements.extend((part, owners) for part in statement.body)
                 read = statement.decorator_list + statement.bases + statement.keywords
             # a name counts where code reads it, outside its own definition
+            # and outside the classes that hold it
             used |= {node.id if isinstance(node, ast.Name) else node.attr
                      for part in read for node in ast.walk(part)
-                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+                     if isinstance(node, (ast.Name, ast.Attribute))} - owners
     assert {name: module for name, module in defined.items()
             if name not in used} == {}
