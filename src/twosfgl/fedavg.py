@@ -7,15 +7,19 @@ state stays on the client and is never averaged.  One round corresponds to
 one training epoch.  The model settings are fixed: ``FANOUT`` neighbors per
 node for SAGE sampling and Adam learning rate ``LEARNING_RATE``.
 
-Each client owns one ``gnn.ForwardCache``, which its forwards and backwards
-write into, so no two clients share memory; a backward consumes the forward
-it reads.  ``_client_forward`` is the one place that decides whether a
-forward must run.  A GCN forward draws nothing from a seed, so its seed is
-never derived, and a cache that still holds a forward of the very params
-object asked for is returned as it is: the evaluation forward after round r
-is round r + 1's first training forward, which adopts the evaluated params.
-A SAGE forward always runs, since evaluation and training sample neighbors
-with different seeds.
+Only a GCN client owns a ``gnn.ForwardCache``, which its forwards and
+backwards write into, so no two clients share memory; a backward consumes
+the forward it reads.  ``_client_forward`` is the one place that decides
+whether a forward must run.  A GCN forward draws nothing from a seed, so its
+seed is never derived, and a cache that still holds a forward of the very
+params object asked for is returned as it is: the evaluation forward after
+round r is round r + 1's first training forward, which adopts the evaluated
+params.  A SAGE forward always runs, since evaluation and training sample
+neighbors with different seeds, so a SAGE client keeps no forward between
+steps: each forward allocates its own cache, which the backward or the
+scoring consumes and drops.  Evaluation drops each client's forward before
+the next client's runs, so a SAGE evaluation holds one N x hidden array at
+a time.
 
 A GCN client keeps its normalized adjacency Â but not the graph index it
 was built from: ``normalized_adjacency`` reads the index the graph has
@@ -64,7 +68,7 @@ class ClientState:
     test_mask: np.ndarray = None
     adjacency: object = None             # gcn only: None marks a sage client
     propagated_features: np.ndarray = None   # gcn: adjacency @ features
-    cache: ForwardCache = None           # this client's forward state
+    cache: ForwardCache = None           # gcn only: this client's forward state
 
 
 @dataclass(frozen=True)
@@ -106,17 +110,17 @@ def make_client(graph: ClientGraph, split: SplitAssignment, arch: str,
     if not train_mask.any():
         raise ValueError(f"client {client_id!r} has an empty train mask")
     params = init_params(arch, feats.shape[1], seed=derive_seed(seed, "init"))
-    adjacency = ax = None
+    adjacency = ax = cache = None
     if arch == "gcn":
         adjacency = normalized_adjacency(graph)
         ax = adjacency @ feats
+        cache = ForwardCache.empty(len(nodes), params.W1.shape[1])
     return ClientState(
         client_id=client_id, graph=graph, params=params,
         adam=init_adam(params, lr=LEARNING_RATE),
         sample_count=int(train_mask.sum()), features=feats, labels=labels,
         train_mask=train_mask, test_mask=test_mask, adjacency=adjacency,
-        propagated_features=ax,
-        cache=ForwardCache.empty(len(nodes), params.W1.shape[1]))
+        propagated_features=ax, cache=cache)
 
 
 def aggregate(updates) -> ModelParams:
@@ -146,14 +150,16 @@ def aggregate(updates) -> ModelParams:
 
 def _client_forward(client: ClientState, params: ModelParams,
                     *seed_labels) -> ForwardCache:
-    """The client's cache, holding its forward of ``params``; a GCN cache
-    that already holds that very params object is not filled again.  A SAGE
-    forward samples with ``derive_seed(*seed_labels)``."""
-    cache = client.cache
+    """A cache holding the client's forward of ``params``.  A GCN client's
+    own cache is filled unless it already holds that very params object.  A
+    SAGE forward samples with ``derive_seed(*seed_labels)`` into a fresh
+    cache, which the caller consumes."""
     if client.adjacency is None:
-        sage_forward(params, client.graph, client.features, fanout=FANOUT,
-                     seed=derive_seed(*seed_labels), cache=cache)
-    elif cache.params is not params:
+        _, cache = sage_forward(params, client.graph, client.features,
+                                fanout=FANOUT, seed=derive_seed(*seed_labels))
+        return cache
+    cache = client.cache
+    if cache.params is not params:
         gcn_forward(params, client.adjacency, client.propagated_features,
                     cache=cache)
     return cache
@@ -194,9 +200,9 @@ def evaluate_global(clients, params: ModelParams, seed: int = 0) -> dict:
     fns = {"accuracy": accuracy, "macro_f1": macro_f1, "auc": auc, "gmean": gmean}
     for client in clients:
         cache = _client_forward(client, params, seed, "eval", client.client_id)
-        scores = cache.probs[:, 1]
         result = EvalResult.from_scores(
-            scores[client.test_mask], client.labels[client.test_mask])
+            cache.probs[client.test_mask, 1], client.labels[client.test_mask])
+        del cache                     # a sage forward is freed before the next
         for name in METRIC_NAMES:
             per_metric[name].append(fns[name](result))
     return {name: float(np.mean(values)) for name, values in per_metric.items()}

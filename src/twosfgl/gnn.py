@@ -18,7 +18,9 @@ Two one-hidden-layer binary node classifiers over 64-bit floats:
   key per (node, neighbor) entry, the ``fanout`` smallest keys of each row
   are kept (a uniform draw without replacement), and each row adds up its
   picked neighbor rows in CSR entry order, from 0.0, before the division:
-  one ``np.bincount`` per feature column over the picked entries.
+  one ``np.bincount`` per feature column over the picked entries.  The
+  sampler reads the CSR's ``indptr`` and ``indices`` but no row array, so
+  it leaves none cached on the graph's index.
 
 A_hat is a ``data.GraphCSR`` over the graph's vertex positions, the type of
 the graph's own index.  It holds the CSR entries plus the diagonal, sorted
@@ -29,14 +31,16 @@ edges) are dropped.
 A model is only its two weight matrices: W1's rows (F for GCN, 2F for SAGE)
 tell the two apart, and a backward uses A_hat when its cache holds one.
 
-A ``ForwardCache`` is the forward state of one client: one N x hidden
-array, allocated once, plus what the last forward left for backward,
-including the params object it ran with.  A forward writes the hidden layer
-into that array, relu applied in place.  A backward consumes its forward: it
-reads the hidden layer, then writes the hidden-layer gradient over it and
-marks the cache empty, so the next backward needs a new forward.  So a
-training step allocates nothing of that size.  A forward called without a
-cache allocates a fresh one.
+A ``ForwardCache`` is the state of one forward: one N x hidden array plus
+what the forward left for backward, including the params object it ran
+with.  A forward writes the hidden layer into that array, relu applied in
+place.  A backward consumes its forward: it reads the hidden layer, then
+writes the hidden-layer gradient over it and marks the cache empty, so the
+next backward needs a new forward.  A forward called without a cache
+allocates a fresh one.  A GCN client keeps one cache and passes it to every
+forward, so its training step allocates nothing of that size; a SAGE
+client keeps none, since no SAGE forward is run twice, and each of its
+forwards allocates the cache its backward or scoring then drops.
 
 The loss is mean softmax cross-entropy over a node mask; gradients are
 analytic and verified against finite differences in the test suite.  The
@@ -104,14 +108,15 @@ class AdamState:
 
 @dataclass
 class ForwardCache:
-    """One client's forward state, sufficient for one backward.
+    """The state of one forward, sufficient for one backward: a GCN
+    client's own, refilled by each of its forwards, or a SAGE forward's
+    fresh one.
 
-    The N x hidden array is allocated once.  Every forward into this cache
-    writes its relu output there, and the backward of that forward writes
-    the relu-masked hidden-layer gradient over it.  The other fields describe
-    the last forward, ``params`` being the very object it ran with: None
-    before the first forward and after a backward, when the cache holds no
-    forward.
+    Every forward into this cache writes its relu output into the N x hidden
+    array, and the backward of that forward writes the relu-masked
+    hidden-layer gradient over it.  The other fields describe the last
+    forward, ``params`` being the very object it ran with: None before the
+    first forward and after a backward, when the cache holds no forward.
     """
 
     hidden: np.ndarray                # relu output, then its gradient
@@ -219,35 +224,47 @@ def sample_neighbor_means(graph: ClientGraph, features: np.ndarray,
     The picks equal those of ``np.lexsort((keys, rows))``: the entries are
     sorted by key, then stably by row, with the row ids cast to the
     narrowest unsigned type that holds n, which numpy radix-sorts when it is
-    16 bits or narrower.
+    16 bits or narrower.  The CSR's ``rows`` is not read: the key-sorted
+    entries' row ids are repeated from ``indptr``, and each row's picks are
+    the first ``min(degree, fanout)`` slots of its run in the row-sorted
+    order.  Each entry-sized array is dropped once spent, so the sampler
+    holds at most three 8-byte arrays per CSR entry at once.
     """
     if fanout < 1:
         raise ValueError("fanout must be >= 1")
     csr = graph.neighbor_csr
-    indptr, indices, rows = csr.indptr, csr.indices, csr.rows
+    indptr, indices = csr.indptr, csr.indices
     n = len(indptr) - 1
     degree = np.diff(indptr)
-    nnz = len(indices)
-    keys = np.random.default_rng(seed).random(nnz)
+    keys = np.random.default_rng(seed).random(len(indices))
     # entries by key, ties by entry index: the default sort is exact when no
     # two keys are equal, and the stable sort redoes it when two are
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+    tied = np.any(sorted_keys[1:] == sorted_keys[:-1])
+    del sorted_keys
+    if tied:
         order = np.argsort(keys, kind="stable")
-    # then stably by row: rows keep their slots, so the first fanout slots of
-    # a row hold its smallest keys
-    row_of = rows.astype(np.min_scalar_type(n))[order]
-    by_key = order[np.argsort(row_of, kind="stable")]
-    picked = np.zeros(nnz, dtype=bool)
-    picked[by_key[np.arange(nnz) - indptr[rows] < fanout]] = True
+    del keys
+    # then stably by row: rows keep their slots, so the first take[r] slots
+    # of row r's run, which starts at indptr[r], hold its smallest keys
+    row_of = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), degree)[order]
+    slots = np.argsort(row_of, kind="stable")
+    del row_of
+    take = np.minimum(degree, fanout)
+    heads = np.repeat(indptr[:-1] + take - np.cumsum(take), take)
+    heads += np.arange(len(heads))
+    picked = np.zeros(len(indices), dtype=bool)
+    picked[order[slots[heads]]] = True
+    del order, slots, heads
     # each row adds its picked feature rows in CSR entry order, from 0.0
-    picked_rows, picked_cols = rows[picked], indices[picked]
+    picked_rows, picked_cols = np.repeat(np.arange(n), take), indices[picked]
+    del picked
     sums = np.empty((n, features.shape[1]))
     for col, column in enumerate(features.T):
         sums[:, col] = np.bincount(picked_rows, weights=column.take(picked_cols),
                                    minlength=n)
-    return sums / np.maximum(np.minimum(degree, fanout), 1)[:, None]
+    return sums / np.maximum(take, 1)[:, None]
 
 
 def sage_forward(params: ModelParams, graph: ClientGraph, features: np.ndarray,

@@ -335,17 +335,25 @@ def test_evaluate_global_matches_per_client_metric_mean():
 
 @pytest.mark.parametrize("arch", ["gcn", "sage"])
 def test_local_step_empties_the_cache_and_a_forward_refills_it(arch):
+    # a gcn client refills its own cache; a sage client holds none, and each
+    # forward brings its own
     clients, _, _, _ = build_clients(arch, seed=13)
     client = clients[0]
     params = client.params.copy()
+    assert (client.cache is None) == (arch == "sage")
     local_steps(client, params, round_seed=4)
-    assert client.cache.params is None
-    cache = fedavg._client_forward(client, params, 4, "eval", client.client_id)
-    assert cache is client.cache and cache.params is params
     if arch == "gcn":
+        assert client.cache.params is None
+    else:
+        assert client.cache is None
+    cache = fedavg._client_forward(client, params, 4, "eval", client.client_id)
+    assert cache.params is params
+    if arch == "gcn":
+        assert cache is client.cache
         logits, _ = gcn_forward(params, client.adjacency,
                                 client.propagated_features)
     else:
+        assert client.cache is None
         logits, _ = sage_forward(params, client.graph, client.features,
                                  fanout=fedavg.FANOUT,
                                  seed=derive_seed(4, "eval", client.client_id))
@@ -452,10 +460,16 @@ def test_train_federation_matches_fresh_forward_reference(arch):
 def test_clients_never_share_forward_memory(arch):
     clients, _, _, _ = build_clients(arch, seed=21, n_clients=3)
     train_federation(clients, FederationConfig(rounds=2), "x", seed=0)
-    owned = []
-    for client in clients:
-        cache = client.cache
-        owned.append([cache.hidden, cache.probs])
+    if arch == "gcn":
+        caches = [client.cache for client in clients]
+    else:
+        # no sage client keeps a cache; two forwards of one client, and one
+        # of another, each bring their own
+        assert all(client.cache is None for client in clients)
+        params = clients[0].params
+        caches = [fedavg._client_forward(client, params, 0, "eval", k)
+                  for k, client in enumerate(clients[:1] + clients[:2])]
+    owned = [[cache.hidden, cache.probs] for cache in caches]
     for mine, theirs in itertools.combinations(owned, 2):
         for a, b in itertools.product(mine, theirs):
             assert not np.shares_memory(a, b)

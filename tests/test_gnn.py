@@ -349,7 +349,10 @@ def lexsort_neighbor_means(graph, x, fanout, seed):
 
 def test_sample_neighbor_means_matches_lexsort_reference_bitwise():
     # n > 2^11, where a row << 53 composite key would overflow int64, plus
-    # hub rows far above the fanout
+    # hub rows far above the fanout; then an edgeless graph, where no row
+    # takes a pick, and a ring of degree 2 beside isolated nodes, where every
+    # entry is picked at fanouts 5 and 40
+    graphs = []
     for seed, n in ((0, 40), (1, 300), (2, 3000)):
         rng = np.random.default_rng(seed)
         ends = rng.integers(0, n, size=(3 * n, 2))
@@ -358,8 +361,13 @@ def test_sample_neighbor_means_matches_lexsort_reference_bitwise():
                              rng.integers(0, n, size=180)], axis=1)
         edges = {(int(min(u, v)), int(max(u, v))): 1.0
                  for u, v in np.concatenate([ends, hub_ends]) if u != v}
-        graph = make_graph(edges, n)
-        x = rng.standard_normal((n, 3))
+        graphs.append((seed, make_graph(edges, n), rng.standard_normal((n, 3))))
+    ring = {(u, u + 1): 1.0 for u in range(49)} | {(0, 49): 1.0}
+    for seed, graph in ((3, make_graph({}, 50)), (4, make_graph(ring, 60))):
+        graphs.append((seed, graph, np.random.default_rng(seed).standard_normal(
+            (len(graph.vertices), 3))))
+    for seed, graph, x in graphs:
+        n = len(graph.vertices)
         for fanout in (1, 5, 40):
             assert np.array_equal(
                 sample_neighbor_means(graph, x, fanout, seed),
@@ -405,6 +413,30 @@ def test_sample_neighbor_means_above_16_bit_rows_matches_lexsort_reference():
     for fanout in (1, 5):
         assert np.array_equal(sample_neighbor_means(graph, x, fanout, 9),
                               lexsort_neighbor_means(graph, x, fanout, 9))
+
+
+def test_sample_neighbor_means_peaks_below_32_bytes_per_entry_and_builds_no_rows():
+    # mean degree 40: the entry-sized arrays, not the n x F output, set the
+    # peak; a sampler that read the CSR's rows would cache 8 bytes an entry
+    n, features = 3000, 3
+    rng = np.random.default_rng(6)
+    ends = np.unique(np.sort(rng.integers(0, n, size=(20 * n, 2)), axis=1), axis=0)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    graph = ClientGraph(relation_name="g", vertices=np.arange(n),
+                        edges=np.rec.fromarrays(
+                            [ends[:, 0], ends[:, 1], np.ones(len(ends))],
+                            dtype=EDGE_DTYPE))
+    csr = graph.neighbor_csr
+    x = rng.standard_normal((n, features))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = sample_neighbor_means(graph, x, 5, 0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * csr.nnz + 2 * out.nbytes, peak / csr.nnz
+    assert "rows" not in vars(csr)
 
 
 def test_sample_neighbor_means_picks_hub_neighbors_uniformly():
